@@ -286,10 +286,25 @@ let scratch_for p =
     r := Some (p, m);
     m
 
+(* Per-domain candidate pc column, refilled by every [candidate_pcs] on
+   the domain instead of allocating a trace-length array per candidate.
+   Reuse is safe because [score_genome] lets only the float score escape:
+   the remapped trace and blockcache adopting the column are dead before
+   the next candidate refills it.  Keyed by length so a trace of another
+   stack reallocates. *)
+let pcs_slot : int array ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [||])
+
+let pcs_buffer len =
+  let r = Domain.DLS.get pcs_slot in
+  if Array.length !r <> len then r := Array.make len 0;
+  !r
+
 (* Decode a genome to the candidate's pc column: place units with the
    [Strategy.at_offsets] cursor arithmetic, derive the shared cold
    region's start the way [Image.build] does, then anchor every event's
-   precomputed (unit, offset). *)
+   precomputed (unit, offset).  The column is this domain's
+   [pcs_buffer], valid until the next call on the domain. *)
 let candidate_pcs cc tmpl g =
   let nu = cc.s.nu in
   let ubase = Array.make nu 0 and cbase = Array.make nu 0 in
@@ -323,7 +338,7 @@ let candidate_pcs cc tmpl g =
   let ev_unit = tmpl.ev_unit and ev_off = tmpl.ev_off in
   let ev_cold = tmpl.ev_cold in
   let len = Array.length ev_unit in
-  let pcs = Array.make len 0 in
+  let pcs = pcs_buffer len in
   for i = 0 to len - 1 do
     let u = Array.unsafe_get ev_unit i in
     let b =

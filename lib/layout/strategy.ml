@@ -100,18 +100,30 @@ let pessimal ~base ~icache_bytes ~bcache_bytes ?(bconflict_every = 2) units =
 
 (* --- micro-positioning --------------------------------------------------- *)
 
-(* Interleave weight: for consecutive occurrences of [a] in the reference
-   sequence, count occurrences of [b] strictly between them (each such
-   occurrence can evict [a] if they share cache sets). *)
-let interleave_weight seq a b =
-  let w = ref 0 in
-  let inside = ref false in
+(* Interleave matrix over name ids: [w.(a).(b)] counts every occurrence of
+   [b] after the first occurrence of [a] in the reference sequence (each
+   such reference can evict [a] if the two share cache sets).  It is 0 on
+   the diagonal and when [a] never occurs.  One pass: snapshot the running
+   per-name counts at each name's first occurrence, so [w.(a).(b)] is
+   [b]'s total count minus its count before [a] first appeared. *)
+let interleave_matrix ids ref_seq =
+  let n = Hashtbl.length ids in
+  let count = Array.make n 0 in
+  let before_first = Array.make n None in
   List.iter
     (fun x ->
-      if x = a then inside := true
-      else if !inside && x = b then incr w)
-    seq;
-  !w
+      match Hashtbl.find_opt ids x with
+      | Some i ->
+        if Option.is_none before_first.(i) then
+          before_first.(i) <- Some (Array.copy count);
+        count.(i) <- count.(i) + 1
+      | None -> ())
+    ref_seq;
+  Array.init n (fun a ->
+      match before_first.(a) with
+      | None -> Array.make n 0
+      | Some pre ->
+        Array.init n (fun b -> if b = a then 0 else count.(b) - pre.(b)))
 
 let micro_position ~base ~icache_bytes ~block_bytes ~ref_seq units =
   let nsets = icache_bytes / block_bytes in
@@ -121,59 +133,63 @@ let micro_position ~base ~icache_bytes ~block_bytes ~ref_seq units =
     List.sort (fun (r1, i1, _) (r2, i2, _) -> compare (r1, i1) (r2, i2)) keyed
     |> List.map (fun (_, _, u) -> u)
   in
-  (* sets occupied by a placement: [start_set, start_set + nblocks) mod nsets *)
-  let sets_of offset_blocks size_bytes =
-    let nblocks = (size_bytes + block_bytes - 1) / block_bytes in
-    List.init (min nblocks nsets) (fun i -> (offset_blocks + i) mod nsets)
-  in
+  let ids = Hashtbl.create 64 in
+  List.iter
+    (fun u ->
+      let name = Image.unit_name u in
+      if not (Hashtbl.mem ids name) then Hashtbl.add ids name (Hashtbl.length ids))
+    ordered;
+  let w = interleave_matrix ids ref_seq in
   let placed = ref [] in
-  (* (name, offset_blocks, size) *)
+  (* (name id, offset_blocks, span) *)
+  let set_cost = Array.make nsets 0 in
+  (* prefix sums of [set_cost] over two laps, so every circular interval
+     is one subtraction *)
+  let prefix = Array.make ((2 * nsets) + 1) 0 in
   let cursor = ref base in
-  let result =
-    List.map
-      (fun u ->
-        let name = Image.unit_name u in
-        let size = Image.size_bytes u in
-        let cost offset =
-          List.fold_left
-            (fun acc (qname, qoff, qsize) ->
-              let mine = sets_of offset size in
-              let theirs = sets_of qoff qsize in
-              let overlap =
-                List.length (List.filter (fun s -> List.mem s theirs) mine)
-              in
-              if overlap = 0 then acc
-              else
-                acc
-                + overlap
-                  * (interleave_weight ref_seq name qname
-                    + interleave_weight ref_seq qname name))
-            0 !placed
-        in
-        (* candidate offsets at block granularity; prefer the dense position
-           (cursor's own offset) on ties to limit gaps *)
-        let dense_off = !cursor / block_bytes mod nsets in
-        let best = ref dense_off and best_cost = ref (cost dense_off) in
-        for o = 0 to nsets - 1 do
-          let c = cost o in
-          if c < !best_cost then begin
-            best := o;
-            best_cost := c
-          end
-        done;
-        let offset_bytes = !best * block_bytes in
-        let addr =
-          let candidate =
-            (!cursor / icache_bytes * icache_bytes) + offset_bytes
-          in
-          if candidate >= !cursor then candidate else candidate + icache_bytes
-        in
-        placed := (name, !best, size) :: !placed;
-        cursor := addr + size;
-        (u, addr))
-      ordered
-  in
-  result
+  List.map
+    (fun u ->
+      let id = Hashtbl.find ids (Image.unit_name u) in
+      let size = Image.size_bytes u in
+      (* the unit will occupy the circular set interval [o, o + span) mod
+         nsets for its chosen offset [o] *)
+      let span = min ((size + block_bytes - 1) / block_bytes) nsets in
+      (* predicted conflicts of this unit on each set: the interleave
+         weights of the placed units occupying it *)
+      Array.fill set_cost 0 nsets 0;
+      List.iter
+        (fun (q, qoff, qspan) ->
+          let wq = w.(id).(q) + w.(q).(id) in
+          if wq <> 0 then
+            for i = 0 to qspan - 1 do
+              let s = (qoff + i) mod nsets in
+              set_cost.(s) <- set_cost.(s) + wq
+            done)
+        !placed;
+      for i = 0 to (2 * nsets) - 1 do
+        prefix.(i + 1) <- prefix.(i) + set_cost.(i mod nsets)
+      done;
+      let cost o = prefix.(o + span) - prefix.(o) in
+      (* candidate offsets at block granularity; prefer the dense position
+         (cursor's own offset) on ties to limit gaps *)
+      let dense_off = !cursor / block_bytes mod nsets in
+      let best = ref dense_off and best_cost = ref (cost dense_off) in
+      for o = 0 to nsets - 1 do
+        let c = cost o in
+        if c < !best_cost then begin
+          best := o;
+          best_cost := c
+        end
+      done;
+      let offset_bytes = !best * block_bytes in
+      let addr =
+        let candidate = (!cursor / icache_bytes * icache_bytes) + offset_bytes in
+        if candidate >= !cursor then candidate else candidate + icache_bytes
+      in
+      placed := (id, !best, span) :: !placed;
+      cursor := addr + size;
+      (u, addr))
+    ordered
 
 (* Genome decoder for layout search: units arrive in the order the genome
    dictates, each tagged with a desired i-cache set offset in blocks

@@ -52,9 +52,16 @@ val micro_position :
   placement
 (** Trace-driven greedy placement: for each unit (in first-reference order)
     choose the i-cache offset minimizing predicted replacement conflicts
-    with already-placed units, weighted by how often the two units
-    interleave in [ref_seq].  Introduces gaps: the physical address is the
-    lowest free address congruent to the chosen offset. *)
+    with already-placed units.  The predicted cost of an offset is, summed
+    over placed units [q], the number of sets the two units share times
+    [w(u, q) + w(q, u)], where [w(a, b)] counts every occurrence of [b] in
+    [ref_seq] after the first occurrence of [a] (0 if [a] never occurs, or
+    [a = b]).  Ties keep the dense position (the cursor's own offset), then
+    the lowest offset.  Introduces gaps: the physical address is the lowest
+    free address congruent to the chosen offset.  Cost
+    O(units{^ 2}·sets + |ref_seq|): one pass builds the interleave matrix,
+    then each unit fills a per-set cost array from the placed units and
+    scores every offset with a circular prefix sum. *)
 
 val at_offsets :
   base:int ->

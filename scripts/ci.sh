@@ -5,7 +5,8 @@
 # checks), a quick multi-flow sweep, a quick latency-provenance spans
 # report (with its bit-exact conservation check), a quick host-lifecycle
 # chaos sweep, a quick fabric incast export, a pair bit-identity check
-# plus replays of the committed chaos repro files, a quick end-to-end
+# plus replays of the committed chaos repro files, the benchmark smoke
+# (pinned workload digests), a quick end-to-end
 # bench table, and a bench regression gate against the committed
 # BENCH_*.json history.
 # Usage: scripts/ci.sh  (run from the repository root)
@@ -39,6 +40,9 @@ dune build @spans-quick
 dune build @chaos-quick
 dune build @fabric-quick
 dune build @search-quick
+# the benchmark's smoke: every workload at 2 inputs x 1 pass against its
+# pinned smoke digest and every per-input oracle
+dune build @perfbench/bench-smoke
 # pair bit-identity: an explicit --topo pair must reproduce the default
 # two-host wiring byte-for-byte (the topology-first API's compatibility
 # contract; the star:2 detour through the switch must differ)

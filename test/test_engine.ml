@@ -218,6 +218,26 @@ let prop_image_pcs_monotonic =
           !ok)
         (L.Image.slots img))
 
+(* The micro-positioned CLO images are constants of the repo: digest every
+   unit's (name, start, stop) so a change to the placement search cannot
+   move a single unit silently. *)
+let test_micro_images_pinned () =
+  List.iter
+    (fun (stack, want) ->
+      let img =
+        P.Engine.layout_for (P.Config.make P.Config.Clo) stack
+          ~layout:P.Config.Micro ()
+      in
+      let b = Buffer.create 1024 in
+      List.iter
+        (fun (name, start, stop) -> Printf.bprintf b "%s:%d:%d;" name start stop)
+        (L.Image.regions img);
+      Alcotest.(check string)
+        (P.Engine.stack_name stack ^ " micro image regions")
+        want
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    [ (P.Engine.Tcpip, "2fa71e9f4ec961cabcbee045ab2d381b"); (P.Engine.Rpc, "0702d0c33f4311e27c20c3dbba434504") ]
+
 let test_bsd_model () =
   let counts = P.Bsd_model.segment_counts () in
   let near name paper tol =
@@ -287,6 +307,7 @@ let suite =
         test_experiment_tables_render;
       Alcotest.test_case "image slots disjoint" `Quick
         test_image_slots_disjoint;
+      Alcotest.test_case "micro images pinned" `Quick test_micro_images_pinned;
       Alcotest.test_case "bsd model" `Quick test_bsd_model;
       QCheck_alcotest.to_alcotest prop_image_pcs_monotonic;
       Alcotest.test_case "config names" `Quick test_config_names ] )

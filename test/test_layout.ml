@@ -214,6 +214,141 @@ let test_micro_no_overlap () =
   in
   Alcotest.(check bool) "no overlap" true (no_overlap p)
 
+(* Reference oracle: the original list-based micro-positioning, kept
+   verbatim so the matrix formulation in [Strategy] is checked against the
+   definition rather than against itself.  Per unit x offset x placed unit
+   it materializes both set lists and rescans [ref_seq] twice. *)
+module Micro_oracle = struct
+  let first_occurrence_rank order =
+    let tbl = Hashtbl.create 64 in
+    List.iteri
+      (fun i name -> if not (Hashtbl.mem tbl name) then Hashtbl.replace tbl name i)
+      order;
+    fun name ->
+      match Hashtbl.find_opt tbl name with Some i -> i | None -> max_int
+
+  let interleave_weight seq a b =
+    let w = ref 0 in
+    let inside = ref false in
+    List.iter
+      (fun x ->
+        if x = a then inside := true
+        else if !inside && x = b then incr w)
+      seq;
+    !w
+
+  let micro_position ~base ~icache_bytes ~block_bytes ~ref_seq units =
+    let nsets = icache_bytes / block_bytes in
+    let rank = first_occurrence_rank ref_seq in
+    let keyed = List.mapi (fun i u -> (rank (Image.unit_name u), i, u)) units in
+    let ordered =
+      List.sort (fun (r1, i1, _) (r2, i2, _) -> compare (r1, i1) (r2, i2)) keyed
+      |> List.map (fun (_, _, u) -> u)
+    in
+    let sets_of offset_blocks size_bytes =
+      let nblocks = (size_bytes + block_bytes - 1) / block_bytes in
+      List.init (min nblocks nsets) (fun i -> (offset_blocks + i) mod nsets)
+    in
+    let placed = ref [] in
+    let cursor = ref base in
+    List.map
+      (fun u ->
+        let name = Image.unit_name u in
+        let size = Image.size_bytes u in
+        let cost offset =
+          List.fold_left
+            (fun acc (qname, qoff, qsize) ->
+              let mine = sets_of offset size in
+              let theirs = sets_of qoff qsize in
+              let overlap =
+                List.length (List.filter (fun s -> List.mem s theirs) mine)
+              in
+              if overlap = 0 then acc
+              else
+                acc
+                + overlap
+                  * (interleave_weight ref_seq name qname
+                    + interleave_weight ref_seq qname name))
+            0 !placed
+        in
+        let dense_off = !cursor / block_bytes mod nsets in
+        let best = ref dense_off and best_cost = ref (cost dense_off) in
+        for o = 0 to nsets - 1 do
+          let c = cost o in
+          if c < !best_cost then begin
+            best := o;
+            best_cost := c
+          end
+        done;
+        let offset_bytes = !best * block_bytes in
+        let addr =
+          let candidate =
+            (!cursor / icache_bytes * icache_bytes) + offset_bytes
+          in
+          if candidate >= !cursor then candidate else candidate + icache_bytes
+        in
+        placed := (name, !best, size) :: !placed;
+        cursor := addr + size;
+        (u, addr))
+      ordered
+end
+
+(* A micro-positioning problem: geometry, base, unit instruction counts
+   and a reference sequence over unit names plus a few names no unit
+   carries.  Unit spans shrink as the set count grows (at most
+   sqrt(2^18 / sets) blocks), which keeps the quadratic oracle affordable
+   while the small geometries are crowded enough that the interleave
+   weights, not just free sets, decide placements.  At most one unit
+   overflows the i-cache, and only at <= 256 sets. *)
+let micro_case_gen =
+  QCheck.Gen.(
+    let* icache_bytes = oneofl [ 4096; 8192; 16384; 32768 ] in
+    let* block_bytes = oneofl [ 16; 32; 64 ] in
+    let nsets = icache_bytes / block_bytes in
+    let max_blocks = int_of_float (sqrt (262144.0 /. float_of_int nsets)) in
+    let* base = map (fun k -> 0x10000 + (4 * k)) (int_bound 4096) in
+    let* n = int_range 1 10 in
+    let* huge_at =
+      if nsets <= 256 then map (fun k -> if k < n then k else -1) (int_bound (2 * n))
+      else return (-1)
+    in
+    let icache_instrs = icache_bytes / 4 in
+    let* sizes =
+      flatten_l
+        (List.init n (fun i ->
+             if i = huge_at then int_range (icache_instrs + 1) (icache_instrs + 300)
+             else int_range 1 (max_blocks * block_bytes / 4)))
+    in
+    let* ref_seq =
+      list_size (int_bound 60)
+        (map (fun k -> "u" ^ string_of_int k) (int_bound (n + 2)))
+    in
+    return (icache_bytes, block_bytes, base, sizes, ref_seq))
+
+let micro_case_units sizes =
+  List.mapi
+    (fun i n -> Image.single (Func.make ~name:("u" ^ string_of_int i) [ hot "h" n ]))
+    sizes
+
+let print_micro_case (icache_bytes, block_bytes, base, sizes, ref_seq) =
+  Printf.sprintf "icache=%d block=%d base=%#x sizes=[%s] ref_seq=[%s]"
+    icache_bytes block_bytes base
+    (String.concat ";" (List.map string_of_int sizes))
+    (String.concat ";" ref_seq)
+
+let prop_micro_matches_oracle =
+  QCheck.Test.make ~name:"micro_position = list-based oracle" ~count:100
+    (QCheck.make ~print:print_micro_case micro_case_gen)
+    (fun (icache_bytes, block_bytes, base, sizes, ref_seq) ->
+      let units = micro_case_units sizes in
+      let named p = List.map (fun (u, a) -> (Image.unit_name u, a)) p in
+      named
+        (Strategy.micro_position ~base ~icache_bytes ~block_bytes ~ref_seq
+           units)
+      = named
+          (Micro_oracle.micro_position ~base ~icache_bytes ~block_bytes
+             ~ref_seq units))
+
 let test_icache_pressure () =
   let img =
     Image.build
@@ -255,6 +390,7 @@ let suite =
       Alcotest.test_case "link order dense" `Quick test_link_order_dense;
       Alcotest.test_case "bipartite partition" `Quick test_bipartite_partition;
       Alcotest.test_case "pessimal offsets" `Quick test_pessimal_same_offset;
-      Alcotest.test_case "micro no overlap" `Quick test_micro_no_overlap ]
+      Alcotest.test_case "micro no overlap" `Quick test_micro_no_overlap;
+      QCheck_alcotest.to_alcotest prop_micro_matches_oracle ]
     @ extra_suite )
 
