@@ -834,9 +834,10 @@ let fabric_cmd =
          "N-client incast over the switched star fabric: clients behind a \
           store-and-forward switch fire synchronized request bursts at one \
           server, reporting p50/p90/p99/p99.9 completion latency, switch \
-          queue drops and retransmissions per fan-in degree.  Hosts shard \
-          across --jobs domains in deterministic lock-step epochs: cell \
-          digests are bit-identical at any job count.")
+          queue drops and retransmissions per fan-in degree.  Each cell \
+          runs in deterministic lock-step epochs; cells spread across \
+          --jobs domains, and the report is byte-identical at any job \
+          count.")
     Term.(
       const run $ seed_arg $ fan_ins_arg $ requests_arg $ queue_arg
       $ seeds_arg $ jobs_arg

@@ -156,4 +156,4 @@ val incast_latency :
     latency percentiles, switch queue drops and retransmissions as the
     client fan-in degree grows past what the server's access link and the
     switch's bounded egress queue absorb (defaults: fan-in 2..64, 1
-    seed).  [jobs] parallelizes the per-cell host shards. *)
+    seed).  [jobs] spreads the cells across domains. *)

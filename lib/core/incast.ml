@@ -1,19 +1,21 @@
-(* N-client incast over the switched star fabric, sharded across domains.
+(* N-client incast over the switched star fabric, sharded across simulators.
 
    The first workload that needs more hosts than one simulator comfortably
    holds: [fan_in] TCP clients behind a store-and-forward switch fire
    synchronized request bursts at one server, and the server's access link
    plus the switch's bounded egress queue produce the classic incast tail.
 
-   Hosts shard across domains: shard 0 owns the switch and the server,
+   Hosts shard across simulators: shard 0 owns the switch and the server,
    client shards own [fan_in / n] clients each.  Every client's access
    segment is split into two half-links — the client half on its shard's
    simulator, the switch half on shard 0's — joined by the
    {!Ns.Ether.Link.set_remote}/{!Ns.Ether.Link.inject} exchange.  Shards
    advance in lock-step epochs bounded by the minimum cross-shard wire
    latency, and cross-shard frames are injected in fixed shard order at
-   every barrier, so the whole run — and its digest — is bit-identical at
-   any [jobs] count, including 1. *)
+   every barrier, which fixes the event interleaving and so the digest.
+   One domain steps every shard: an epoch is a few microseconds of work,
+   far less than spawning a domain for it, so parallelism lives one level
+   up, in {!sweep}'s cells. *)
 
 module Ns = Protolat_netsim
 module Obs = Protolat_obs
@@ -50,8 +52,8 @@ let default_workload =
     port_queue_frames = 32;
     horizon_us = 2_000_000.0 }
 
-(* client shards beyond the hub: fixed by fan-in alone (never by [jobs]),
-   because the shard layout determines per-shard event interleaving *)
+(* client shards beyond the hub: fixed by fan-in alone, because the shard
+   layout determines per-shard event interleaving *)
 let client_shards fan_in = min fan_in 8
 
 (* global host index: server 0, client k at 1+k — addressing reuses the
@@ -87,8 +89,8 @@ type shard = {
   sim : Ns.Sim.t;
   metrics : Obs.Metrics.t;
   outbox : parked Queue.t;
-      (* filled only while this shard's simulator runs (single domain),
-         drained only at the barrier (coordinator) *)
+      (* filled only while this shard's simulator runs, drained only at
+         the barrier *)
 }
 
 type cell = {
@@ -107,7 +109,7 @@ type cell = {
   digest : string;
 }
 
-let run_cell ?(wl = default_workload) ?(jobs = 1) ~fan_in ~seed () =
+let run_cell ?(wl = default_workload) ?jobs:_ ~fan_in ~seed () =
   if fan_in < 1 || fan_in > 1024 then
     invalid_arg "Incast.run_cell: fan_in must be in 1..1024";
   let nshards = client_shards fan_in in
@@ -185,10 +187,9 @@ let run_cell ?(wl = default_workload) ?(jobs = 1) ~fan_in ~seed () =
           resp_acc = 0;
           send_t = 0.0 })
   in
-  Array.iteri
-    (fun k c ->
-      T.Vnet.add_route server.T.Stack.vnet ~ip:(ip_of c.g) ~mac:(mac_of c.g);
-      ignore k)
+  Array.iter
+    (fun c ->
+      T.Vnet.add_route server.T.Stack.vnet ~ip:(ip_of c.g) ~mac:(mac_of c.g))
     clients;
   T.Vnet.add_route server.T.Stack.vnet ~ip:(ip_of 0) ~mac:(mac_of 0);
   (* --- cross-shard plumbing ------------------------------------------ *)
@@ -307,29 +308,10 @@ let run_cell ?(wl = default_workload) ?(jobs = 1) ~fan_in ~seed () =
       | Some t ->
         incr epochs;
         let t1 = t +. delta_us in
-        let busy, idle =
-          Array.to_list all
-          |> List.partition (fun sh ->
-                 match Ns.Sim.next_at sh.sim with
-                 | Some e -> e <= t1
-                 | None -> false)
-        in
-        (* idle shards just move their clocks; busy ones do real work,
-           in parallel when asked to.  Shards share nothing mid-epoch,
-           so the result cannot depend on [jobs]. *)
-        List.iter (fun sh -> ignore (Ns.Sim.run ~until:t1 sh.sim)) idle;
-        (match busy with
-        | [] -> ()
-        | [ sh ] -> ignore (Ns.Sim.run ~until:t1 sh.sim)
-        | _ when jobs <= 1 ->
-          List.iter (fun sh -> ignore (Ns.Sim.run ~until:t1 sh.sim)) busy
-        | _ ->
-          ignore
-            (Util.Dpool.run ~jobs
-               (List.map
-                  (fun sh ->
-                    fun () -> ignore (Ns.Sim.run ~until:t1 sh.sim))
-                  busy)));
+        (* shards share nothing mid-epoch, so stepping them one after
+           another cannot change a result; idle ones just move their
+           clocks *)
+        Array.iter (fun sh -> ignore (Ns.Sim.run ~until:t1 sh.sim)) all;
         drain_barrier ();
         loop ()
   in
@@ -404,16 +386,14 @@ let seed_for base i = base + (i * 4241)
 let sweep ?(wl = default_workload) ?(fan_ins = [ 2; 4; 8; 16; 32; 64 ])
     ?(seeds = 1) ?(jobs = 1) ~seed () =
   if seeds <= 0 then invalid_arg "Incast.sweep: seeds must be positive";
-  (* cells run sequentially: the parallelism budget goes to each cell's
-     shard fan-out, which is where the hosts are *)
-  let cells =
+  let tasks =
     List.concat_map
       (fun fan_in ->
         List.init seeds (fun i ->
-            run_cell ~wl ~jobs ~fan_in ~seed:(seed_for seed i) ()))
+            fun () -> run_cell ~wl ~fan_in ~seed:(seed_for seed i) ()))
       fan_ins
   in
-  { fan_ins; seeds; wl; cells }
+  { fan_ins; seeds; wl; cells = Util.Dpool.run ~jobs tasks }
 
 let passed t =
   List.for_all (fun c -> c.drained && c.violations = []) t.cells

@@ -11,18 +11,21 @@
 
     {2 Sharded execution}
 
-    Hosts shard across domains: the {e hub} shard owns the switch and the
-    server, up to 8 {e client} shards split the clients round-robin.  Each
-    client's access segment is two half-links (client half on its shard,
-    switch half on the hub) joined by the {!Protolat_netsim.Ether.Link}
-    remote-sink/inject exchange.  Shards advance in lock-step epochs of at
-    most [min-frame serialization + propagation] past the globally
-    earliest pending event — no cross-shard frame can arrive sooner, so
-    parking frames at the epoch barrier and injecting them in fixed shard
-    order is both causally safe and deterministic.  The shard count
-    depends only on the fan-in, never on [jobs]: cells — and their
-    digests — are bit-identical whether epochs run serially or on a
-    domain pool. *)
+    Hosts shard across simulators: the {e hub} shard owns the switch and
+    the server, up to 8 {e client} shards split the clients round-robin.
+    Each client's access segment is two half-links (client half on its
+    shard, switch half on the hub) joined by the
+    {!Protolat_netsim.Ether.Link} remote-sink/inject exchange.  Shards
+    advance in lock-step epochs of at most [min-frame serialization +
+    propagation] past the globally earliest pending event — no
+    cross-shard frame can arrive sooner, so parking frames at the epoch
+    barrier and injecting them in fixed shard order is both causally safe
+    and deterministic.  The shard count depends only on the fan-in.
+
+    One domain steps every shard, in fixed shard order, each epoch.  An
+    epoch is a few microseconds of work, an order of magnitude less than
+    spawning and joining a domain for it, so {!sweep} parallelizes across
+    whole cells instead. *)
 
 module Util = Protolat_util
 
@@ -61,13 +64,14 @@ type cell = {
       (** {!Invariant.conservation_dump} findings over the merged
           per-shard registries at quiesce, rendered; empty when sound *)
   digest : string;
-      (** MD5 over a canonical client-ordered rendering of the cell —
-          equal across [jobs] values by construction *)
+      (** MD5 over a canonical client-ordered rendering of the cell *)
 }
 
 val run_cell :
   ?wl:workload -> ?jobs:int -> fan_in:int -> seed:int -> unit -> cell
-(** Run one incast cell on a [star:(fan_in+1)] fabric.
+(** Run one incast cell on a [star:(fan_in+1)] fabric, in the calling
+    domain.  [jobs] is ignored; it is kept only so existing callers still
+    compile.
     @raise Invalid_argument unless [1 <= fan_in <= 1024]. *)
 
 type report = {
@@ -89,9 +93,10 @@ val sweep :
   seed:int ->
   unit ->
   report
-(** Latency-vs-fan-in sweep (defaults: fan-ins 2/4/8/16/32/64, 1 seed).
-    Cells run sequentially — [jobs] parallelizes the shards {e within}
-    each cell, which is where the hosts are. *)
+(** Latency-vs-fan-in sweep (defaults: fan-ins 2/4/8/16/32/64, 1 seed,
+    jobs 1).  Cells run on a {!Util.Dpool} of [jobs] domains and come
+    back in submission order, so the report is bit-identical at any
+    [jobs]. *)
 
 val passed : report -> bool
 (** Every cell drained and broke no conservation law. *)

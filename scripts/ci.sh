@@ -4,7 +4,8 @@
 # timeline exports (with their consistency / JSON well-formedness
 # checks), a quick multi-flow sweep, a quick latency-provenance spans
 # report (with its bit-exact conservation check), a quick host-lifecycle
-# chaos sweep, a quick fabric incast export, a pair bit-identity check
+# chaos sweep, a quick fabric incast export plus its --jobs byte-identity
+# check, a pair bit-identity check
 # plus replays of the committed chaos repro files, the benchmark smoke
 # (pinned workload digests), a quick end-to-end
 # bench table, and a bench regression gate against the committed
@@ -39,6 +40,14 @@ dune build @mflow-quick
 dune build @spans-quick
 dune build @chaos-quick
 dune build @fabric-quick
+# fabric cells fan out across domains: the JSON report must be
+# byte-identical at one and at two jobs
+FABRIC_J1=$(mktemp -t protolat-ci-fabric-j1.XXXXXX)
+FABRIC_J2=$(mktemp -t protolat-ci-fabric-j2.XXXXXX)
+trap 'rm -f "$SIMCACHE_TMP" "$FABRIC_J1" "$FABRIC_J2"' EXIT
+dune exec bin/protolat_cli.exe -- fabric --fan-ins 2,8 --seeds 2 --json -j 1 > "$FABRIC_J1"
+dune exec bin/protolat_cli.exe -- fabric --fan-ins 2,8 --seeds 2 --json -j 2 > "$FABRIC_J2"
+cmp "$FABRIC_J1" "$FABRIC_J2"
 dune build @search-quick
 # the benchmark's smoke: every workload at 2 inputs x 1 pass against its
 # pinned smoke digest and every per-input oracle
@@ -48,7 +57,7 @@ dune build @perfbench/bench-smoke
 # contract; the star:2 detour through the switch must differ)
 PAIR_A=$(mktemp -t protolat-ci-pair-a.XXXXXX)
 PAIR_B=$(mktemp -t protolat-ci-pair-b.XXXXXX)
-trap 'rm -f "$SIMCACHE_TMP" "$PAIR_A" "$PAIR_B"' EXIT
+trap 'rm -f "$SIMCACHE_TMP" "$FABRIC_J1" "$FABRIC_J2" "$PAIR_A" "$PAIR_B"' EXIT
 dune exec bin/protolat_cli.exe -- run -s tcpip -c ALL -r 8 > "$PAIR_A"
 dune exec bin/protolat_cli.exe -- run -s tcpip -c ALL -r 8 --topo pair --hosts 2 > "$PAIR_B"
 diff "$PAIR_A" "$PAIR_B"

@@ -242,23 +242,38 @@ let test_chaos_partition_at_port () =
 (* ----- incast --------------------------------------------------------------- *)
 
 let test_incast_digest_jobs_invariant () =
-  let cell jobs = P.Incast.run_cell ~jobs ~fan_in:64 ~seed:42 () in
-  let c1 = cell 1 and c4 = cell 4 and c8 = cell 8 in
-  Alcotest.(check string) "jobs 4 = jobs 1" c1.P.Incast.digest
-    c4.P.Incast.digest;
-  Alcotest.(check string) "jobs 8 = jobs 1" c1.P.Incast.digest
-    c8.P.Incast.digest;
-  Alcotest.(check bool) "every exchange completed" true c1.P.Incast.drained;
+  (* cells fan out across domains: same digests, same order, any jobs *)
+  let digests jobs =
+    (P.Incast.sweep ~fan_ins:[ 2; 5; 9 ] ~seeds:2 ~jobs ~seed:42 ())
+      .P.Incast.cells
+    |> List.map (fun c ->
+           (c.P.Incast.fan_in, c.P.Incast.seed, c.P.Incast.digest))
+  in
+  let d1 = digests 1 in
+  Alcotest.(check int) "3 fan-ins x 2 seeds" 6 (List.length d1);
+  Alcotest.(check (list (triple int int string))) "jobs 4 = jobs 1" d1
+    (digests 4)
+
+let test_incast_fan_in_64_collapse () =
+  let c = P.Incast.run_cell ~fan_in:64 ~seed:42 () in
+  Alcotest.(check bool) "every exchange completed" true c.P.Incast.drained;
   Alcotest.(check (list string)) "conservation holds across shards" []
-    c1.P.Incast.violations;
+    c.P.Incast.violations;
   (* fan-in 64 against a 32-frame port queue must actually collapse *)
   Alcotest.(check bool) "queue saturated" true
-    (c1.P.Incast.queue_peak
+    (c.P.Incast.queue_peak
     >= P.Incast.default_workload.P.Incast.port_queue_frames);
   Alcotest.(check bool) "overflow dropped frames" true
-    (c1.P.Incast.queue_drops > 0);
+    (c.P.Incast.queue_drops > 0);
   Alcotest.(check bool) "drops forced retransmissions" true
-    (c1.P.Incast.retransmits > 0)
+    (c.P.Incast.retransmits > 0)
+
+let test_incast_benchmark_anchor () =
+  (* the fan-in-16 cell the benchmark's fabric_incast workload anchors on *)
+  let c = P.Incast.run_cell ~fan_in:16 ~seed:(P.Incast.seed_for 42 0) () in
+  Alcotest.(check bool) "drained" true c.P.Incast.drained;
+  Alcotest.(check string) "digest" "dfaffd22b1902e134270844ab8f35ed1"
+    c.P.Incast.digest
 
 let test_incast_pinned_percentiles () =
   (* pinned reference cell: fan-in 8, seed 42, default workload — catches
@@ -299,6 +314,10 @@ let suite =
         test_chaos_partition_at_port;
       Alcotest.test_case "incast digest jobs invariant" `Quick
         test_incast_digest_jobs_invariant;
+      Alcotest.test_case "incast fan-in 64 collapse" `Quick
+        test_incast_fan_in_64_collapse;
+      Alcotest.test_case "incast benchmark anchor" `Quick
+        test_incast_benchmark_anchor;
       Alcotest.test_case "incast pinned percentiles" `Quick
         test_incast_pinned_percentiles;
       Alcotest.test_case "incast latency grows with fan-in" `Quick
