@@ -192,7 +192,7 @@ type ibuf = {
   mutable n : int;
 }
 
-let ibuf_make () = { buf = Array.make 256 0; n = 0 }
+let ibuf_make ?(cap = 256) () = { buf = Array.make (max 1 cap) 0; n = 0 }
 
 let ibuf_push b v =
   if b.n = Array.length b.buf then begin
@@ -210,7 +210,8 @@ let ibuf_push_unique b lo v =
   let rec mem i = i < b.n && (b.buf.(i) = v || mem (i + 1)) in
   if not (mem lo) then ibuf_push b v
 
-let ibuf_contents b = Array.sub b.buf 0 b.n
+let ibuf_contents b =
+  if b.n = Array.length b.buf then b.buf else Array.sub b.buf 0 b.n
 
 (* Any two entries of [sets] in [lo, hi) equal? (self-conflict test) *)
 let has_dup (b : ibuf) lo =
@@ -223,10 +224,14 @@ let has_dup (b : ibuf) lo =
   !dup
 
 (* Rebuild the i-side tables (lines / sets / offsets / conflict flags) of
-   [t] from its trace's pcs — shared by {!segment} and {!rebind}. *)
-let bind_ilines ~trace ~block_shift ~n_sets ~run_start ~n_runs =
-  let lines_b = ibuf_make () in
-  let sets_b = ibuf_make () in
+   [t] from its trace's pcs — shared by {!segment} and {!rebind}.  [cap]
+   pre-sizes the line buffers: a rebind passes its parent's line count, so
+   a layout search's many candidates do not each regrow them by doubling
+   (every array past the first size would land in the major heap as
+   garbage). *)
+let bind_ilines ?cap ~trace ~block_shift ~n_sets ~run_start ~n_runs () =
+  let lines_b = ibuf_make ?cap () in
+  let sets_b = ibuf_make ?cap () in
   let line_off = Array.make (n_runs + 1) 0 in
   let iconf = Bytes.make n_runs '\000' in
   let mask = n_sets - 1 in
@@ -307,7 +312,7 @@ let segment (p : Params.t) trace =
   done;
   let dlines = ibuf_contents dlines_b in
   let lines, sets, line_off, igens, iconf =
-    bind_ilines ~trace ~block_shift ~n_sets ~run_start ~n_runs
+    bind_ilines ~trace ~block_shift ~n_sets ~run_start ~n_runs ()
   in
   { trace;
     block_shift;
@@ -347,8 +352,9 @@ let rebind t trace' =
      the i-side line tables are recomputed, and the memo state (generation
      snapshots) starts unverified. *)
   let lines, sets, line_off, igens, iconf =
-    bind_ilines ~trace:trace' ~block_shift:t.block_shift ~n_sets:t.n_sets
-      ~run_start:t.run_start ~n_runs:t.n_runs
+    bind_ilines ~cap:(Array.length t.lines) ~trace:trace'
+      ~block_shift:t.block_shift ~n_sets:t.n_sets ~run_start:t.run_start
+      ~n_runs:t.n_runs ()
   in
   { t with
     trace = trace';

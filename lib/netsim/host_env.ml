@@ -17,7 +17,12 @@ type t = {
   mutable timer_scale : float;
       (* clock-skew model: every timer delay registered through [timeout]
          is stretched by this factor (1.0 = nominal) *)
+  wake : unit -> unit;
+      (* fires the timers due now: built once, scheduled by every
+         [timeout] *)
 }
+
+let advance_events t = ignore (Xk.Event.advance t.events (Sim.now t.sim))
 
 let create sim ?(meter = Xk.Meter.null) ?metrics ?(simmem_base = 0x1000_0000)
     () =
@@ -27,24 +32,29 @@ let create sim ?(meter = Xk.Meter.null) ?metrics ?(simmem_base = 0x1000_0000)
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
-  { sim;
-    simmem;
-    meter;
-    events = Xk.Event.create ();
-    stack_pool;
-    sched;
-    (* default: run the work, then drain any continuations it unblocked
-       (the engine's hook also charges CPU time and interrupt overhead) *)
-    run_phase =
-      (fun _ work ->
-        work ();
-        ignore (Xk.Thread.run sched));
-    metrics;
-    tracer = Obs.Tracer.null;
-    trace_tid = 0;
-    span = Obs.Span.null;
-    span_host = 0;
-    timer_scale = 1.0 }
+  let events = Xk.Event.create () in
+  let rec t =
+    { sim;
+      simmem;
+      meter;
+      events;
+      stack_pool;
+      sched;
+      (* default: run the work, then drain any continuations it unblocked
+         (the engine's hook also charges CPU time and interrupt overhead) *)
+      run_phase =
+        (fun _ work ->
+          work ();
+          ignore (Xk.Thread.run sched));
+      metrics;
+      tracer = Obs.Tracer.null;
+      trace_tid = 0;
+      span = Obs.Span.null;
+      span_host = 0;
+      timer_scale = 1.0;
+      wake = (fun () -> advance_events t) }
+  in
+  t
 
 let set_tracer t ~tid tracer =
   t.tracer <- tracer;
@@ -59,8 +69,6 @@ let trace_instant t ~cat ~name ~a0 =
     Obs.Tracer.instant t.tracer ~tid:t.trace_tid ~cat ~name ~a0
 
 let phase t name work = t.run_phase name work
-
-let advance_events t = ignore (Xk.Event.advance t.events (Sim.now t.sim))
 
 let timer_seq = "timer"
 
@@ -87,5 +95,5 @@ let timeout t ~delay fn =
     else fn
   in
   let h = Xk.Event.register t.events ~at fn in
-  Sim.schedule_at t.sim ~at (fun () -> advance_events t);
+  Sim.schedule_at t.sim ~at t.wake;
   h

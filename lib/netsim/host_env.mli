@@ -27,6 +27,9 @@ type t = {
   mutable span_host : int;  (** span host code for this host's marks *)
   mutable timer_scale : float;
       (** clock-skew model: factor applied to every [timeout] delay *)
+  wake : unit -> unit;
+      (** {!advance_events} on this host: the one wake-up closure every
+          {!timeout} schedules, built once at {!create} *)
 }
 
 val create :

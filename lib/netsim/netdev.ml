@@ -28,7 +28,8 @@ type t = {
   mutable rx_desc_errors : int;
 }
 
-let etk ethertype = Printf.sprintf "%04x" ethertype
+(* the text of [Printf.sprintf "%04x"] *)
+let etk ethertype = Protolat_util.Hexkey.to_string ~width:4 ethertype
 
 let pool_put_metered t msg =
   let m = t.env.Host_env.meter in

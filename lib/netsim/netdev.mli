@@ -31,6 +31,10 @@ val reset : t -> unit
 
 val register : t -> ethertype:int -> (src:int -> Xk.Msg.t -> unit) -> unit
 
+val etk : int -> string
+(** Handler-map key for an ethertype: the text of
+    [Printf.sprintf "%04x"]. *)
+
 val send : t -> dst:int -> ethertype:int -> Xk.Msg.t -> unit
 (** The traced output path: eth_push → lance_send → controller. *)
 

@@ -20,25 +20,34 @@ let schedule t ~delay fn =
   if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
   schedule_at t ~at:(t.now.(0) +. delay) fn
 
+(* Pop the earliest event, due at [at], and run it. *)
+let fire t at =
+  let fn = Heap.pop_top t.queue in
+  if at > t.now.(0) then t.now.(0) <- at;
+  fn ()
+
 let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some (at, fn) ->
-    if at > t.now.(0) then t.now.(0) <- at;
-    fn ();
+  if Heap.is_empty t.queue then false
+  else begin
+    fire t (Heap.top_prio t.queue);
     true
+  end
 
 let run ?until t =
+  let bound = match until with Some u -> u | None -> infinity in
   let count = ref 0 in
   let continue = ref true in
   while !continue do
-    match Heap.min_priority t.queue with
-    | None -> continue := false
-    | Some at ->
-      (match until with
-      | Some u when at > u -> continue := false
-      | _ ->
-        if step t then incr count else continue := false)
+    if Heap.is_empty t.queue then continue := false
+    else begin
+      let at = Heap.top_prio t.queue in
+      (* [not (at > bound)], not [at <= bound]: a NaN time still runs *)
+      if at > bound then continue := false
+      else begin
+        fire t at;
+        incr count
+      end
+    end
   done;
   (match until with
   | Some u -> if u > t.now.(0) then t.now.(0) <- u

@@ -17,7 +17,13 @@ val step : t -> bool
 
 val run : ?until:float -> t -> int
 (** Process events in time order until the queue is empty (or the next
-    event is after [until]); returns the number processed. *)
+    event is after [until]); returns the number processed.  Events at
+    equal times run in scheduling order.
+
+    The loop peeks the queue with {!Protolat_util.Heap.top_prio} and takes
+    the event with {!Protolat_util.Heap.pop_top}, so dispatching an event
+    allocates only the boxed time of the peek: no option, no tuple, no
+    heap entry. *)
 
 val advance_clock : t -> float -> unit
 (** Model computation time: move the clock forward by the given amount

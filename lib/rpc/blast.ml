@@ -34,6 +34,7 @@ type t = {
   c_cksum_drops : Obs.Metrics.counter;
   c_late_fragments : Obs.Metrics.counter;
   c_abandoned : Obs.Metrics.counter;
+  cksum : Cksum.counters;
 }
 
 let meter t = t.env.Ns.Host_env.meter
@@ -91,7 +92,7 @@ let push t ~dst msg =
         in
         let initial = header_sum (Hdrs.Blast.to_bytes hdr) in
         let cksum =
-          Cksum.compute m ~metrics:t.env.Ns.Host_env.metrics ~initial ~sim_base:(Msg.sim_addr msg)
+          Cksum.compute m ~counters:t.cksum ~initial ~sim_base:(Msg.sim_addr msg)
             (Msg.contents msg) 0 len
         in
         Msg.push msg (Hdrs.Blast.to_bytes ~cksum hdr);
@@ -201,7 +202,7 @@ let demux t ~src msg =
       Bytes.set hdr0 12 '\000';
       Bytes.set hdr0 13 '\000';
       let computed =
-        Cksum.compute m ~metrics:t.env.Ns.Host_env.metrics ~initial:(header_sum hdr0)
+        Cksum.compute m ~counters:t.cksum ~initial:(header_sum hdr0)
           ~sim_base:(Msg.sim_addr msg) (Msg.contents msg) 0 (Msg.len msg)
       in
       let bad = computed <> Hdrs.Blast.cksum_of raw in
@@ -308,7 +309,8 @@ let create env netdev ~ethertype ~map_cache_inline ?(frag_size = 1400) () =
       c_retransmissions = c "blast.retransmissions";
       c_cksum_drops = c "blast.cksum_drops";
       c_late_fragments = c "blast.late_fragments";
-      c_abandoned = c "blast.abandoned" }
+      c_abandoned = c "blast.abandoned";
+      cksum = Cksum.counters env.Ns.Host_env.metrics }
   in
   Ns.Netdev.register netdev ~ethertype (fun ~src msg -> demux t ~src msg);
   t

@@ -2,6 +2,7 @@ module Xk = Protolat_xkernel
 module Ns = Protolat_netsim
 module Meter = Xk.Meter
 module Msg = Xk.Msg
+module Hexkey = Protolat_util.Hexkey
 
 type partial = {
   mutable frags : (int * bytes) list;  (* (byte offset, data), sorted *)
@@ -24,9 +25,16 @@ type t = {
   mutable dropped : int;
   mutable fragmented : int;
   mutable reassembled : int;
+  cksum : Cksum_meter.counters;
 }
 
-let protok proto = Printf.sprintf "ipp%02x" proto
+(* the text of [Printf.sprintf "ipp%02x"], built directly *)
+let protok proto =
+  let n = Hexkey.digits ~width:2 proto in
+  let b = Bytes.create (3 + n) in
+  Bytes.blit_string "ipp" 0 b 0 3;
+  ignore (Hexkey.blit b 3 ~digits:n proto);
+  Bytes.unsafe_to_string b
 
 let reass_key ~src ~ident = Printf.sprintf "%08x:%04x" src ident
 
@@ -41,7 +49,7 @@ let demux t ~src_mac:_ msg =
       let raw = Msg.peek msg 0 Ip_hdr.size in
       m.Meter.call "ip_demux" "validate" 0;
       let csum_ok =
-        Cksum_meter.verify m ~metrics:t.env.Ns.Host_env.metrics ~sim_base:(Msg.sim_addr msg) raw 0 Ip_hdr.size
+        Cksum_meter.verify m ~counters:t.cksum ~sim_base:(Msg.sim_addr msg) raw 0 Ip_hdr.size
       in
       let hdr = if csum_ok then Some (Ip_hdr.of_bytes raw) else None in
       let fragmented =
@@ -123,7 +131,8 @@ let create env vnet ~my_ip ?(mtu = 1500) ~map_cache_inline () =
       packets_in = 0;
       dropped = 0;
       fragmented = 0;
-      reassembled = 0 }
+      reassembled = 0;
+      cksum = Cksum_meter.counters env.Ns.Host_env.metrics }
   in
   Vnet.set_upper vnet (fun ~src_mac msg -> demux t ~src_mac msg);
   t
@@ -182,7 +191,7 @@ let push t ~dst ~proto msg =
         (* to_bytes computes the header checksum; emit the cksum trace *)
         let bytes = Ip_hdr.to_bytes hdr in
         let _ =
-          Cksum_meter.sum m ~metrics:t.env.Ns.Host_env.metrics ~sim_base:(Msg.sim_addr msg) bytes 0 Ip_hdr.size
+          Cksum_meter.sum m ~counters:t.cksum ~sim_base:(Msg.sim_addr msg) bytes 0 Ip_hdr.size
         in
         Msg.push msg bytes;
         m.Meter.block "ip_push" "send";

@@ -23,6 +23,10 @@ val my_ip : t -> int
 val register : t -> proto:int -> (hdr:Ip_hdr.t -> Xk.Msg.t -> unit) -> unit
 (** Register a transport protocol's demux handler. *)
 
+val protok : int -> string
+(** Protocol-map key for an IP protocol number: the text of
+    [Printf.sprintf "ipp%02x"]. *)
+
 val push : t -> dst:int -> proto:int -> Xk.Msg.t -> unit
 (** Prepend an IP header (with checksum) and route via VNET. *)
 

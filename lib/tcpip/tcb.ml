@@ -1,4 +1,5 @@
 module Simmem = Protolat_xkernel.Simmem
+module Hexkey = Protolat_util.Hexkey
 
 type state =
   | Closed
@@ -78,8 +79,19 @@ let create sim ~local_ip ~local_port ~remote_ip ~remote_port ~iss =
     rexmt_shift = 0;
     sim_addr = Simmem.alloc sim sim_size }
 
+(* the text of [Printf.sprintf "%04x:%08x:%04x"], built directly: every
+   segment in and out formats one *)
 let key ~local_port ~remote_ip ~remote_port =
-  Printf.sprintf "%04x:%08x:%04x" local_port remote_ip remote_port
+  let n1 = Hexkey.digits ~width:4 local_port in
+  let n2 = Hexkey.digits ~width:8 remote_ip in
+  let n3 = Hexkey.digits ~width:4 remote_port in
+  let b = Bytes.create (n1 + n2 + n3 + 2) in
+  let p = Hexkey.blit b 0 ~digits:n1 local_port in
+  Bytes.set b p ':';
+  let p = Hexkey.blit b (p + 1) ~digits:n2 remote_ip in
+  Bytes.set b p ':';
+  ignore (Hexkey.blit b (p + 1) ~digits:n3 remote_port);
+  Bytes.unsafe_to_string b
 
 let key_of t =
   key ~local_port:t.local_port ~remote_ip:t.remote_ip

@@ -14,6 +14,7 @@ type t = {
   c_retransmits : Obs.Metrics.counter;
   c_fast_retransmits : Obs.Metrics.counter;
   c_persist_probes : Obs.Metrics.counter;
+  cksum : Cksum_meter.counters;
 }
 
 and session = {
@@ -54,7 +55,8 @@ let create env ip ~opts =
           ~help:"third-dup-ack fast retransmits" "tcp.fast_retransmits";
       c_persist_probes =
         Obs.Metrics.counter env.Ns.Host_env.metrics
-          ~help:"zero-window persist probes" "tcp.persist_probes" }
+          ~help:"zero-window persist probes" "tcp.persist_probes";
+      cksum = Cksum_meter.counters env.Ns.Host_env.metrics }
   in
   t
 
@@ -171,7 +173,7 @@ let rec tcp_output ?(flags = Tcp_hdr.ack_flag) ?(rexmt = false) s msg =
       m.Meter.call "tcp_output" "build" 0;
       let csum =
         Checksum.finish
-          (Cksum_meter.sum m ~metrics:t.env.Ns.Host_env.metrics ~initial:pseudo ~sim_base:(Msg.sim_addr msg) seg 0
+          (Cksum_meter.sum m ~counters:t.cksum ~initial:pseudo ~sim_base:(Msg.sim_addr msg) seg 0
              (Bytes.length seg))
       in
       Bytes.set hdr_bytes 16 (Char.chr (csum lsr 8 land 0xFF));
@@ -491,7 +493,7 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
       in
       m.Meter.call "tcp_input" "validate" 0;
       let ok =
-        Cksum_meter.verify m ~metrics:t.env.Ns.Host_env.metrics ~initial:pseudo ~sim_base:(Msg.sim_addr msg) seg 0
+        Cksum_meter.verify m ~counters:t.cksum ~initial:pseudo ~sim_base:(Msg.sim_addr msg) seg 0
           (Bytes.length seg)
       in
       m.Meter.cold ~triggered:(not ok) "tcp_input" "bad_cksum";

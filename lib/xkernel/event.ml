@@ -33,20 +33,14 @@ let cancel ((t, e) : handle) =
 
 let advance t now =
   let fired = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Heap.min_priority t.heap with
-    | Some due when due <= now -> (
-      match Heap.pop t.heap with
-      | None -> continue := false
-      | Some (_, e) ->
-        if not e.cancelled then begin
-          e.fired <- true;
-          t.live <- t.live - 1;
-          incr fired;
-          e.fn ()
-        end)
-    | _ -> continue := false
+  while (not (Heap.is_empty t.heap)) && Heap.top_prio t.heap <= now do
+    let e = Heap.pop_top t.heap in
+    if not e.cancelled then begin
+      e.fired <- true;
+      t.live <- t.live - 1;
+      incr fired;
+      e.fn ()
+    end
   done;
   !fired
 
@@ -54,15 +48,12 @@ let cancel_all t =
   (* drain the heap, marking everything cancelled: used to model a host
      crash, where every armed timer dies with the protocol state *)
   let killed = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Heap.pop t.heap with
-    | None -> continue := false
-    | Some (_, e) ->
-      if not (e.cancelled || e.fired) then begin
-        e.cancelled <- true;
-        incr killed
-      end
+  while not (Heap.is_empty t.heap) do
+    let e = Heap.pop_top t.heap in
+    if not (e.cancelled || e.fired) then begin
+      e.cancelled <- true;
+      incr killed
+    end
   done;
   t.live <- 0;
   !killed
@@ -72,19 +63,10 @@ let pending t = t.live
 let high_water t = t.high_water
 
 let next_due t =
-  (* skip cancelled entries at the top *)
-  let rec go () =
-    match Heap.min_priority t.heap with
-    | None -> None
-    | Some due -> (
-      match Heap.pop t.heap with
-      | None -> None
-      | Some (_, e) ->
-        if e.cancelled then go ()
-        else begin
-          (* push back *)
-          Heap.push t.heap due e;
-          Some due
-        end)
-  in
-  go ()
+  (* drop cancelled entries at the top, then peek: popping the live top
+     and pushing it back would give it a fresh sequence number, so it
+     would fire after equal-deadline events registered later *)
+  while (not (Heap.is_empty t.heap)) && (Heap.top t.heap).cancelled do
+    ignore (Heap.pop_top t.heap)
+  done;
+  Heap.min_priority t.heap

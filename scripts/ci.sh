@@ -5,7 +5,8 @@
 # checks), a quick multi-flow sweep, a quick latency-provenance spans
 # report (with its bit-exact conservation check), a quick host-lifecycle
 # chaos sweep, a quick fabric incast export plus its --jobs byte-identity
-# check, a pair bit-identity check
+# check, byte-for-byte checks of the multi-flow and fabric JSON reports
+# against the golden files in test/golden/, a pair bit-identity check
 # plus replays of the committed chaos repro files, the benchmark smoke
 # (pinned workload digests), a quick end-to-end
 # bench table, and a bench regression gate against the committed
@@ -48,6 +49,16 @@ trap 'rm -f "$SIMCACHE_TMP" "$FABRIC_J1" "$FABRIC_J2"' EXIT
 dune exec bin/protolat_cli.exe -- fabric --fan-ins 2,8 --seeds 2 --json -j 1 > "$FABRIC_J1"
 dune exec bin/protolat_cli.exe -- fabric --fan-ins 2,8 --seeds 2 --json -j 2 > "$FABRIC_J2"
 cmp "$FABRIC_J1" "$FABRIC_J2"
+# golden reports: every counter the multi-flow and fabric reports print
+# (hit rate, key compares, retransmits, sweeps, timer high-water, digests)
+# must match the committed files byte-for-byte, so a simulator speedup
+# that moved a single event fails here
+GOLDEN=$(mktemp -t protolat-ci-golden.XXXXXX)
+trap 'rm -f "$SIMCACHE_TMP" "$FABRIC_J1" "$FABRIC_J2" "$GOLDEN"' EXIT
+dune exec bin/protolat_cli.exe -- mflow --flows 64 --seeds 2 --json > "$GOLDEN"
+cmp "$GOLDEN" test/golden/mflow_64x2.json
+dune exec bin/protolat_cli.exe -- fabric --fan-ins 2,16 --seeds 2 --json > "$GOLDEN"
+cmp "$GOLDEN" test/golden/fabric_2_16x2.json
 dune build @search-quick
 # the benchmark's smoke: every workload at 2 inputs x 1 pass against its
 # pinned smoke digest and every per-input oracle
@@ -57,7 +68,7 @@ dune build @perfbench/bench-smoke
 # contract; the star:2 detour through the switch must differ)
 PAIR_A=$(mktemp -t protolat-ci-pair-a.XXXXXX)
 PAIR_B=$(mktemp -t protolat-ci-pair-b.XXXXXX)
-trap 'rm -f "$SIMCACHE_TMP" "$FABRIC_J1" "$FABRIC_J2" "$PAIR_A" "$PAIR_B"' EXIT
+trap 'rm -f "$SIMCACHE_TMP" "$FABRIC_J1" "$FABRIC_J2" "$GOLDEN" "$PAIR_A" "$PAIR_B"' EXIT
 dune exec bin/protolat_cli.exe -- run -s tcpip -c ALL -r 8 > "$PAIR_A"
 dune exec bin/protolat_cli.exe -- run -s tcpip -c ALL -r 8 --topo pair --hosts 2 > "$PAIR_B"
 diff "$PAIR_A" "$PAIR_B"

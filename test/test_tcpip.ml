@@ -116,6 +116,43 @@ let test_tcb_key () =
   let k2 = T.Tcb.key ~local_port:80 ~remote_ip:5 ~remote_port:1001 in
   Alcotest.(check bool) "distinct" true (k1 <> k2)
 
+(* The demux keys are built without Printf but must stay byte-identical to
+   the formats they replaced: map buckets hash the text.  [%x] prints a
+   negative int as unsigned and never truncates a wide one. *)
+let hex_boundaries =
+  [ 0; 1; 0xf; 0x10; 0xff; 0x100; 0xfff; 0x1000; 0xffff; 0x10000; 0xffffff;
+    0xffff_ffff; 0x1_0000_0000; max_int; min_int; -1; -0x10; -0x10000 ]
+
+let keys_match a b c =
+  T.Tcb.key ~local_port:a ~remote_ip:b ~remote_port:c
+  = Printf.sprintf "%04x:%08x:%04x" a b c
+  && T.Ip.protok a = Printf.sprintf "ipp%02x" a
+  && Ns.Netdev.etk a = Printf.sprintf "%04x" a
+
+let test_demux_keys_boundaries () =
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          List.iter
+            (fun c ->
+              if not (keys_match a b c) then
+                Alcotest.failf "keys differ from Printf at %d %d %d" a b c)
+            hex_boundaries)
+        hex_boundaries)
+    hex_boundaries
+
+let prop_demux_keys_match_printf =
+  let v =
+    QCheck.(
+      oneof
+        [ oneofl hex_boundaries; int; int_range 0 0xffff;
+          int_range (-0x10000) 0x1_0000_0000 ])
+  in
+  QCheck.Test.make ~name:"demux keys match their Printf formats" ~count:500
+    (QCheck.triple v v v)
+    (fun (a, b, c) -> keys_match a b c)
+
 (* ----- end-to-end TCP --------------------------------------------------------- *)
 
 let establish ?client_opts ?server_opts ~rounds () =
@@ -260,6 +297,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_seq_antisymmetric;
       Alcotest.test_case "rtt estimator" `Quick test_rtt_estimator;
       Alcotest.test_case "tcb key" `Quick test_tcb_key;
+      Alcotest.test_case "demux keys at hex boundaries" `Quick
+        test_demux_keys_boundaries;
+      QCheck_alcotest.to_alcotest prop_demux_keys_match_printf;
       Alcotest.test_case "handshake" `Quick test_handshake;
       Alcotest.test_case "pingpong" `Quick test_pingpong;
       Alcotest.test_case "pingpong all opts" `Quick test_pingpong_all_opts;

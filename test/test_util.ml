@@ -63,6 +63,66 @@ let prop_heap_sorted =
       let out = drain [] in
       out = List.sort compare ps)
 
+(* Differential test against a sorted-list model.  Priorities come from a
+   four-value set so ties are common; values are insertion numbers, so the
+   model's order is (priority, insertion).  Ops: 0-5 push priority [k],
+   6-7 [pop], 8 [pop_top], 9 [clear]; every step also checks [top_prio],
+   [top] and [min_priority] against the model. *)
+let prop_heap_vs_model =
+  QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:300
+    QCheck.(list (pair (int_range 0 9) (int_range 0 3)))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] in
+      let next = ref 0 in
+      let insert p v =
+        let rec go = function
+          | [] -> [ (p, v) ]
+          | ((q, _) as x) :: rest when q <= p -> x :: go rest
+          | l -> (p, v) :: l
+        in
+        model := go !model
+      in
+      let agree () =
+        Heap.size h = List.length !model
+        && Heap.is_empty h = (!model = [])
+        &&
+        match !model with
+        | [] ->
+          Heap.min_priority h = None
+          && Heap.top_prio h = infinity
+          && (try ignore (Heap.pop_top h); false
+              with Invalid_argument _ -> true)
+          && Heap.pop h = None
+        | (p, v) :: _ ->
+          Heap.min_priority h = Some p && Heap.top_prio h = p && Heap.top h = v
+      in
+      List.for_all
+        (fun (op, k) ->
+          (match (op, !model) with
+          | (0 | 1 | 2 | 3 | 4 | 5), _ ->
+            let p = float_of_int k in
+            Heap.push h p !next;
+            insert p !next;
+            incr next
+          | (6 | 7), [] | 8, [] -> ()
+          | (6 | 7), (p, v) :: rest ->
+            if Heap.pop h <> Some (p, v) then failwith "pop";
+            model := rest
+          | 8, (_, v) :: rest ->
+            if Heap.pop_top h <> v then failwith "pop_top";
+            model := rest
+          | _ ->
+            Heap.clear h;
+            model := []);
+          agree ())
+        ops
+      && (* drain what is left: (priority, insertion) order *)
+      let rec drain acc =
+        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
+      in
+      drain [] = !model)
+
 let test_rng_determinism () =
   let a = Rng.create 7 and b = Rng.create 7 in
   for _ = 1 to 50 do
@@ -211,6 +271,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_vec_to_array;
       Alcotest.test_case "heap order" `Quick test_heap_order;
       QCheck_alcotest.to_alcotest prop_heap_sorted;
+      QCheck_alcotest.to_alcotest prop_heap_vs_model;
       Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
       Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
       Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutes;

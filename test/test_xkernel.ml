@@ -192,6 +192,23 @@ let test_event_reentrant_register () =
   ignore (Event.advance e 3.0);
   Alcotest.(check int) "cascaded" 2 !count
 
+(* next_due must peek: popping the live top and pushing it back would give
+   it a fresh sequence number, so it would fire after a later-registered
+   timer with the same deadline *)
+let test_event_next_due_fifo () =
+  let e = Event.create () in
+  let log = ref [] in
+  let dead = Event.register e ~at:5.0 (fun () -> log := 0 :: !log) in
+  ignore (Event.register e ~at:10.0 (fun () -> log := 1 :: !log));
+  ignore (Event.register e ~at:10.0 (fun () -> log := 2 :: !log));
+  ignore (Event.cancel dead);
+  Alcotest.(check (option (float 1e-9))) "skips cancelled" (Some 10.0)
+    (Event.next_due e);
+  Alcotest.(check int) "fired two" 2 (Event.advance e 10.0);
+  Alcotest.(check (list int)) "FIFO at equal deadlines" [ 1; 2 ]
+    (List.rev !log);
+  Alcotest.(check (option (float 1e-9))) "drained" None (Event.next_due e)
+
 (* ----- threads ----------------------------------------------------------------- *)
 
 let test_stack_pool_lifo () =
@@ -283,6 +300,8 @@ let suite =
       Alcotest.test_case "event ordering" `Quick test_event_ordering;
       Alcotest.test_case "event cancel" `Quick test_event_cancel;
       Alcotest.test_case "event reentrant" `Quick test_event_reentrant_register;
+      Alcotest.test_case "event next_due keeps FIFO" `Quick
+        test_event_next_due_fifo;
       Alcotest.test_case "stack pool LIFO" `Quick test_stack_pool_lifo;
       Alcotest.test_case "sched continuations" `Quick
         test_sched_runs_continuations;
