@@ -4,14 +4,10 @@
    hash-table traversal comparison, which is a genuine wall-clock claim.
 
    Usage:  dune exec bench/main.exe -- [quick] [only tableN|figures|layout|micro]
-                                       [-j N | --jobs N] [json] [rev=ID]
-                                       [compare]
+                                       [-j N | --jobs N]
 
-   [json] switches to perf-trajectory mode: instead of printing tables it
-   times a full sweep and writes wall-clock plus simulated-latency numbers
-   to BENCH_<rev>.json, the perf baseline future changes compare against.
-   [compare] diffs the two most recent BENCH_*.json snapshots and exits
-   nonzero on a >10% full-sweep wall-time regression. *)
+   Wall-clock performance of the simulator itself is measured by the
+   separate perfbench harness (see perfbench/README.md). *)
 
 module P = Protolat
 module Table = Protolat_util.Table
@@ -19,8 +15,6 @@ module Xk = Protolat_xkernel
 module T = Protolat_tcpip
 
 let quick = Array.exists (( = ) "quick") Sys.argv
-
-let json_mode = Array.exists (( = ) "json") Sys.argv
 
 let only =
   let rec find i =
@@ -220,396 +214,7 @@ let run_bechamel () =
       | _ -> Printf.printf "%-48s (no estimate)\n" name)
     (List.sort compare rows)
 
-(* ----- perf trajectory (json mode) ---------------------------------------- *)
-
-let git_rev () =
-  let from_arg =
-    let rec find i =
-      if i >= Array.length Sys.argv then None
-      else
-        let a = Sys.argv.(i) in
-        if String.length a > 4 && String.sub a 0 4 = "rev=" then
-          Some (String.sub a 4 (String.length a - 4))
-        else find (i + 1)
-    in
-    find 1
-  in
-  match from_arg with
-  | Some r -> r
-  | None -> (
-    match
-      let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-      let line = try input_line ic with End_of_file -> "" in
-      (Unix.close_process_in ic, line)
-    with
-    | Unix.WEXITED 0, rev when rev <> "" -> rev
-    | _ | (exception _) -> "dev")
-
-let timestamp () =
-  let tm = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-    tm.Unix.tm_sec
-
-let run_json () =
-  let samples_tcp, samples_rpc, rounds =
-    if quick then (3, 3, 12) else (10, 5, 24)
-  in
-  let rev = git_rev () in
-  Printf.printf "bench json mode: rev=%s jobs=%d %s\n%!" rev jobs
-    (if quick then "(quick)" else "(full)");
-  (* replay-layer and simulation-cache counters cover exactly this bench
-     invocation *)
-  Protolat_machine.Blockcache.reset_totals ();
-  Protolat_machine.Simcache.reset_stats ();
-  let t0 = Unix.gettimeofday () in
-  let results =
-    P.Experiments.full_run ~samples_tcp ~samples_rpc ~rounds ~jobs ()
-  in
-  let sweep_wall = Unix.gettimeofday () -. t0 in
-  let single_spec =
-    P.Engine.Spec.default ~stack:P.Engine.Tcpip
-      ~config:(P.Config.make P.Config.All)
-  in
-  let t1 = Unix.gettimeofday () in
-  let single = P.Engine.run single_spec in
-  let single_wall = Unix.gettimeofday () -. t1 in
-  (* raw replay throughput of the block-level fast path: repeated warm
-     replays of the single run's steady trace against one memory system,
-     reported in runs (basic-block executions) per second *)
-  let replay_runs_per_s =
-    let params = single_spec.P.Engine.Spec.params in
-    let bc =
-      Protolat_machine.Blockcache.segment params single.P.Engine.trace
-    in
-    let m = Protolat_machine.Memsys.create params in
-    Protolat_machine.Blockcache.replay bc m;
-    let reps = if quick then 100 else 400 in
-    let t = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      Protolat_machine.Blockcache.replay bc m
-    done;
-    float_of_int (reps * Protolat_machine.Blockcache.n_runs bc)
-    /. Float.max (Unix.gettimeofday () -. t) 1e-9
-  in
-  (* warm the (cached, shared) code-image cache so both sweep timings
-     measure sweep mechanics, not one-time image construction *)
-  List.iter
-    (fun layout ->
-      ignore
-        (P.Engine.layout_for (P.Config.make P.Config.Clo) P.Engine.Tcpip
-           ~layout ()))
-    P.Experiments.layout_candidates;
-  (* likewise the incremental sweep's shared base protocol simulation is
-     hoisted out of the timed region: the timing measures sweep mechanics
-     (per-layout pc rewrite + block-cache replay), not the one base run *)
-  let sweep_base = P.Experiments.layout_sweep_base () in
-  let t2 = Unix.gettimeofday () in
-  ignore (P.Experiments.layout_sweep ~base:sweep_base ~incremental:true ());
-  let layout_inc_wall = Unix.gettimeofday () -. t2 in
-  let t3 = Unix.gettimeofday () in
-  ignore (P.Experiments.layout_sweep ~incremental:false ());
-  let layout_full_wall = Unix.gettimeofday () -. t3 in
-  (* one incast cell, its shards stepped in this domain: wall clock of the
-     fabric's epoch engine plus its pinned-behaviour digest and tail
-     latencies *)
-  let fabric_fan_in = if quick then 16 else 32 in
-  let t4 = Unix.gettimeofday () in
-  let fabric = P.Incast.run_cell ~fan_in:fabric_fan_in ~seed:42 () in
-  let fabric_wall = Unix.gettimeofday () -. t4 in
-  (* one automated layout-search cell at jobs 1: candidates/sec is the
-     scorer-throughput headline (single core, incremental path), best
-     steady RTT pins the search result *)
-  let search_budget = if quick then 160 else 400 in
-  let t5 = Unix.gettimeofday () in
-  let search =
-    P.Layoutsearch.run ~budget:search_budget ~seeds:1 ~geometries:[ 8 ]
-      ~stacks:[ P.Engine.Tcpip ] ~jobs:1 ()
-  in
-  let search_wall = Unix.gettimeofday () -. t5 in
-  let search_cell = List.hd search.P.Layoutsearch.cells in
-  let _, search_named_us = P.Layoutsearch.best_named search_cell in
-  let buf = Buffer.create 2048 in
-  let stack_json stack =
-    let entries =
-      List.map
-        (fun v ->
-          let s = P.Experiments.get results stack v in
-          Printf.sprintf "      \"%s\": {\"mean\": %.4f, \"stddev\": %.4f}"
-            (P.Config.version_name v)
-            s.P.Engine.rtt.Protolat_util.Stats.mean
-            s.P.Engine.rtt.Protolat_util.Stats.stddev)
-        P.Paper.version_order
-    in
-    String.concat ",\n" entries
-  in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"schema_version\": %d,\n"
-       Protolat_obs.Json.schema_version);
-  Buffer.add_string buf (Printf.sprintf "  \"rev\": \"%s\",\n" rev);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"timestamp\": \"%s\",\n" (timestamp ()));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"quick\": %b,\n  \"jobs\": %d,\n" quick jobs);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"samples\": {\"tcpip\": %d, \"rpc\": %d, \"rounds\": %d},\n"
-       samples_tcp samples_rpc rounds);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"wall_clock_s\": {\"full_sweep\": %.4f, \"single_run_all\": %.4f, \
-        \"layout_sweep_incremental\": %.4f, \"layout_sweep_full\": %.4f, \
-        \"fabric_incast\": %.4f, \"layout_search\": %.4f},\n"
-       sweep_wall single_wall layout_inc_wall layout_full_wall fabric_wall
-       search_wall);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"fabric\": {\"fan_in\": %d, \"completed\": %d, \"total\": %d, \
-        \"p50_us\": %.3f, \"p99_us\": %.3f, \"queue_drops\": %d, \
-        \"retransmits\": %d, \"epochs\": %d, \"digest\": \"%s\"},\n"
-       fabric.P.Incast.fan_in fabric.P.Incast.completed
-       fabric.P.Incast.total
-       fabric.P.Incast.lat.Protolat_util.Stats.Hist.p50
-       fabric.P.Incast.lat.Protolat_util.Stats.Hist.p99
-       fabric.P.Incast.queue_drops fabric.P.Incast.retransmits
-       fabric.P.Incast.epochs fabric.P.Incast.digest);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"layout_search\": {\"budget\": %d, \"evals\": %d, \
-        \"candidates_per_sec\": %.1f, \"best_steady_us\": %.6f, \
-        \"best_named_us\": %.6f, \"digest\": \"%s\"},\n"
-       search_budget search_cell.P.Layoutsearch.evals
-       (P.Layoutsearch.candidates_per_sec search)
-       search_cell.P.Layoutsearch.best_us search_named_us
-       (P.Layoutsearch.digest search));
-  (* which replay layers were live, how often they engaged, and what the
-     simulation cache did — so a perf number is never read without knowing
-     what produced it *)
-  let totals = Protolat_machine.Blockcache.totals () in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"replay\": {\n\
-       \    \"fastpath_enabled\": %b, \"dmemo_enabled\": %b, \
-        \"simcache_enabled\": %b,\n\
-       \    \"runs_per_s\": %.0f,\n\
-       \    \"totals\": {\"fast_runs\": %d, \"slow_runs\": %d, \
-        \"dmemo_runs\": %d, \"dmemo_loads\": %d, \"wbmemo_runs\": %d, \
-        \"wbmemo_stores\": %d},\n\
-       \    \"simcache\": {\"hits\": %d, \"misses\": %d, \"stores\": %d}\n\
-       \  },\n"
-       (Protolat_machine.Blockcache.enabled ())
-       (Protolat_machine.Blockcache.dmemo_enabled ())
-       (Protolat_machine.Simcache.enabled ())
-       replay_runs_per_s totals.Protolat_machine.Blockcache.t_fast_runs
-       totals.Protolat_machine.Blockcache.t_slow_runs
-       totals.Protolat_machine.Blockcache.t_dmemo_runs
-       totals.Protolat_machine.Blockcache.t_dmemo_loads
-       totals.Protolat_machine.Blockcache.t_wbmemo_runs
-       totals.Protolat_machine.Blockcache.t_wbmemo_stores
-       (Protolat_machine.Simcache.hits ())
-       (Protolat_machine.Simcache.misses ())
-       (Protolat_machine.Simcache.stores ()));
-  Buffer.add_string buf "  \"simulated_rtt_us\": {\n";
-  Buffer.add_string buf "    \"tcpip\": {\n";
-  Buffer.add_string buf (stack_json P.Engine.Tcpip);
-  Buffer.add_string buf "\n    },\n    \"rpc\": {\n";
-  Buffer.add_string buf (stack_json P.Engine.Rpc);
-  Buffer.add_string buf "\n    }\n  },\n";
-  (* the single ALL run's unified metrics dump: device/protocol counters
-     and the RTT histogram, so the perf baseline also pins behaviour *)
-  Buffer.add_string buf "  \"metrics\": ";
-  Buffer.add_string buf
-    (Protolat_obs.Metrics.to_json single.P.Engine.metrics);
-  Buffer.add_string buf "\n}\n";
-  let path = Printf.sprintf "BENCH_%s.json" rev in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "sweep %.2fs, single run %.3fs -> wrote %s\n%!" sweep_wall
-    single_wall path
-
-(* ----- compare mode -------------------------------------------------------- *)
-
-(* [compare] diffs the two most recent BENCH_*.json snapshots (by their
-   embedded timestamp): wall clock and per-version simulated RTTs.  Exits
-   nonzero when the newer full-sweep wall time regressed more than 10%
-   against a comparable (same quick-flag) baseline — the repo's perf gate,
-   wired into scripts/ci.sh via scripts/bench_compare.sh. *)
-
-module Json = Protolat_obs.Json
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let jstr v = match v with Some (Json.Str s) -> s | _ -> ""
-
-let jnum v = match v with Some (Json.Num f) -> Some f | _ -> None
-
-let jpath v path =
-  List.fold_left (fun v k -> Option.bind v (Json.member k)) (Some v) path
-
-let run_compare () =
-  let snapshots =
-    Sys.readdir "." |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 6
-           && String.sub f 0 6 = "BENCH_"
-           && Filename.check_suffix f ".json")
-    |> List.filter_map (fun f ->
-           match Json.parse (read_file f) with
-           | Ok v -> Some (f, v)
-           | Error e ->
-             Printf.eprintf "bench compare: skipping %s: %s\n" f e;
-             None)
-    |> List.sort (fun (fa, a) (fb, b) ->
-           (* ISO-8601 timestamps order lexicographically *)
-           compare
-             (jstr (Json.member "timestamp" a), fa)
-             (jstr (Json.member "timestamp" b), fb))
-  in
-  match List.rev snapshots with
-  | [] | [ _ ] ->
-    print_endline
-      "bench compare: fewer than two BENCH_*.json snapshots, nothing to \
-       compare";
-    exit 0
-  | (fnew, vnew) :: (fold, vold) :: _ ->
-    let rev v = jstr (Json.member "rev" v) in
-    let quick_of v = Json.member "quick" v = Some (Json.Bool true) in
-    Printf.printf "bench compare: %s (rev %s) vs %s (rev %s)\n" fold
-      (rev vold) fnew (rev vnew);
-    (* older baselines predate the schema_version field (or may carry an
-       older schema); the comparison is still meaningful for the keys both
-       sides share, so warn and proceed rather than fail *)
-    List.iter
-      (fun (name, v) ->
-        match jnum (jpath v [ "schema_version" ]) with
-        | None ->
-          Printf.printf
-            "  warning: %s has no schema_version (pre-schema baseline), \
-             comparing anyway\n"
-            name
-        | Some s when int_of_float s <> Protolat_obs.Json.schema_version ->
-          Printf.printf
-            "  warning: %s has schema_version %d (current is %d), comparing \
-             anyway\n"
-            name (int_of_float s) Protolat_obs.Json.schema_version
-        | Some _ -> ())
-      [ (fold, vold); (fnew, vnew) ];
-    let pct a b = 100.0 *. (b -. a) /. a in
-    let wall key =
-      match
-        ( jnum (jpath vold [ "wall_clock_s"; key ]),
-          jnum (jpath vnew [ "wall_clock_s"; key ]) )
-      with
-      | Some a, Some b ->
-        Printf.printf "  wall %-16s %8.3fs -> %8.3fs  (%+.1f%%)\n" key a b
-          (pct a b);
-        Some (a, b)
-      | _ -> None
-    in
-    let sweep = wall "full_sweep" in
-    ignore (wall "single_run_all");
-    ignore (wall "layout_sweep_incremental");
-    ignore (wall "layout_sweep_full");
-    ignore (wall "fabric_incast");
-    ignore (wall "layout_search");
-    (* fabric incast cell: simulated tail latency; absent in baselines
-       that predate the switched fabric *)
-    (match
-       ( jnum (jpath vold [ "fabric"; "fan_in" ]),
-         jnum (jpath vnew [ "fabric"; "fan_in" ]) )
-     with
-    | Some a, Some b when a = b ->
-      List.iter
-        (fun key ->
-          match
-            ( jnum (jpath vold [ "fabric"; key ]),
-              jnum (jpath vnew [ "fabric"; key ]) )
-          with
-          | Some a, Some b when a > 0.0 ->
-            Printf.printf "  incast %-9s %12.2f -> %12.2f  (%+.2f%%)\n" key a
-              b (pct a b)
-          | _ -> ())
-        [ "p50_us"; "p99_us" ]
-    | None, Some _ ->
-      Printf.printf "  incast cell: no baseline (pre-fabric snapshot)\n"
-    | Some _, Some _ ->
-      Printf.printf "  incast cell: fan-in differs, skipping\n"
-    | _ -> ());
-    (* layout-search cell: scorer throughput (higher is better) and best
-       found steady RTT; absent in baselines that predate the search *)
-    (match
-       ( jnum (jpath vold [ "layout_search"; "budget" ]),
-         jnum (jpath vnew [ "layout_search"; "budget" ]) )
-     with
-    | Some a, Some b when a = b ->
-      List.iter
-        (fun key ->
-          match
-            ( jnum (jpath vold [ "layout_search"; key ]),
-              jnum (jpath vnew [ "layout_search"; key ]) )
-          with
-          | Some a, Some b when a > 0.0 ->
-            Printf.printf "  search %-18s %12.2f -> %12.2f  (%+.2f%%)\n" key
-              a b (pct a b)
-          | _ -> ())
-        [ "candidates_per_sec"; "best_steady_us" ]
-    | None, Some _ ->
-      Printf.printf "  search cell: no baseline (pre-search snapshot)\n"
-    | Some _, Some _ ->
-      Printf.printf "  search cell: budget differs, skipping\n"
-    | _ -> ());
-    (* replay throughput (runs/sec): higher is better; absent in baselines
-       that predate the replay section *)
-    (match
-       ( jnum (jpath vold [ "replay"; "runs_per_s" ]),
-         jnum (jpath vnew [ "replay"; "runs_per_s" ]) )
-     with
-    | Some a, Some b ->
-      Printf.printf "  replay throughput %11.0f -> %11.0f runs/s  (%+.1f%%)\n"
-        a b (pct a b)
-    | None, Some b ->
-      Printf.printf
-        "  replay throughput %11s -> %11.0f runs/s  (no baseline)\n" "-" b
-    | _ -> ());
-    List.iter
-      (fun stack ->
-        List.iter
-          (fun ver ->
-            match
-              ( jnum (jpath vold [ "simulated_rtt_us"; stack; ver; "mean" ]),
-                jnum (jpath vnew [ "simulated_rtt_us"; stack; ver; "mean" ])
-              )
-            with
-            | Some a, Some b ->
-              Printf.printf "  rtt  %-5s %-4s %10.2fus -> %10.2fus  (%+.2f%%)\n"
-                stack ver a b (pct a b)
-            | _ -> ())
-          [ "STD"; "OUT"; "CLO"; "BAD"; "PIN"; "ALL" ])
-      [ "tcpip"; "rpc" ];
-    let comparable = quick_of vold = quick_of vnew in
-    if not comparable then
-      print_endline
-        "  (quick flags differ: wall-clock regression gate skipped)";
-    (match sweep with
-    | Some (a, b) when comparable && b > 1.1 *. a ->
-      Printf.printf
-        "bench compare: FAIL - full sweep regressed %.1f%% (>10%% gate)\n"
-        (pct a b);
-      exit 1
-    | _ -> print_endline "bench compare: OK (within the 10% wall-time gate)")
-
 let () =
-  if Array.exists (( = ) "compare") Sys.argv then run_compare ()
-  else if json_mode then run_json ()
-  else begin
-    run_tables ();
-    if want "micro" || only = None then run_bechamel ()
-  end;
+  run_tables ();
+  if want "micro" || only = None then run_bechamel ();
   print_newline ()

@@ -139,8 +139,8 @@ val run : Spec.t -> run_result
     The engine's online simulation uses the warm-block fast path (slots
     whose i-cache lines are verifiably resident are charged their memoized
     cost; see {!Machine.Blockcache}) unless it is disabled via
-    [PROTOLAT_FASTPATH=0] or {!Machine.Blockcache.set_enabled} — results
-    are bit-identical either way. *)
+    {!Machine.Blockcache.set_enabled} — results are bit-identical either
+    way. *)
 
 type throughput_result = {
   mbits_per_s : float;

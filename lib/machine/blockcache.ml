@@ -18,13 +18,12 @@
    - extending the same generation-tag trick to the d-side: a warm run whose
      distinct load lines are provably still resident in the d-cache charges
      its loads in one {!Memsys.credit_dhits} instead of a
-     {!Memsys.daccess_acc} per reference, and a run whose stores all merged
-     while the write buffer's content generation is unchanged charges them
-     with one {!Memsys.credit_merged_stores}; any invalidation falls back
-     per-run to the exact reference replay;
+     {!Memsys.daccess_acc} per reference and replays only its stores; any
+     invalidation falls back per-run to the full reference replay;
    - falling back to the exact per-instruction {!Memsys.access_acc} loop for
      runs that are not verifiably warm (first encounter, post-invalidate,
-     layout conflict within the run, or the fast path disabled).
+     layout conflict within the run, or the fast path disabled by
+     {!set_enabled}, which tests use to pick the reference path).
 
    Equivalence argument (why results are bit-identical to {!Memsys.run}):
    both replays keep the memory system in the same state at every run
@@ -40,32 +39,18 @@
    of a run's distinct load lines are resident at run entry (generation
    compare, and the run's load lines are mutually conflict-free) every load
    hits — each would contribute 0.0 stall and only the d/wb access and
-   d-cache hit counters, applied in one step.  Loads never touch the write
-   buffer, so if the buffer's content generation still matches a snapshot
-   taken across a replay in which the run's stores all merged, the buffer
-   holds the same blocks and the same store sequence merges again — 0.0
-   stall, counters applied in one step.  Runs whose lines cannot be proven
-   resident take the exact path verbatim. *)
+   d-cache hit counters, applied in one step; loads never touch the write
+   buffer, so the run's stores replay alone, in order, exactly as before.
+   Runs whose lines cannot be proven resident take the exact path
+   verbatim. *)
 
-let enabled_flag =
-  ref
-    (match Sys.getenv_opt "PROTOLAT_FASTPATH" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | _ -> true)
+let enabled_flag = ref true
 
 let enabled () = !enabled_flag
 
 let set_enabled b = enabled_flag := b
 
-let dmemo_flag =
-  ref
-    (match Sys.getenv_opt "PROTOLAT_DMEMO" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | _ -> true)
-
-let dmemo_enabled () = !dmemo_flag
-
-let set_dmemo_enabled b = dmemo_flag := b
+let dmemo_enabled = enabled
 
 type ref_stream = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -96,19 +81,13 @@ type t = {
   dl_off : int array;  (* n_runs+1 *)
   dgens : int array;  (* generation snapshot per d-line; -1 = unverified *)
   dconf : Bytes.t;  (* two distinct load lines of the run share a d-set *)
-  wbgens : int array;
-      (* per run: write-buffer content generation at the start of a replay
-         through which all the run's stores merged; -1 = unverified *)
   mutable bound : Memsys.t option;
       (* the memory system the gen snapshots refer to, compared physically:
          a fresh cache restarts generations at 0, which could coincide with
          stale snapshots and fake residency *)
   mutable fast_runs : int;
   mutable slow_runs : int;
-  mutable dmemo_runs : int;
   mutable dmemo_loads : int;
-  mutable wbmemo_runs : int;
-  mutable wbmemo_stores : int;
 }
 
 let trace t = t.trace
@@ -119,65 +98,31 @@ let fast_runs t = t.fast_runs
 
 let slow_runs t = t.slow_runs
 
-let dmemo_runs t = t.dmemo_runs
-
 let dmemo_loads t = t.dmemo_loads
-
-let wbmemo_runs t = t.wbmemo_runs
-
-let wbmemo_stores t = t.wbmemo_stores
 
 let reset_counters t =
   t.fast_runs <- 0;
   t.slow_runs <- 0;
-  t.dmemo_runs <- 0;
-  t.dmemo_loads <- 0;
-  t.wbmemo_runs <- 0;
-  t.wbmemo_stores <- 0
+  t.dmemo_loads <- 0
 
 (* ----- process-wide replay totals ----------------------------------------- *)
 
 (* Accumulated at the end of every {!replay} (one atomic add per counter per
-   replay — negligible), so the bench harness can report fast-path and memo
-   hit rates for a whole run regardless of how many block caches and
-   domains were involved. *)
+   replay — negligible), so a harness can report fast-path hit rates for a
+   whole run regardless of how many block caches and domains were
+   involved. *)
 
 type totals = {
   t_fast_runs : int;
   t_slow_runs : int;
-  t_dmemo_runs : int;
-  t_dmemo_loads : int;
-  t_wbmemo_runs : int;
-  t_wbmemo_stores : int;
 }
 
 let g_fast = Atomic.make 0
 
 let g_slow = Atomic.make 0
 
-let g_dmemo_runs = Atomic.make 0
-
-let g_dmemo_loads = Atomic.make 0
-
-let g_wbmemo_runs = Atomic.make 0
-
-let g_wbmemo_stores = Atomic.make 0
-
 let totals () =
-  { t_fast_runs = Atomic.get g_fast;
-    t_slow_runs = Atomic.get g_slow;
-    t_dmemo_runs = Atomic.get g_dmemo_runs;
-    t_dmemo_loads = Atomic.get g_dmemo_loads;
-    t_wbmemo_runs = Atomic.get g_wbmemo_runs;
-    t_wbmemo_stores = Atomic.get g_wbmemo_stores }
-
-let reset_totals () =
-  Atomic.set g_fast 0;
-  Atomic.set g_slow 0;
-  Atomic.set g_dmemo_runs 0;
-  Atomic.set g_dmemo_loads 0;
-  Atomic.set g_wbmemo_runs 0;
-  Atomic.set g_wbmemo_stores 0
+  { t_fast_runs = Atomic.get g_fast; t_slow_runs = Atomic.get g_slow }
 
 (* ----- segmentation -------------------------------------------------------- *)
 
@@ -335,14 +280,10 @@ let segment (p : Params.t) trace =
     dl_off;
     dgens = Array.make (Array.length dlines) (-1);
     dconf;
-    wbgens = Array.make (max 1 n_runs) (-1);
     bound = None;
     fast_runs = 0;
     slow_runs = 0;
-    dmemo_runs = 0;
-    dmemo_loads = 0;
-    wbmemo_runs = 0;
-    wbmemo_stores = 0 }
+    dmemo_loads = 0 }
 
 let rebind t trace' =
   if Trace.length trace' <> Trace.length t.trace then
@@ -364,14 +305,10 @@ let rebind t trace' =
     igens;
     iconf;
     dgens = Array.make (Array.length t.dlines) (-1);
-    wbgens = Array.make (max 1 t.n_runs) (-1);
     bound = None;
     fast_runs = 0;
     slow_runs = 0;
-    dmemo_runs = 0;
-    dmemo_loads = 0;
-    wbmemo_runs = 0;
-    wbmemo_stores = 0 }
+    dmemo_loads = 0 }
 
 (* ----- replay -------------------------------------------------------------- *)
 
@@ -430,30 +367,23 @@ let replay t m =
   | _ ->
     Array.fill t.igens 0 (Array.length t.igens) (-1);
     Array.fill t.dgens 0 (Array.length t.dgens) (-1);
-    Array.fill t.wbgens 0 (Array.length t.wbgens) (-1);
     t.bound <- Some m);
   let ic = Memsys.icache m in
   let dc = Memsys.dcache m in
-  let wb = Memsys.write_buffer m in
   let geometry_ok =
     Cache.n_sets ic = t.n_sets
     && log2 (Cache.block_bytes ic) = t.block_shift
   in
   let fast_on = !enabled_flag && geometry_ok in
   let dmemo_on =
-    fast_on && !dmemo_flag
+    fast_on
     && Cache.n_sets dc = t.nd_sets
     && log2 (Cache.block_bytes dc) = t.d_shift
   in
   let icgens = Cache.generations ic in
   let dcgens = Cache.generations dc in
   let trace = t.trace in
-  let fast = ref 0
-  and slow = ref 0
-  and dm_runs = ref 0
-  and dm_loads = ref 0
-  and wb_runs = ref 0
-  and wb_stores = ref 0 in
+  let fast = ref 0 and slow = ref 0 and dm_loads = ref 0 in
   for r = 0 to t.n_runs - 1 do
     let warm =
       fast_on
@@ -501,46 +431,25 @@ let replay t m =
                 !ok)
         in
         if dwarm then begin
-          if nloads > 0 then begin
-            incr dm_runs;
-            dm_loads := !dm_loads + nloads;
-            Memsys.credit_dhits m nloads
-          end;
-          if nstores > 0 then
-            if t.wbgens.(r) = Write_buffer.generation wb then begin
-              incr wb_runs;
-              wb_stores := !wb_stores + nstores;
-              Memsys.credit_merged_stores m nstores
-            end
-            else begin
-              let g0 = Write_buffer.generation wb in
-              for j = wlo to whi - 1 do
-                Memsys.daccess_acc m ~kind:Trace.kind_write
-                  ~addr:(Bigarray.Array1.unsafe_get t.wrefs j)
-              done;
-              t.wbgens.(r) <-
-                (if Write_buffer.generation wb = g0 then g0 else -1)
-            end
+          dm_loads := !dm_loads + nloads;
+          Memsys.credit_dhits m nloads;
+          for j = wlo to whi - 1 do
+            Memsys.daccess_acc m ~kind:Trace.kind_write
+              ~addr:(Bigarray.Array1.unsafe_get t.wrefs j)
+          done
         end
         else begin
           (* full reference replay from the packed stream, trace order *)
-          let g0 = Write_buffer.generation wb in
           for j = rlo to rhi - 1 do
             let v = Bigarray.Array1.unsafe_get t.refs j in
             Memsys.daccess_acc m ~kind:(v land 3) ~addr:(v lsr 2)
           done;
-          if dmemo_on then begin
-            snapshot_dgens t dc dcgens r;
-            t.wbgens.(r) <-
-              (if nstores > 0 && Write_buffer.generation wb = g0 then g0
-               else -1)
-          end
+          if dmemo_on then snapshot_dgens t dc dcgens r
         end
       end
     end
     else begin
       incr slow;
-      let g0 = Write_buffer.generation wb in
       let start = t.run_start.(r) and fin = t.run_start.(r + 1) - 1 in
       if fast_on then
         replay_run_cold m ic ~block_shift:t.block_shift trace ~start ~fin
@@ -554,22 +463,11 @@ let replay t m =
             t.igens.(j) <- Array.unsafe_get icgens (Array.unsafe_get t.sets j)
           else t.igens.(j) <- -1
         done;
-      if dmemo_on then begin
-        snapshot_dgens t dc dcgens r;
-        t.wbgens.(r) <-
-          (if nstores > 0 && Write_buffer.generation wb = g0 then g0 else -1)
-      end
+      if dmemo_on then snapshot_dgens t dc dcgens r
     end
   done;
   t.fast_runs <- t.fast_runs + !fast;
   t.slow_runs <- t.slow_runs + !slow;
-  t.dmemo_runs <- t.dmemo_runs + !dm_runs;
   t.dmemo_loads <- t.dmemo_loads + !dm_loads;
-  t.wbmemo_runs <- t.wbmemo_runs + !wb_runs;
-  t.wbmemo_stores <- t.wbmemo_stores + !wb_stores;
   ignore (Atomic.fetch_and_add g_fast !fast);
-  ignore (Atomic.fetch_and_add g_slow !slow);
-  ignore (Atomic.fetch_and_add g_dmemo_runs !dm_runs);
-  ignore (Atomic.fetch_and_add g_dmemo_loads !dm_loads);
-  ignore (Atomic.fetch_and_add g_wbmemo_runs !wb_runs);
-  ignore (Atomic.fetch_and_add g_wbmemo_stores !wb_stores)
+  ignore (Atomic.fetch_and_add g_slow !slow)

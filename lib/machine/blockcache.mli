@@ -6,33 +6,26 @@
     (witnessed by {!Cache} generation tags) is charged its hits in one step
     and only its data references are simulated — and the same
     generation-tag trick extends to the d-side, so a run whose distinct
-    load lines are provably still resident in the d-cache, and whose
-    stores provably all merge in the write buffer, is charged a memoized
-    d-side summary instead of a {!Memsys.daccess_acc} per reference.
-    Anything not verifiably warm falls back per-run to the exact
-    per-instruction loop.  Results — stall totals, every cache counter,
-    eviction history — are bit-identical to {!Memsys.run}.
-
-    The knobs: set [PROTOLAT_FASTPATH=0] (or [false]/[off]/[no]) in the
-    environment, or call {!set_enabled}[ false], to force the slow path
-    everywhere; set [PROTOLAT_DMEMO=0] or call {!set_dmemo_enabled}[ false]
-    to keep the warm-block path but replay every data reference.  Used by
-    the CI equivalence legs and the fast-path tests. *)
+    load lines are provably still resident in the d-cache has its loads
+    charged in one step and replays only its stores.  Anything not
+    verifiably warm falls back per-run to the exact per-instruction loop.
+    Results — stall totals, every cache counter, eviction history — are
+    bit-identical to {!Memsys.run}. *)
 
 type t
 
 val enabled : unit -> bool
-(** Current state of the global fast-path knob (initialized from the
-    [PROTOLAT_FASTPATH] environment variable; on by default). *)
+(** Whether replays (and the engine's online simulation) take the fast
+    path; on unless {!set_enabled}[ false] was called. *)
 
 val set_enabled : bool -> unit
+(** [set_enabled false] forces the per-instruction reference path
+    everywhere — the switch the differential tests use to compare the
+    fast path against the reference in one process. *)
 
 val dmemo_enabled : unit -> bool
-(** Current state of the d-side memoization knob (initialized from the
-    [PROTOLAT_DMEMO] environment variable; on by default).  Only takes
-    effect where the warm-block path itself applies. *)
-
-val set_dmemo_enabled : bool -> unit
+(** Same as {!enabled}: the d-side memo is part of the fast path.  Kept
+    for the benchmark harness's stamps. *)
 
 val segment : Params.t -> Trace.t -> t
 (** Segment [trace] into basic-block runs against the i- and d-cache
@@ -60,9 +53,9 @@ val n_runs : t -> int
 
 (** {2 Per-instance replay counters}
 
-    All six reset together via {!reset_counters}; the measured-replay entry
-    points ({!Perf.steady_bc} and friends) reset them after warmup so the
-    counters always describe the measured replay alone and cannot carry
+    All three reset together via {!reset_counters}; the measured-replay
+    entry points ({!Perf.steady_bc} and friends) reset them after warmup so
+    the counters always describe the measured replay alone and cannot carry
     state across runs. *)
 
 val fast_runs : t -> int
@@ -73,35 +66,20 @@ val slow_runs : t -> int
 (** Runs replayed instruction-by-instruction since the last
     {!reset_counters}. *)
 
-val dmemo_runs : t -> int
-(** Warm runs whose loads were all charged via the d-cache memo. *)
-
 val dmemo_loads : t -> int
 (** Loads skipped (charged via {!Memsys.credit_dhits}). *)
-
-val wbmemo_runs : t -> int
-(** Warm runs whose stores were all charged via the write-buffer memo. *)
-
-val wbmemo_stores : t -> int
-(** Stores skipped (charged via {!Memsys.credit_merged_stores}). *)
 
 val reset_counters : t -> unit
 
 (** {2 Process-wide totals}
 
-    The same six counters accumulated across every replay in the process
+    Fast and slow runs accumulated across every replay in the process
     (atomically, so domain-parallel sweeps count too) — the source of the
-    fast-path hit rates recorded in the bench JSON. *)
+    benchmark ledger's fast-path hit rate. *)
 
 type totals = {
   t_fast_runs : int;
   t_slow_runs : int;
-  t_dmemo_runs : int;
-  t_dmemo_loads : int;
-  t_wbmemo_runs : int;
-  t_wbmemo_stores : int;
 }
 
 val totals : unit -> totals
-
-val reset_totals : unit -> unit

@@ -12,12 +12,9 @@
       per-path capacity and conflict misses.  This corresponds to the
       cycle-counter timings of Table 7. *)
 
-(** Every entry point consults the {!Simcache} when it is enabled: reports
-    are keyed by the measurement kind, the simulation parameters and the
-    trace's replay identity ({!Trace.digest}), and a hit skips segmentation
-    and simulation entirely.  Cached reports are bit-identical to
-    recomputed ones — the store holds exactly the non-derivable words and
-    the derived fields re-derive through the same pure code path. *)
+(** {!cold} replays through the per-instruction reference {!Memsys.run};
+    every other entry point replays through {!Blockcache}, whose results
+    are bit-identical to it. *)
 
 type report = {
   length : int;  (** trace length in instructions *)
@@ -70,12 +67,10 @@ val steady_scratch :
     {!Cpu.perfect_memory_cycles} of the base trace, which depend only on
     the instruction-class column and are invariant under pc retargeting.
     Bit-identical to [steady_bc ~warmup p bc] on the same segmentation
-    given matching hoisted cycles, but never consults the {!Simcache}
-    (one-off candidate digests cannot hit and keying them costs more than
-    the replay).  [scratch] must have been created with exactly [p]
-    (checked), and [bc] must be a fresh {!Blockcache.rebind} — a
-    segmentation holding generation snapshots from before the clear would
-    fake residency. *)
+    given matching hoisted cycles.  [scratch] must have been created with
+    exactly [p] (checked), and [bc] must be a fresh {!Blockcache.rebind} —
+    a segmentation holding generation snapshots from before the clear
+    would fake residency. *)
 
 val cold_and_steady : ?warmup:int -> Params.t -> Trace.t -> report * report
 (** Both measurements from one segmentation and one memory system: the

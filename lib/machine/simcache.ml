@@ -1,254 +1,3 @@
-(* Cross-process simulation cache.
+let enabled () = false
 
-   A fixed-size, mmap'd, open-addressed store of (digest key -> small int64
-   payload) entries.  Perf keys each measurement by an MD5 digest of the
-   schema, the simulation parameters and the trace's compact encoding, and
-   stores the handful of words a report cannot be re-derived from — so a
-   second bench/soak/sweep/mflow invocation over the same inputs skips the
-   cold simulation entirely, across processes.
-
-   The store is a best-effort cache, not a database: a slot is (re)written
-   with its key words cleared first and restored last, and a reader
-   re-checks the key after copying the payload, so a torn concurrent write
-   is detected as a miss rather than served as a wrong result.  Any I/O or
-   format problem permanently disables the cache for the process (results
-   are then simply recomputed).  A header mismatch — different format
-   version, capacity or payload width, i.e. a stale file from an older
-   build — truncates and reinitializes the file. *)
-
-let format_version = 1
-
-let capacity = 8192 (* slots *)
-
-let payload_words = 28
-
-let slot_words = 2 + 1 + payload_words (* key0 key1 len payload *)
-
-let header_words = 4
-
-let total_words = header_words + (capacity * slot_words)
-
-let magic = 0x50524F544F4C4154L (* "PROTOLAT" *)
-
-let max_probe = 8
-
-type buf = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type state =
-  | Closed  (* not yet resolved/opened *)
-  | Off  (* disabled by knob or env *)
-  | Failed  (* I/O error: disabled for the rest of the process *)
-  | Open of buf
-
-let lock = Mutex.create ()
-
-let state = ref Closed
-
-let cfg_path : string option ref = ref None
-
-let cfg_enabled : bool option ref = ref None
-
-let c_hits = Atomic.make 0
-
-let c_misses = Atomic.make 0
-
-let c_stores = Atomic.make 0
-
-let hits () = Atomic.get c_hits
-
-let misses () = Atomic.get c_misses
-
-let stores () = Atomic.get c_stores
-
-let reset_stats () =
-  Atomic.set c_hits 0;
-  Atomic.set c_misses 0;
-  Atomic.set c_stores 0
-
-let default_path () =
-  let dir =
-    match Sys.getenv_opt "XDG_CACHE_HOME" with
-    | Some d when d <> "" -> Filename.concat d "protolat"
-    | _ -> (
-      match Sys.getenv_opt "HOME" with
-      | Some h when h <> "" ->
-        Filename.concat (Filename.concat h ".cache") "protolat"
-      | _ -> Filename.concat (Filename.get_temp_dir_name ()) "protolat")
-  in
-  Filename.concat dir (Printf.sprintf "simcache.v%d" format_version)
-
-(* Where the cache would live under the current knobs; [None] = disabled. *)
-let resolve () =
-  match !cfg_enabled with
-  | Some false -> None
-  | _ -> (
-    match !cfg_path with
-    | Some p -> Some p
-    | None -> (
-      match Sys.getenv_opt "PROTOLAT_SIMCACHE" with
-      | Some ("0" | "false" | "off" | "no") ->
-        if !cfg_enabled = Some true then Some (default_path ()) else None
-      | Some p when p <> "" -> Some p
-      | Some _ | None -> Some (default_path ())))
-
-let set_enabled b =
-  Mutex.lock lock;
-  cfg_enabled := Some b;
-  state := Closed;
-  Mutex.unlock lock
-
-let set_path p =
-  Mutex.lock lock;
-  cfg_path := Some p;
-  cfg_enabled := Some true;
-  state := Closed;
-  Mutex.unlock lock
-
-let enabled () = resolve () <> None
-
-let location () = resolve ()
-
-let rec mkdir_p dir =
-  if dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let init_file (a : buf) =
-  Bigarray.Array1.fill a 0L;
-  Bigarray.Array1.set a 1 (Int64.of_int format_version);
-  Bigarray.Array1.set a 2 (Int64.of_int capacity);
-  Bigarray.Array1.set a 3 (Int64.of_int payload_words);
-  (* magic last: a crash mid-init leaves a file that fails the header
-     check and is reinitialized on the next open *)
-  Bigarray.Array1.set a 0 magic
-
-let open_file path =
-  mkdir_p (Filename.dirname path);
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  let bytes = 8 * total_words in
-  let size = (Unix.fstat fd).Unix.st_size in
-  if size <> bytes then Unix.ftruncate fd bytes;
-  let a =
-    Bigarray.array1_of_genarray
-      (Unix.map_file fd Bigarray.int64 Bigarray.c_layout true [| total_words |])
-  in
-  Unix.close fd;
-  let fresh = size <> bytes in
-  let stale =
-    Bigarray.Array1.get a 0 <> magic
-    || Bigarray.Array1.get a 1 <> Int64.of_int format_version
-    || Bigarray.Array1.get a 2 <> Int64.of_int capacity
-    || Bigarray.Array1.get a 3 <> Int64.of_int payload_words
-  in
-  if fresh || stale then init_file a;
-  a
-
-(* Must be called with [lock] held. *)
-let ensure_open () =
-  match !state with
-  | Open a -> Some a
-  | Off | Failed -> None
-  | Closed -> (
-    match resolve () with
-    | None ->
-      state := Off;
-      None
-    | Some path -> (
-      match open_file path with
-      | a ->
-        state := Open a;
-        Some a
-      | exception _ ->
-        state := Failed;
-        None))
-
-let key_words key =
-  if String.length key <> 16 then invalid_arg "Simcache: key must be 16 bytes";
-  let k0 = String.get_int64_le key 0 in
-  let k1 = String.get_int64_le key 8 in
-  (* (0, 0) marks an empty slot; nudge the astronomically unlikely real
-     all-zero digest aside *)
-  if k0 = 0L && k1 = 0L then (1L, 0L) else (k0, k1)
-
-let slot_base k0 =
-  let idx = Int64.to_int k0 land max_int mod capacity in
-  fun probe -> header_words + ((idx + probe) mod capacity * slot_words)
-
-let find key =
-  Mutex.lock lock;
-  let result =
-    match ensure_open () with
-    | None -> None
-    | Some a ->
-      let k0, k1 = key_words key in
-      let base_of = slot_base k0 in
-      let rec probe i =
-        if i >= max_probe then None
-        else
-          let base = base_of i in
-          let s0 = Bigarray.Array1.get a base in
-          let s1 = Bigarray.Array1.get a (base + 1) in
-          if s0 = k0 && s1 = k1 then begin
-            let len = Int64.to_int (Bigarray.Array1.get a (base + 2)) in
-            if len < 0 || len > payload_words then None
-            else begin
-              let out = Array.init len (fun j ->
-                  Bigarray.Array1.get a (base + 3 + j))
-              in
-              (* re-check: a concurrent writer clears the key words before
-                 touching the payload, so a torn read cannot pass *)
-              if
-                Bigarray.Array1.get a base = k0
-                && Bigarray.Array1.get a (base + 1) = k1
-              then Some out
-              else None
-            end
-          end
-          else if
-            s0 = 0L && s1 = 0L && Bigarray.Array1.get a (base + 2) = 0L
-          then None (* empty slot: the key cannot be further down the chain *)
-          else probe (i + 1)
-      in
-      probe 0
-  in
-  Mutex.unlock lock;
-  (match result with
-  | Some _ -> Atomic.incr c_hits
-  | None -> if !state <> Off && !state <> Failed then Atomic.incr c_misses);
-  result
-
-let add key payload =
-  if Array.length payload <= payload_words then begin
-    Mutex.lock lock;
-    (match ensure_open () with
-    | None -> ()
-    | Some a ->
-      let k0, k1 = key_words key in
-      let base_of = slot_base k0 in
-      (* prefer this key's existing slot, then an empty one, else evict the
-         home slot *)
-      let rec pick i =
-        if i >= max_probe then base_of 0
-        else
-          let base = base_of i in
-          let s0 = Bigarray.Array1.get a base in
-          let s1 = Bigarray.Array1.get a (base + 1) in
-          if
-            (s0 = k0 && s1 = k1)
-            || (s0 = 0L && s1 = 0L && Bigarray.Array1.get a (base + 2) = 0L)
-          then base
-          else pick (i + 1)
-      in
-      let base = pick 0 in
-      Bigarray.Array1.set a base 0L;
-      Bigarray.Array1.set a (base + 1) 0L;
-      Bigarray.Array1.set a (base + 2) (Int64.of_int (Array.length payload));
-      Array.iteri
-        (fun j v -> Bigarray.Array1.set a (base + 3 + j) v)
-        payload;
-      Bigarray.Array1.set a (base + 1) k1;
-      Bigarray.Array1.set a base k0;
-      Atomic.incr c_stores);
-    Mutex.unlock lock
-  end
+let set_enabled (_ : bool) = ()

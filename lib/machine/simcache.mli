@@ -1,61 +1,10 @@
-(** Cross-process simulation cache.
+(** Retired cross-process simulation cache.
 
-    A fixed-size, mmap'd [Bigarray] store of (16-byte digest key -> small
-    int64 payload) entries, shared between processes through the file
-    system.  {!Perf} keys each measurement by an MD5 digest of the format
-    version, the simulation parameters and the trace's compact encoding
-    ({!Trace.digest}), and stores the words a report cannot be re-derived
-    from — so repeated bench/soak/sweep/mflow invocations over the same
-    inputs skip cold simulation entirely across processes.
-
-    The knob: [PROTOLAT_SIMCACHE] in the environment selects the store —
-    unset or empty uses the default location
-    ([$XDG_CACHE_HOME/protolat/simcache.v1], falling back to
-    [~/.cache/protolat/] and the temp dir), a path uses that file, and
-    [0]/[false]/[off]/[no] disables the cache.  {!set_enabled} and
-    {!set_path} override the environment from code (the test suite runs
-    with the cache off by default).  Delete the file to clear the cache; a
-    file with a mismatched header (an older format, capacity or payload
-    width) is truncated and reinitialized automatically.
-
-    The store is best-effort: writers clear a slot's key words before
-    touching its payload and restore them last, readers re-check the key
-    after copying, and any I/O error disables the cache for the process —
-    a lookup race or a broken file costs a recomputation, never a wrong
-    result. *)
+    Every report is computed; nothing is stored across runs.  The two
+    names below remain only because the perfbench harness still calls
+    them: {!enabled} is always [false] and {!set_enabled} ignores its
+    argument. *)
 
 val enabled : unit -> bool
-(** Would a lookup hit the store under the current knobs? *)
 
 val set_enabled : bool -> unit
-(** Force the cache on (at the environment- or default-resolved location)
-    or off, overriding [PROTOLAT_SIMCACHE]. *)
-
-val set_path : string -> unit
-(** Use [path] as the store (and enable the cache), overriding the
-    environment — the hook the cross-process tests use. *)
-
-val location : unit -> string option
-(** The file the store lives in under the current knobs; [None] when
-    disabled. *)
-
-val default_path : unit -> string
-
-val find : string -> int64 array option
-(** [find key] looks up a 16-byte digest key, returning a copy of the
-    stored payload.  [None] on a miss or when the cache is disabled. *)
-
-val add : string -> int64 array -> unit
-(** [add key payload] stores up to 28 words under [key] (silently dropped
-    when longer, or when the cache is disabled). *)
-
-(** {2 Statistics} (process-wide, since the last {!reset_stats}) *)
-
-val hits : unit -> int
-
-val misses : unit -> int
-(** Failed lookups while the cache was enabled. *)
-
-val stores : unit -> int
-
-val reset_stats : unit -> unit

@@ -109,33 +109,6 @@ val distinct_blocks : t -> block_bytes:int -> int
 val touched_instr_offsets : t -> (int, unit) Hashtbl.t
 (** Set of distinct instruction addresses fetched. *)
 
-(** {2 Compact block encoding}
-
-    The replay-relevant columns (pc, class, access kind/address) packed
-    into one flat [Bigarray] of block-level records: each maximal
-    straight-line run becomes [start_pc], a packed length/ref-count word,
-    class nibbles (16 per word) and one word per data reference
-    ([position | kind | address]) — the pc column collapses to per-block
-    deltas.  Function tags are {e not} part of the encoding: they name
-    events for attribution but do not affect replay, so {!of_compact}
-    returns an untagged trace and {!digest} is insensitive to them. *)
-
-type compact =
-  (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-val compact : t -> compact
-(** @raise Invalid_argument on addresses outside the 46-bit encodable
-    range (the modeled address space is far smaller). *)
-
-val of_compact : compact -> t
-(** Exact inverse of {!compact} on the pc/class/kind/address columns.
-    @raise Invalid_argument on a malformed buffer. *)
-
-val digest : t -> string
-(** MD5 of the compact encoding — a replay-identity key: two traces with
-    equal digests replay identically through any memory system (function
-    tags excluded).  Memoized per trace; safe because traces only grow. *)
-
 (** Text serialization (one event per line: [pc class [R|W addr] [@func]])
     — the paper made its instruction traces available for download; so do
     we.  The trailing [@func] records the originating function when the

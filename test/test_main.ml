@@ -1,11 +1,4 @@
 let () =
-  (* The fast-path equivalence tests compare simulated against replayed
-     reports; serving either side from an on-disk cache would make them
-     vacuous (and leak state between runs).  Keep the simulation cache off
-     for the suite unless the environment asks for it explicitly — the CI
-     warm-cache leg does, via PROTOLAT_SIMCACHE pointing at a temp file. *)
-  if Sys.getenv_opt "PROTOLAT_SIMCACHE" = None then
-    Protolat_machine.Simcache.set_enabled false;
   Alcotest.run "protolat"
     [ Test_util.suite;
       Test_machine.suite;
@@ -23,5 +16,5 @@ let () =
       Test_spans.suite;
       Test_chaos.suite;
       Test_fastpath.suite;
-      Test_replay.suite;
+      Test_fastpath.replay_suite;
       Test_search.suite ]
