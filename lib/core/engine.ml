@@ -191,19 +191,22 @@ type queue = {
 
 let queue_create () = { buf = Array.make 64 0; len = 0; pos = 0 }
 
+let queue_push_range q base len =
+  let n = max 1 ((len + 7) / 8) in
+  for i = 0 to n - 1 do
+    if q.len = Array.length q.buf then begin
+      let b = Array.make (2 * q.len) 0 in
+      Array.blit q.buf 0 b 0 q.len;
+      q.buf <- b
+    end;
+    q.buf.(q.len) <- base + (8 * i);
+    q.len <- q.len + 1
+  done
+
 let rec queue_push_ranges q = function
   | [] -> ()
   | (r : Meter.range) :: rest ->
-    let n = max 1 ((r.Meter.len + 7) / 8) in
-    for i = 0 to n - 1 do
-      if q.len = Array.length q.buf then begin
-        let b = Array.make (2 * q.len) 0 in
-        Array.blit q.buf 0 b 0 q.len;
-        q.buf <- b
-      end;
-      q.buf.(q.len) <- r.Meter.base + r.Meter.off + (8 * i);
-      q.len <- q.len + 1
-    done;
+    queue_push_range q (r.Meter.base + r.Meter.off) r.Meter.len;
     queue_push_ranges q rest
 
 let queue_fill q ranges =
@@ -247,6 +250,7 @@ let queue_pop q =
    memo table is private to one host state, whose memory system never
    changes, so snapshots cannot leak across caches. *)
 type smemo = {
+  m_slot : Image.slot;
   m_codes : int array;
   m_pens : float array;
   m_sum1 : float array;
@@ -260,13 +264,24 @@ type smemo = {
   m_gens : int array;
 }
 
+(* A meter site's code as this host's image places it, resolved on first
+   use: [Emit] carries the slot's memo (and so the slot itself). *)
+type entry =
+  | Unresolved
+  | Elided  (* code removed by path-inlining *)
+  | Emit of smemo
+
 type hstate = {
   params : Machine.Params.t;
   image : Image.t;
   memsys : Machine.Memsys.t;
   icache : Machine.Cache.t;
   fp : bool;  (* warm-block fast path enabled for this host *)
-  memo : (int, smemo) Hashtbl.t;  (* keyed by slot base address *)
+  mutable sa : entry array;
+      (* by meter site: the prologue, hot block, guard or stub it emits *)
+  mutable sb : entry array;
+      (* by meter site: the epilogue of a function site, the cold body of a
+         cold site *)
   mlat : float array;  (* Memsys.lat_cell memsys: per-instruction latency *)
   clock : float array;  (* Sim.clock_cell sim: simulated wall clock *)
   sim : Ns.Sim.t;
@@ -360,15 +375,14 @@ let build_smemo (p : Machine.Params.t) ic (slot : Image.slot) =
       m_chunks.((3 * c) + 1) <- l;
       m_chunks.((3 * c) + 2) <- Machine.Cache.set_of_line ic l)
     !lines;
-  { m_codes; m_pens; m_sum1; m_us0; m_us1; m_chunks; m_gens = Array.make k (-1) }
-
-let smemo_for h (slot : Image.slot) =
-  match Hashtbl.find h.memo slot.Image.addr with
-  | m -> m
-  | exception Not_found ->
-    let m = build_smemo h.params h.icache slot in
-    Hashtbl.add h.memo slot.Image.addr m;
-    m
+  { m_slot = slot;
+    m_codes;
+    m_pens;
+    m_sum1;
+    m_us0;
+    m_us1;
+    m_chunks;
+    m_gens = Array.make k (-1) }
 
 (* Fast-path slot emission: the exact computation of [emit_one], chunk by
    chunk.  A warm chunk (line verified resident by generation compare, or
@@ -379,12 +393,12 @@ let smemo_for h (slot : Image.slot) =
    snapshots its generation (the line was just fetched and nothing in the
    chunk can evict it).  Pairing state, synthetic-address state and the
    sequential busy/clock accumulation are bit-for-bit the slow path's. *)
-let emit_slot_fast h (m : smemo) (slot : Image.slot) =
+let emit_slot_fast h (m : smemo) =
   let p = h.params in
   let clock = p.Machine.Params.clock_mhz in
   let pct = p.Machine.Params.pair_success_pct in
   let codes = m.m_codes in
-  let pcs = slot.Image.pcs in
+  let pcs = m.m_slot.Image.pcs in
   let ic = h.icache in
   let igens = Machine.Cache.generations ic in
   let mlat = h.mlat in
@@ -414,14 +428,14 @@ let emit_slot_fast h (m : smemo) (slot : Image.slot) =
         if i <> fetch_i then
           if code = code_load then begin
             let a = queue_pop h.rq in
-            Machine.Memsys.daccess_acc h.memsys ~kind:Trace.kind_read
-              ~addr:(if a >= 0 then a else synth_stack_addr h);
+            Machine.Memsys.load_acc h.memsys
+              (if a >= 0 then a else synth_stack_addr h);
             mlat.(0)
           end
           else if code = code_store then begin
             let a = queue_pop h.wq in
-            Machine.Memsys.daccess_acc h.memsys ~kind:Trace.kind_write
-              ~addr:(if a >= 0 then a else synth_stack_addr h);
+            Machine.Memsys.store_acc h.memsys
+              (if a >= 0 then a else synth_stack_addr h);
             mlat.(0)
           end
           else 0.0
@@ -556,72 +570,111 @@ let emit_slot_slow h (slot : Image.slot) (override : Instr.cls option) =
     | _ -> emit_one h ~pc ~cls ~kind:Trace.kind_none ~addr:0 ~fid
   done
 
-let emit_instrs h ?(reads = []) ?(writes = []) (slot : Image.slot)
-    ?(override : Instr.cls option) () =
-  queue_fill h.rq reads;
-  queue_fill h.wq writes;
-  (* the fast path cannot take overridden guards (the first class differs
-     from the memoized one) or trace-collecting emissions (events must be
-     appended per instruction) — both are rare *)
-  if h.fp && override = None && not (h.collecting && h.traced) then
-    emit_slot_fast h (smemo_for h slot) slot
-  else emit_slot_slow h slot override
+(* Emit a resolved site with the pending reads/writes already queued.  The
+   fast path cannot take trace-collecting emissions (events must be
+   appended per instruction) — rare. *)
+let emit h = function
+  | Emit m ->
+    if h.fp && not (h.collecting && h.traced) then emit_slot_fast h m
+    else emit_slot_slow h m.m_slot None
+  | Elided -> ()
+  | Unresolved -> assert false
 
 let fail_unknown func key =
   failwith (Printf.sprintf "Engine: no slot for %s/%s in this image" func key)
 
-let emit_key h ?reads ?writes ~func ~key () =
+(* The image key of a site's first ([sa]) and second ([sb]) code. *)
+let key_a (s : Meter.Site.t) =
+  match Meter.Site.shape s with
+  | Meter.Site.Fn -> Image.Key.pro
+  | Meter.Site.Hot b -> Image.Key.hot b
+  | Meter.Site.Cold b -> Image.Key.guard b
+  | Meter.Site.Stub (b, i) -> Image.Key.stub b i
+
+let key_b (s : Meter.Site.t) =
+  match Meter.Site.shape s with
+  | Meter.Site.Fn -> Image.Key.epi
+  | Meter.Site.Cold b -> Image.Key.cold b
+  | Meter.Site.Hot _ | Meter.Site.Stub _ ->
+    invalid_arg "Engine: site has no second slot"
+
+let resolve h s key =
+  let func = Meter.Site.func s in
   match Image.find h.image ~func ~key with
-  | Image.Slot slot -> emit_instrs h ?reads ?writes slot ()
-  | Image.Elided -> ()
+  | Image.Slot slot -> Emit (build_smemo h.params h.icache slot)
+  | Image.Elided -> Elided
   | Image.Unknown -> fail_unknown func key
 
-(* Block/guard/cold/stub key strings repeat for the same few dozen block
-   ids thousands of times per run; memoizing them per meter keeps string
-   building off the per-block hot path.  The tables live in the meter's
-   closure, so they are private to one host of one run — no cross-domain
-   sharing. *)
-let memo_key tbl build id =
-  match Hashtbl.find tbl id with
-  | s -> s
-  | exception Not_found ->
-    let s = build id in
-    Hashtbl.add tbl id s;
-    s
+(* both tables cover every site interned so far; a site interned after this
+   host was made (tests may intern late) grows them *)
+let grow h i =
+  let n = max (i + 1) (Meter.Site.count ()) in
+  let extend a =
+    let b = Array.make n Unresolved in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  h.sa <- extend h.sa;
+  h.sb <- extend h.sb
+
+let entry_a h (s : Meter.Site.t) =
+  let i = (s :> int) in
+  if i >= Array.length h.sa then grow h i;
+  match Array.unsafe_get h.sa i with
+  | Unresolved ->
+    let e = resolve h s (key_a s) in
+    h.sa.(i) <- e;
+    e
+  | e -> e
+
+let entry_b h (s : Meter.Site.t) =
+  let i = (s :> int) in
+  if i >= Array.length h.sb then grow h i;
+  match Array.unsafe_get h.sb i with
+  | Unresolved ->
+    let e = resolve h s (key_b s) in
+    h.sb.(i) <- e;
+    e
+  | e -> e
+
+let queue_fill_opt q = function
+  | None ->
+    q.len <- 0;
+    q.pos <- 0
+  | Some ranges -> queue_fill q ranges
+
+(* the 24-byte frame a prologue saves and an epilogue restores *)
+let queue_frame q h =
+  q.len <- 0;
+  q.pos <- 0;
+  queue_push_range q (h.stack_base - (h.depth * 96)) 24
 
 (* the meter for one host *)
 let make_meter h =
-  let khot = Hashtbl.create 64 in
-  let kguard = Hashtbl.create 64 in
-  let kcold = Hashtbl.create 64 in
-  let kstub : (string, (int, string) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
   { Meter.enter =
-      (fun f ->
+      (fun s ->
         h.depth <- h.depth + 1;
-        emit_key h ~func:f ~key:Image.Key.pro
-          ~writes:[ Meter.range ~base:(h.stack_base - (h.depth * 96)) ~len:24 () ]
-          ());
+        queue_fill_opt h.rq None;
+        queue_frame h.wq h;
+        emit h (entry_a h s));
     leave =
-      (fun f ->
-        emit_key h ~func:f ~key:Image.Key.epi
-          ~reads:[ Meter.range ~base:(h.stack_base - (h.depth * 96)) ~len:24 () ]
-          ();
+      (fun s ->
+        queue_frame h.rq h;
+        queue_fill_opt h.wq None;
+        emit h (entry_b h s);
         h.depth <- max 0 (h.depth - 1));
     block =
-      (fun ?reads ?writes f b ->
-        emit_key h ?reads ?writes ~func:f ~key:(memo_key khot Image.Key.hot b)
-          ());
+      (fun ?reads ?writes s ->
+        queue_fill_opt h.rq reads;
+        queue_fill_opt h.wq writes;
+        emit h (entry_a h s));
     cold =
-      (fun ?reads ?writes ~triggered f b ->
-        match
-          Image.find h.image ~func:f ~key:(memo_key kguard Image.Key.guard b)
-        with
-        | Image.Elided -> () (* whole block elided *)
-        | Image.Unknown -> fail_unknown f (Image.Key.guard b)
-        | Image.Slot guard ->
-          let outl = guard.Image.cold_outlined in
+      (fun ?reads ?writes ~triggered s ->
+        match entry_a h s with
+        | Elided -> () (* whole block elided *)
+        | Unresolved -> assert false
+        | Emit guard ->
+          let outl = guard.m_slot.Image.cold_outlined in
           let guard_cls =
             match (outl, triggered) with
             | true, false -> Instr.Br_not_taken
@@ -629,31 +682,43 @@ let make_meter h =
             | false, false -> Instr.Br_taken
             | false, true -> Instr.Br_not_taken
           in
-          emit_instrs h guard ~override:guard_cls ();
-          if triggered then
-            emit_key h ?reads ?writes ~func:f
-              ~key:(memo_key kcold Image.Key.cold b) ());
+          queue_fill_opt h.rq None;
+          queue_fill_opt h.wq None;
+          emit_slot_slow h guard.m_slot (Some guard_cls);
+          if triggered then begin
+            queue_fill_opt h.rq reads;
+            queue_fill_opt h.wq writes;
+            emit h (entry_b h s)
+          end);
     call =
-      (fun f b i ->
-        let inner = memo_key kstub (fun _ -> Hashtbl.create 8) b in
-        let key =
-          match Hashtbl.find inner i with
-          | s -> s
-          | exception Not_found ->
-            let s = Image.Key.stub b i in
-            Hashtbl.add inner i s;
-            s
-        in
-        emit_key h ~func:f ~key ()) }
+      (fun s ->
+        queue_fill_opt h.rq None;
+        queue_fill_opt h.wq None;
+        emit h (entry_a h s)) }
 
-let key_hot_body = Image.Key.hot "body"
+(* untraced pseudo-functions: a prologue, one hot body, an epilogue *)
+type untraced = {
+  u_fn : Meter.Site.t;
+  u_body : Meter.Site.t;
+}
 
-let emit_untraced h name =
+let untraced name =
+  { u_fn = Meter.Site.fn name; u_body = Meter.Site.block name "body" }
+
+let u_intr_dispatch = untraced "intr_dispatch"
+
+let u_intr_tx = untraced "intr_tx"
+
+let u_ctx_switch = untraced "ctx_switch"
+
+let emit_untraced h u =
   let was = h.traced in
   h.traced <- false;
-  emit_key h ~func:name ~key:Image.Key.pro ();
-  emit_key h ~func:name ~key:key_hot_body ();
-  emit_key h ~func:name ~key:Image.Key.epi ();
+  queue_fill_opt h.rq None;
+  queue_fill_opt h.wq None;
+  emit h (entry_a h u.u_fn);
+  emit h (entry_a h u.u_body);
+  emit h (entry_b h u.u_fn);
   h.traced <- was
 
 (* phase hook: untraced interrupt entry, then the work, then drain any
@@ -665,17 +730,17 @@ let install_phase_hook ?(rx_overhead_us = 0.0) h (env : Ns.Host_env.t) =
     (fun name work ->
       (match name with
       | "rx_intr" ->
-        emit_untraced h "intr_dispatch";
+        emit_untraced h u_intr_dispatch;
         if rx_overhead_us > 0.0 then begin
           h.busy_us.(0) <- h.busy_us.(0) +. rx_overhead_us;
           Ns.Sim.advance_clock h.sim rx_overhead_us
         end
-      | "tx_intr" -> emit_untraced h "intr_tx"
+      | "tx_intr" -> emit_untraced h u_intr_tx
       | _ -> ());
       work ();
       let sched = env.Ns.Host_env.sched in
       while Xk.Thread.pending sched > 0 do
-        emit_untraced h "ctx_switch";
+        emit_untraced h u_ctx_switch;
         ignore (Xk.Thread.run sched)
       done)
 
@@ -687,6 +752,7 @@ type run_result = {
   client_image : Image.t;
   steady : Machine.Perf.report;
   cold : Machine.Perf.report;
+  online : Machine.Memsys.stats;
   static_path : int * int;
   retransmissions : int;
   metrics : Obs.Metrics.t;
@@ -718,7 +784,8 @@ let make_hstate ~params ~image ~sim ~simmem =
     memsys;
     icache = Machine.Memsys.icache memsys;
     fp = Machine.Blockcache.enabled ();
-    memo = Hashtbl.create 256;
+    sa = Array.make (Meter.Site.count ()) Unresolved;
+    sb = Array.make (Meter.Site.count ()) Unresolved;
     mlat = Machine.Memsys.lat_cell memsys;
     clock = Ns.Sim.clock_cell sim;
     sim;
@@ -775,7 +842,14 @@ let finish ~params ~config ~desc ~(ch : hstate) ~rtts ~retransmissions
      device/protocol counters, so one dump covers the whole run *)
   let h = Obs.Metrics.histogram metrics ~help:"roundtrip latency" "engine.rtt_us" in
   List.iter (Obs.Metrics.observe h) rtts;
-  let cold, steady = Machine.Perf.cold_and_steady params ch.trace in
+  (* the run is over, so the client's hierarchy is free: read its online
+     counters, then replay the collected trace on it instead of creating
+     another (the replay clears it; the host's slot memos, whose
+     generation snapshots the clear invalidates, are never used again) *)
+  let online = Machine.Memsys.stats ch.memsys in
+  let cold, steady =
+    Machine.Perf.cold_and_steady ~scratch:ch.memsys params ch.trace
+  in
   (* quiesce-time audit: the run's counters must satisfy the metrics
      conservation laws, whatever faults were injected *)
   let iv = Invariant.create () in
@@ -785,6 +859,7 @@ let finish ~params ~config ~desc ~(ch : hstate) ~rtts ~retransmissions
     client_image = ch.image;
     steady;
     cold;
+    online;
     static_path = static_path_of config desc;
     retransmissions;
     metrics;

@@ -30,6 +30,10 @@ type run_result = {
   client_image : Layout.Image.t;
   steady : Machine.Perf.report;  (** warm replay: Table 7 quantities *)
   cold : Machine.Perf.report;  (** cold replay: Table 6 quantities *)
+  online : Machine.Memsys.stats;
+      (** the client's online memory-hierarchy statistics over the whole
+          run, warmup included, read before that hierarchy is cleared and
+          reused for the offline replays *)
   static_path : int * int;  (** (with cold, hot-only) path instructions *)
   retransmissions : int;
   metrics : Obs.Metrics.t;

@@ -19,48 +19,52 @@ let metrics_counters reg =
 (* ----- cold-block coverage ------------------------------------------------ *)
 
 module Cover = struct
-  type counts = {
-    mutable reached : int;
-    mutable triggered : int;
+  (* reach and trigger counts indexed by interned cold site; both arrays
+     grow together when a site id passes their end *)
+  type t = {
+    mutable reached : int array;
+    mutable triggered : int array;
   }
 
-  type t = (string * string, counts) Hashtbl.t
+  let create () =
+    let n = Xk.Meter.Site.count () in
+    { reached = Array.make n 0; triggered = Array.make n 0 }
 
-  let create () : t = Hashtbl.create 64
-
-  let slot t key =
-    match Hashtbl.find_opt t key with
-    | Some c -> c
-    | None ->
-      let c = { reached = 0; triggered = 0 } in
-      Hashtbl.replace t key c;
-      c
+  let ensure t i =
+    let n = Array.length t.reached in
+    if i >= n then begin
+      let grow a =
+        let b = Array.make (max (i + 1) (2 * n)) 0 in
+        Array.blit a 0 b 0 n;
+        b
+      in
+      t.reached <- grow t.reached;
+      t.triggered <- grow t.triggered
+    end
 
   let meter t =
     { Xk.Meter.null with
       Xk.Meter.cold =
-        (fun ?reads:_ ?writes:_ ~triggered func block ->
-          let c = slot t (func, block) in
-          c.reached <- c.reached + 1;
-          if triggered then c.triggered <- c.triggered + 1) }
+        (fun ?reads:_ ?writes:_ ~triggered s ->
+          let i = (s :> int) in
+          ensure t i;
+          t.reached.(i) <- t.reached.(i) + 1;
+          if triggered then t.triggered.(i) <- t.triggered.(i) + 1) }
 
   let merge ~into src =
-    Hashtbl.iter
-      (fun key c ->
-        let d = slot into key in
-        d.reached <- d.reached + c.reached;
-        d.triggered <- d.triggered + c.triggered)
-      src
+    ensure into (Array.length src.reached - 1);
+    Array.iteri (fun i v -> into.reached.(i) <- into.reached.(i) + v) src.reached;
+    Array.iteri
+      (fun i v -> into.triggered.(i) <- into.triggered.(i) + v)
+      src.triggered
 
-  let reached t ~func ~block =
-    match Hashtbl.find_opt t (func, block) with
-    | Some c -> c.reached
-    | None -> 0
+  let count a ~func ~block =
+    let i = (Xk.Meter.Site.cold func block :> int) in
+    if i < Array.length a then a.(i) else 0
 
-  let triggered t ~func ~block =
-    match Hashtbl.find_opt t (func, block) with
-    | Some c -> c.triggered
-    | None -> 0
+  let reached t ~func ~block = count t.reached ~func ~block
+
+  let triggered t ~func ~block = count t.triggered ~func ~block
 end
 
 (* Every cold block a fault plan or protocol edge case can actually fire.

@@ -19,8 +19,10 @@
 module Xk = Protolat_xkernel
 module Ns = Protolat_netsim
 
-(** Cold-block coverage accumulator: counts, per (function, block), how
-    often the guard was reached and how often the cold path triggered. *)
+(** Cold-block coverage accumulator: counts, per interned cold site
+    ({!Protolat_xkernel.Meter.Site.cold}), how often the guard was reached
+    and how often the cold path triggered.  Queries name the site by its
+    (function, block). *)
 module Cover : sig
   type t
 

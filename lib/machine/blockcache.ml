@@ -18,7 +18,7 @@
    - extending the same generation-tag trick to the d-side: a warm run whose
      distinct load lines are provably still resident in the d-cache charges
      its loads in one {!Memsys.credit_dhits} instead of a
-     {!Memsys.daccess_acc} per reference and replays only its stores; any
+     {!Memsys.load_acc} per reference and replays only its stores; any
      invalidation falls back per-run to the full reference replay;
    - falling back to the exact per-instruction {!Memsys.access_acc} loop for
      runs that are not verifiably warm (first encounter, post-invalidate,
@@ -340,8 +340,9 @@ let replay_run_cold m ic ~block_shift trace ~start ~fin =
     do
       incr hits;
       let k = Trace.kind_at trace !i in
-      if k <> Trace.kind_none then
-        Memsys.daccess_acc m ~kind:k ~addr:(Trace.addr_at trace !i);
+      if k = Trace.kind_read then Memsys.load_acc m (Trace.addr_at trace !i)
+      else if k = Trace.kind_write then
+        Memsys.store_acc m (Trace.addr_at trace !i);
       incr i
     done;
     (* after the possible miss at the chunk head, so [last_victim] ends as
@@ -434,15 +435,15 @@ let replay t m =
           dm_loads := !dm_loads + nloads;
           Memsys.credit_dhits m nloads;
           for j = wlo to whi - 1 do
-            Memsys.daccess_acc m ~kind:Trace.kind_write
-              ~addr:(Bigarray.Array1.unsafe_get t.wrefs j)
+            Memsys.store_acc m (Bigarray.Array1.unsafe_get t.wrefs j)
           done
         end
         else begin
           (* full reference replay from the packed stream, trace order *)
           for j = rlo to rhi - 1 do
             let v = Bigarray.Array1.unsafe_get t.refs j in
-            Memsys.daccess_acc m ~kind:(v land 3) ~addr:(v lsr 2)
+            if v land 3 = Trace.kind_read then Memsys.load_acc m (v lsr 2)
+            else Memsys.store_acc m (v lsr 2)
           done;
           if dmemo_on then snapshot_dgens t dc dcgens r
         end

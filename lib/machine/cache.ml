@@ -10,7 +10,9 @@ type t = {
          invalidate).  A memoized basic block records the generation of
          each of its sets when it verifies residency; as long as the
          generations still match, the lines are provably still resident
-         and the block can be charged its cached cost without re-probing. *)
+         and the block can be charged its cached cost without re-probing.
+         Empty for [create_untagged]: nothing verifies the b-cache, whose
+         65536-entry array would only ever be written. *)
   mutable evicted : Bytes.t option array;
       (* paged grow-on-demand bitset over block addresses: blocks evicted
          at least once (feeds cold- vs replacement-miss accounting).  The
@@ -46,7 +48,7 @@ let page_blocks = 1 lsl page_shift
 
 let page_mask = page_blocks - 1
 
-let create ~name ~size_bytes ~block_bytes =
+let make ~generations ~name ~size_bytes ~block_bytes =
   if not (is_pow2 size_bytes && is_pow2 block_bytes) then
     invalid_arg "Cache.create: sizes must be powers of two";
   let sets = size_bytes / block_bytes in
@@ -56,13 +58,19 @@ let create ~name ~size_bytes ~block_bytes =
     sets;
     set_mask = sets - 1;
     tags = Array.make sets (-1);
-    gens = Array.make sets 0;
+    gens = (if generations then Array.make sets 0 else [||]);
     evicted = Array.make 16 None;
     accesses = 0;
     hits = 0;
     cold = 0;
     repl = 0;
     last_victim = -1 }
+
+let create ~name ~size_bytes ~block_bytes =
+  make ~generations:true ~name ~size_bytes ~block_bytes
+
+let create_untagged ~name ~size_bytes ~block_bytes =
+  make ~generations:false ~name ~size_bytes ~block_bytes
 
 let name t = t.name
 
@@ -104,30 +112,33 @@ let evicted_add t block =
     (Char.unsafe_chr
        (Char.code (Bytes.unsafe_get bits (off lsr 3)) lor (1 lsl (off land 7))))
 
-let access t addr =
-  let block = line_of t addr in
+let fill t block =
   let set = set_of t block in
   t.accesses <- t.accesses + 1;
-  if t.tags.(set) = block then begin
+  let victim = t.tags.(set) in
+  t.last_victim <- victim;
+  if victim >= 0 then evicted_add t victim;
+  t.tags.(set) <- block;
+  if Array.length t.gens > 0 then t.gens.(set) <- t.gens.(set) + 1;
+  if evicted_mem t block then begin
+    t.repl <- t.repl + 1;
+    true
+  end
+  else begin
+    t.cold <- t.cold + 1;
+    false
+  end
+
+let access t addr =
+  let block = line_of t addr in
+  if t.tags.(set_of t block) = block then begin
+    t.accesses <- t.accesses + 1;
     t.hits <- t.hits + 1;
     t.last_victim <- -1;
     Hit
   end
-  else begin
-    let victim = t.tags.(set) in
-    t.last_victim <- victim;
-    if victim >= 0 then evicted_add t victim;
-    t.tags.(set) <- block;
-    t.gens.(set) <- t.gens.(set) + 1;
-    if evicted_mem t block then begin
-      t.repl <- t.repl + 1;
-      Miss_repl
-    end
-    else begin
-      t.cold <- t.cold + 1;
-      Miss_cold
-    end
-  end
+  else if fill t block then Miss_repl
+  else Miss_cold
 
 let probe t addr =
   let block = line_of t addr in
@@ -138,7 +149,7 @@ let invalidate_all t =
     if t.tags.(i) >= 0 then begin
       evicted_add t t.tags.(i);
       t.tags.(i) <- -1;
-      t.gens.(i) <- t.gens.(i) + 1
+      if Array.length t.gens > 0 then t.gens.(i) <- t.gens.(i) + 1
     end
   done
 
@@ -178,7 +189,7 @@ let reset_stats t =
    stale snapshot and fake residency. *)
 let clear t =
   Array.fill t.tags 0 t.sets (-1);
-  Array.fill t.gens 0 t.sets 0;
+  Array.fill t.gens 0 (Array.length t.gens) 0;
   (if Array.length t.evicted = 16 then Array.fill t.evicted 0 16 None
    else t.evicted <- Array.make 16 None);
   t.accesses <- 0;

@@ -4,7 +4,28 @@
     on a block that was resident earlier and has since been evicted; a cold
     miss is the first reference to a block. *)
 
-type t
+(** The representation is exposed for {!Memsys}, which resolves a hit in
+    place — probe [tags], bump [accesses] and [hits], clear
+    [last_victim] — instead of paying a call per reference (calls across
+    modules are not inlined when a build compiles with [-opaque]).  A miss
+    goes through {!fill}.  Everything else should use the functions
+    below. *)
+type t = {
+  name : string;
+  block_bytes : int;
+  block_shift : int;  (** log2 [block_bytes]: [addr lsr block_shift] is the line *)
+  sets : int;
+  set_mask : int;  (** [sets - 1] *)
+  tags : int array;  (** line cached in each set; [-1] empty *)
+  gens : int array;  (** per-set generation counter; empty if untagged *)
+  mutable evicted : Bytes.t option array;
+      (** paged bitset over lines evicted at least once *)
+  mutable accesses : int;
+  mutable hits : int;
+  mutable cold : int;
+  mutable repl : int;
+  mutable last_victim : int;
+}
 
 type outcome =
   | Hit
@@ -12,6 +33,11 @@ type outcome =
   | Miss_repl
 
 val create : name:string -> size_bytes:int -> block_bytes:int -> t
+
+val create_untagged : name:string -> size_bytes:int -> block_bytes:int -> t
+(** {!create} without the per-set generation tags the fast paths verify
+    residency with: for a cache nobody verifies (the b-cache), which then
+    skips the array and its upkeep. *)
 
 val name : t -> string
 
@@ -25,6 +51,12 @@ val line_of : t -> int -> int
 val access : t -> int -> outcome
 (** [access t addr] looks up (and on a miss, fills) the block containing
     byte address [addr]. *)
+
+val fill : t -> int -> bool
+(** [fill t line] is the miss half of {!access} on a line ({!line_of}) the
+    caller found not resident: counts the access, records and remembers
+    the set's victim, installs [line] and bumps the set's generation.
+    [true] for a replacement miss, [false] for a cold one. *)
 
 val probe : t -> int -> bool
 (** Lookup without filling: is the block containing [addr] resident? *)
@@ -48,13 +80,14 @@ val resident_line : t -> int -> bool
 (** Like {!probe} but on a block (line) address from {!line_of}. *)
 
 val generation : t -> int -> int
-(** Current generation of set [set] (from {!set_of_line}). *)
+(** Current generation of set [set] (from {!set_of_line}).  Only on a
+    cache from {!create}. *)
 
 val generations : t -> int array
 (** The underlying per-set generation array itself, for fast-path
     verifiers that compare generations in a hot loop (a call per compare
     is not free without cross-module inlining).  Callers must treat it as
-    read-only. *)
+    read-only.  Empty on a cache from {!create_untagged}. *)
 
 val credit_hits : t -> int -> unit
 (** [credit_hits t n] records [n] hits in one step: exactly the statistics

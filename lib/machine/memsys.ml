@@ -14,8 +14,9 @@ type t = {
       (* 1-element array: a mutable float field in this mixed record would box
          on every store, and stalls accumulate once per cache miss *)
   lat : float array;
-      (* scratch cell holding the latency of the most recent [access_acc];
-         returning the float instead would box it on every instruction *)
+      (* scratch cell holding the latency of the most recent fused-path
+         reference; returning the float instead would box it on every
+         instruction *)
 }
 
 type cache_row = {
@@ -40,7 +41,7 @@ let create p =
       Cache.create ~name:"d-cache" ~size_bytes:p.Params.dcache_bytes
         ~block_bytes:p.Params.block_bytes;
     bc =
-      Cache.create ~name:"b-cache" ~size_bytes:p.Params.bcache_bytes
+      Cache.create_untagged ~name:"b-cache" ~size_bytes:p.Params.bcache_bytes
         ~block_bytes:p.Params.block_bytes;
     wb = Write_buffer.create ~depth:p.Params.wb_depth ~block_bytes:p.Params.block_bytes;
     last_imiss_block = min_int;
@@ -70,6 +71,12 @@ let credit_dhits t n =
     t.dwb_acc <- t.dwb_acc + n;
     Cache.credit_hits t.dc n
   end
+
+(* ----- the per-call reference path ----------------------------------------
+   [ifetch]/[load]/[store] go through {!Cache.access} and
+   {!Write_buffer.write} and return float stall cycles: the plain
+   statement of the model, which the fused path below must match
+   reference for reference. *)
 
 (* One b-cache reference.  [latency_factor] scales the charged latency: a
    pure prefetch costs nothing now (its benefit shows up as the cheap
@@ -148,36 +155,134 @@ let store t addr =
     t.stalls.(0) <- t.stalls.(0) +. stall;
     stall
 
-let drain_write_buffer t =
-  let victims = Write_buffer.drain t.wb in
-  List.iter
-    (fun v -> ignore (baccess t (v * t.p.Params.block_bytes) ~charge:`Prefetch))
-    victims;
-  0.0
+(* ----- the fused path --------------------------------------------------------
+   The same model in int cycles, for the engine and the replays: a hit
+   probes the tag array and bumps the counters in place, and only a miss
+   leaves the module, through one {!Cache.fill} (or {!Write_buffer.push}).
+   No float is returned across a call and no outcome is allocated, so a
+   reference allocates nothing.  Every b-cache latency is an int, so int
+   sums convert to exactly the float sums of the reference path; the
+   stall accumulator adds the same terms in the same order. *)
 
-(* Hot-path variant of [access]: deposits the latency in [t.lat] instead of
+let hit (c : Cache.t) =
+  c.Cache.accesses <- c.Cache.accesses + 1;
+  c.Cache.hits <- c.Cache.hits + 1;
+  c.Cache.last_victim <- -1
+
+(* the masked set index is always within [tags] *)
+let resident (c : Cache.t) line =
+  Array.unsafe_get c.Cache.tags (line land c.Cache.set_mask) = line
+
+(* [baccess ~charge:`Full] in cycles *)
+let bref t addr =
+  t.b_acc <- t.b_acc + 1;
+  let c = t.bc in
+  let line = addr lsr c.Cache.block_shift in
+  if resident c line then begin
+    hit c;
+    t.p.Params.b_hit_cycles
+  end
+  else begin
+    t.b_miss <- t.b_miss + 1;
+    if Cache.fill c line then t.b_repl <- t.b_repl + 1;
+    t.p.Params.mem_cycles
+  end
+
+(* [ifetch] in cycles *)
+let fetch t pc =
+  let c = t.ic in
+  let line = pc lsr c.Cache.block_shift in
+  if resident c line then begin
+    hit c;
+    0
+  end
+  else begin
+    ignore (Cache.fill c line);
+    let sequential = line = t.last_imiss_block + 1 in
+    t.last_imiss_block <- line;
+    let lat = bref t pc in
+    let lat =
+      if sequential then
+        if lat > t.p.Params.b_hit_cycles then lat else t.p.Params.b_seq_cycles
+      else begin
+        ignore (bref t ((line + 1) * t.p.Params.block_bytes));
+        lat
+      end
+    in
+    t.stalls.(0) <- t.stalls.(0) +. float_of_int lat;
+    lat
+  end
+
+(* [load] in cycles *)
+let dload t addr =
+  t.dwb_acc <- t.dwb_acc + 1;
+  let c = t.dc in
+  let line = addr lsr c.Cache.block_shift in
+  if resident c line then begin
+    hit c;
+    0
+  end
+  else begin
+    t.dwb_miss <- t.dwb_miss + 1;
+    ignore (Cache.fill c line);
+    let lat = bref t addr in
+    t.stalls.(0) <- t.stalls.(0) +. float_of_int lat;
+    lat
+  end
+
+let rec buffered (w : Write_buffer.t) line i =
+  i < w.Write_buffer.count
+  && (Array.unsafe_get w.Write_buffer.buf
+        (let j = w.Write_buffer.head + i in
+         if w.Write_buffer.depth_mask >= 0 then j land w.Write_buffer.depth_mask
+         else j mod w.Write_buffer.depth)
+      = line
+     || buffered w line (i + 1))
+
+(* [store]: whether the write retired a buffer entry (and so stalled for
+   [wb_retire_cycles]) *)
+let dstore t addr =
+  t.dwb_acc <- t.dwb_acc + 1;
+  let w = t.wb in
+  let line = addr lsr w.Write_buffer.block_shift in
+  w.Write_buffer.writes <- w.Write_buffer.writes + 1;
+  if buffered w line 0 then begin
+    w.Write_buffer.merges <- w.Write_buffer.merges + 1;
+    false
+  end
+  else begin
+    t.dwb_miss <- t.dwb_miss + 1;
+    let victim = Write_buffer.push w line in
+    victim >= 0
+    && begin
+         ignore (bref t (victim * t.p.Params.block_bytes));
+         t.stalls.(0) <- t.stalls.(0) +. t.p.Params.wb_retire_cycles;
+         true
+       end
+  end
+
+(* Hot-path form of [access]: deposits the latency in [t.lat] instead of
    returning it, so the per-instruction caller never sees a boxed float.
-   [ifetch]/[load]/[store] return static 0.0 on hits; their computed returns
-   box only on misses. *)
+   [s + dload] and [float s +. 0.0] are exactly the reference's
+   [s +. load] and [s +. store] on a non-retiring write. *)
 let access_acc t ~pc ~kind ~addr =
-  let s = ifetch t pc in
+  let s = fetch t pc in
   t.lat.(0) <-
-    (if kind = Trace.kind_read then s +. load t addr
-     else if kind = Trace.kind_write then s +. store t addr
-     else s)
+    (if kind = Trace.kind_read then float_of_int (s + dload t addr)
+     else if kind = Trace.kind_write then
+       if dstore t addr then float_of_int s +. t.p.Params.wb_retire_cycles
+       else float_of_int s
+     else float_of_int s)
 
-(* Data-side-only access for the basic-block fast path: when the caller has
-   proven the i-fetch would hit (all the block's lines resident, witnessed
-   by generation tags), the i-side contributes exactly 0.0 stall and the
-   data reference is the whole latency.  Bit-identical to [access_acc] with
-   a hitting pc: [ifetch] returns a static 0.0 on hits without touching
-   stalls or stream state, and [0.0 +. x = x] for the non-negative
-   latencies [load]/[store] return. *)
-let daccess_acc t ~kind ~addr =
-  t.lat.(0) <-
-    (if kind = Trace.kind_read then load t addr
-     else if kind = Trace.kind_write then store t addr
-     else 0.0)
+(* Data-side-only accesses for the basic-block fast paths: when the caller
+   has proven the i-fetch would hit (all the block's lines resident,
+   witnessed by generation tags), the i-side contributes exactly 0.0 stall
+   and the data reference is the whole latency — bit-identical to
+   [access_acc] with a hitting pc, since [0 + x = x]. *)
+let load_acc t addr = t.lat.(0) <- float_of_int (dload t addr)
+
+let store_acc t addr =
+  t.lat.(0) <- (if dstore t addr then t.p.Params.wb_retire_cycles else 0.0)
 
 let lat_cell t = t.lat
 
@@ -185,20 +290,12 @@ let access t ~pc ~kind ~addr =
   access_acc t ~pc ~kind ~addr;
   t.lat.(0)
 
-let process t (e : Trace.event) =
-  let s = ifetch t e.Trace.pc in
-  match e.Trace.access with
-  | None -> s
-  | Some (Trace.Read a) -> s +. load t a
-  | Some (Trace.Write a) -> s +. store t a
-
 let run t trace =
   let total = ref 0.0 in
   for i = 0 to Trace.length trace - 1 do
-    total :=
-      !total
-      +. access t ~pc:(Trace.pc_at trace i) ~kind:(Trace.kind_at trace i)
-           ~addr:(Trace.addr_at trace i)
+    access_acc t ~pc:(Trace.pc_at trace i) ~kind:(Trace.kind_at trace i)
+      ~addr:(Trace.addr_at trace i);
+    total := !total +. t.lat.(0)
   done;
   !total
 
@@ -215,7 +312,7 @@ let invalidate_all t =
 (* Restore the exact state of a fresh [create p]: every component cleared
    back to its construction state, so a cleared hierarchy simulates any
    trace bit-identically to a newly created one.  The payoff is avoiding
-   the two 65536-set b-cache array allocations that dominate [create] when
+   the b-cache's 65536-set tag array allocation that dominates [create] when
    a scorer runs one short simulation per candidate. *)
 let clear t =
   Cache.clear t.ic;

@@ -32,6 +32,14 @@ val credit_dhits : t -> int -> unit
     d-cache hits up by [n], zero stall).  Only valid when the caller has
     proven all [n] loads would hit ({!Cache.generations} on {!dcache}). *)
 
+(** {2 The per-call reference path}
+
+    One reference per call through {!Cache.access} and
+    {!Write_buffer.write}, returning float stall cycles: the plain
+    statement of the model.  Every other entry point that simulates a
+    reference runs the fused path, which must match it reference for
+    reference. *)
+
 val ifetch : t -> int -> float
 (** Fetch the instruction at a byte address; returns stall cycles. *)
 
@@ -39,33 +47,35 @@ val load : t -> int -> float
 
 val store : t -> int -> float
 
-val drain_write_buffer : t -> float
+(** {2 The fused path}
+
+    The same model in int cycles: a hit probes the tag array and bumps the
+    counters in place, only a miss leaves the module, and no reference
+    allocates.  Latencies are deposited in {!lat_cell} rather than
+    returned, since a float returned across a call is boxed. *)
 
 val access : t -> pc:int -> kind:int -> addr:int -> float
-(** Allocation-free form of {!process}: one instruction fetch at [pc] plus
-    an optional data reference described by a {!Trace.kind_read} /
-    {!Trace.kind_write} / {!Trace.kind_none} kind and address.  Returns
-    total stall cycles. *)
+(** One instruction fetch at [pc] plus an optional data reference
+    described by a {!Trace.kind_read} / {!Trace.kind_write} /
+    {!Trace.kind_none} kind and address.  Returns total stall cycles. *)
 
 val access_acc : t -> pc:int -> kind:int -> addr:int -> unit
 (** Like {!access} but deposits the latency in the cell returned by
-    {!lat_cell} instead of returning it: a float return would be boxed at
-    the call boundary, and this runs once per simulated instruction. *)
+    {!lat_cell} instead of returning it. *)
 
-val daccess_acc : t -> kind:int -> addr:int -> unit
-(** Data-side-only {!access_acc}: no instruction fetch is simulated.  Only
-    valid when the caller has proven the i-fetch would hit (the block's
-    lines are resident, witnessed by {!Cache} generation tags) — the
-    i-side then contributes exactly zero stall, so skipping it is
-    bit-identical.  The i-cache hit statistics must be credited separately
+val load_acc : t -> int -> unit
+(** Data-side-only load: no instruction fetch is simulated.  Only valid
+    when the caller has proven the i-fetch would hit (the block's lines
+    are resident, witnessed by {!Cache} generation tags) — the i-side then
+    contributes exactly zero stall, so skipping it is bit-identical.  The
+    i-cache hit statistics must be credited separately
     ({!Cache.credit_hits}). *)
 
-val lat_cell : t -> float array
-(** 1-element scratch cell written by {!access_acc}. *)
+val store_acc : t -> int -> unit
+(** Data-side-only store, under the same contract as {!load_acc}. *)
 
-val process : t -> Trace.event -> float
-(** Run one trace event through the hierarchy (ifetch + optional data
-    reference); returns total stall cycles. *)
+val lat_cell : t -> float array
+(** 1-element cell the fused path deposits each latency in. *)
 
 val run : t -> Trace.t -> float
 (** Process a whole trace; returns accumulated stall cycles. *)
@@ -81,10 +91,11 @@ val clear : t -> unit
     reset ({!Cache.clear}), write buffer reset, all counters and stall
     accumulators zeroed.  A cleared hierarchy simulates any trace
     bit-identically to a new one — the point is skipping the b-cache's
-    two 65536-set array allocations when scoring many candidates against
-    a reused scratch hierarchy.  Same caveat as {!Cache.clear}: any
-    generation snapshot taken before the clear must not survive it
-    (a fresh {!Blockcache.rebind} per clear satisfies this). *)
+    65536-set tag array allocation when scoring many candidates, or
+    replaying a run's trace, against a reused hierarchy.  Same caveat as
+    {!Cache.clear}: any generation snapshot taken before the clear must
+    not survive it (a fresh {!Blockcache.rebind} per clear satisfies
+    this). *)
 
 val reset_stats : t -> unit
 

@@ -87,13 +87,23 @@ let steady_scratch ?(warmup = 3) ~scratch ~issue_cycles ~instr_cycles p bc =
 
 let steady ?warmup p trace = steady_bc ?warmup p (Blockcache.segment p trace)
 
-let cold_and_steady ?(warmup = 3) p trace =
+let cold_and_steady ?(warmup = 3) ?scratch p trace =
   let warmup = max warmup 1 in
   let length = Trace.length trace in
   let issue_cycles = Cpu.issue_cycles p trace in
   let instr_cycles = issue_cycles +. Cpu.penalty_cycles p trace in
   let finish stats = derive p ~length ~issue_cycles ~instr_cycles stats in
-  let m = Memsys.create p in
+  let m =
+    match scratch with
+    | None -> Memsys.create p
+    | Some m ->
+      if Memsys.params m <> p then
+        invalid_arg "Perf.cold_and_steady: scratch memory system params mismatch";
+      (* exact create-state; the fresh segmentation below holds no
+         generation snapshot from before the clear *)
+      Memsys.clear m;
+      m
+  in
   let bc = Blockcache.segment p trace in
   (* The first replay from empty caches IS the cold measurement, and
      doubles as the first warmup iteration of the steady one. *)

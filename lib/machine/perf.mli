@@ -72,12 +72,19 @@ val steady_scratch :
     a segmentation holding generation snapshots from before the clear
     would fake residency. *)
 
-val cold_and_steady : ?warmup:int -> Params.t -> Trace.t -> report * report
+val cold_and_steady :
+  ?warmup:int -> ?scratch:Memsys.t -> Params.t -> Trace.t -> report * report
 (** Both measurements from one segmentation and one memory system: the
     first replay from empty caches is the cold report and doubles as the
     first warmup iteration of the steady one, and the CPU-model scans run
     once instead of twice per report.  Bit-identical to
     [(cold p trace, steady ~warmup p trace)].  [warmup] is clamped to at
-    least 1 (the shared first replay requires one warmup iteration). *)
+    least 1 (the shared first replay requires one warmup iteration).
+
+    [scratch] replays on an existing memory system instead of creating
+    one: it is {!Memsys.clear}ed first, so the reports do not depend on
+    its history.  It must have been created with exactly [p] (checked),
+    and no generation snapshot taken against it may be used after the
+    call. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -44,17 +44,11 @@ let rec mem_from t block i =
 
 let mem t block = mem_from t block 0
 
-let write t addr =
-  let block = addr lsr t.block_shift in
-  t.writes <- t.writes + 1;
-  if mem t block then begin
-    t.merges <- t.merges + 1;
-    Merged
-  end
-  else if t.count < t.depth then begin
+let push t block =
+  if t.count < t.depth then begin
     t.buf.(wrap t (t.head + t.count)) <- block;
     t.count <- t.count + 1;
-    Buffered
+    -1
   end
   else begin
     (* evict the oldest entry; the vacated slot becomes the new tail *)
@@ -62,8 +56,20 @@ let write t addr =
     t.buf.(t.head) <- block;
     t.head <- wrap t (t.head + 1);
     t.retires <- t.retires + 1;
-    Retired oldest
+    oldest
   end
+
+let write t addr =
+  let block = addr lsr t.block_shift in
+  t.writes <- t.writes + 1;
+  if mem t block then begin
+    t.merges <- t.merges + 1;
+    Merged
+  end
+  else
+    match push t block with
+    | -1 -> Buffered
+    | oldest -> Retired oldest
 
 let drain t =
   let out = List.init t.count (fun i -> t.buf.(wrap t (t.head + i))) in

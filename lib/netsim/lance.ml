@@ -200,7 +200,10 @@ let transmit t frame =
     (* a crashed host cannot put frames on the wire; a straggling interrupt
        handler scheduled before the crash just loses its frame *)
     Obs.Metrics.inc t.c_down_drops;
-    Obs.Span.mark_drop t.spans ~host:t.span_host
+    Obs.Span.mark_drop t.spans ~host:t.span_host;
+    if Obs.Tracer.enabled t.tracer then
+      Obs.Tracer.instant t.tracer ~tid:t.trace_tid ~cat:dev ~name:"down_drop"
+        ~a0:(Bytes.length frame.Ether.payload)
   end
   else transmit_live t frame
 

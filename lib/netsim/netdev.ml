@@ -3,6 +3,38 @@ module Obs = Protolat_obs
 module Meter = Xk.Meter
 module Msg = Xk.Msg
 
+(* meter sites, interned at module initialisation *)
+let s_eth_demux_map = Xk.Demux.caller "eth_demux"
+let s_pool_put = Meter.Site.fn "pool_put"
+let s_pool_put_fast = Meter.Site.block "pool_put" "fast"
+let s_pool_put_free_cold = Meter.Site.cold "pool_put" "free"
+let s_pool_put_malloc_cold = Meter.Site.cold "pool_put" "malloc"
+let s_pool_put_free = Meter.Site.block "pool_put" "free"
+let s_pool_put_malloc = Meter.Site.block "pool_put" "malloc"
+let s_lance_send = Meter.Site.fn "lance_send"
+let s_lance_send_setup = Meter.Site.block "lance_send" "setup"
+let s_lance_send_ring_full = Meter.Site.cold "lance_send" "ring_full"
+let s_lance_send_desc = Meter.Site.block "lance_send" "desc"
+let s_lance_send_go = Meter.Site.block "lance_send" "go"
+let s_eth_push = Meter.Site.fn "eth_push"
+let s_eth_push_hdr = Meter.Site.block "eth_push" "hdr"
+let s_eth_push_arp_miss = Meter.Site.cold "eth_push" "arp_miss"
+let s_eth_push_send = Meter.Site.block "eth_push" "send"
+let s_eth_push_send_0 = Meter.Site.call "eth_push" "send" 0
+let s_eth_demux = Meter.Site.fn "eth_demux"
+let s_eth_demux_parse = Meter.Site.block "eth_demux" "parse"
+let s_eth_demux_badtype = Meter.Site.cold "eth_demux" "badtype"
+let s_eth_demux_dispatch = Meter.Site.block "eth_demux" "dispatch"
+let s_eth_demux_dispatch_0 = Meter.Site.call "eth_demux" "dispatch" 0
+let s_lance_rx = Meter.Site.fn "lance_rx"
+let s_lance_rx_getbuf = Meter.Site.block "lance_rx" "getbuf"
+let s_lance_rx_baddesc = Meter.Site.cold "lance_rx" "baddesc"
+let s_lance_rx_desc_rx = Meter.Site.block "lance_rx" "desc_rx"
+let s_lance_rx_dispatch = Meter.Site.block "lance_rx" "dispatch"
+let s_lance_rx_dispatch_0 = Meter.Site.call "lance_rx" "dispatch" 0
+let s_lance_rx_refresh = Meter.Site.block "lance_rx" "refresh"
+let s_lance_rx_refresh_0 = Meter.Site.call "lance_rx" "refresh" 0
+
 type config = {
   usc : bool;
   map_cache_inline : bool;
@@ -33,18 +65,18 @@ let etk ethertype = Protolat_util.Hexkey.to_string ~width:4 ethertype
 
 let pool_put_metered t msg =
   let m = t.env.Host_env.meter in
-  Meter.fn m "pool_put" (fun () ->
-      m.Meter.block "pool_put" "fast"
+  Meter.fn m s_pool_put (fun () ->
+      m.Meter.block s_pool_put_fast
         ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:32 () ];
       let outcome = Xk.Pool.put t.pool msg in
       let realloc = outcome = Msg.Reallocated in
       if t.cfg.refresh_shortcircuit then begin
-        m.Meter.cold ~triggered:realloc "pool_put" "free";
-        m.Meter.cold ~triggered:realloc "pool_put" "malloc"
+        m.Meter.cold ~triggered:realloc s_pool_put_free_cold;
+        m.Meter.cold ~triggered:realloc s_pool_put_malloc_cold
       end
       else begin
-        m.Meter.block "pool_put" "free";
-        m.Meter.block "pool_put" "malloc"
+        m.Meter.block s_pool_put_free;
+        m.Meter.block s_pool_put_malloc
       end)
 
 let lance_send t frame =
@@ -53,11 +85,11 @@ let lance_send t frame =
   (* tx-queue stage opens when the driver takes the frame; re-entry from the
      tx_intr backlog drain is not a new stage and is ignored by the ledger *)
   Obs.Span.mark_tx_queue t.env.Host_env.span ~host:t.env.Host_env.span_host;
-  Meter.fn m "lance_send" (fun () ->
-      m.Meter.block "lance_send" "setup"
+  Meter.fn m s_lance_send (fun () ->
+      m.Meter.block s_lance_send_setup
         ~reads:[ Meter.range ~base:(Sparse_mem.sim_addr_of_word shared 0) ~len:16 () ];
       let full = Lance.tx_ring_full t.lance in
-      m.Meter.cold ~triggered:full "lance_send" "ring_full";
+      m.Meter.cold ~triggered:full s_lance_send_ring_full;
       if full then begin
         (* all descriptors owned by the controller: park the frame until
            a transmit-complete interrupt frees one *)
@@ -65,19 +97,19 @@ let lance_send t frame =
         Queue.add frame t.tx_backlog
       end
       else begin
-        m.Meter.block "lance_send" "desc"
+        m.Meter.block s_lance_send_desc
           ~writes:[ Meter.range ~base:(Sparse_mem.sim_addr_of_word shared 0) ~len:40 () ];
         Lance.transmit t.lance frame;
         t.frames_sent <- t.frames_sent + 1;
-        m.Meter.block "lance_send" "go"
+        m.Meter.block s_lance_send_go
       end)
 
 let send t ~dst ~ethertype msg =
   let m = t.env.Host_env.meter in
-  Meter.fn m "eth_push" (fun () ->
+  Meter.fn m s_eth_push (fun () ->
       let arp_hit = Hashtbl.mem t.arp dst in
       if not arp_hit then Hashtbl.replace t.arp dst ();
-      m.Meter.block "eth_push" "hdr"
+      m.Meter.block s_eth_push_hdr
         ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Ether.header_bytes () ];
       let hdr = Bytes.create Ether.header_bytes in
       let put48 off v =
@@ -90,9 +122,9 @@ let send t ~dst ~ethertype msg =
       Bytes.set hdr 12 (Char.chr (ethertype lsr 8 land 0xFF));
       Bytes.set hdr 13 (Char.chr (ethertype land 0xFF));
       Msg.push msg hdr;
-      m.Meter.cold ~triggered:(not arp_hit) "eth_push" "arp_miss";
-      m.Meter.block "eth_push" "send";
-      m.Meter.call "eth_push" "send" 0;
+      m.Meter.cold ~triggered:(not arp_hit) s_eth_push_arp_miss;
+      m.Meter.block s_eth_push_send;
+      m.Meter.call s_eth_push_send_0;
       lance_send t
         { Ether.dst; src = t.mac; ethertype; payload = Msg.contents msg })
 
@@ -100,23 +132,23 @@ let eth_demux t frame =
   let m = t.env.Host_env.meter in
   let msg = Xk.Pool.get t.pool in
   Msg.set_payload msg frame.Ether.payload;
-  Meter.fn m "eth_demux" (fun () ->
-      m.Meter.block "eth_demux" "parse"
+  Meter.fn m s_eth_demux (fun () ->
+      m.Meter.block s_eth_demux_parse
         ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Ether.header_bytes () ];
       let hdr = Msg.pop msg Ether.header_bytes in
       let ethertype =
         (Char.code (Bytes.get hdr 12) lsl 8) lor Char.code (Bytes.get hdr 13)
       in
       let handler =
-        Xk.Demux.lookup m ~inline:t.cfg.map_cache_inline ~caller:"eth_demux"
+        Xk.Demux.lookup m ~inline:t.cfg.map_cache_inline ~caller:s_eth_demux_map
           t.handlers (etk ethertype)
       in
-      m.Meter.cold ~triggered:(handler = None) "eth_demux" "badtype";
+      m.Meter.cold ~triggered:(handler = None) s_eth_demux_badtype;
       match handler with
       | None -> ()
       | Some h ->
-        m.Meter.block "eth_demux" "dispatch";
-        m.Meter.call "eth_demux" "dispatch" 0;
+        m.Meter.block s_eth_demux_dispatch;
+        m.Meter.call s_eth_demux_dispatch_0;
         h ~src:frame.Ether.src msg);
   msg
 
@@ -124,19 +156,19 @@ let lance_rx t frame =
   let m = t.env.Host_env.meter in
   let shared = Lance.tx_descriptor_rings t.lance in
   Obs.Span.mark_rx_proto t.env.Host_env.span ~host:t.env.Host_env.span_host;
-  Meter.fn m "lance_rx" (fun () ->
+  Meter.fn m s_lance_rx (fun () ->
       t.frames_received <- t.frames_received + 1;
-      m.Meter.block "lance_rx" "getbuf";
+      m.Meter.block s_lance_rx_getbuf;
       let missed = Lance.consume_rx_missed t.lance in
       if missed then t.rx_desc_errors <- t.rx_desc_errors + 1;
-      m.Meter.cold ~triggered:missed "lance_rx" "baddesc";
-      m.Meter.block "lance_rx" "desc_rx"
+      m.Meter.cold ~triggered:missed s_lance_rx_baddesc;
+      m.Meter.block s_lance_rx_desc_rx
         ~reads:[ Meter.range ~base:(Sparse_mem.sim_addr_of_word shared 0) ~len:40 () ];
-      m.Meter.block "lance_rx" "dispatch";
-      m.Meter.call "lance_rx" "dispatch" 0;
+      m.Meter.block s_lance_rx_dispatch;
+      m.Meter.call s_lance_rx_dispatch_0;
       let msg = eth_demux t frame in
-      m.Meter.block "lance_rx" "refresh";
-      m.Meter.call "lance_rx" "refresh" 0;
+      m.Meter.block s_lance_rx_refresh;
+      m.Meter.call s_lance_rx_refresh_0;
       pool_put_metered t msg)
 
 let create env lance ~mac ?(config = improved_config) ?(rx_buffers = 16) () =

@@ -3,6 +3,17 @@ module Ns = Protolat_netsim
 module Meter = Xk.Meter
 module Msg = Xk.Msg
 
+(* meter sites, interned at module initialisation *)
+let s_bid_push = Meter.Site.fn "bid_push"
+let s_bid_push_stamp = Meter.Site.block "bid_push" "stamp"
+let s_bid_push_newboot = Meter.Site.cold "bid_push" "newboot"
+let s_bid_push_stamp_0 = Meter.Site.call "bid_push" "stamp" 0
+let s_bid_demux = Meter.Site.fn "bid_demux"
+let s_bid_demux_check = Meter.Site.block "bid_demux" "check"
+let s_bid_demux_bootmiss = Meter.Site.cold "bid_demux" "bootmiss"
+let s_bid_demux_deliver = Meter.Site.block "bid_demux" "deliver"
+let s_bid_demux_deliver_0 = Meter.Site.call "bid_demux" "deliver" 0
+
 type t = {
   env : Ns.Host_env.t;
   blast : Blast.t;
@@ -16,31 +27,31 @@ let meter t = t.env.Ns.Host_env.meter
 
 let push t ~dst msg =
   let m = meter t in
-  Meter.fn m "bid_push" (fun () ->
-      m.Meter.block "bid_push" "stamp"
+  Meter.fn m s_bid_push (fun () ->
+      m.Meter.block s_bid_push_stamp
         ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Hdrs.Bid.size () ];
-      m.Meter.cold ~triggered:(t.peer_boot = 0) "bid_push" "newboot";
+      m.Meter.cold ~triggered:(t.peer_boot = 0) s_bid_push_newboot;
       Msg.push msg
         (Hdrs.Bid.to_bytes
            { Hdrs.Bid.my_boot = t.boot_id; your_boot = t.peer_boot });
-      m.Meter.call "bid_push" "stamp" 0;
+      m.Meter.call s_bid_push_stamp_0;
       Blast.push t.blast ~dst msg)
 
 let demux t ~src msg =
   let m = meter t in
-  Meter.fn m "bid_demux" (fun () ->
-      m.Meter.block "bid_demux" "check"
+  Meter.fn m s_bid_demux (fun () ->
+      m.Meter.block s_bid_demux_check
         ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Hdrs.Bid.size () ];
       let hdr = Hdrs.Bid.of_bytes (Msg.pop msg Hdrs.Bid.size) in
       let known = t.peer_boot <> 0 in
       let stale = known && hdr.Hdrs.Bid.my_boot < t.peer_boot in
       let fresh = (not known) || hdr.Hdrs.Bid.my_boot > t.peer_boot in
-      m.Meter.cold ~triggered:(stale || fresh) "bid_demux" "bootmiss";
+      m.Meter.cold ~triggered:(stale || fresh) s_bid_demux_bootmiss;
       if stale then t.stale_drops <- t.stale_drops + 1
       else begin
         if fresh then t.peer_boot <- hdr.Hdrs.Bid.my_boot;
-        m.Meter.block "bid_demux" "deliver";
-        m.Meter.call "bid_demux" "deliver" 0;
+        m.Meter.block s_bid_demux_deliver;
+        m.Meter.call s_bid_demux_deliver_0;
         t.upper ~src msg
       end)
 

@@ -5,6 +5,25 @@ module Meter = Xk.Meter
 module Msg = Xk.Msg
 module Cksum = Protolat_tcpip.Cksum_meter
 
+(* meter sites, interned at module initialisation *)
+let s_blast_demux_map = Xk.Demux.caller "blast_demux"
+let s_blast_push = Meter.Site.fn "blast_push"
+let s_blast_push_fragchk = Meter.Site.block "blast_push" "fragchk"
+let s_blast_push_dofrag = Meter.Site.cold "blast_push" "dofrag"
+let s_blast_push_hdr = Meter.Site.block "blast_push" "hdr"
+let s_blast_push_hdr_0 = Meter.Site.call "blast_push" "hdr" 0
+let s_blast_push_send = Meter.Site.block "blast_push" "send"
+let s_blast_push_send_0 = Meter.Site.call "blast_push" "send" 0
+let s_blast_demux_deliver = Meter.Site.block "blast_demux" "deliver"
+let s_blast_demux_deliver_0 = Meter.Site.call "blast_demux" "deliver" 0
+let s_blast_demux = Meter.Site.fn "blast_demux"
+let s_blast_demux_parse = Meter.Site.block "blast_demux" "parse"
+let s_blast_demux_parse_0 = Meter.Site.call "blast_demux" "parse" 0
+let s_blast_demux_cksum_bad = Meter.Site.cold "blast_demux" "cksum_bad"
+let s_blast_demux_map_cache = Meter.Site.block "blast_demux" "map_cache"
+let s_blast_demux_reass = Meter.Site.cold "blast_demux" "reass"
+let s_blast_demux_sendnack = Meter.Site.cold "blast_demux" "sendnack"
+
 type partial = {
   frags : bytes option array;
   mutable have : int;
@@ -71,18 +90,18 @@ let send_fragment t ~dst ~kind ~msg_id ~frag_ix ~frag_count payload =
 
 let push t ~dst msg =
   let m = meter t in
-  Meter.fn m "blast_push" (fun () ->
-      m.Meter.block "blast_push" "fragchk"
+  Meter.fn m s_blast_push (fun () ->
+      m.Meter.block s_blast_push_fragchk
         ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:16 () ];
       let len = Msg.len msg in
       let msg_id = t.next_msg_id in
       t.next_msg_id <- t.next_msg_id + 1;
       let need_frag = len > t.frag_size in
-      m.Meter.cold ~triggered:need_frag "blast_push" "dofrag";
+      m.Meter.cold ~triggered:need_frag s_blast_push_dofrag;
       if not need_frag then begin
-        m.Meter.block "blast_push" "hdr"
+        m.Meter.block s_blast_push_hdr
           ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Hdrs.Blast.size () ];
-        m.Meter.call "blast_push" "hdr" 0;
+        m.Meter.call s_blast_push_hdr_0;
         let hdr =
           { Hdrs.Blast.kind = Hdrs.Blast.Data;
             msg_id;
@@ -96,8 +115,8 @@ let push t ~dst msg =
             (Msg.contents msg) 0 len
         in
         Msg.push msg (Hdrs.Blast.to_bytes ~cksum hdr);
-        m.Meter.block "blast_push" "send";
-        m.Meter.call "blast_push" "send" 0;
+        m.Meter.block s_blast_push_send;
+        m.Meter.call s_blast_push_send_0;
         Ns.Netdev.send t.netdev ~dst ~ethertype:t.ethertype msg
       end
       else begin
@@ -151,8 +170,8 @@ let handle_nack t ~src hdr payload =
 
 let deliver_up t ~src msg =
   let m = meter t in
-  m.Meter.block "blast_demux" "deliver";
-  m.Meter.call "blast_demux" "deliver" 0;
+  m.Meter.block s_blast_demux_deliver;
+  m.Meter.call s_blast_demux_deliver_0;
   t.upper ~src msg
 
 let missing_of partial =
@@ -192,12 +211,12 @@ let rec arm_nack_timer t ~key partial =
 
 let demux t ~src msg =
   let m = meter t in
-  Meter.fn m "blast_demux" (fun () ->
-      m.Meter.block "blast_demux" "parse"
+  Meter.fn m s_blast_demux (fun () ->
+      m.Meter.block s_blast_demux_parse
         ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Hdrs.Blast.size () ];
       let raw = Msg.pop msg Hdrs.Blast.size in
       let hdr = Hdrs.Blast.of_bytes raw in
-      m.Meter.call "blast_demux" "parse" 0;
+      m.Meter.call s_blast_demux_parse_0;
       let hdr0 = Bytes.sub raw 0 Hdrs.Blast.size in
       Bytes.set hdr0 12 '\000';
       Bytes.set hdr0 13 '\000';
@@ -206,7 +225,7 @@ let demux t ~src msg =
           ~sim_base:(Msg.sim_addr msg) (Msg.contents msg) 0 (Msg.len msg)
       in
       let bad = computed <> Hdrs.Blast.cksum_of raw in
-      m.Meter.cold ~triggered:bad "blast_demux" "cksum_bad";
+      m.Meter.cold ~triggered:bad s_blast_demux_cksum_bad;
       if bad then begin
         Obs.Metrics.inc t.c_cksum_drops;
         Ns.Host_env.trace_instant t.env ~cat:"blast" ~name:"cksum_drop"
@@ -215,28 +234,28 @@ let demux t ~src msg =
       else
       match hdr.Hdrs.Blast.kind with
       | Hdrs.Blast.Nack ->
-        m.Meter.block "blast_demux" "map_cache";
-        m.Meter.cold ~triggered:false "blast_demux" "reass";
-        m.Meter.cold ~triggered:true "blast_demux" "sendnack";
+        m.Meter.block s_blast_demux_map_cache;
+        m.Meter.cold ~triggered:false s_blast_demux_reass;
+        m.Meter.cold ~triggered:true s_blast_demux_sendnack;
         handle_nack t ~src hdr (Msg.contents msg)
       | Hdrs.Blast.Data when hdr.Hdrs.Blast.frag_count = 1 ->
         (* hot path: single fragment, empty partial-message set test *)
-        m.Meter.block "blast_demux" "map_cache";
-        m.Meter.cold ~triggered:false "blast_demux" "reass";
-        m.Meter.cold ~triggered:false "blast_demux" "sendnack";
+        m.Meter.block s_blast_demux_map_cache;
+        m.Meter.cold ~triggered:false s_blast_demux_reass;
+        m.Meter.cold ~triggered:false s_blast_demux_sendnack;
         deliver_up t ~src msg
       | Hdrs.Blast.Data ->
         let key = pkey ~src ~msg_id:hdr.Hdrs.Blast.msg_id in
         if Hashtbl.mem t.completed key then begin
           (* late duplicate of an already-delivered reassembly *)
           Obs.Metrics.inc t.c_late_fragments;
-          m.Meter.cold ~triggered:false "blast_demux" "reass";
-          m.Meter.cold ~triggered:false "blast_demux" "sendnack"
+          m.Meter.cold ~triggered:false s_blast_demux_reass;
+          m.Meter.cold ~triggered:false s_blast_demux_sendnack
         end
         else begin
           let partial =
             match
-              Xk.Demux.lookup m ~inline:t.inline ~caller:"blast_demux"
+              Xk.Demux.lookup m ~inline:t.inline ~caller:s_blast_demux_map
                 t.partials key
             with
             | Some p -> p
@@ -253,7 +272,7 @@ let demux t ~src msg =
               arm_nack_timer t ~key p;
               p
           in
-          m.Meter.cold ~triggered:true "blast_demux" "reass";
+          m.Meter.cold ~triggered:true s_blast_demux_reass;
           let ix = hdr.Hdrs.Blast.frag_ix in
           if ix < Array.length partial.frags && partial.frags.(ix) = None
           then begin
@@ -261,7 +280,7 @@ let demux t ~src msg =
             partial.have <- partial.have + 1
           end;
           if partial.have = Array.length partial.frags then begin
-            m.Meter.cold ~triggered:false "blast_demux" "sendnack";
+            m.Meter.cold ~triggered:false s_blast_demux_sendnack;
             ignore (Xk.Map.unbind t.partials key);
             cancel_nack_timer partial;
             Hashtbl.replace t.completed key ();
@@ -284,7 +303,7 @@ let demux t ~src msg =
             (* if this was the last fragment index and we still have gaps,
                request the missing ones *)
             let last = ix = Array.length partial.frags - 1 in
-            m.Meter.cold ~triggered:last "blast_demux" "sendnack";
+            m.Meter.cold ~triggered:last s_blast_demux_sendnack;
             if last then
               send_nack t ~dst:src ~msg_id:hdr.Hdrs.Blast.msg_id
                 (missing_of partial)

@@ -4,6 +4,53 @@ module Obs = Protolat_obs
 module Meter = Xk.Meter
 module Msg = Xk.Msg
 
+(* meter sites, interned at module initialisation *)
+let s_chan_demux_map = Xk.Demux.caller "chan_demux"
+let s_chan_call = Meter.Site.fn "chan_call"
+let s_chan_call_setup = Meter.Site.block "chan_call" "setup"
+let s_chan_call_busy = Meter.Site.cold "chan_call" "busy"
+let s_chan_call_hdr = Meter.Site.block "chan_call" "hdr"
+let s_chan_call_seqwrap = Meter.Site.cold "chan_call" "seqwrap"
+let s_chan_call_send = Meter.Site.block "chan_call" "send"
+let s_chan_call_send_0 = Meter.Site.call "chan_call" "send" 0
+let s_event_register = Meter.Site.fn "event_register"
+let s_event_register_insert = Meter.Site.block "event_register" "insert"
+let s_event_register_expand = Meter.Site.cold "event_register" "expand"
+let s_chan_call_send_1 = Meter.Site.call "chan_call" "send" 1
+let s_chan_call_block = Meter.Site.block "chan_call" "block"
+let s_chan_call_block_0 = Meter.Site.call "chan_call" "block" 0
+let s_thread_block = Meter.Site.fn "thread_block"
+let s_thread_block_save = Meter.Site.block "thread_block" "save"
+let s_thread_block_stack_detach = Meter.Site.cold "thread_block" "stack_detach"
+let s_chan_reply = Meter.Site.fn "chan_reply"
+let s_chan_reply_build = Meter.Site.block "chan_reply" "build"
+let s_chan_reply_build_0 = Meter.Site.call "chan_reply" "build" 0
+let s_msg_prepare = Meter.Site.fn "msg_prepare"
+let s_msg_prepare_body = Meter.Site.block "msg_prepare" "body"
+let s_msg_prepare_grow = Meter.Site.cold "msg_prepare" "grow"
+let s_chan_reply_nostate = Meter.Site.cold "chan_reply" "nostate"
+let s_chan_reply_send = Meter.Site.block "chan_reply" "send"
+let s_chan_reply_send_0 = Meter.Site.call "chan_reply" "send" 0
+let s_chan_demux = Meter.Site.fn "chan_demux"
+let s_chan_demux_parse = Meter.Site.block "chan_demux" "parse"
+let s_chan_demux_oldseq = Meter.Site.cold "chan_demux" "oldseq"
+let s_chan_demux_dupmsg = Meter.Site.cold "chan_demux" "dupmsg"
+let s_chan_demux_reply = Meter.Site.block "chan_demux" "reply"
+let s_chan_demux_reply_0 = Meter.Site.call "chan_demux" "reply" 0
+let s_event_cancel = Meter.Site.fn "event_cancel"
+let s_event_cancel_remove = Meter.Site.block "event_cancel" "remove"
+let s_event_cancel_notfound = Meter.Site.cold "event_cancel" "notfound"
+let s_chan_demux_reply_1 = Meter.Site.call "chan_demux" "reply" 1
+let s_thread_signal = Meter.Site.fn "thread_signal"
+let s_thread_signal_wake = Meter.Site.block "thread_signal" "wake"
+let s_thread_signal_nowaiter = Meter.Site.cold "thread_signal" "nowaiter"
+let s_chan_resume = Meter.Site.fn "chan_resume"
+let s_chan_resume_resume = Meter.Site.block "chan_resume" "resume"
+let s_chan_resume_badstate = Meter.Site.cold "chan_resume" "badstate"
+let s_chan_resume_resume_0 = Meter.Site.call "chan_resume" "resume" 0
+let s_chan_demux_request = Meter.Site.block "chan_demux" "request"
+let s_chan_demux_request_0 = Meter.Site.call "chan_demux" "request" 0
+
 type chan_state = {
   id : int;
   mutable seq : int;  (** client: sequence of the outstanding call *)
@@ -94,18 +141,17 @@ let rec arm_timeout t (c : chan_state) =
 
 let call t ~chan msg ~reply =
   let m = meter t in
-  Meter.fn m "chan_call" (fun () ->
+  Meter.fn m s_chan_call (fun () ->
       let c = get_chan t chan in
-      m.Meter.block "chan_call" "setup"
+      m.Meter.block s_chan_call_setup
         ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:16 () ];
       let busy = c.waiting <> None in
-      m.Meter.cold ~triggered:busy "chan_call" "busy";
+      m.Meter.cold ~triggered:busy s_chan_call_busy;
       if busy then failwith "Chan.call: channel busy";
       c.seq <- c.seq + 1;
-      m.Meter.block "chan_call" "hdr"
+      m.Meter.block s_chan_call_hdr
         ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Hdrs.Chan.size () ];
-      m.Meter.cold ~triggered:(c.seq land 0xFFFF_FFFF <> c.seq) "chan_call"
-        "seqwrap";
+      m.Meter.cold ~triggered:(c.seq land 0xFFFF_FFFF <> c.seq) s_chan_call_seqwrap;
       let payload = Msg.contents msg in
       c.rexmt_tries <- 0;
       c.last_request <- Some payload;
@@ -115,35 +161,35 @@ let call t ~chan msg ~reply =
              chan = c.id;
              seq = c.seq;
              len = Bytes.length payload });
-      m.Meter.block "chan_call" "send";
-      m.Meter.call "chan_call" "send" 0;
-      Meter.fn m "event_register" (fun () ->
-          m.Meter.block "event_register" "insert";
-          m.Meter.cold ~triggered:false "event_register" "expand";
+      m.Meter.block s_chan_call_send;
+      m.Meter.call s_chan_call_send_0;
+      Meter.fn m s_event_register (fun () ->
+          m.Meter.block s_event_register_insert;
+          m.Meter.cold ~triggered:false s_event_register_expand;
           arm_timeout t c);
-      m.Meter.call "chan_call" "send" 1;
+      m.Meter.call s_chan_call_send_1;
       Bid.push t.bid ~dst:t.peer_mac msg;
       (* block the calling thread: store the continuation *)
-      m.Meter.block "chan_call" "block";
-      m.Meter.call "chan_call" "block" 0;
-      Meter.fn m "thread_block" (fun () ->
-          m.Meter.block "thread_block" "save";
-          m.Meter.cold ~triggered:false "thread_block" "stack_detach";
+      m.Meter.block s_chan_call_block;
+      m.Meter.call s_chan_call_block_0;
+      Meter.fn m s_thread_block (fun () ->
+          m.Meter.block s_thread_block_save;
+          m.Meter.cold ~triggered:false s_thread_block_stack_detach;
           t.outstanding <- t.outstanding + 1;
           c.waiting <- Some reply))
 
 let send_reply t (c : chan_state) seq payload =
-  Meter.fn (meter t) "chan_reply" (fun () ->
+  Meter.fn (meter t) s_chan_reply (fun () ->
       let m = meter t in
-      m.Meter.block "chan_reply" "build";
-      m.Meter.call "chan_reply" "build" 0;
+      m.Meter.block s_chan_reply_build;
+      m.Meter.call s_chan_reply_build_0;
       let msg = Msg.alloc t.env.Ns.Host_env.simmem ~headroom:64 0 in
-      Meter.fn m "msg_prepare" (fun () ->
-          m.Meter.block "msg_prepare" "body"
+      Meter.fn m s_msg_prepare (fun () ->
+          m.Meter.block s_msg_prepare_body
             ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:16 () ];
-          m.Meter.cold ~triggered:false "msg_prepare" "grow";
+          m.Meter.cold ~triggered:false s_msg_prepare_grow;
           Msg.set_payload msg payload);
-      m.Meter.cold ~triggered:false "chan_reply" "nostate";
+      m.Meter.cold ~triggered:false s_chan_reply_nostate;
       Msg.push msg
         (Hdrs.Chan.to_bytes
            { Hdrs.Chan.kind = Hdrs.Chan.Reply;
@@ -151,19 +197,19 @@ let send_reply t (c : chan_state) seq payload =
              seq;
              len = Bytes.length payload });
       c.last_reply <- Some (seq, payload);
-      m.Meter.block "chan_reply" "send";
-      m.Meter.call "chan_reply" "send" 0;
+      m.Meter.block s_chan_reply_send;
+      m.Meter.call s_chan_reply_send_0;
       Bid.push t.bid ~dst:t.peer_mac msg)
 
 let demux t ~src:_ msg =
   let m = meter t in
-  Meter.fn m "chan_demux" (fun () ->
-      m.Meter.block "chan_demux" "parse"
+  Meter.fn m s_chan_demux (fun () ->
+      m.Meter.block s_chan_demux_parse
         ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Hdrs.Chan.size () ];
       let hdr = Hdrs.Chan.of_bytes (Msg.pop msg Hdrs.Chan.size) in
       let c =
         match
-          Xk.Demux.lookup m ~inline:t.inline ~caller:"chan_demux" t.channels
+          Xk.Demux.lookup m ~inline:t.inline ~caller:s_chan_demux_map t.channels
             (ckey hdr.Hdrs.Chan.chan)
         with
         | Some c -> c
@@ -172,24 +218,23 @@ let demux t ~src:_ msg =
       match hdr.Hdrs.Chan.kind with
       | Hdrs.Chan.Reply ->
         let old = hdr.Hdrs.Chan.seq < c.seq in
-        m.Meter.cold ~triggered:old "chan_demux" "oldseq";
-        m.Meter.cold ~triggered:false "chan_demux" "dupmsg";
+        m.Meter.cold ~triggered:old s_chan_demux_oldseq;
+        m.Meter.cold ~triggered:false s_chan_demux_dupmsg;
         if not old then begin
-          m.Meter.block "chan_demux" "reply";
-          m.Meter.call "chan_demux" "reply" 0;
-          Meter.fn m "event_cancel" (fun () ->
-              m.Meter.block "event_cancel" "remove";
-              m.Meter.cold ~triggered:false "event_cancel" "notfound";
+          m.Meter.block s_chan_demux_reply;
+          m.Meter.call s_chan_demux_reply_0;
+          Meter.fn m s_event_cancel (fun () ->
+              m.Meter.block s_event_cancel_remove;
+              m.Meter.cold ~triggered:false s_event_cancel_notfound;
               match c.timeout with
               | Some h ->
                 ignore (Xk.Event.cancel h);
                 c.timeout <- None
               | None -> ());
-          m.Meter.call "chan_demux" "reply" 1;
-          Meter.fn m "thread_signal" (fun () ->
-              m.Meter.block "thread_signal" "wake";
-              m.Meter.cold ~triggered:(c.waiting = None) "thread_signal"
-                "nowaiter";
+          m.Meter.call s_chan_demux_reply_1;
+          Meter.fn m s_thread_signal (fun () ->
+              m.Meter.block s_thread_signal_wake;
+              m.Meter.cold ~triggered:(c.waiting = None) s_thread_signal_nowaiter;
               match c.waiting with
               | None -> ()
               | Some k ->
@@ -198,16 +243,16 @@ let demux t ~src:_ msg =
                 let data = Msg.contents msg in
                 Xk.Thread.spawn t.env.Ns.Host_env.sched ~name:"chan_resume"
                   (fun () ->
-                    Meter.fn m "chan_resume" (fun () ->
-                        m.Meter.block "chan_resume" "resume";
-                        m.Meter.cold ~triggered:false "chan_resume" "badstate";
-                        m.Meter.call "chan_resume" "resume" 0;
+                    Meter.fn m s_chan_resume (fun () ->
+                        m.Meter.block s_chan_resume_resume;
+                        m.Meter.cold ~triggered:false s_chan_resume_badstate;
+                        m.Meter.call s_chan_resume_resume_0;
                         k data)))
         end
       | Hdrs.Chan.Request -> (
-        m.Meter.cold ~triggered:false "chan_demux" "oldseq";
+        m.Meter.cold ~triggered:false s_chan_demux_oldseq;
         let dup = hdr.Hdrs.Chan.seq <= c.expected in
-        m.Meter.cold ~triggered:dup "chan_demux" "dupmsg";
+        m.Meter.cold ~triggered:dup s_chan_demux_dupmsg;
         if dup then begin
           Obs.Metrics.inc t.c_dup_requests;
           (* at-most-once: replay the cached reply, but only if it
@@ -220,8 +265,8 @@ let demux t ~src:_ msg =
         end
         else begin
           c.expected <- hdr.Hdrs.Chan.seq;
-          m.Meter.block "chan_demux" "request";
-          m.Meter.call "chan_demux" "request" 0;
+          m.Meter.block s_chan_demux_request;
+          m.Meter.call s_chan_demux_request_0;
           match t.server with
           | None -> ()
           | Some dispatch ->

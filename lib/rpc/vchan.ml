@@ -2,6 +2,15 @@ module Xk = Protolat_xkernel
 module Ns = Protolat_netsim
 module Meter = Xk.Meter
 
+(* meter sites, interned at module initialisation *)
+let s_vchan_demux = Meter.Site.fn "vchan_demux"
+let s_vchan_demux_fwd = Meter.Site.block "vchan_demux" "fwd"
+let s_vchan_demux_fwd_0 = Meter.Site.call "vchan_demux" "fwd" 0
+let s_vchan_call = Meter.Site.fn "vchan_call"
+let s_vchan_call_alloc = Meter.Site.block "vchan_call" "alloc"
+let s_vchan_call_growpool = Meter.Site.cold "vchan_call" "growpool"
+let s_vchan_call_alloc_0 = Meter.Site.call "vchan_call" "alloc" 0
+
 type t = {
   env : Ns.Host_env.t;
   chan : Chan.t;
@@ -22,18 +31,18 @@ let create env chan ?(channels = 8) () =
   in
   Chan.set_server chan (fun ~chan:_ data ~reply ->
       let m = env.Ns.Host_env.meter in
-      Meter.fn m "vchan_demux" (fun () ->
-          m.Meter.block "vchan_demux" "fwd";
-          m.Meter.call "vchan_demux" "fwd" 0;
+      Meter.fn m s_vchan_demux (fun () ->
+          m.Meter.block s_vchan_demux_fwd;
+          m.Meter.call s_vchan_demux_fwd_0;
           t.upper data ~reply));
   t
 
 let call t msg ~reply =
   let m = meter t in
-  Meter.fn m "vchan_call" (fun () ->
-      m.Meter.block "vchan_call" "alloc";
+  Meter.fn m s_vchan_call (fun () ->
+      m.Meter.block s_vchan_call_alloc;
       let grow = t.free = [] in
-      m.Meter.cold ~triggered:grow "vchan_call" "growpool";
+      m.Meter.cold ~triggered:grow s_vchan_call_growpool;
       let id =
         match t.free with
         | id :: rest ->
@@ -44,7 +53,7 @@ let call t msg ~reply =
           t.next <- t.next + 1;
           id
       in
-      m.Meter.call "vchan_call" "alloc" 0;
+      m.Meter.call s_vchan_call_alloc_0;
       Chan.call t.chan ~chan:id msg ~reply:(fun data ->
           t.free <- id :: t.free;
           reply data))

@@ -3,6 +3,24 @@ module Ns = Protolat_netsim
 module Meter = Xk.Meter
 module Msg = Xk.Msg
 
+(* meter sites, interned at module initialisation *)
+let s_xrpctest_call = Meter.Site.fn "xrpctest_call"
+let s_xrpctest_call_init = Meter.Site.cold "xrpctest_call" "init"
+let s_xrpctest_call_main = Meter.Site.block "xrpctest_call" "main"
+let s_xrpctest_call_main_0 = Meter.Site.call "xrpctest_call" "main" 0
+let s_msg_prepare = Meter.Site.fn "msg_prepare"
+let s_msg_prepare_body = Meter.Site.block "msg_prepare" "body"
+let s_msg_prepare_grow = Meter.Site.cold "msg_prepare" "grow"
+let s_xrpctest_call_main_1 = Meter.Site.call "xrpctest_call" "main" 1
+let s_xrpctest_cont = Meter.Site.fn "xrpctest_cont"
+let s_xrpctest_cont_cont = Meter.Site.block "xrpctest_cont" "cont"
+let s_xrpctest_cont_done_check = Meter.Site.cold "xrpctest_cont" "done_check"
+let s_xrpctest_cont_cont_0 = Meter.Site.call "xrpctest_cont" "cont" 0
+let s_xrpctest_serve = Meter.Site.fn "xrpctest_serve"
+let s_xrpctest_serve_serve = Meter.Site.block "xrpctest_serve" "serve"
+let s_xrpctest_serve_unknownproc = Meter.Site.cold "xrpctest_serve" "unknownproc"
+let s_xrpctest_serve_serve_0 = Meter.Site.call "xrpctest_serve" "serve" 0
+
 type t = {
   env : Ns.Host_env.t;
   mselect : Mselect.t;
@@ -20,18 +38,18 @@ let rec xrpctest_call t =
   let m = meter t in
   Protolat_obs.Span.mark_tx_proto t.env.Ns.Host_env.span
     ~host:t.env.Ns.Host_env.span_host;
-  Meter.fn m "xrpctest_call" (fun () ->
-      m.Meter.cold ~triggered:t.first "xrpctest_call" "init";
+  Meter.fn m s_xrpctest_call (fun () ->
+      m.Meter.cold ~triggered:t.first s_xrpctest_call_init;
       t.first <- false;
-      m.Meter.block "xrpctest_call" "main";
-      m.Meter.call "xrpctest_call" "main" 0;
+      m.Meter.block s_xrpctest_call_main;
+      m.Meter.call s_xrpctest_call_main_0;
       let msg = Msg.alloc t.env.Ns.Host_env.simmem ~headroom:64 0 in
-      Meter.fn m "msg_prepare" (fun () ->
-          m.Meter.block "msg_prepare" "body"
+      Meter.fn m s_msg_prepare (fun () ->
+          m.Meter.block s_msg_prepare_body
             ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:16 () ];
-          m.Meter.cold ~triggered:false "msg_prepare" "grow";
+          m.Meter.cold ~triggered:false s_msg_prepare_grow;
           Msg.set_payload msg Bytes.empty);
-      m.Meter.call "xrpctest_call" "main" 1;
+      m.Meter.call s_xrpctest_call_main_1;
       Mselect.call t.mselect ~client:t.client_id msg ~reply:(fun _data ->
           xrpctest_cont t))
 
@@ -39,16 +57,16 @@ and xrpctest_cont t =
   let m = meter t in
   Protolat_obs.Span.mark_app t.env.Ns.Host_env.span
     ~host:t.env.Ns.Host_env.span_host;
-  Meter.fn m "xrpctest_cont" (fun () ->
-      m.Meter.block "xrpctest_cont" "cont";
+  Meter.fn m s_xrpctest_cont (fun () ->
+      m.Meter.block s_xrpctest_cont_cont;
       t.remaining <- t.remaining - 1;
       t.completed <- t.completed + 1;
       t.on_roundtrip t.completed;
       let finished = t.remaining <= 0 in
-      m.Meter.cold ~triggered:finished "xrpctest_cont" "done_check";
+      m.Meter.cold ~triggered:finished s_xrpctest_cont_done_check;
       if finished then t.on_complete ()
       else begin
-        m.Meter.call "xrpctest_cont" "cont" 0;
+        m.Meter.call s_xrpctest_cont_cont_0;
         xrpctest_call t
       end)
 
@@ -77,11 +95,11 @@ let server env mselect ~client_id =
       let m = meter t in
       Protolat_obs.Span.mark_app t.env.Ns.Host_env.span
         ~host:t.env.Ns.Host_env.span_host;
-      Meter.fn m "xrpctest_serve" (fun () ->
+      Meter.fn m s_xrpctest_serve (fun () ->
           t.completed <- t.completed + 1;
-          m.Meter.block "xrpctest_serve" "serve";
-          m.Meter.cold ~triggered:false "xrpctest_serve" "unknownproc";
-          m.Meter.call "xrpctest_serve" "serve" 0;
+          m.Meter.block s_xrpctest_serve_serve;
+          m.Meter.cold ~triggered:false s_xrpctest_serve_unknownproc;
+          m.Meter.call s_xrpctest_serve_serve_0;
           Protolat_obs.Span.mark_tx_proto t.env.Ns.Host_env.span
             ~host:t.env.Ns.Host_env.span_host;
           reply Bytes.empty));

@@ -1,6 +1,14 @@
 module Meter = Protolat_xkernel.Meter
 module Obs = Protolat_obs
 
+(* meter sites, interned at module initialisation *)
+let s_in_cksum = Meter.Site.fn "in_cksum"
+let s_in_cksum_head = Meter.Site.block "in_cksum" "head"
+let s_in_cksum_unrolled64 = Meter.Site.cold "in_cksum" "unrolled64"
+let s_in_cksum_qloop = Meter.Site.block "in_cksum" "qloop"
+let s_in_cksum_hloop = Meter.Site.block "in_cksum" "hloop"
+let s_in_cksum_tail = Meter.Site.block "in_cksum" "tail"
+
 (* An owner's checksum counters, looked up in its registry on the first
    checksum rather than by name on every one.  Registering on first use
    keeps metric dumps unchanged for owners that never checksum.  Each
@@ -17,27 +25,27 @@ let counters reg = { reg; calls_bytes = None }
 let emit (m : Meter.t) ?(sim_base = 0) off len =
   if m != Meter.null then
   let rd o l = [ Meter.range ~base:sim_base ~off:o ~len:l () ] in
-  Meter.fn m "in_cksum" (fun () ->
-      m.Meter.block "in_cksum" "head";
+  Meter.fn m s_in_cksum (fun () ->
+      m.Meter.block s_in_cksum_head;
       let quads = len / 4 in
       let rest = len - (4 * quads) in
       if len >= 64 then
         for i = 0 to (len / 64) - 1 do
-          m.Meter.cold ~triggered:true "in_cksum" "unrolled64"
+          m.Meter.cold ~triggered:true s_in_cksum_unrolled64
             ~reads:(rd (off + (64 * i)) 64)
         done
-      else m.Meter.cold ~triggered:false "in_cksum" "unrolled64";
+      else m.Meter.cold ~triggered:false s_in_cksum_unrolled64;
       (* quads not already covered by the unrolled iterations *)
       let covered = if len >= 64 then len / 64 * 16 else 0 in
       for i = covered to quads - 1 do
-        m.Meter.block "in_cksum" "qloop" ~reads:(rd (off + (4 * i)) 4)
+        m.Meter.block s_in_cksum_qloop ~reads:(rd (off + (4 * i)) 4)
       done;
       let halves = (rest + 1) / 2 in
       for i = 0 to halves - 1 do
-        m.Meter.block "in_cksum" "hloop"
+        m.Meter.block s_in_cksum_hloop
           ~reads:(rd (off + (4 * quads) + (2 * i)) 2)
       done;
-      m.Meter.block "in_cksum" "tail")
+      m.Meter.block s_in_cksum_tail)
 
 let count c len =
   let calls, bytes =

@@ -4,6 +4,24 @@ module Meter = Xk.Meter
 module Msg = Xk.Msg
 module Hexkey = Protolat_util.Hexkey
 
+(* meter sites, interned at module initialisation *)
+let s_ip_demux_map = Xk.Demux.caller "ip_demux"
+let s_ip_demux = Meter.Site.fn "ip_demux"
+let s_ip_demux_validate = Meter.Site.block "ip_demux" "validate"
+let s_ip_demux_validate_0 = Meter.Site.call "ip_demux" "validate" 0
+let s_ip_demux_options = Meter.Site.cold "ip_demux" "options"
+let s_ip_demux_frag_reass = Meter.Site.cold "ip_demux" "frag_reass"
+let s_ip_demux_deliver = Meter.Site.block "ip_demux" "deliver"
+let s_ip_demux_deliver_0 = Meter.Site.call "ip_demux" "deliver" 0
+let s_ip_push = Meter.Site.fn "ip_push"
+let s_ip_push_route = Meter.Site.block "ip_push" "route"
+let s_ip_push_noroute = Meter.Site.cold "ip_push" "noroute"
+let s_ip_push_fragment = Meter.Site.cold "ip_push" "fragment"
+let s_ip_push_hdr = Meter.Site.block "ip_push" "hdr"
+let s_ip_push_hdr_0 = Meter.Site.call "ip_push" "hdr" 0
+let s_ip_push_send = Meter.Site.block "ip_push" "send"
+let s_ip_push_send_0 = Meter.Site.call "ip_push" "send" 0
+
 type partial = {
   mutable frags : (int * bytes) list;  (* (byte offset, data), sorted *)
   mutable total_len : int;  (* -1 until the last fragment arrives *)
@@ -42,12 +60,12 @@ let mf_flag = 1 (* more-fragments, stored in the low flag bit we use *)
 
 let demux t ~src_mac:_ msg =
   let m = t.env.Ns.Host_env.meter in
-  Meter.fn m "ip_demux" (fun () ->
+  Meter.fn m s_ip_demux (fun () ->
       t.packets_in <- t.packets_in + 1;
-      m.Meter.block "ip_demux" "validate"
+      m.Meter.block s_ip_demux_validate
         ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Ip_hdr.size () ];
       let raw = Msg.peek msg 0 Ip_hdr.size in
-      m.Meter.call "ip_demux" "validate" 0;
+      m.Meter.call s_ip_demux_validate_0;
       let csum_ok =
         Cksum_meter.verify m ~counters:t.cksum ~sim_base:(Msg.sim_addr msg) raw 0 Ip_hdr.size
       in
@@ -57,8 +75,8 @@ let demux t ~src_mac:_ msg =
         | Some h -> h.Ip_hdr.frag_off <> 0 || h.Ip_hdr.flags land 1 <> 0
         | None -> false
       in
-      m.Meter.cold ~triggered:false "ip_demux" "options";
-      m.Meter.cold ~triggered:fragmented "ip_demux" "frag_reass";
+      m.Meter.cold ~triggered:false s_ip_demux_options;
+      m.Meter.cold ~triggered:fragmented s_ip_demux_frag_reass;
       match hdr with
       | None -> t.dropped <- t.dropped + 1
       | Some h -> (
@@ -95,27 +113,27 @@ let demux t ~src_mac:_ msg =
             let out = Msg.alloc t.env.Ns.Host_env.simmem ~headroom:64 0 in
             Msg.set_payload out whole;
             match
-              Xk.Demux.lookup m ~inline:t.inline ~caller:"ip_demux" t.protos
+              Xk.Demux.lookup m ~inline:t.inline ~caller:s_ip_demux_map t.protos
                 (protok p.proto)
             with
             | None -> t.dropped <- t.dropped + 1
             | Some f ->
-              m.Meter.block "ip_demux" "deliver";
-              m.Meter.call "ip_demux" "deliver" 0;
+              m.Meter.block s_ip_demux_deliver;
+              m.Meter.call s_ip_demux_deliver_0;
               f ~hdr:{ h with Ip_hdr.frag_off = 0; Ip_hdr.flags = 0 } out
           end
         end
         else
           let handler =
-            Xk.Demux.lookup m ~inline:t.inline ~caller:"ip_demux" t.protos
+            Xk.Demux.lookup m ~inline:t.inline ~caller:s_ip_demux_map t.protos
               (protok h.Ip_hdr.proto)
           in
           match handler with
           | None -> t.dropped <- t.dropped + 1
           | Some f ->
             ignore (Msg.pop msg Ip_hdr.size);
-            m.Meter.block "ip_demux" "deliver";
-            m.Meter.call "ip_demux" "deliver" 0;
+            m.Meter.block s_ip_demux_deliver;
+            m.Meter.call s_ip_demux_deliver_0;
             f ~hdr:h msg))
 
 let create env vnet ~my_ip ?(mtu = 1500) ~map_cache_inline () =
@@ -143,16 +161,16 @@ let register t ~proto f = Xk.Map.bind t.protos (protok proto) f
 
 let push t ~dst ~proto msg =
   let m = t.env.Ns.Host_env.meter in
-  Meter.fn m "ip_push" (fun () ->
-      m.Meter.block "ip_push" "route"
+  Meter.fn m s_ip_push (fun () ->
+      m.Meter.block s_ip_push_route
         ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:16 () ];
       let routed = Vnet.has_route t.vnet ~ip:dst in
-      m.Meter.cold ~triggered:(not routed) "ip_push" "noroute";
+      m.Meter.cold ~triggered:(not routed) s_ip_push_noroute;
       if not routed then t.dropped <- t.dropped + 1
       else
       let total_len = Ip_hdr.size + Msg.len msg in
       let needs_frag = total_len > t.mtu in
-      m.Meter.cold ~triggered:needs_frag "ip_push" "fragment";
+      m.Meter.cold ~triggered:needs_frag s_ip_push_fragment;
       let ident = t.ident in
       t.ident <- (t.ident + 1) land 0xFFFF;
       if needs_frag then begin
@@ -185,17 +203,17 @@ let push t ~dst ~proto msg =
         let hdr =
           Ip_hdr.make ~ident ~total_len ~proto ~src:t.my_ip ~dst ()
         in
-        m.Meter.block "ip_push" "hdr"
+        m.Meter.block s_ip_push_hdr
           ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Ip_hdr.size () ];
-        m.Meter.call "ip_push" "hdr" 0;
+        m.Meter.call s_ip_push_hdr_0;
         (* to_bytes computes the header checksum; emit the cksum trace *)
         let bytes = Ip_hdr.to_bytes hdr in
         let _ =
           Cksum_meter.sum m ~counters:t.cksum ~sim_base:(Msg.sim_addr msg) bytes 0 Ip_hdr.size
         in
         Msg.push msg bytes;
-        m.Meter.block "ip_push" "send";
-        m.Meter.call "ip_push" "send" 0;
+        m.Meter.block s_ip_push_send;
+        m.Meter.call s_ip_push_send_0;
         Vnet.push t.vnet ~dst_ip:dst msg
       end)
 

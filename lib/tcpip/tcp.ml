@@ -4,6 +4,66 @@ module Obs = Protolat_obs
 module Meter = Xk.Meter
 module Msg = Xk.Msg
 
+(* meter sites, interned at module initialisation *)
+let s_tcp_demux_map = Xk.Demux.caller "tcp_demux"
+let s_udiv = Meter.Site.fn "udiv"
+let s_udiv_head = Meter.Site.block "udiv" "head"
+let s_udiv_divzero = Meter.Site.cold "udiv" "divzero"
+let s_udiv_dloop = Meter.Site.block "udiv" "dloop"
+let s_udiv_fixup = Meter.Site.block "udiv" "fixup"
+let s_tcp_output = Meter.Site.fn "tcp_output"
+let s_tcp_output_again = Meter.Site.block "tcp_output" "again"
+let s_tcp_output_persist = Meter.Site.cold "tcp_output" "persist"
+let s_tcp_output_winupdate = Meter.Site.block "tcp_output" "winupdate"
+let s_tcp_output_winupdate_0 = Meter.Site.call "tcp_output" "winupdate" 0
+let s_tcp_output_silly = Meter.Site.cold "tcp_output" "silly"
+let s_tcp_output_build = Meter.Site.block "tcp_output" "build"
+let s_tcp_output_build_0 = Meter.Site.call "tcp_output" "build" 0
+let s_tcp_output_options = Meter.Site.cold "tcp_output" "options"
+let s_tcp_output_xmit = Meter.Site.block "tcp_output" "xmit"
+let s_tcp_output_rexmt_path = Meter.Site.cold "tcp_output" "rexmt_path"
+let s_tcp_output_xmit_0 = Meter.Site.call "tcp_output" "xmit" 0
+let s_event_register = Meter.Site.fn "event_register"
+let s_event_register_insert = Meter.Site.block "event_register" "insert"
+let s_event_register_expand = Meter.Site.cold "event_register" "expand"
+let s_tcp_output_xmit_1 = Meter.Site.call "tcp_output" "xmit" 1
+let s_clientstream_demux = Meter.Site.fn "clientstream_demux"
+let s_clientstream_demux_strip = Meter.Site.block "clientstream_demux" "strip"
+let s_clientstream_demux_nosession = Meter.Site.cold "clientstream_demux" "nosession"
+let s_clientstream_demux_deliver = Meter.Site.block "clientstream_demux" "deliver"
+let s_clientstream_demux_deliver_0 = Meter.Site.call "clientstream_demux" "deliver" 0
+let s_tcp_input = Meter.Site.fn "tcp_input"
+let s_tcp_input_validate = Meter.Site.block "tcp_input" "validate"
+let s_tcp_input_validate_0 = Meter.Site.call "tcp_input" "validate" 0
+let s_tcp_input_bad_cksum = Meter.Site.cold "tcp_input" "bad_cksum"
+let s_tcp_input_hdr_pred = Meter.Site.block "tcp_input" "hdr_pred"
+let s_tcp_input_not_established = Meter.Site.cold "tcp_input" "not_established"
+let s_tcp_input_ack_proc = Meter.Site.block "tcp_input" "ack_proc"
+let s_tcp_input_old_ack = Meter.Site.cold "tcp_input" "old_ack"
+let s_tcp_input_dupack = Meter.Site.cold "tcp_input" "dupack"
+let s_tcp_input_rtt = Meter.Site.block "tcp_input" "rtt"
+let s_tcp_input_rtt_0 = Meter.Site.call "tcp_input" "rtt" 0
+let s_event_cancel = Meter.Site.fn "event_cancel"
+let s_event_cancel_remove = Meter.Site.block "event_cancel" "remove"
+let s_event_cancel_notfound = Meter.Site.cold "event_cancel" "notfound"
+let s_tcp_input_cwnd = Meter.Site.block "tcp_input" "cwnd"
+let s_tcp_input_cwnd_0 = Meter.Site.call "tcp_input" "cwnd" 0
+let s_tcp_input_data_proc = Meter.Site.block "tcp_input" "data_proc"
+let s_tcp_input_reass = Meter.Site.cold "tcp_input" "reass"
+let s_tcp_input_window_upd = Meter.Site.block "tcp_input" "window_upd"
+let s_tcp_input_flags_slow = Meter.Site.cold "tcp_input" "flags_slow"
+let s_tcp_input_deliver = Meter.Site.block "tcp_input" "deliver"
+let s_tcp_input_deliver_0 = Meter.Site.call "tcp_input" "deliver" 0
+let s_tcp_demux = Meter.Site.fn "tcp_demux"
+let s_tcp_demux_parse = Meter.Site.block "tcp_demux" "parse"
+let s_tcp_demux_listen_path = Meter.Site.cold "tcp_demux" "listen_path"
+let s_tcp_demux_dispatch = Meter.Site.block "tcp_demux" "dispatch"
+let s_tcp_demux_dispatch_0 = Meter.Site.call "tcp_demux" "dispatch" 0
+let s_tcp_send = Meter.Site.fn "tcp_send"
+let s_tcp_send_chk = Meter.Site.block "tcp_send" "chk"
+let s_tcp_send_notestab = Meter.Site.cold "tcp_send" "notestab"
+let s_tcp_send_chk_0 = Meter.Site.call "tcp_send" "chk" 0
+
 type t = {
   env : Ns.Host_env.t;
   ip : Ip.t;
@@ -68,17 +128,17 @@ let now_us t = Ns.Sim.now t.env.Ns.Host_env.sim
 
 let udiv_metered t a b =
   let m = meter t in
-  Meter.fn m "udiv" (fun () ->
-      m.Meter.block "udiv" "head";
-      m.Meter.cold ~triggered:(b = 0) "udiv" "divzero";
+  Meter.fn m s_udiv (fun () ->
+      m.Meter.block s_udiv_head;
+      m.Meter.cold ~triggered:(b = 0) s_udiv_divzero;
       if b = 0 then 0
       else begin
         let rec bits n v = if v = 0 then n else bits (n + 1) (v lsr 1) in
         let iters = max 1 ((bits 0 a + 3) / 4) in
         for _ = 1 to iters do
-          m.Meter.block "udiv" "dloop"
+          m.Meter.block s_udiv_dloop
         done;
-        m.Meter.block "udiv" "fixup";
+        m.Meter.block s_udiv_fixup;
         a / b
       end)
 
@@ -135,27 +195,27 @@ let rec tcp_output ?(flags = Tcp_hdr.ack_flag) ?(rexmt = false) s msg =
   let t = s.tcp in
   let m = meter t in
   let cb = s.tcb in
-  Meter.fn m "tcp_output" (fun () ->
-      m.Meter.block "tcp_output" "again" ~reads:(tcb_ranges s)
+  Meter.fn m s_tcp_output (fun () ->
+      m.Meter.block s_tcp_output_again ~reads:(tcb_ranges s)
         ~writes:(tcb_ranges s);
       let len = Msg.len msg in
       let zero_window =
         cb.Tcb.snd_wnd = 0 && len > 0 && cb.Tcb.state = Tcb.Established
       in
-      m.Meter.cold ~triggered:zero_window "tcp_output" "persist";
+      m.Meter.cold ~triggered:zero_window s_tcp_output_persist;
       (* decide whether a window update must accompany this segment *)
       (if t.opts.Opts.avoid_muldiv then
-         m.Meter.block "tcp_output" "winupdate"
+         m.Meter.block s_tcp_output_winupdate
        else begin
-         m.Meter.block "tcp_output" "winupdate";
-         m.Meter.call "tcp_output" "winupdate" 0
+         m.Meter.block s_tcp_output_winupdate;
+         m.Meter.call s_tcp_output_winupdate_0
        end);
       let threshold = window_update_threshold t (16 * cb.Tcb.mss) in
       let adv = Seq.sub (Seq.add cb.Tcb.rcv_nxt cb.Tcb.rcv_wnd) cb.Tcb.rcv_adv in
       let _window_update_needed = adv >= threshold in
-      m.Meter.cold ~triggered:false "tcp_output" "silly";
+      m.Meter.cold ~triggered:false s_tcp_output_silly;
       (* build the header and checksum the segment *)
-      m.Meter.block "tcp_output" "build" ~reads:(tcb_ranges s)
+      m.Meter.block s_tcp_output_build ~reads:(tcb_ranges s)
         ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Tcp_hdr.size () ];
       let seq = if rexmt then cb.Tcb.snd_una else cb.Tcb.snd_nxt in
       let hdr =
@@ -170,7 +230,7 @@ let rec tcp_output ?(flags = Tcp_hdr.ack_flag) ?(rexmt = false) s msg =
         Checksum.pseudo_header ~src:cb.Tcb.local_ip ~dst:cb.Tcb.remote_ip
           ~proto:Ip_hdr.proto_tcp ~len:(Bytes.length seg)
       in
-      m.Meter.call "tcp_output" "build" 0;
+      m.Meter.call s_tcp_output_build_0;
       let csum =
         Checksum.finish
           (Cksum_meter.sum m ~counters:t.cksum ~initial:pseudo ~sim_base:(Msg.sim_addr msg) seg 0
@@ -179,10 +239,10 @@ let rec tcp_output ?(flags = Tcp_hdr.ack_flag) ?(rexmt = false) s msg =
       Bytes.set hdr_bytes 16 (Char.chr (csum lsr 8 land 0xFF));
       Bytes.set hdr_bytes 17 (Char.chr (csum land 0xFF));
       Msg.push msg hdr_bytes;
-      m.Meter.cold ~triggered:false "tcp_output" "options";
+      m.Meter.cold ~triggered:false s_tcp_output_options;
       (* bookkeeping + hand off *)
-      m.Meter.block "tcp_output" "xmit" ~writes:(tcb_ranges s);
-      m.Meter.cold ~triggered:rexmt "tcp_output" "rexmt_path";
+      m.Meter.block s_tcp_output_xmit ~writes:(tcb_ranges s);
+      m.Meter.cold ~triggered:rexmt s_tcp_output_rexmt_path;
       let seq_consumed =
         len
         + (if Tcp_hdr.has hdr Tcp_hdr.syn then 1 else 0)
@@ -206,10 +266,10 @@ let rec tcp_output ?(flags = Tcp_hdr.ack_flag) ?(rexmt = false) s msg =
         cb.Tcb.rtt_start_us <- now_us t
       end;
       (* (re)arm the retransmit timer *)
-      m.Meter.call "tcp_output" "xmit" 0;
-      Meter.fn m "event_register" (fun () ->
-          m.Meter.block "event_register" "insert";
-          m.Meter.cold ~triggered:false "event_register" "expand";
+      m.Meter.call s_tcp_output_xmit_0;
+      Meter.fn m s_event_register (fun () ->
+          m.Meter.block s_event_register_insert;
+          m.Meter.cold ~triggered:false s_event_register_expand;
           if seq_consumed > 0 then begin
             ignore (cancel_rexmt s);
             let delay = float_of_int (rexmt_delay_ticks cb) *. tick_us in
@@ -217,7 +277,7 @@ let rec tcp_output ?(flags = Tcp_hdr.ack_flag) ?(rexmt = false) s msg =
               Some
                 (Ns.Host_env.timeout t.env ~delay (fun () -> retransmit s))
           end);
-      m.Meter.call "tcp_output" "xmit" 1;
+      m.Meter.call s_tcp_output_xmit_1;
       Ip.push t.ip ~dst:cb.Tcb.remote_ip ~proto:Ip_hdr.proto_tcp msg)
 
 and retransmit ?(fast = false) s =
@@ -244,7 +304,7 @@ and retransmit ?(fast = false) s =
         end
         else begin
           let m = meter t in
-          m.Meter.cold ~triggered:true "tcp_output" "rexmt_path";
+          m.Meter.cold ~triggered:true s_tcp_output_rexmt_path;
           Obs.Span.retry t.env.Ns.Host_env.span
             ~host:t.env.Ns.Host_env.span_host;
           Obs.Metrics.inc t.c_retransmits;
@@ -345,11 +405,11 @@ let deliver s payload =
   (* the layer above TCP: clientStreamDemux *)
   let t = s.tcp in
   let m = meter t in
-  Meter.fn m "clientstream_demux" (fun () ->
-      m.Meter.block "clientstream_demux" "strip";
-      m.Meter.cold ~triggered:false "clientstream_demux" "nosession";
-      m.Meter.block "clientstream_demux" "deliver";
-      m.Meter.call "clientstream_demux" "deliver" 0;
+  Meter.fn m s_clientstream_demux (fun () ->
+      m.Meter.block s_clientstream_demux_strip;
+      m.Meter.cold ~triggered:false s_clientstream_demux_nosession;
+      m.Meter.block s_clientstream_demux_deliver;
+      m.Meter.call s_clientstream_demux_deliver_0;
       s.receive s payload)
 
 let unbind_session s =
@@ -481,22 +541,22 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
   let t = s.tcp in
   let m = meter t in
   let cb = s.tcb in
-  Meter.fn m "tcp_input" (fun () ->
+  Meter.fn m s_tcp_input (fun () ->
       cb.Tcb.segments_in <- cb.Tcb.segments_in + 1;
       s.sent_in_input <- false;
-      m.Meter.block "tcp_input" "validate"
+      m.Meter.block s_tcp_input_validate
         ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Tcp_hdr.size () ];
       let seg = Msg.contents msg in
       let pseudo =
         Checksum.pseudo_header ~src:iphdr.Ip_hdr.src ~dst:iphdr.Ip_hdr.dst
           ~proto:Ip_hdr.proto_tcp ~len:(Bytes.length seg)
       in
-      m.Meter.call "tcp_input" "validate" 0;
+      m.Meter.call s_tcp_input_validate_0;
       let ok =
         Cksum_meter.verify m ~counters:t.cksum ~initial:pseudo ~sim_base:(Msg.sim_addr msg) seg 0
           (Bytes.length seg)
       in
-      m.Meter.cold ~triggered:(not ok) "tcp_input" "bad_cksum";
+      m.Meter.cold ~triggered:(not ok) s_tcp_input_bad_cksum;
       if ok then begin
         let hdr = Tcp_hdr.of_bytes (Msg.pop msg Tcp_hdr.size) in
         let payload = Msg.contents msg in
@@ -504,14 +564,13 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
            carries both data and an ack, so the pure-data / pure-ack tests
            fail and we fall into the general path (§2.3) *)
         if t.opts.Opts.header_prediction then
-          m.Meter.block "tcp_input" "hdr_pred";
+          m.Meter.block s_tcp_input_hdr_pred;
         let established = cb.Tcb.state = Tcb.Established in
-        m.Meter.cold ~triggered:(not established) "tcp_input"
-          "not_established";
+        m.Meter.cold ~triggered:(not established) s_tcp_input_not_established;
         if not established then handshake_input s hdr
         else begin
           (* --- ack processing --- *)
-          m.Meter.block "tcp_input" "ack_proc" ~reads:(tcb_ranges s)
+          m.Meter.block s_tcp_input_ack_proc ~reads:(tcb_ranges s)
             ~writes:(tcb_ranges s);
           let acked = Seq.sub hdr.Tcp_hdr.ack cb.Tcb.snd_una in
           let old_ack = Seq.lt hdr.Tcp_hdr.ack cb.Tcb.snd_una in
@@ -520,8 +579,8 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
             && Seq.gt cb.Tcb.snd_nxt cb.Tcb.snd_una
             && Msg.len msg = 0
           in
-          m.Meter.cold ~triggered:old_ack "tcp_input" "old_ack";
-          m.Meter.cold ~triggered:dup "tcp_input" "dupack";
+          m.Meter.cold ~triggered:old_ack s_tcp_input_old_ack;
+          m.Meter.cold ~triggered:dup s_tcp_input_dupack;
           if dup then begin
             cb.Tcb.dupacks <- cb.Tcb.dupacks + 1;
             (* fast retransmit: the third duplicate ack signals a hole at
@@ -545,11 +604,11 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
               | None -> ()
             end;
             (* rtt sample if the timed sequence is now acked *)
-            m.Meter.block "tcp_input" "rtt" ~writes:(tcb_ranges s);
-            m.Meter.call "tcp_input" "rtt" 0;
-            Meter.fn m "event_cancel" (fun () ->
-                m.Meter.block "event_cancel" "remove";
-                m.Meter.cold ~triggered:false "event_cancel" "notfound";
+            m.Meter.block s_tcp_input_rtt ~writes:(tcb_ranges s);
+            m.Meter.call s_tcp_input_rtt_0;
+            Meter.fn m s_event_cancel (fun () ->
+                m.Meter.block s_event_cancel_remove;
+                m.Meter.cold ~triggered:false s_event_cancel_notfound;
                 ignore (cancel_rexmt s));
             (* restart (not just cancel) the retransmit timer while data
                is outstanding: a new ack proves the flow is moving, so the
@@ -574,7 +633,7 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
             in
             try_push s;
             if t.opts.Opts.avoid_muldiv then begin
-              m.Meter.block "tcp_input" "cwnd";
+              m.Meter.block s_tcp_input_cwnd;
               (* common case: window fully open — no arithmetic at all *)
               if not fully_open then begin
                 if cb.Tcb.snd_cwnd < cb.Tcb.snd_ssthresh then
@@ -586,8 +645,8 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
               end
             end
             else begin
-              m.Meter.block "tcp_input" "cwnd";
-              m.Meter.call "tcp_input" "cwnd" 0;
+              m.Meter.block s_tcp_input_cwnd;
+              m.Meter.call s_tcp_input_cwnd_0;
               let incr_ =
                 if cb.Tcb.snd_cwnd < cb.Tcb.snd_ssthresh then cb.Tcb.mss
                 else
@@ -603,11 +662,11 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
             ()
           end;
           (* --- data processing --- *)
-          m.Meter.block "tcp_input" "data_proc" ~reads:(tcb_ranges s)
+          m.Meter.block s_tcp_input_data_proc ~reads:(tcb_ranges s)
             ~writes:(tcb_ranges s);
           let len = Bytes.length payload in
           let in_order = hdr.Tcp_hdr.seq = cb.Tcb.rcv_nxt in
-          m.Meter.cold ~triggered:(len > 0 && not in_order) "tcp_input" "reass";
+          m.Meter.cold ~triggered:(len > 0 && not in_order) s_tcp_input_reass;
           let force_ack = ref false in
           let deliverable =
             if len > 0 && in_order then begin
@@ -652,19 +711,19 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
               None
             end
           in
-          m.Meter.block "tcp_input" "window_upd" ~writes:(tcb_ranges s);
+          m.Meter.block s_tcp_input_window_upd ~writes:(tcb_ranges s);
           let slow_flags =
             Tcp_hdr.has hdr Tcp_hdr.fin
             || Tcp_hdr.has hdr Tcp_hdr.rst
             || Tcp_hdr.has hdr Tcp_hdr.urg
           in
-          m.Meter.cold ~triggered:slow_flags "tcp_input" "flags_slow";
+          m.Meter.cold ~triggered:slow_flags s_tcp_input_flags_slow;
           if slow_flags then fin_input s hdr;
           (* --- deliver upward --- *)
-          m.Meter.block "tcp_input" "deliver";
+          m.Meter.block s_tcp_input_deliver;
           (match deliverable with
           | Some data ->
-            m.Meter.call "tcp_input" "deliver" 0;
+            m.Meter.call s_tcp_input_deliver_0;
             deliver s data
           | None -> ());
           if !force_ack && not s.sent_in_input then
@@ -690,8 +749,8 @@ let session_key ~local_port ~remote_ip ~remote_port =
 
 let demux t ~(hdr : Ip_hdr.t) msg =
   let m = meter t in
-  Meter.fn m "tcp_demux" (fun () ->
-      m.Meter.block "tcp_demux" "parse"
+  Meter.fn m s_tcp_demux (fun () ->
+      m.Meter.block s_tcp_demux_parse
         ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Tcp_hdr.size () ];
       let raw = Msg.peek msg 0 Tcp_hdr.size in
       let thdr = Tcp_hdr.of_bytes raw in
@@ -701,15 +760,15 @@ let demux t ~(hdr : Ip_hdr.t) msg =
       in
       let found =
         Xk.Demux.lookup m ~inline:t.opts.Opts.map_cache_inline
-          ~caller:"tcp_demux" t.pcbs key
+          ~caller:s_tcp_demux_map t.pcbs key
       in
       let session =
         match found with
         | Some s ->
-          m.Meter.cold ~triggered:false "tcp_demux" "listen_path";
+          m.Meter.cold ~triggered:false s_tcp_demux_listen_path;
           Some s
         | None -> (
-          m.Meter.cold ~triggered:true "tcp_demux" "listen_path";
+          m.Meter.cold ~triggered:true s_tcp_demux_listen_path;
           match Hashtbl.find_opt t.listeners thdr.Tcp_hdr.dport with
           | None -> None
           (* passive open happens on SYN only: a stale segment from an
@@ -747,8 +806,8 @@ let demux t ~(hdr : Ip_hdr.t) msg =
       match session with
       | None -> ()
       | Some s ->
-        m.Meter.block "tcp_demux" "dispatch";
-        m.Meter.call "tcp_demux" "dispatch" 0;
+        m.Meter.block s_tcp_demux_dispatch;
+        m.Meter.call s_tcp_demux_dispatch_0;
         tcp_input s hdr msg)
 
 (* ----- public API --------------------------------------------------------- *)
@@ -789,12 +848,12 @@ let listen t ~port ~receive = Hashtbl.replace t.listeners port receive
 let send_msg s msg =
   let t = s.tcp in
   let m = meter t in
-  Meter.fn m "tcp_send" (fun () ->
-      m.Meter.block "tcp_send" "chk" ~reads:(tcb_ranges s);
+  Meter.fn m s_tcp_send (fun () ->
+      m.Meter.block s_tcp_send_chk ~reads:(tcb_ranges s);
       let estab = s.tcb.Tcb.state = Tcb.Established in
-      m.Meter.cold ~triggered:(not estab) "tcp_send" "notestab";
+      m.Meter.cold ~triggered:(not estab) s_tcp_send_notestab;
       if not estab then failwith "Tcp.send: not established";
-      m.Meter.call "tcp_send" "chk" 0;
+      m.Meter.call s_tcp_send_chk_0;
       let cb = s.tcb in
       let flight = Seq.sub cb.Tcb.snd_nxt cb.Tcb.snd_una in
       let window = min cb.Tcb.snd_cwnd (max cb.Tcb.snd_wnd 0) in

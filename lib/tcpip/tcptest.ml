@@ -3,6 +3,20 @@ module Ns = Protolat_netsim
 module Meter = Xk.Meter
 module Msg = Xk.Msg
 
+(* meter sites, interned at module initialisation *)
+let s_tcptest_send = Meter.Site.fn "tcptest_send"
+let s_tcptest_send_init = Meter.Site.cold "tcptest_send" "init"
+let s_tcptest_send_main = Meter.Site.block "tcptest_send" "main"
+let s_tcptest_send_main_0 = Meter.Site.call "tcptest_send" "main" 0
+let s_msg_prepare = Meter.Site.fn "msg_prepare"
+let s_msg_prepare_body = Meter.Site.block "msg_prepare" "body"
+let s_msg_prepare_grow = Meter.Site.cold "msg_prepare" "grow"
+let s_tcptest_send_main_1 = Meter.Site.call "tcptest_send" "main" 1
+let s_tcptest_recv = Meter.Site.fn "tcptest_recv"
+let s_tcptest_recv_main = Meter.Site.block "tcptest_recv" "main"
+let s_tcptest_recv_done_check = Meter.Site.cold "tcptest_recv" "done_check"
+let s_tcptest_recv_main_0 = Meter.Site.call "tcptest_recv" "main" 0
+
 type role =
   | Client
   | Server
@@ -29,21 +43,21 @@ let tcptest_send t =
   let env = t.env in
   Protolat_obs.Span.mark_tx_proto env.Ns.Host_env.span
     ~host:env.Ns.Host_env.span_host;
-  Meter.fn m "tcptest_send" (fun () ->
+  Meter.fn m s_tcptest_send (fun () ->
       (match t.session with
       | None -> failwith "Tcptest: no session"
       | Some s ->
-        m.Meter.cold ~triggered:t.first_send "tcptest_send" "init";
+        m.Meter.cold ~triggered:t.first_send s_tcptest_send_init;
         t.first_send <- false;
-        m.Meter.block "tcptest_send" "main"
+        m.Meter.block s_tcptest_send_main
           ~writes:[ Meter.range ~base:(Msg.sim_addr t.msg) ~len:8 () ];
-        m.Meter.call "tcptest_send" "main" 0;
-        Meter.fn m "msg_prepare" (fun () ->
-            m.Meter.block "msg_prepare" "body"
+        m.Meter.call s_tcptest_send_main_0;
+        Meter.fn m s_msg_prepare (fun () ->
+            m.Meter.block s_msg_prepare_body
               ~writes:[ Meter.range ~base:(Msg.sim_addr t.msg) ~len:16 () ];
-            m.Meter.cold ~triggered:false "msg_prepare" "grow";
+            m.Meter.cold ~triggered:false s_msg_prepare_grow;
             Msg.set_payload t.msg payload);
-        m.Meter.call "tcptest_send" "main" 1;
+        m.Meter.call s_tcptest_send_main_1;
         Tcp.send_msg s t.msg))
 
 let tcptest_recv t _data =
@@ -51,22 +65,22 @@ let tcptest_recv t _data =
   let env = t.env in
   Protolat_obs.Span.mark_app env.Ns.Host_env.span
     ~host:env.Ns.Host_env.span_host;
-  Meter.fn m "tcptest_recv" (fun () ->
-      m.Meter.block "tcptest_recv" "main";
+  Meter.fn m s_tcptest_recv (fun () ->
+      m.Meter.block s_tcptest_recv_main;
       match t.role with
       | Server ->
-        m.Meter.cold ~triggered:false "tcptest_recv" "done_check";
-        m.Meter.call "tcptest_recv" "main" 0;
+        m.Meter.cold ~triggered:false s_tcptest_recv_done_check;
+        m.Meter.call s_tcptest_recv_main_0;
         tcptest_send t
       | Client ->
         t.remaining <- t.remaining - 1;
         t.completed <- t.completed + 1;
         t.on_roundtrip t.completed;
         let finished = t.remaining <= 0 in
-        m.Meter.cold ~triggered:finished "tcptest_recv" "done_check";
+        m.Meter.cold ~triggered:finished s_tcptest_recv_done_check;
         if finished then t.on_complete ()
         else begin
-          m.Meter.call "tcptest_recv" "main" 0;
+          m.Meter.call s_tcptest_recv_main_0;
           tcptest_send t
         end)
 

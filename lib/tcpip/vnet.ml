@@ -2,6 +2,14 @@ module Xk = Protolat_xkernel
 module Ns = Protolat_netsim
 module Meter = Xk.Meter
 
+(* meter sites, interned at module initialisation *)
+let s_vnet_demux = Meter.Site.fn "vnet_demux"
+let s_vnet_demux_fwd = Meter.Site.block "vnet_demux" "fwd"
+let s_vnet_demux_fwd_0 = Meter.Site.call "vnet_demux" "fwd" 0
+let s_vnet_push = Meter.Site.fn "vnet_push"
+let s_vnet_push_fwd = Meter.Site.block "vnet_push" "fwd"
+let s_vnet_push_fwd_0 = Meter.Site.call "vnet_push" "fwd" 0
+
 type t = {
   env : Ns.Host_env.t;
   netdev : Ns.Netdev.t;
@@ -18,9 +26,9 @@ let create env netdev ~ethertype =
   in
   Ns.Netdev.register netdev ~ethertype (fun ~src msg ->
       let m = env.Ns.Host_env.meter in
-      Meter.fn m "vnet_demux" (fun () ->
-          m.Meter.block "vnet_demux" "fwd";
-          m.Meter.call "vnet_demux" "fwd" 0;
+      Meter.fn m s_vnet_demux (fun () ->
+          m.Meter.block s_vnet_demux_fwd;
+          m.Meter.call s_vnet_demux_fwd_0;
           t.upper ~src_mac:src msg));
   t
 
@@ -34,17 +42,17 @@ let set_upper t f = t.upper <- f
 
 let push t ~dst_ip msg =
   let m = t.env.Ns.Host_env.meter in
-  Meter.fn m "vnet_push" (fun () ->
-      m.Meter.block "vnet_push" "fwd";
+  Meter.fn m s_vnet_push (fun () ->
+      m.Meter.block s_vnet_push_fwd;
       match Hashtbl.find_opt t.routes dst_ip with
       | Some mac ->
-        m.Meter.call "vnet_push" "fwd" 0;
+        m.Meter.call s_vnet_push_fwd_0;
         Ns.Netdev.send t.netdev ~dst:mac ~ethertype:t.ethertype msg
       | None -> (
         match t.resolver with
         | None -> failwith "Vnet.push: no route"
         | Some resolve ->
-          m.Meter.call "vnet_push" "fwd" 0;
+          m.Meter.call s_vnet_push_fwd_0;
           resolve dst_ip (fun mac ->
               Hashtbl.replace t.routes dst_ip mac;
               Ns.Netdev.send t.netdev ~dst:mac ~ethertype:t.ethertype msg)))

@@ -1,5 +1,20 @@
+(* meter sites, interned at module initialisation *)
+let s_map_resolve = Meter.Site.fn "map_resolve"
+let s_map_resolve_entry = Meter.Site.block "map_resolve" "entry"
+let s_map_resolve_cache = Meter.Site.block "map_resolve" "cache"
+let s_map_resolve_probe = Meter.Site.block "map_resolve" "probe"
+let s_map_resolve_collision = Meter.Site.cold "map_resolve" "collision"
+
+type caller = {
+  cache : Meter.Site.t;
+  stub : Meter.Site.t;
+}
+
+let caller f =
+  { cache = Meter.Site.block f "map_cache"; stub = Meter.Site.call f "map_cache" 0 }
+
 let lookup (m : Meter.t) ~inline ~caller map key =
-  m.Meter.block caller "map_cache";
+  m.Meter.block caller.cache;
   if inline then begin
     (* inlined cache test: call the general function only on a miss *)
     match Map.resolve_detail map key with
@@ -8,30 +23,30 @@ let lookup (m : Meter.t) ~inline ~caller map key =
       (* the inlined test failed; fall into the general function, which
          will probe (the cache was just refilled by resolve_detail, so we
          must not consult it again — probe explicitly) *)
-      m.Meter.call caller "map_cache" 0;
-      Meter.fn m "map_resolve" (fun () ->
-          m.Meter.block "map_resolve" "entry";
-          m.Meter.block "map_resolve" "cache";
-          m.Meter.block "map_resolve" "probe";
-          m.Meter.cold ~triggered:false "map_resolve" "collision";
+      m.Meter.call caller.stub;
+      Meter.fn m s_map_resolve (fun () ->
+          m.Meter.block s_map_resolve_entry;
+          m.Meter.block s_map_resolve_cache;
+          m.Meter.block s_map_resolve_probe;
+          m.Meter.cold ~triggered:false s_map_resolve_collision;
           Map.resolve map key)
   end
   else begin
-    m.Meter.call caller "map_cache" 0;
-    Meter.fn m "map_resolve" (fun () ->
-        m.Meter.block "map_resolve" "entry";
+    m.Meter.call caller.stub;
+    Meter.fn m s_map_resolve (fun () ->
+        m.Meter.block s_map_resolve_entry;
         let result = Map.resolve_detail map key in
-        m.Meter.block "map_resolve" "cache";
+        m.Meter.block s_map_resolve_cache;
         match result with
         | Some (v, `Cache_hit) ->
-          m.Meter.cold ~triggered:false "map_resolve" "collision";
+          m.Meter.cold ~triggered:false s_map_resolve_collision;
           Some v
         | Some (v, `Probed) ->
-          m.Meter.block "map_resolve" "probe";
-          m.Meter.cold ~triggered:false "map_resolve" "collision";
+          m.Meter.block s_map_resolve_probe;
+          m.Meter.cold ~triggered:false s_map_resolve_collision;
           Some v
         | None ->
-          m.Meter.block "map_resolve" "probe";
-          m.Meter.cold ~triggered:false "map_resolve" "collision";
+          m.Meter.block s_map_resolve_probe;
+          m.Meter.cold ~triggered:false s_map_resolve_collision;
           None)
   end

@@ -6,5 +6,11 @@
     the general function.  Callers must have a "map_cache" block with a
     call site 0 targeting "map_resolve" in their spec. *)
 
+type caller
+
+val caller : string -> caller
+(** [caller f]: the meter sites of [f]'s "map_cache" block and its call
+    stub 0.  Declare at module initialisation, like any {!Meter.Site}. *)
+
 val lookup :
-  Meter.t -> inline:bool -> caller:string -> 'v Map.t -> string -> 'v option
+  Meter.t -> inline:bool -> caller:caller -> 'v Map.t -> string -> 'v option

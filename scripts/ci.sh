@@ -7,10 +7,10 @@
 # multi-flow sweep, a quick latency-provenance spans report (with its
 # bit-exact conservation check), a quick host-lifecycle chaos sweep, a
 # quick fabric incast export plus its --jobs byte-identity check,
-# byte-for-byte checks of the multi-flow and fabric JSON reports against
-# the golden files in test/golden/, the benchmark smoke (pinned workload
-# digests), a pair bit-identity check plus replays of the committed chaos
-# repro files, and a quick end-to-end bench table.
+# byte-for-byte checks of the multi-flow, fabric and per-function profile
+# JSON reports against the golden files in test/golden/, the benchmark
+# smoke (pinned workload digests), a pair bit-identity check plus replays
+# of the committed chaos repro files, and a quick end-to-end bench table.
 # Usage: scripts/ci.sh  (run from the repository root)
 set -eu
 
@@ -45,6 +45,15 @@ dune exec bin/protolat_cli.exe -- mflow --flows 64 --seeds 2 --json > "$GOLDEN"
 cmp "$GOLDEN" test/golden/mflow_64x2.json
 dune exec bin/protolat_cli.exe -- fabric --fan-ins 2,16 --seeds 2 --json > "$GOLDEN"
 cmp "$GOLDEN" test/golden/fabric_2_16x2.json
+# the metered path's goldens: per-function and per-layer attribution of
+# both stacks at the slowest and fastest versions, which depends on the
+# function names every meter site records
+for stack in tcpip rpc; do
+  for version in BAD ALL; do
+    dune exec bin/protolat_cli.exe -- profile -s "$stack" -c "$version" --json > "$GOLDEN"
+    cmp "$GOLDEN" "test/golden/profile_${stack}_${version}.json"
+  done
+done
 dune build @search-quick
 # the benchmark's smoke: every workload at 2 inputs x 1 pass against its
 # pinned smoke digest and every per-input oracle

@@ -282,10 +282,46 @@ let test_full_run_jobs_identical () =
   in
   Alcotest.(check string) "jobs:4 = jobs:1" (render 1) (render 4)
 
+(* The paper's twelve cells (both stacks x the six versions of Tables
+   4-9), pinned end to end: every measured roundtrip and the cold and
+   steady replay statistics of each cell, at the default spec and the
+   first sample seed.  The digest predates the interned meter sites and
+   the fused hierarchy path, so it holds them bit for bit to the
+   string-dispatched, per-call code they replaced; any drift in any
+   cell, RPC included, fails here. *)
+let stats_key (s : M.Memsys.stats) =
+  let row (r : M.Memsys.cache_row) =
+    Printf.sprintf "%d/%d/%d" r.M.Memsys.miss r.M.Memsys.acc r.M.Memsys.repl
+  in
+  Printf.sprintf "%s %s %s %h" (row s.M.Memsys.icache) (row s.M.Memsys.dwb)
+    (row s.M.Memsys.bcache) s.M.Memsys.stall_cycles
+
+let paper_cell stack v =
+  let r =
+    P.Engine.run
+      (P.Engine.Spec.with_seed (P.Engine.sample_seed 0)
+         (P.Engine.Spec.default ~stack ~config:(P.Config.make v)))
+  in
+  Printf.sprintf "%s/%s %s | cold %s | steady %s" (P.Engine.stack_name stack)
+    (P.Config.version_name v)
+    (String.concat "," (List.map (Printf.sprintf "%h") r.P.Engine.rtts))
+    (stats_key r.P.Engine.cold.M.Perf.stats)
+    (stats_key r.P.Engine.steady.M.Perf.stats)
+
+let test_paper_cells_pinned () =
+  let cells =
+    List.concat_map
+      (fun stack -> List.map (paper_cell stack) P.Config.all_versions)
+      [ P.Engine.Tcpip; P.Engine.Rpc ]
+  in
+  Alcotest.(check string) "12-cell digest" "79f4f6afbe1714c075eae4f885d5e24f"
+    (Digest.to_hex (Digest.string (String.concat "\n" cells)))
+
 let suite =
   ( "engine",
     [ Alcotest.test_case "all configs complete" `Slow test_all_configs_complete;
       Alcotest.test_case "determinism" `Quick test_determinism;
+      Alcotest.test_case "paper cells pinned" `Quick test_paper_cells_pinned;
       Alcotest.test_case "parallel sweep determinism" `Slow
         test_full_run_jobs_identical;
       Alcotest.test_case "seed perturbation" `Quick test_seed_perturbs;

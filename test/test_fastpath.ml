@@ -44,9 +44,9 @@ let geometries =
 (* ----- engine: fast path vs reference -------------------------------------- *)
 
 (* Every observable of a run — per-roundtrip RTTs, cold/steady replay
-   reports, the unified metrics dump, per-function attribution of the
-   collected trace and the span ledger — must be byte-identical with the
-   fast path (d-memo included) on and with the per-instruction reference
+   reports, the client's online hierarchy counters, the unified metrics
+   dump, per-function attribution of the collected trace and the span
+   ledger — must be byte-identical with the fast path (d-memo included) on and with the per-instruction reference
    path it replaces: over both stacks and every version (hence every
    layout), a lossy run that retransmits, a switched 2-host topology, a
    run recording spans, and a thrashing i-cache geometry. *)
@@ -59,6 +59,8 @@ let check_engine_onoff name (spec : P.Engine.Spec.t) =
     off.P.Engine.retransmissions on.P.Engine.retransmissions;
   check_report (name ^ " steady") on.P.Engine.steady off.P.Engine.steady;
   check_report (name ^ " cold") on.P.Engine.cold off.P.Engine.cold;
+  Alcotest.(check bool) (name ^ ": online hierarchy counters identical") true
+    (on.P.Engine.online = off.P.Engine.online);
   Alcotest.(check string) (name ^ ": metrics json identical")
     (Obs.Metrics.to_json off.P.Engine.metrics)
     (Obs.Metrics.to_json on.P.Engine.metrics);
@@ -315,6 +317,185 @@ let test_cache_credit_hits () =
   Alcotest.(check int) "last_victim cleared" (M.Cache.last_victim c')
     (M.Cache.last_victim c)
 
+(* ----- the fused hierarchy vs the per-call reference ------------------------ *)
+
+(* One stream element, decoded from an int so QCheck can shrink streams:
+   how the pc moves after it, the data reference's kind and how its
+   address is picked, an offset, and whether to take the engine's
+   warm-chunk path (data reference only, fetch credited as a hit) when
+   the pc's line is resident. *)
+type op = {
+  jump : int;
+  kind : int;
+  dsel : int;
+  donly : bool;
+  off : int;
+}
+
+let op_kinds = [| Trace.kind_none; Trace.kind_read; Trace.kind_write |]
+
+let op_of_int x =
+  { jump = x mod 10;
+    kind = op_kinds.(x / 10 mod 3);
+    dsel = x / 30 mod 6;
+    donly = x / 180 mod 4 = 0;
+    off = x / 720 }
+
+let max_op = (720 * 0x10000) - 1
+
+let code_base = 0x10000
+
+let data_base = 0x1000_0000
+
+let two_mb = 0x200000
+
+(* mostly straight-line code (sequential i-misses, stream prefetches),
+   jumps within 32 KB (i-cache conflicts at 8 KB and 2 KB) and across 2 MB
+   strides (b-cache conflicts) *)
+let next_pc pc op =
+  if op.jump < 7 then pc + 4
+  else if op.jump = 7 then code_base + (op.off * 4 land 0x7FFC)
+  else if op.jump = 8 then
+    code_base + ((op.off land 3) * two_mb) + (op.off * 4 land 0xFFC)
+  else pc + 64
+
+(* a few hot lines (d-cache hits, write-buffer merges), a 16 KB window
+   (d-cache conflicts at 8 KB and 512 B, write-buffer retirements), 2 MB
+   strides (b-cache conflicts), the code region and a wide window
+   (b-cache misses) *)
+let data_addr op =
+  match op.dsel with
+  | 0 | 1 -> data_base + (op.off mod 6 * 32) + (op.off land 0x18)
+  | 2 -> data_base + (op.off * 8 land 0x3FF8)
+  | 3 -> data_base + ((op.off land 3) * two_mb) + (op.off * 8 land 0xFF8)
+  | 4 -> code_base + (op.off * 4 land 0x7FFC)
+  | _ -> data_base + 0x8000 + (op.off * 32 land 0x1FFFE0)
+
+(* the per-call reference: one fetch, then the data reference *)
+let issue_reference m pc op =
+  let s = M.Memsys.ifetch m pc in
+  if op.kind = Trace.kind_read then s +. M.Memsys.load m (data_addr op)
+  else if op.kind = Trace.kind_write then s +. M.Memsys.store m (data_addr op)
+  else s
+
+(* the fused path as the engine drives it *)
+let issue_fused m pc op =
+  let ic = M.Memsys.icache m and addr = data_addr op in
+  if op.donly && op.kind <> Trace.kind_none && M.Cache.probe ic pc then begin
+    if op.kind = Trace.kind_read then M.Memsys.load_acc m addr
+    else M.Memsys.store_acc m addr;
+    M.Cache.credit_hits ic 1;
+    (M.Memsys.lat_cell m).(0)
+  end
+  else M.Memsys.access m ~pc ~kind:op.kind ~addr
+
+let same_state a b =
+  M.Memsys.stats a = M.Memsys.stats b
+  && M.Cache.last_victim (M.Memsys.icache a)
+     = M.Cache.last_victim (M.Memsys.icache b)
+  && M.Cache.generations (M.Memsys.icache a)
+     = M.Cache.generations (M.Memsys.icache b)
+  && M.Cache.generations (M.Memsys.dcache a)
+     = M.Cache.generations (M.Memsys.dcache b)
+
+let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* Drive [a] and [b] through [ops] in lockstep: every latency bit-equal and
+   the observable state equal after every access. *)
+let lockstep ~issue_a ~issue_b a b ops =
+  let rec go pc = function
+    | [] -> true
+    | op :: rest ->
+      let la = issue_a a pc op in
+      let lb = issue_b b pc op in
+      same_float la lb && same_state a b && go (next_pc pc op) rest
+  in
+  go code_base ops
+
+let gen_stream = QCheck.(list_of_size Gen.(int_range 1 400) (int_bound max_op))
+
+let prop_fused_vs_reference =
+  QCheck.Test.make ~name:"fused hierarchy = per-call reference" ~count:100
+    gen_stream (fun xs ->
+      let ops = List.map op_of_int xs in
+      List.for_all
+        (fun (_, p) ->
+          lockstep ~issue_a:issue_reference ~issue_b:issue_fused
+            (M.Memsys.create p) (M.Memsys.create p) ops)
+        geometries)
+
+(* A cleared hierarchy that has run one stream replays a second exactly
+   like a fresh one.  The dirty stream ends with a miss on the line just
+   below the second stream's first pc, so stale stream-detection state
+   would turn that first miss sequential. *)
+let prop_cleared_vs_fresh =
+  QCheck.Test.make ~name:"cleared hierarchy = fresh" ~count:50
+    (QCheck.pair gen_stream gen_stream) (fun (xs, ys) ->
+      List.for_all
+        (fun (_, p) ->
+          let dirty = M.Memsys.create p in
+          ignore
+            (List.fold_left
+               (fun pc op ->
+                 ignore (issue_fused dirty pc op);
+                 next_pc pc op)
+               code_base (List.map op_of_int xs));
+          ignore
+            (M.Memsys.access dirty ~pc:(code_base - 4) ~kind:Trace.kind_none
+               ~addr:0);
+          M.Memsys.clear dirty;
+          lockstep ~issue_a:issue_fused ~issue_b:issue_fused dirty
+            (M.Memsys.create p) (List.map op_of_int ys))
+        geometries)
+
+(* The stream generator reaches every case the fused path distinguishes,
+   on every geometry: replacement misses at all three levels, sequential
+   and prefetching i-misses, write-buffer merges and retirements, and the
+   warm-chunk data-only path. *)
+let test_fused_stream_coverage () =
+  let rng = Random.State.make [| 42 |] in
+  let ops = List.init 4000 (fun _ -> op_of_int (Random.State.int rng max_op)) in
+  List.iter
+    (fun (gname, p) ->
+      let m = M.Memsys.create p in
+      let seq = ref 0 and prefetch = ref 0 and merge = ref 0 in
+      let retire = ref 0 and donly = ref 0 in
+      ignore
+        (List.fold_left
+           (fun pc op ->
+             let st0 = M.Memsys.stats m in
+             if op.donly && op.kind <> Trace.kind_none
+                && M.Cache.probe (M.Memsys.icache m) pc
+             then incr donly;
+             let s = M.Memsys.ifetch m pc in
+             let st1 = M.Memsys.stats m in
+             if s = float_of_int p.M.Params.b_seq_cycles then incr seq;
+             if st1.M.Memsys.bcache.M.Memsys.acc - st0.M.Memsys.bcache.M.Memsys.acc = 2
+             then incr prefetch;
+             if op.kind = Trace.kind_read then ignore (M.Memsys.load m (data_addr op))
+             else if op.kind = Trace.kind_write then begin
+               if M.Memsys.store m (data_addr op) = p.M.Params.wb_retire_cycles
+               then incr retire;
+               if (M.Memsys.stats m).M.Memsys.dwb.M.Memsys.miss
+                  = st1.M.Memsys.dwb.M.Memsys.miss
+               then incr merge
+             end;
+             next_pc pc op)
+           code_base ops);
+      let st = M.Memsys.stats m in
+      List.iter
+        (fun (what, n) ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s" gname what) true (n > 0))
+        [ ("i-cache repl misses", st.M.Memsys.icache.M.Memsys.repl);
+          ("d-cache repl misses", st.M.Memsys.dwb.M.Memsys.repl);
+          ("b-cache repl misses", st.M.Memsys.bcache.M.Memsys.repl);
+          ("sequential i-misses", !seq);
+          ("stream prefetches", !prefetch);
+          ("write-buffer merges", !merge);
+          ("write-buffer retirements", !retire);
+          ("data-only accesses", !donly) ])
+    geometries
+
 (* ----- invalidation demotes memoized runs ---------------------------------- *)
 
 (* A synthetic trace whose runs touch disjoint lines, so warm/slow counts
@@ -484,6 +665,10 @@ let suite =
     [ Alcotest.test_case "cache generation tags" `Quick
         test_cache_generation_tags;
       Alcotest.test_case "cache credit_hits" `Quick test_cache_credit_hits;
+      QCheck_alcotest.to_alcotest prop_fused_vs_reference;
+      QCheck_alcotest.to_alcotest prop_cleared_vs_fresh;
+      Alcotest.test_case "fused stream coverage" `Quick
+        test_fused_stream_coverage;
       Alcotest.test_case "blockcache replay equivalence" `Quick
         test_blockcache_replay_equiv;
       Alcotest.test_case "d-memo engaged" `Quick test_dmemo_engaged;

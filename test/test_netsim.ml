@@ -5,6 +5,7 @@ module Sparse = Ns.Sparse_mem
 module Usc = Ns.Usc
 module Lance = Ns.Lance
 module Xk = Protolat_xkernel
+module Obs = Protolat_obs
 
 let simmem () = Xk.Simmem.create ()
 
@@ -171,6 +172,45 @@ let test_lance_descriptor_traffic () =
   let copy_ops = run Lance.Copy and usc_ops = run Lance.Usc_direct in
   Alcotest.(check bool) "usc does less sparse traffic" true (usc_ops < copy_ops)
 
+(* A powered-down controller drops a straggling transmit on every channel
+   at once, as it does an incoming frame: the counter, the span ledger's
+   drop mark and a tracer instant each move by one. *)
+let test_lance_down_transmit () =
+  let s = Sim.create () in
+  let link = Ether.Link.create s () in
+  let l = Lance.create s (simmem ()) link ~station:0 () in
+  let host = Obs.Span.host_client in
+  let tracer = Obs.Tracer.create ~clock:(Sim.clock_cell s) () in
+  let span = Obs.Span.create ~clock:(Sim.clock_cell s) () in
+  Lance.set_tracer l ~tid:0 tracer;
+  Lance.set_span ~host l span;
+  (* the ledger's message is queued for the wire when the frame dies *)
+  Obs.Span.begin_run span ~at:0.0;
+  Obs.Span.mark_tx_proto span ~host;
+  Obs.Span.mark_tx_queue span ~host;
+  Lance.set_power l false;
+  let drops0 = Lance.down_drops l and events0 = Obs.Tracer.total tracer in
+  Lance.transmit l
+    { Ether.dst = 1; src = 0; ethertype = 0x800; payload = Bytes.make 50 'p' };
+  Obs.Span.roll span ~at:(Sim.now s) ~measured:true;
+  Alcotest.(check int) "down_drops counter" (drops0 + 1) (Lance.down_drops l);
+  Alcotest.(check int) "one tracer instant" (events0 + 1)
+    (Obs.Tracer.total tracer);
+  let names = ref [] in
+  Obs.Tracer.iter tracer (fun e -> names := e.Obs.Tracer.name :: !names);
+  Alcotest.(check (list string)) "named down_drop" [ "down_drop" ] !names;
+  let drop_marks =
+    Array.fold_left
+      (fun n (m : Obs.Span.message) ->
+        Array.fold_left
+          (fun n (g : Obs.Span.seg) ->
+            if g.Obs.Span.stage = Obs.Span.stage_rto_wait then n + 1 else n)
+          n m.Obs.Span.segs)
+      0 (Obs.Span.messages span)
+  in
+  Alcotest.(check int) "one span drop mark" 1 drop_marks;
+  Alcotest.(check int) "nothing reaches the wire" 0 (Sim.run s)
+
 (* ----- netdev ------------------------------------------------------------------ *)
 
 let test_netdev_roundtrip () =
@@ -221,5 +261,7 @@ let suite =
       Alcotest.test_case "lance modes" `Quick test_lance_modes;
       Alcotest.test_case "lance descriptor traffic" `Quick
         test_lance_descriptor_traffic;
+      Alcotest.test_case "lance powered-off transmit" `Quick
+        test_lance_down_transmit;
       Alcotest.test_case "netdev roundtrip" `Quick test_netdev_roundtrip;
       Alcotest.test_case "host_env timeout" `Quick test_host_env_timeout ] )

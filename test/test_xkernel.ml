@@ -280,6 +280,56 @@ let test_protocol_render () =
     (String.length s > 0
     && Xk.Protocol.names g = [ "A"; "BB" ])
 
+(* ----- meter sites ------------------------------------------------------- *)
+
+module Site = Xk.Meter.Site
+
+let test_site_interning () =
+  let id (s : Site.t) = (s :> int) in
+  let b = Site.block "site_test_f" "blk" in
+  let n = Site.count () in
+  Alcotest.(check int) "same names, same block site" (id b)
+    (id (Site.block "site_test_f" "blk"));
+  Alcotest.(check int) "same names, same fn site"
+    (id (Site.fn "site_test_f"))
+    (id (Site.fn "site_test_f"));
+  Alcotest.(check int) "same names, same call site"
+    (id (Site.call "site_test_f" "blk" 1))
+    (id (Site.call "site_test_f" "blk" 1));
+  let all =
+    [ Site.fn "site_test_f"; b; Site.cold "site_test_f" "blk";
+      Site.call "site_test_f" "blk" 0; Site.call "site_test_f" "blk" 1;
+      Site.block "site_test_g" "blk" ]
+  in
+  Alcotest.(check int) "each shape is its own site" (List.length all)
+    (List.length (List.sort_uniq compare (List.map id all)));
+  Alcotest.(check int) "only new names intern" (n + 5) (Site.count ());
+  Alcotest.(check bool) "sites are dense" true
+    (List.for_all (fun s -> id s >= 0 && id s < Site.count ()) all);
+  List.iter
+    (fun (s, f, shape) ->
+      Alcotest.(check string) "func back" f (Site.func s);
+      Alcotest.(check bool) "shape back" true (Site.shape s = shape))
+    [ (b, "site_test_f", Site.Hot "blk");
+      (Site.fn "site_test_f", "site_test_f", Site.Fn);
+      (Site.cold "site_test_f" "blk", "site_test_f", Site.Cold "blk");
+      (Site.call "site_test_f" "blk" 1, "site_test_f", Site.Stub ("blk", 1)) ]
+
+(* Protocol modules intern their sites at initialisation, and late
+   interning from several domains agrees on one id per name. *)
+let test_site_registration () =
+  let n = Site.count () in
+  ignore (Site.block "map_resolve" "entry");
+  ignore (Site.cold "tcp_input" "bad_cksum");
+  Alcotest.(check int) "protocol sites exist before first use" n
+    (Site.count ());
+  let names = List.init 64 (fun i -> Printf.sprintf "site_race_%d" i) in
+  let intern () = List.map (fun f -> (Site.fn f :> int)) names in
+  let d = Domain.spawn intern in
+  let here = intern () in
+  Alcotest.(check (list int)) "one id per name across domains" here
+    (Domain.join d)
+
 let suite =
   ( "xkernel",
     [ Alcotest.test_case "simmem alignment" `Quick test_simmem_alignment;
@@ -308,4 +358,7 @@ let suite =
       Alcotest.test_case "condition signal" `Quick test_condition_signal;
       Alcotest.test_case "pool" `Quick test_pool;
       Alcotest.test_case "pool no shortcircuit" `Quick test_pool_no_shortcircuit;
-      Alcotest.test_case "protocol render" `Quick test_protocol_render ] )
+      Alcotest.test_case "protocol render" `Quick test_protocol_render;
+      Alcotest.test_case "meter site interning" `Quick test_site_interning;
+      Alcotest.test_case "meter site registration" `Quick
+        test_site_registration ] )
