@@ -87,7 +87,7 @@ let run_tables () =
     Table.print (P.Bsd_model.report ())
   end;
   if want "layout" || only = None then begin
-    banner "Layout sweep (incremental: pc rewrite + block-cache replay)";
+    banner "Layout sweep (incremental: pc rewrite + trace replay)";
     (* code images are immutable and cached per (config, layout); build
        them up front so the sweep comparison times sweep mechanics, not
        the shared one-time image construction *)

@@ -877,7 +877,7 @@ let search_cmd =
     Cli_common.check_arg
       ~doc:
         "Re-simulate each cell's best layout through the full path (decode \
-         genome, build image, fresh segmentation) and require bit-identical \
+         genome, build image, fresh memory system) and require bit-identical \
          steady time, plus best-found <= best seeded named layout; exit \
          non-zero on violation."
       ()

@@ -85,9 +85,9 @@ let linear_vs_bipartite () =
   t
 
 (* Layouts x i-cache sizes from ONE protocol simulation: the base run's
-   steady trace is retargeted per layout (pc rewrite), and per geometry the
-   segmentation is rebuilt once and re-bound per candidate — the sweep's
-   cost is replays, not full runs (see Experiments.layout_sweep). *)
+   steady trace is retargeted per layout (pc rewrite) and replayed per
+   geometry — the sweep's cost is replays, not full runs (see
+   Experiments.layout_sweep). *)
 let layout_matrix () =
   let module Layout = Protolat_layout in
   let module Trace = Machine.Trace in
@@ -123,16 +123,11 @@ let layout_matrix () =
   List.iter
     (fun kb ->
       let params = with_icache (kb * 1024) in
-      let bc0 = Machine.Blockcache.segment params base.Engine.trace in
       Table.add_row t
         (Printf.sprintf "%d KB" kb
         :: List.map
-             (fun (layout, trace) ->
-               let bc =
-                 if layout = base_layout then bc0
-                 else Machine.Blockcache.rebind bc0 trace
-               in
-               f1 (Machine.Perf.steady_bc params bc).Machine.Perf.time_us)
+             (fun (_, trace) ->
+               f1 (Machine.Perf.steady params trace).Machine.Perf.time_us)
              traces))
     [ 4; 8; 16; 32 ];
   t

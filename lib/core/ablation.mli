@@ -24,9 +24,8 @@ val linear_vs_bipartite : unit -> Protolat_util.Table.t
 val layout_matrix : unit -> Protolat_util.Table.t
 (** Steady replay time for every placement strategy under 4/8/16/32 KB
     i-caches, computed incrementally from one protocol simulation: per
-    layout the base trace's instruction addresses are rewritten, per
-    geometry the basic-block segmentation is rebuilt once and re-bound per
-    candidate ({!Protolat_machine.Blockcache.rebind}). *)
+    layout the base trace's instruction addresses are rewritten, and the
+    retargeted trace is replayed under each geometry. *)
 
 val future_machine : unit -> Protolat_util.Table.t
 (** The §5 trend: a 266 MHz CPU with a 66 MB/s memory system (vs the

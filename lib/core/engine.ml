@@ -223,11 +223,11 @@ let queue_pop q =
   end
   else -1
 
-(* Per-slot memo for the warm-block fast path (see {!Machine.Blockcache} for
-   the replay-side counterpart and the general equivalence argument).  A
-   slot's instruction classes, penalties and i-cache lines never change, so
-   the per-instruction float expression of [emit_one] is precomputed for
-   the dominant case [lat = 0.0] (no memory stall):
+(* Per-slot memo for the warm-block fast path (its equivalence argument is
+   at [emit_slot_fast]).  A slot's instruction classes, penalties and
+   i-cache lines never change, so the per-instruction float expression of
+   [emit_one] is precomputed for the dominant case [lat = 0.0] (no memory
+   stall):
 
      us0.(i) = (0.0 +. (0.0 +. pen_i)) /. clock     (second of a pair)
      us1.(i) = (0.0 +. (1.0 +. pen_i)) /. clock     (new issue slot)
@@ -243,9 +243,9 @@ let queue_pop q =
    would all hit (nothing can evict the line mid-chunk: data references
    never touch the i-cache and every fetch in the chunk is to this line),
    in which case the hits are credited in one step and only data references
-   enter the memory system.  A chunk whose line is not resident falls back
-   to full per-instruction fetches — so one missing line costs one chunk,
-   not the whole slot.  [gens] holds the per-chunk generation snapshot
+   enter the memory system.  A chunk whose line is not resident makes one
+   real fetch, at its head — so one missing line costs one chunk, not the
+   whole slot.  [gens] holds the per-chunk generation snapshot
    ([-1] = unverified), only ever taken while the line is resident; the
    memo table is private to one host state, whose memory system never
    changes, so snapshots cannot leak across caches. *)
@@ -389,10 +389,30 @@ let build_smemo (p : Machine.Params.t) ic (slot : Image.slot) =
    by probe on mismatch) skips its instruction fetches — they would all hit,
    contributing zero stall and no state change beyond the hit counters,
    credited in one step — and only its data references enter the memory
-   system.  A cold chunk performs full per-instruction accesses and then
+   system.  A cold chunk performs one real fetch at its head and then
    snapshots its generation (the line was just fetched and nothing in the
    chunk can evict it).  Pairing state, synthetic-address state and the
-   sequential busy/clock accumulation are bit-for-bit the slow path's. *)
+   sequential busy/clock accumulation are bit-for-bit the slow path's.
+
+   Equivalence argument (why the memory system ends every chunk in the
+   state the per-instruction [emit_one] loop leaves it, by induction over
+   chunks):
+   - A fetch that hits returns 0 without touching stalls, the
+     sequential-stream state or the b-cache; its only effect is on the
+     i-cache's hit counters and [last_victim], which one
+     {!Machine.Cache.credit_hits} applies for the whole chunk (integer
+     addition commutes).
+   - Every fetch of a warm chunk hits: its line is resident at chunk entry,
+     and nothing in the chunk can evict it — data references never read or
+     modify i-cache state, and every fetch in the chunk is to this line.
+   - In a cold chunk only the head fetch can miss: it makes the line
+     resident, and the same reasoning covers the rest of the chunk.  The
+     credit comes after that miss, so [last_victim] ends as the slow path
+     leaves it (the victim for a lone miss, -1 whenever hits follow).
+   - Data references therefore see identical d-cache, write-buffer and
+     b-cache state, in the same order with the same addresses, and stalls
+     accumulate the same terms in the same order because hits contribute
+     none. *)
 let emit_slot_fast h (m : smemo) =
   let p = h.params in
   let clock = p.Machine.Params.clock_mhz in
@@ -992,8 +1012,9 @@ let run_tcpip ?(rx_overhead_us = 0.0) ?fault ?extra_meter ?(trace_events = false
     ~retransmissions:(T.Tcp.retransmits pair.T.Stack.client.T.Stack.tcp)
     ~metrics:pair.T.Stack.metrics ~events:tracer ~spans:span
 
-let run_rpc ?fault ?extra_meter ?(trace_events = false) ?(spans = false)
-    ~topology ~seed ~rounds ~warmup ~params ~(config : Config.t) ~layout () =
+let run_rpc ?(rx_overhead_us = 0.0) ?fault ?extra_meter ?(trace_events = false)
+    ?(spans = false) ~topology ~seed ~rounds ~warmup ~params
+    ~(config : Config.t) ~layout () =
   let client_image = build_image config rpc_client_desc ~layout in
   (* the server always runs the best version (§4.2) *)
   let server_image =
@@ -1030,8 +1051,8 @@ let run_rpc ?fault ?extra_meter ?(trace_events = false) ?(spans = false)
   in
   cenv.Ns.Host_env.meter <- compose_meter (make_meter ch) extra_meter;
   senv.Ns.Host_env.meter <- compose_meter (make_meter sh) extra_meter;
-  install_phase_hook ch cenv;
-  install_phase_hook sh senv;
+  install_phase_hook ~rx_overhead_us ch cenv;
+  install_phase_hook ~rx_overhead_us sh senv;
   let client_test, _server_test =
     R.Rstack.make_tests pair ~rounds:(rounds + warmup)
   in
@@ -1074,14 +1095,13 @@ module Spec = struct
     fault : Ns.Fault.spec option;
     extra_meter : Xk.Meter.t option;
     trace_events : bool;
-    spans : bool option;
-        (* None: follow the PROTOLAT_SPANS environment knob *)
+    spans : bool;
   }
 
   let make ?(topology = Ns.Topology.pair ()) ?(seed = 42) ?(rounds = 24)
       ?(warmup = 8) ?(params = Machine.Params.default) ?layout
       ?(rx_overhead_us = 0.0) ?fault ?extra_meter ?(trace_events = false)
-      ?spans ~stack ~config () =
+      ?(spans = false) ~stack ~config () =
     { stack;
       config;
       topology;
@@ -1121,7 +1141,6 @@ let run (spec : Spec.t) =
     invalid_arg
       "Engine.run: spec topology must have exactly 2 hosts (use Incast for \
        N-host fabric scenarios)";
-  let spans = match spans with Some b -> b | None -> Obs.Span.knob_on () in
   let layout =
     match layout with
     | Some l -> l
@@ -1132,8 +1151,8 @@ let run (spec : Spec.t) =
     run_tcpip ~rx_overhead_us ?fault ?extra_meter ~trace_events ~spans
       ~topology ~seed ~rounds ~warmup ~params ~config ~layout ()
   | Rpc ->
-    run_rpc ?fault ?extra_meter ~trace_events ~spans ~topology ~seed ~rounds
-      ~warmup ~params ~config ~layout ()
+    run_rpc ~rx_overhead_us ?fault ?extra_meter ~trace_events ~spans
+      ~topology ~seed ~rounds ~warmup ~params ~config ~layout ()
 
 (* ----- bulk-transfer throughput (§4.1: "none of the techniques
    negatively affected throughput"; §2.2.5: CPU utilization) ------------- *)

@@ -89,8 +89,8 @@ module Spec : sig
     layout : Config.layout option;
         (** [None]: the version's natural layout ({!Config.layout_of}) *)
     rx_overhead_us : float;
-        (** packet-classifier cost ahead of every receive (TCP/IP only;
-            the paper's PIN/ALL results assume a zero-overhead
+        (** packet-classifier cost ahead of every receive, on both hosts
+            (the paper's PIN/ALL results assume a zero-overhead
             classifier; default 0) *)
     fault : Protolat_netsim.Fault.spec option;
         (** seeded wire + device fault plan, installed after the
@@ -102,11 +102,10 @@ module Spec : sig
     trace_events : bool;
         (** record timeline events (packets, timers, faults,
             retransmissions) into [result.events] for Perfetto export *)
-    spans : bool option;
-        (** record the per-message span ledger into [result.spans];
-            [None] (the default) follows the [PROTOLAT_SPANS] environment
-            knob.  Marks never touch simulation state, so results are
-            bit-identical either way *)
+    spans : bool;
+        (** record the per-message span ledger into [result.spans]
+            (default off).  Marks never touch simulation state, so results
+            are bit-identical either way *)
   }
 
   val make :
@@ -140,11 +139,11 @@ val run : Spec.t -> run_result
 (** One measurement run: establish the connection, [spec.warmup]
     roundtrips, then [spec.rounds] measured roundtrips.
 
-    The engine's online simulation uses the warm-block fast path (slots
-    whose i-cache lines are verifiably resident are charged their memoized
-    cost; see {!Machine.Blockcache}) unless it is disabled via
-    {!Machine.Blockcache.set_enabled} — results are bit-identical either
-    way. *)
+    The engine's online simulation uses the warm-block fast path (a run
+    of a slot's instructions on one i-cache line that is verifiably
+    resident skips its instruction fetches and is credited their hits in
+    one step) unless it is disabled via {!Machine.Blockcache.set_enabled}
+    — results are bit-identical either way. *)
 
 type throughput_result = {
   mbits_per_s : float;

@@ -597,12 +597,10 @@ let layout_candidates =
    candidate placement of the same units, so a layout sweep does not need a
    full protocol simulation per candidate: the base run's steady-state
    trace is retargeted to each placement by rewriting instruction addresses
-   ({!Layout.Image.pc_map} + {!Trace.map_pcs}), the one-time basic-block
-   segmentation is re-bound to the new i-cache lines
-   ({!Machine.Blockcache.rebind}), and only the i-side mapping is
-   re-evaluated ({!Perf.steady_bc} / {!Perf.cold_bc}).  [~incremental:false]
-   runs the full simulation per candidate instead — the reports are
-   bit-identical, several times slower. *)
+   ({!Layout.Image.pc_map} + {!Trace.map_pcs}) and replayed
+   ({!Perf.cold} / {!Perf.steady}).  [~incremental:false] runs the full
+   simulation per candidate instead — the reports are bit-identical,
+   several times slower. *)
 let layout_sweep_base ?(config = Config.make Config.Clo)
     ?(stack = Engine.Tcpip) () =
   let base_layout = Config.layout_of config.Config.version in
@@ -623,7 +621,6 @@ let layout_sweep ?(config = Config.make Config.Clo) ?(stack = Engine.Tcpip)
       match base with Some r -> r | None -> Engine.run spec
     in
     let params = spec.Engine.Spec.params in
-    let bc = Machine.Blockcache.segment params base.Engine.trace in
     List.map
       (fun layout ->
         if layout = base_layout then
@@ -635,8 +632,7 @@ let layout_sweep ?(config = Config.make Config.Clo) ?(stack = Engine.Tcpip)
               (Layout.Image.pc_map base.Engine.client_image img)
               base.Engine.trace
           in
-          let bc' = Machine.Blockcache.rebind bc trace' in
-          (layout, Perf.cold_bc params bc', Perf.steady_bc params bc')
+          (layout, Perf.cold params trace', Perf.steady params trace')
         end)
       layouts
   end
@@ -648,7 +644,7 @@ let layout_sweep_table ?(incremental = true) () =
       ~title:
         (Printf.sprintf
            "Layout sweep (TCP/IP, cloned+outlined; %s: one run, per-layout \
-            pc rewrite + block-cache replay)"
+            pc rewrite + trace replay)"
            (if incremental then "incremental" else "full simulation"))
       ~headers:
         [ "Layout"; "steady [us]"; "steady mCPI"; "i-miss"; "i-repl";

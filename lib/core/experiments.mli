@@ -95,12 +95,11 @@ val layout_sweep :
     same code units ([(layout, cold, steady)]).  [~incremental:true]
     captures one base run and re-evaluates only the i-side mapping per
     candidate: instruction addresses are rewritten with
-    {!Protolat_layout.Image.pc_map}, the basic-block segmentation is
-    re-bound with {!Protolat_machine.Blockcache.rebind}, and both the cold
-    and warm replays go through the block cache ({!Perf.cold_bc} /
-    {!Perf.steady_bc}).  [~incremental:false] runs the full protocol
-    simulation per layout.  Both produce bit-identical reports; the
-    incremental sweep is several times faster.  [?base] supplies the base
+    {!Protolat_layout.Image.pc_map} and the retargeted trace is replayed
+    cold and warm ({!Perf.cold} / {!Perf.steady}).  [~incremental:false]
+    runs the full protocol simulation per layout.  Both produce
+    bit-identical reports; the incremental sweep is several times
+    faster.  [?base] supplies the base
     run (from {!layout_sweep_base} with the same [config]/[stack]) instead
     of computing it; only the incremental path uses it. *)
 

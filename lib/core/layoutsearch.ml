@@ -8,7 +8,6 @@ module Dpool = Util.Dpool
 module Trace = Machine.Trace
 module Perf = Machine.Perf
 module Memsys = Machine.Memsys
-module Blockcache = Machine.Blockcache
 module Params = Machine.Params
 module Image = Layout.Image
 module Strategy = Layout.Strategy
@@ -263,7 +262,6 @@ type cctx = {
   s : sctx;
   icache_kb : int;
   params : Params.t;
-  bc0 : Blockcache.t;
   issue_cycles : float;
   instr_cycles : float;
   pairs : (int * int * int) array;  (* (victim unit, evictor unit, count) *)
@@ -271,9 +269,7 @@ type cctx = {
 }
 
 (* Per-domain scratch hierarchy: [Memsys.clear] per candidate instead of
-   [Memsys.create], valid across candidates because every rebind starts
-   with fresh generation snapshots.  Keyed by params so a geometry switch
-   reallocates. *)
+   [Memsys.create].  Keyed by params so a geometry switch reallocates. *)
 let scratch_slot : (Params.t * Memsys.t) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -289,8 +285,8 @@ let scratch_for p =
 (* Per-domain candidate pc column, refilled by every [candidate_pcs] on
    the domain instead of allocating a trace-length array per candidate.
    Reuse is safe because [score_genome] lets only the float score escape:
-   the remapped trace and blockcache adopting the column are dead before
-   the next candidate refills it.  Keyed by length so a trace of another
+   the remapped trace adopting the column is dead before the next
+   candidate refills it.  Keyed by length so a trace of another
    stack reallocates. *)
 let pcs_slot : int array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
@@ -359,9 +355,9 @@ let scorer_warmup = 1
 let score_genome cc tmpl g =
   let pcs = candidate_pcs cc tmpl g in
   let trace' = Trace.remap_pcs cc.s.base.Engine.trace pcs in
-  let bc' = Blockcache.rebind cc.bc0 trace' in
   (Perf.steady_scratch ~warmup:scorer_warmup ~scratch:(scratch_for cc.params)
-     ~issue_cycles:cc.issue_cycles ~instr_cycles:cc.instr_cycles cc.params bc')
+     ~issue_cycles:cc.issue_cycles ~instr_cycles:cc.instr_cycles cc.params
+     trace')
     .Perf.time_us
 
 (* Score an arbitrary pre-built image (named strategies, incl. pessimal)
@@ -373,9 +369,9 @@ let score_image cc img =
       (Image.pc_map cc.s.base.Engine.client_image img)
       cc.s.base.Engine.trace
   in
-  let bc' = Blockcache.rebind cc.bc0 trace' in
   (Perf.steady_scratch ~warmup:scorer_warmup ~scratch:(scratch_for cc.params)
-     ~issue_cycles:cc.issue_cycles ~instr_cycles:cc.instr_cycles cc.params bc')
+     ~issue_cycles:cc.issue_cycles ~instr_cycles:cc.instr_cycles cc.params
+     trace')
     .Perf.time_us
 
 (* ----- search state --------------------------------------------------------- *)
@@ -592,7 +588,6 @@ let search_cell ~budget ~seeds ~jobs sctx kb =
     { Params.default with Params.icache_bytes = kb * 1024 }
   in
   let trace = sctx.base.Engine.trace in
-  let bc0 = Blockcache.segment params trace in
   let issue_cycles = Machine.Cpu.issue_cycles params trace in
   let instr_cycles = Machine.Cpu.perfect_memory_cycles params trace in
   (* guidance: the conflict matrix of the base layout at this geometry *)
@@ -610,8 +605,8 @@ let search_cell ~budget ~seeds ~jobs sctx kb =
   in
   let pair_total = Array.fold_left (fun a (_, _, c) -> a + c) 0 pairs in
   let cc =
-    { s = sctx; icache_kb = kb; params; bc0; issue_cycles; instr_cycles;
-      pairs; pair_total }
+    { s = sctx; icache_kb = kb; params; issue_cycles; instr_cycles; pairs;
+      pair_total }
   in
   let st =
     { cc; budget; jobs; memo = Hashtbl.create 1024; evals = 0; eval_s = 0.0;

@@ -8,8 +8,7 @@
     through the incremental replay path: the base run's steady-state
     trace is retargeted to the candidate by pure address arithmetic
     against a per-clone-vector template image (no {!Protolat_layout.Image.build}
-    per candidate), re-bound with {!Protolat_machine.Blockcache.rebind},
-    and replayed against a reused scratch hierarchy
+    per candidate) and replayed against a reused scratch hierarchy
     ({!Protolat_machine.Perf.steady_scratch}) — bit-identical to a full
     simulation of the decoded image, at ≥1000 candidates/sec on one core.
 
@@ -99,8 +98,8 @@ val check : t -> (unit, string) result
 (** Re-score each cell's best genome through the full simulation path —
     decode with {!Protolat_layout.Strategy.at_offsets}, build the image,
     retarget the base trace with {!Protolat_layout.Image.pc_map}, and
-    measure with {!Protolat_machine.Perf.steady} from a fresh
-    segmentation — and require bit-identical steady time, plus
+    measure with {!Protolat_machine.Perf.steady} on a fresh memory
+    system — and require bit-identical steady time, plus
     best-found <= best seeded named layout per cell. *)
 
 val table : t -> Protolat_util.Table.t

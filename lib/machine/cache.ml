@@ -7,12 +7,12 @@ type t = {
   tags : int array; (* block address currently cached in each set; -1 empty *)
   gens : int array;
       (* per-set generation counter, bumped on every tag change (fill or
-         invalidate).  A memoized basic block records the generation of
-         each of its sets when it verifies residency; as long as the
-         generations still match, the lines are provably still resident
-         and the block can be charged its cached cost without re-probing.
-         Empty for [create_untagged]: nothing verifies the b-cache, whose
-         65536-entry array would only ever be written. *)
+         invalidate).  The engine's fast path records the generation of a
+         chunk's set when it verifies residency; as long as the generation
+         still matches, the line is provably still resident and the chunk
+         can be charged its hits without re-probing.  Empty for
+         [create_untagged]: nothing verifies the d- and b-caches, whose
+         arrays would only ever be written. *)
   mutable evicted : Bytes.t option array;
       (* paged grow-on-demand bitset over block addresses: blocks evicted
          at least once (feeds cold- vs replacement-miss accounting).  The
@@ -73,8 +73,6 @@ let create_untagged ~name ~size_bytes ~block_bytes =
   make ~generations:false ~name ~size_bytes ~block_bytes
 
 let name t = t.name
-
-let block_bytes t = t.block_bytes
 
 let line_of t addr = addr lsr t.block_shift
 
@@ -153,8 +151,6 @@ let invalidate_all t =
     end
   done
 
-let n_sets t = t.sets
-
 let set_of_line t line = line land t.set_mask
 
 let resident_line t line = t.tags.(line land t.set_mask) = line
@@ -184,9 +180,8 @@ let reset_stats t =
    [invalidate_all] this forgets the eviction bitset too, so a subsequent
    first-touch miss classifies as cold again.  Reusing a cleared cache is
    only sound when no generation snapshot taken against it survives the
-   clear (a fresh snapshot table per clear, as {!Blockcache.rebind}
-   produces, satisfies this) — a reset generation can coincide with a
-   stale snapshot and fake residency. *)
+   clear — a reset generation can coincide with a stale snapshot and fake
+   residency. *)
 let clear t =
   Array.fill t.tags 0 t.sets (-1);
   Array.fill t.gens 0 (Array.length t.gens) 0;

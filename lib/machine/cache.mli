@@ -35,13 +35,11 @@ type outcome =
 val create : name:string -> size_bytes:int -> block_bytes:int -> t
 
 val create_untagged : name:string -> size_bytes:int -> block_bytes:int -> t
-(** {!create} without the per-set generation tags the fast paths verify
-    residency with: for a cache nobody verifies (the b-cache), which then
-    skips the array and its upkeep. *)
+(** {!create} without the per-set generation tags the engine's fast path
+    verifies residency with: for a cache nobody verifies (the d- and
+    b-caches), which then skips the array and its upkeep. *)
 
 val name : t -> string
-
-val block_bytes : t -> int
 
 val line_of : t -> int -> int
 (** [line_of t addr] is the block (line) address containing byte address
@@ -61,17 +59,14 @@ val fill : t -> int -> bool
 val probe : t -> int -> bool
 (** Lookup without filling: is the block containing [addr] resident? *)
 
-(** {2 Generation tags — the basic-block fast path's residency witness}
+(** {2 Generation tags — the engine fast path's residency witness}
 
     Every set carries a generation counter bumped on each tag change (fill
-    or invalidation).  A memoized block that verified all its lines
-    resident at generations [g1..gk] stays provably resident while the
-    generations are unchanged, so re-verification is [k] integer compares
-    instead of [k] probes — and a hit costs no per-instruction work at
+    or invalidation).  A memoized chunk of code that verified its line
+    resident at generation [g] stays provably resident while the
+    generation is unchanged, so re-verification is one integer compare
+    instead of a probe — and a hit costs no per-instruction work at
     all. *)
-
-val n_sets : t -> int
-(** Number of sets ([size_bytes / block_bytes]). *)
 
 val set_of_line : t -> int -> int
 (** Set index holding block (line) address [line]. *)

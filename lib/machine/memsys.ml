@@ -38,7 +38,7 @@ let create p =
       Cache.create ~name:"i-cache" ~size_bytes:p.Params.icache_bytes
         ~block_bytes:p.Params.block_bytes;
     dc =
-      Cache.create ~name:"d-cache" ~size_bytes:p.Params.dcache_bytes
+      Cache.create_untagged ~name:"d-cache" ~size_bytes:p.Params.dcache_bytes
         ~block_bytes:p.Params.block_bytes;
     bc =
       Cache.create_untagged ~name:"b-cache" ~size_bytes:p.Params.bcache_bytes
@@ -57,20 +57,7 @@ let params t = t.p
 
 let icache t = t.ic
 
-let dcache t = t.dc
-
 let dwb_misses t = t.dwb_miss
-
-(* Batch credit for [n] loads proven to hit in the d-cache (all their lines
-   resident, witnessed by generation tags): each hitting [load] does
-   [dwb_acc + 1] and a hitting [Cache.access] on the d-cache, contributes
-   0.0 stall and touches nothing else — so the whole batch reduces to the
-   counter increments, applied in one step. *)
-let credit_dhits t n =
-  if n > 0 then begin
-    t.dwb_acc <- t.dwb_acc + n;
-    Cache.credit_hits t.dc n
-  end
 
 (* ----- the per-call reference path ----------------------------------------
    [ifetch]/[load]/[store] go through {!Cache.access} and
@@ -274,8 +261,8 @@ let access_acc t ~pc ~kind ~addr =
        else float_of_int s
      else float_of_int s)
 
-(* Data-side-only accesses for the basic-block fast paths: when the caller
-   has proven the i-fetch would hit (all the block's lines resident,
+(* Data-side-only accesses for the engine's warm-chunk fast path: when the
+   caller has proven the i-fetch would hit (the chunk's line resident,
    witnessed by generation tags), the i-side contributes exactly 0.0 stall
    and the data reference is the whole latency — bit-identical to
    [access_acc] with a hitting pc, since [0 + x = x]. *)

@@ -18,19 +18,9 @@ val icache : t -> Cache.t
 (** The i-cache itself — attribution passes read {!Cache.last_victim} and
     miss counters between accesses to classify conflict misses. *)
 
-val dcache : t -> Cache.t
-(** The d-cache — the d-side memoized fast path reads its generation tags
-    to prove a block's load lines still resident. *)
-
 val dwb_misses : t -> int
 (** Combined d-read misses + writes that reached the b-cache (the [dwb]
     row of {!stats}), readable mid-replay without building a [stats]. *)
-
-val credit_dhits : t -> int -> unit
-(** [credit_dhits t n] records [n] hitting loads in one step: the exact
-    statistics effect of [n] {!load} calls that hit (d/wb accesses and
-    d-cache hits up by [n], zero stall).  Only valid when the caller has
-    proven all [n] loads would hit ({!Cache.generations} on {!dcache}). *)
 
 (** {2 The per-call reference path}
 
@@ -65,8 +55,8 @@ val access_acc : t -> pc:int -> kind:int -> addr:int -> unit
 
 val load_acc : t -> int -> unit
 (** Data-side-only load: no instruction fetch is simulated.  Only valid
-    when the caller has proven the i-fetch would hit (the block's lines
-    are resident, witnessed by {!Cache} generation tags) — the i-side then
+    when the caller has proven the i-fetch would hit (the line is
+    resident, witnessed by {!Cache} generation tags) — the i-side then
     contributes exactly zero stall, so skipping it is bit-identical.  The
     i-cache hit statistics must be credited separately
     ({!Cache.credit_hits}). *)
@@ -92,10 +82,7 @@ val clear : t -> unit
     accumulators zeroed.  A cleared hierarchy simulates any trace
     bit-identically to a new one — the point is skipping the b-cache's
     65536-set tag array allocation when scoring many candidates, or
-    replaying a run's trace, against a reused hierarchy.  Same caveat as
-    {!Cache.clear}: any generation snapshot taken before the clear must
-    not survive it (a fresh {!Blockcache.rebind} per clear satisfies
-    this). *)
+    replaying a run's trace, against a reused hierarchy. *)
 
 val reset_stats : t -> unit
 

@@ -35,57 +35,30 @@ let build p trace (stats : Memsys.stats) =
 (* ----- measurements -------------------------------------------------------- *)
 
 let cold p trace =
-  (* A single replay from empty caches gains nothing from the warm-block
-     memo (no run is warm yet), so the plain loop is used. *)
   let m = Memsys.create p in
   ignore (Memsys.run m trace);
   build p trace (Memsys.stats m)
 
-let cold_bc p bc =
-  (* Cold measurement from an existing segmentation: one chunked replay
-     against a fresh memory system — bit-identical to [Memsys.run] (the
-     block-cache equivalence argument), and the incremental step of a
-     layout sweep where the rebound segmentation already exists. *)
-  let m = Memsys.create p in
-  Blockcache.replay bc m;
-  build p (Blockcache.trace bc) (Memsys.stats m)
-
-let steady_bc ?(warmup = 3) p bc =
-  let m = Memsys.create p in
+(* [warmup] whole-trace replays, statistics reset, one measured replay *)
+let measure ~warmup m trace =
   for _ = 1 to warmup do
-    Blockcache.replay bc m
+    ignore (Memsys.run m trace)
   done;
   Memsys.reset_stats m;
-  (* fast-path counters describe the measured replay alone, never warmup
-     or earlier runs against this segmentation *)
-  Blockcache.reset_counters bc;
-  Blockcache.replay bc m;
-  build p (Blockcache.trace bc) (Memsys.stats m)
+  ignore (Memsys.run m trace)
 
-(* Candidate-scoring variant of [steady_bc]: the caller owns a scratch
-   memory system (reused across thousands of candidates) and has hoisted the
-   CPU-model scans, which depend only on the instruction-class column and
-   are therefore invariant under pc retargeting of one base trace.
-   [Memsys.clear] restores exact create-state and a fresh [rebind]
-   segmentation starts with no surviving generation snapshots, so the
-   result is bit-identical to [steady_bc ~warmup p bc] on the same
-   segmentation. *)
-let steady_scratch ?(warmup = 3) ~scratch ~issue_cycles ~instr_cycles p bc =
+let steady ?(warmup = 3) p trace =
+  let m = Memsys.create p in
+  measure ~warmup m trace;
+  build p trace (Memsys.stats m)
+
+let steady_scratch ?(warmup = 3) ~scratch ~issue_cycles ~instr_cycles p trace =
   if Memsys.params scratch <> p then
     invalid_arg "Perf.steady_scratch: scratch memory system params mismatch";
   Memsys.clear scratch;
-  for _ = 1 to warmup do
-    Blockcache.replay bc scratch
-  done;
-  Memsys.reset_stats scratch;
-  Blockcache.reset_counters bc;
-  Blockcache.replay bc scratch;
-  derive p
-    ~length:(Trace.length (Blockcache.trace bc))
-    ~issue_cycles ~instr_cycles
+  measure ~warmup scratch trace;
+  derive p ~length:(Trace.length trace) ~issue_cycles ~instr_cycles
     (Memsys.stats scratch)
-
-let steady ?warmup p trace = steady_bc ?warmup p (Blockcache.segment p trace)
 
 let cold_and_steady ?(warmup = 3) ?scratch p trace =
   let warmup = max warmup 1 in
@@ -99,22 +72,14 @@ let cold_and_steady ?(warmup = 3) ?scratch p trace =
     | Some m ->
       if Memsys.params m <> p then
         invalid_arg "Perf.cold_and_steady: scratch memory system params mismatch";
-      (* exact create-state; the fresh segmentation below holds no
-         generation snapshot from before the clear *)
       Memsys.clear m;
       m
   in
-  let bc = Blockcache.segment p trace in
   (* The first replay from empty caches IS the cold measurement, and
      doubles as the first warmup iteration of the steady one. *)
-  Blockcache.replay bc m;
+  ignore (Memsys.run m trace);
   let cold = finish (Memsys.stats m) in
-  for _ = 2 to warmup do
-    Blockcache.replay bc m
-  done;
-  Memsys.reset_stats m;
-  Blockcache.reset_counters bc;
-  Blockcache.replay bc m;
+  measure ~warmup:(warmup - 1) m trace;
   (cold, finish (Memsys.stats m))
 
 let pp_report fmt r =

@@ -148,9 +148,8 @@ let map_pcs f t =
    event's pc lives in the image (slot ordinal + index within the slot),
    then fills one int array per candidate instead of paying a closure
    call plus an [Image.find] per event.  The array is adopted as-is: the
-   caller must not mutate it while the derived trace, or anything built
-   on it such as a rebound blockcache, is still live — once they are
-   dead it may refill the array for the next candidate. *)
+   caller must not mutate it while the derived trace is still live —
+   once it is dead it may refill the array for the next candidate. *)
 let remap_pcs t pcs =
   if Array.length pcs <> t.len then invalid_arg "Trace.remap_pcs";
   (* the metadata columns are shared, not copied: reads are bounded by

@@ -87,9 +87,8 @@ val remap_pcs : t -> int array -> t
 (** [remap_pcs t pcs] is {!map_pcs} with the rewritten pc column supplied
     directly: every other column is shared with [t] (not copied), [pcs]
     adopted as the new instruction-address column (not copied either —
-    the caller must not mutate it while the derived trace, or anything
-    built on it such as a {!Blockcache.rebind}, is live; once they are
-    dead the caller may refill it for the next candidate).  Raises
+    the caller must not mutate it while the derived trace is live; once
+    it is dead the caller may refill it for the next candidate).  Raises
     [Invalid_argument] unless [Array.length pcs = length t].  Sharing is
     safe because reads are bounded by the length and an append to either
     trace reallocates its columns before any shared cell is written; a

@@ -116,11 +116,6 @@ let create ~clock () =
 
 let enabled t = t.on
 
-let knob_on () =
-  match Sys.getenv_opt "PROTOLAT_SPANS" with
-  | Some ("1" | "on" | "true" | "yes") -> true
-  | _ -> false
-
 let grow_marks t =
   let cap = 2 * Array.length t.ts in
   let f = Array.make cap 0.0 in

@@ -18,10 +18,6 @@ val create : clock:float array -> unit -> t
 
 val enabled : t -> bool
 
-val knob_on : unit -> bool
-(** True when the [PROTOLAT_SPANS] environment variable is [1]/[on]/[true]/
-    [yes] — the default for engine specs that don't set spans explicitly. *)
-
 (** {2 Stage and host codes} *)
 
 val stage_app : int

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Smoke script: full build, the test suite (plain and with the span
-# ledger knob pinned off; the fast path is checked against the
-# per-instruction reference by the suite's differential tests), a short
+# Smoke script: full build, the test suite (the engine's fast path is
+# checked against the per-instruction reference by the suite's
+# differential tests, and span recording on against off), a short
 # multi-seed fault soak, the latency-attribution and timeline exports
 # (with their consistency / JSON well-formedness checks), a quick
 # multi-flow sweep, a quick latency-provenance spans report (with its
@@ -16,10 +16,6 @@ set -eu
 
 dune build @all
 dune runtest
-# the suite must also pass with the span ledger knob pinned off: engine
-# results must be bit-identical either way, and the span tests force the
-# ledger on explicitly so they still exercise it under this leg
-PROTOLAT_SPANS=0 dune runtest --force
 dune exec bin/protolat_cli.exe -- soak --quick --seeds 2
 dune build @profile-quick
 dune build @trace-quick

@@ -172,18 +172,23 @@ let test_classifier_rule_order () =
     (T.Classify.classify c (frame ~ethertype:0x0800 ~proto:6 ~dst_port:7))
 
 let test_classifier_ablation_direction () =
-  let rtt ov =
-    let r =
-      P.Engine.run
-        (P.Engine.Spec.make ~rx_overhead_us:ov ~stack:P.Engine.Tcpip
-           ~config:(P.Config.make P.Config.All) ())
-    in
-    Protolat_util.Stats.mean r.P.Engine.rtts
-  in
-  let base = rtt 0.0 and with4 = rtt 4.0 in
-  (* two packets per roundtrip, both hosts classify: 4us/packet -> ~8us *)
-  Alcotest.(check bool) "classifier costs ~8us per roundtrip" true
-    (with4 -. base > 6.0 && with4 -. base < 10.0)
+  List.iter
+    (fun stack ->
+      let rtt ov =
+        let r =
+          P.Engine.run
+            (P.Engine.Spec.make ~rx_overhead_us:ov ~stack
+               ~config:(P.Config.make P.Config.All) ())
+        in
+        Protolat_util.Stats.mean r.P.Engine.rtts
+      in
+      let base = rtt 0.0 and with4 = rtt 4.0 in
+      (* two packets per roundtrip, both hosts classify: 4us/packet -> ~8us *)
+      Alcotest.(check bool)
+        (P.Engine.stack_name stack ^ ": classifier costs ~8us per roundtrip")
+        true
+        (with4 -. base > 6.0 && with4 -. base < 10.0))
+    [ P.Engine.Tcpip; P.Engine.Rpc ]
 
 (* ----- throughput -------------------------------------------------------------- *)
 

@@ -8,6 +8,7 @@ module T = Protolat_tcpip
 module R = Protolat_rpc
 module Ns = Protolat_netsim
 module Xk = Protolat_xkernel
+module Obs = Protolat_obs
 module Msg = Xk.Msg
 
 let pattern ~tag len =
@@ -97,6 +98,44 @@ let test_tcp_gives_up_on_dead_wire () =
     (rexmt >= 6 && rexmt <= 12);
   Alcotest.(check int) "no timers leaked" 0
     (Xk.Event.pending p.T.Stack.client.T.Stack.env.Ns.Host_env.events)
+
+(* BSD backoff against a powered-off peer: each unanswered retransmission
+   doubles the wait until the shift cap (max_rexmt_shift = 6), the gaps
+   then stay flat at rto << 6, and the timer after the 12th retransmission
+   (max_rexmt_tries) drops the connection — 13 gaps summing to 511 rto. *)
+let test_tcp_backoff_cap () =
+  let p, cs, _ = tcp_pair_established () in
+  let sim = p.T.Stack.sim in
+  let tracer = Obs.Tracer.create ~clock:(Ns.Sim.clock_cell sim) () in
+  Ns.Host_env.set_tracer p.T.Stack.client.T.Stack.env ~tid:0 tracer;
+  T.Tcp.set_nodelay cs true;
+  Ns.Lance.set_power p.T.Stack.server.T.Stack.lance false;
+  let t0 = Ns.Sim.now sim in
+  T.Tcp.send cs (pattern ~tag:0 256);
+  ignore (Ns.Sim.run sim);
+  Alcotest.(check bool) "connection dropped" true
+    (T.Tcp.state cs = T.Tcb.Closed);
+  let dropped_at = Ns.Sim.now sim in
+  let sends = ref [ t0 ] in
+  Obs.Tracer.iter tracer (fun e ->
+      if e.Obs.Tracer.name = "retransmit" then
+        sends := e.Obs.Tracer.ts :: !sends);
+  let times = Array.of_list (List.rev (dropped_at :: !sends)) in
+  Alcotest.(check int) "12 retransmissions" 12
+    (T.Tcp.retransmits p.T.Stack.client.T.Stack.tcp);
+  Alcotest.(check int) "13 gaps" 14 (Array.length times);
+  let rto = times.(1) -. times.(0) in
+  for k = 1 to 12 do
+    Alcotest.(check (float 1e-6))
+      (Printf.sprintf "gap %d is rto << %d" k (min k 6))
+      (rto *. float_of_int (1 lsl min k 6))
+      (times.(k + 1) -. times.(k))
+  done;
+  Alcotest.(check (float 1e-6)) "dropped at t0 + 511 rto"
+    (t0 +. (511.0 *. rto)) dropped_at;
+  (* handshake window 100 ms, rto the 6-tick floor of 976 us ticks *)
+  Alcotest.(check (float 0.0)) "simulated drop time pinned" 3_092_416.0
+    dropped_at
 
 (* ----- BLAST under faults --------------------------------------------------- *)
 
@@ -240,6 +279,7 @@ let suite =
         test_tcp_completes_under_loss;
       Alcotest.test_case "tcp gives up on a dead wire" `Quick
         test_tcp_gives_up_on_dead_wire;
+      Alcotest.test_case "tcp backoff cap" `Quick test_tcp_backoff_cap;
       Alcotest.test_case "blast completes under loss + reordering" `Quick
         test_blast_completes_under_loss_and_reordering;
       Alcotest.test_case "blast rejects corrupted fragments" `Quick

@@ -28,7 +28,7 @@ let test_jobs_bit_identity () =
 
 let test_check_bit_identity () =
   (* [check] decodes each best genome, rebuilds the image, and re-measures
-     through the full simulation path (fresh segmentation, canonical
+     through the full simulation path (fresh memory system, canonical
      warmup) — the scorer's fast path must agree bit for bit *)
   match LS.check (Lazy.force t1) with
   | Ok () -> ()

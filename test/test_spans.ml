@@ -137,12 +137,11 @@ let test_off_bit_identity () =
   Alcotest.(check bool) "spans:false yields the null ledger" false
     (Obs.Span.enabled off.P.Engine.spans)
 
-let test_default_follows_knob () =
+let test_default_records_none () =
   let r =
     run ~stack:P.Engine.Tcpip ~version:P.Config.All ~rounds:4 ~seed:42 ()
   in
-  Alcotest.(check bool) "spec default follows PROTOLAT_SPANS"
-    (Obs.Span.knob_on ())
+  Alcotest.(check bool) "a default spec yields the null ledger" false
     (Obs.Span.enabled r.P.Engine.spans)
 
 (* ----- report harness: JSON and Perfetto exports --------------------------- *)
@@ -236,7 +235,7 @@ let suite =
       Alcotest.test_case "budget accounts RTT" `Quick test_budget_accounts_rtt;
       Alcotest.test_case "loss generations" `Quick test_loss_generations;
       Alcotest.test_case "off bit-identity" `Quick test_off_bit_identity;
-      Alcotest.test_case "default follows knob" `Quick
-        test_default_follows_knob;
+      Alcotest.test_case "default records no spans" `Quick
+        test_default_records_none;
       Alcotest.test_case "spans json" `Quick test_spans_json;
       Alcotest.test_case "perfetto flows" `Quick test_perfetto_flows ] )
