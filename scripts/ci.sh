@@ -7,10 +7,11 @@
 # multi-flow sweep, a quick latency-provenance spans report (with its
 # bit-exact conservation check), a quick host-lifecycle chaos sweep, a
 # quick fabric incast export plus its --jobs byte-identity check,
-# byte-for-byte checks of the multi-flow, fabric and per-function profile
-# JSON reports against the golden files in test/golden/, the benchmark
-# smoke (pinned workload digests), a pair bit-identity check plus replays
-# of the committed chaos repro files, and a quick end-to-end bench table.
+# byte-for-byte checks of the TCP and RPC multi-flow, chaos matrix, fabric
+# and per-function profile JSON reports against the golden files in
+# test/golden/, the benchmark smoke (pinned workload digests), a pair
+# bit-identity check plus replays of the committed chaos repro files, and
+# a quick end-to-end bench table.
 # Usage: scripts/ci.sh  (run from the repository root)
 set -eu
 
@@ -39,6 +40,12 @@ GOLDEN=$(mktemp -t protolat-ci-golden.XXXXXX)
 trap 'rm -f "$FABRIC_J1" "$FABRIC_J2" "$GOLDEN"' EXIT
 dune exec bin/protolat_cli.exe -- mflow --flows 64 --seeds 2 --json > "$GOLDEN"
 cmp "$GOLDEN" test/golden/mflow_64x2.json
+# the RPC multi-flow cell (kept at 18 flows or fewer: from 19 on the RPC
+# run collapses, a known open defect) and the host-lifecycle chaos matrix
+dune exec bin/protolat_cli.exe -- mflow -s rpc --flows 1,8 --seeds 2 --json > "$GOLDEN"
+cmp "$GOLDEN" test/golden/mflow_rpc_1_8x2.json
+dune exec bin/protolat_cli.exe -- chaos --quick --json > "$GOLDEN"
+cmp "$GOLDEN" test/golden/chaos_quick.json
 dune exec bin/protolat_cli.exe -- fabric --fan-ins 2,16 --seeds 2 --json > "$GOLDEN"
 cmp "$GOLDEN" test/golden/fabric_2_16x2.json
 # the metered path's goldens: per-function and per-layer attribution of

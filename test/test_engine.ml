@@ -317,11 +317,48 @@ let test_paper_cells_pinned () =
   Alcotest.(check string) "12-cell digest" "79f4f6afbe1714c075eae4f885d5e24f"
     (Digest.to_hex (Digest.string (String.concat "\n" cells)))
 
+(* What [paper cells pinned] cannot cover without moving its digest: a
+   faulted run (RPC ALL, 10% loss, where CHAN's request retransmission
+   carries every call) and the bulk-transfer path behind the throughput
+   table.  Every RTT and throughput field is pinned in [%h]; the faulted
+   run also pins its retransmission count and the digest of the whole
+   metrics registry (device, protocol and fault-plan counters). *)
+let test_faulted_and_bulk_pinned () =
+  let r =
+    P.Engine.run
+      (P.Engine.Spec.make ~seed:11
+         ~fault:{ Protolat_netsim.Fault.clean with loss_pct = 10.0 }
+         ~stack:P.Engine.Rpc ~config:(P.Config.make P.Config.All) ())
+  in
+  Alcotest.(check string) "faulted rpc rtts" "290281d2cfd95475d4f1841d70e72bd5"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "," (List.map (Printf.sprintf "%h") r.P.Engine.rtts))));
+  Alcotest.(check int) "faulted rpc retransmissions" 9
+    r.P.Engine.retransmissions;
+  Alcotest.(check string) "faulted rpc metrics" "354aa0d322cf401be1f288c382233049"
+    (Digest.to_hex (Digest.string (Protolat_obs.Metrics.to_json r.P.Engine.metrics)));
+  let bulk v =
+    let t = P.Engine.throughput ~config:(P.Config.make v) () in
+    Printf.sprintf "%h %h %h %h %d" t.P.Engine.mbits_per_s t.P.Engine.elapsed_us
+      t.P.Engine.client_cpu_pct t.P.Engine.server_cpu_pct t.P.Engine.segments
+  in
+  Alcotest.(check string) "throughput STD"
+    "0x1.16d4df7338205p+3 0x1.d61371cf6b17ep+15 0x1.49feb440b51ecp+2 \
+     0x1.6fa81518d5177p+2 50"
+    (bulk P.Config.Std);
+  Alcotest.(check string) "throughput ALL"
+    "0x1.172c45e023045p+3 0x1.d58047632e1bp+15 0x1.17b0918a9f5aep+2 \
+     0x1.3add345a0988ep+2 50"
+    (bulk P.Config.All)
+
 let suite =
   ( "engine",
     [ Alcotest.test_case "all configs complete" `Slow test_all_configs_complete;
       Alcotest.test_case "determinism" `Quick test_determinism;
       Alcotest.test_case "paper cells pinned" `Quick test_paper_cells_pinned;
+      Alcotest.test_case "faulted and bulk runs pinned" `Quick
+        test_faulted_and_bulk_pinned;
       Alcotest.test_case "parallel sweep determinism" `Slow
         test_full_run_jobs_identical;
       Alcotest.test_case "seed perturbation" `Quick test_seed_perturbs;

@@ -264,11 +264,17 @@ let test_fault_spec_validated () =
 
 (* ----- soak matrix ---------------------------------------------------------- *)
 
+(* The digest covers every cell's failures and counters (fault-plan,
+   device and protocol metrics included) plus the covered cold blocks, so
+   pinning its value holds each scenario's setup, fault plans and drain
+   check bit for bit, not just its independence from the job count. *)
 let test_soak_quick_deterministic_across_jobs () =
   let r1 = P.Soak.run ~seeds:2 ~jobs:1 ~quick:true () in
   let r2 = P.Soak.run ~seeds:2 ~jobs:2 ~quick:true () in
   Alcotest.(check string) "digest independent of jobs" r1.P.Soak.digest
     r2.P.Soak.digest;
+  Alcotest.(check string) "digest pinned" "43f409aba737263e2e4f98d42a0d50c8"
+    r1.P.Soak.digest;
   Alcotest.(check bool) "quick soak passes" true (P.Soak.passed r1);
   Alcotest.(check bool) "coverage gate met" true
     (P.Soak.coverage_pct r1 >= 90.0)
