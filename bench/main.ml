@@ -1,129 +1,21 @@
-(* Benchmark harness: regenerates every table and figure of the paper
-   (printed with the published values alongside), then runs Bechamel
-   microbenchmarks of the core data structures — including the §2.2.1
-   hash-table traversal comparison, which is a genuine wall-clock claim.
+(* Bechamel microbenchmarks of the core data structures, including the
+   §2.2.1 hash-table traversal comparison, which is a genuine wall-clock
+   claim.  The paper's tables and figures are regenerated by
+   [protolat tables] and [protolat figures].
 
-   Usage:  dune exec bench/main.exe -- [quick] [only tableN|figures|layout|micro]
-                                       [-j N | --jobs N]
+   Usage:  dune exec bench/main.exe -- [quick]
 
-   Wall-clock performance of the simulator itself is measured by the
-   separate perfbench harness (see perfbench/README.md). *)
+   [quick] shortens each benchmark's time quota.  Wall-clock performance
+   of the simulator itself is measured by the separate perfbench harness
+   (see perfbench/README.md). *)
 
 module P = Protolat
-module Table = Protolat_util.Table
 module Xk = Protolat_xkernel
 module T = Protolat_tcpip
 
 let quick = Array.exists (( = ) "quick") Sys.argv
 
-let only =
-  let rec find i =
-    if i >= Array.length Sys.argv - 1 then None
-    else if Sys.argv.(i) = "only" then Some Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-let jobs =
-  let rec find i =
-    if i >= Array.length Sys.argv then Protolat_util.Dpool.default_jobs ()
-    else if (Sys.argv.(i) = "-j" || Sys.argv.(i) = "--jobs")
-            && i + 1 < Array.length Sys.argv
-    then
-      match int_of_string_opt Sys.argv.(i + 1) with
-      | Some n -> n
-      | None ->
-          prerr_endline
-            ("bench: invalid jobs value '" ^ Sys.argv.(i + 1)
-           ^ "', expected an integer");
-          exit 2
-    else find (i + 1)
-  in
-  max 1 (find 1)
-
-let want name =
-  match only with None -> true | Some o -> String.equal o name
-
 let banner s = Printf.printf "\n===== %s =====\n%!" s
-
-(* ----- the paper's tables and figures ------------------------------------- *)
-
-let run_tables () =
-  if want "table1" then Table.print (P.Experiments.table1 ());
-  if want "table2" then Table.print (P.Experiments.table2 ());
-  if want "table3" then Table.print (P.Experiments.table3 ());
-  let need_full =
-    List.exists want
-      [ "table4"; "table5"; "table6"; "table7"; "table8"; "table9" ]
-  in
-  if need_full then begin
-    let samples_tcp, samples_rpc, rounds =
-      if quick then (3, 3, 12) else (10, 5, 24)
-    in
-    Printf.printf
-      "\n(running %d TCP/IP and %d RPC samples of %d measured roundtrips per version, %d job%s)\n%!"
-      samples_tcp samples_rpc rounds jobs (if jobs = 1 then "" else "s");
-    let results =
-      P.Experiments.full_run ~samples_tcp ~samples_rpc ~rounds ~jobs ()
-    in
-    if want "table4" then Table.print (P.Experiments.table4 results);
-    if want "table5" then Table.print (P.Experiments.table5 results);
-    if want "table6" then Table.print (P.Experiments.table6 results);
-    if want "table7" then Table.print (P.Experiments.table7 results);
-    if want "table8" then Table.print (P.Experiments.table8 results);
-    if want "table9" then Table.print (P.Experiments.table9 results)
-  end;
-  if want "figures" || only = None then begin
-    banner "Figure 1: protocol stacks";
-    print_endline (P.Experiments.figure1 ());
-    banner "Figure 2: i-cache footprints (TCP/IP)";
-    print_endline (P.Experiments.figure2 ())
-  end;
-  if want "extras" || only = None then begin
-    Table.print (P.Experiments.map_traversal ());
-    Table.print (P.Experiments.throughput ());
-    Table.print (P.Experiments.micro_positioning ());
-    Table.print (P.Experiments.dec_unix_mcpi ());
-    Table.print (P.Bsd_model.report ())
-  end;
-  if want "layout" || only = None then begin
-    banner "Layout sweep (incremental: pc rewrite + trace replay)";
-    (* code images are immutable and cached per (config, layout); build
-       them up front so the sweep comparison times sweep mechanics, not
-       the shared one-time image construction *)
-    List.iter
-      (fun layout ->
-        ignore
-          (P.Engine.layout_for (P.Config.make P.Config.Clo) P.Engine.Tcpip
-             ~layout ()))
-      P.Experiments.layout_candidates;
-    let t0 = Unix.gettimeofday () in
-    let tbl = P.Experiments.layout_sweep_table () in
-    let inc_s = Unix.gettimeofday () -. t0 in
-    Table.print tbl;
-    let t1 = Unix.gettimeofday () in
-    ignore (P.Experiments.layout_sweep ~incremental:false ());
-    let full_s = Unix.gettimeofday () -. t1 in
-    Printf.printf
-      "incremental sweep %.3fs vs full simulation per layout %.3fs (%.1fx)\n%!"
-      inc_s full_s
-      (full_s /. Float.max inc_s 1e-9)
-  end;
-  if want "fabric" || only = None then begin
-    banner "Fabric: incast over the switched star topology";
-    Table.print
-      (P.Experiments.incast_latency
-         ~fan_ins:(if quick then [ 2; 8 ] else [ 2; 4; 8; 16; 32; 64 ])
-         ~jobs ())
-  end;
-  if want "ablations" || only = None then begin
-    banner "Ablations";
-    Table.print (P.Ablation.classifier ());
-    Table.print (P.Ablation.cache_size ());
-    Table.print (P.Ablation.linear_vs_bipartite ());
-    Table.print (P.Ablation.future_machine ());
-    Table.print (P.Ablation.layout_matrix ())
-  end
 
 (* ----- Bechamel microbenchmarks ---------------------------------------------- *)
 
@@ -215,6 +107,5 @@ let run_bechamel () =
     (List.sort compare rows)
 
 let () =
-  run_tables ();
-  if want "micro" || only = None then run_bechamel ();
+  run_bechamel ();
   print_newline ()

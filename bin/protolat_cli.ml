@@ -69,8 +69,8 @@ let run_cmd =
 let tables_cmd =
   let names =
     [ "table1"; "table2"; "table3"; "table4"; "table5"; "table6"; "table7";
-      "table8"; "table9"; "map"; "micro"; "decunix"; "fault"; "mflow";
-      "chaos"; "fabric"; "search" ]
+      "table8"; "table9"; "map"; "throughput"; "micro"; "decunix"; "bsd";
+      "fault"; "mflow"; "chaos"; "fabric"; "search"; "layout"; "ablations" ]
   in
   let which =
     Arg.(value & pos_all string names & info [] ~docv:"TABLE"
@@ -99,10 +99,13 @@ let tables_cmd =
           ("table8", P.Experiments.table8); ("table9", P.Experiments.table9) ]
     end;
     if want "map" then Protolat_util.Table.print (P.Experiments.map_traversal ());
+    if want "throughput" then
+      Protolat_util.Table.print (P.Experiments.throughput ());
     if want "micro" then
       Protolat_util.Table.print (P.Experiments.micro_positioning ());
     if want "decunix" then
       Protolat_util.Table.print (P.Experiments.dec_unix_mcpi ());
+    if want "bsd" then Protolat_util.Table.print (P.Bsd_model.report ());
     if want "fault" then
       Protolat_util.Table.print (P.Experiments.fault_injection ());
     if want "mflow" then
@@ -126,7 +129,15 @@ let tables_cmd =
       Protolat_util.Table.print
         (P.Experiments.layout_search
            ~budget:(if quick then 160 else 240)
-           ~jobs ())
+           ~jobs ());
+    if want "layout" then
+      Protolat_util.Table.print (P.Experiments.layout_sweep_table ());
+    if want "ablations" then
+      List.iter
+        (fun t -> Protolat_util.Table.print (t ()))
+        P.Ablation.
+          [ classifier; cache_size; linear_vs_bipartite; future_machine;
+            layout_matrix ]
   in
   Cmd.v
     (Cmd.info "tables" ~doc:"Regenerate the paper's tables.")

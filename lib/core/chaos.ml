@@ -569,13 +569,8 @@ let run_case (c : case) =
     +. 1_000_000.0
     +. (float_of_int (c.flows * c.requests) *. 3_000.0)
   in
-  let rec pump () =
-    if !flows_done < c.flows && now () < liveness_bound then begin
-      ignore (Ns.Sim.run ~until:(now () +. 2_000.0) sim);
-      pump ()
-    end
-  in
-  pump ();
+  Engine.pump sim ~slice_us:2_000.0 ~deadline:liveness_bound (fun () ->
+      !flows_done >= c.flows);
   let end_us = now () in
   (* liveness: every flow must have completed (or been torn down) within
      the bound once all faults cleared *)
@@ -601,19 +596,7 @@ let run_case (c : case) =
      timer wheels to drain *)
   quiesced := true;
   Array.iter (fun fl -> fl.fl_done <- true) flows;
-  let drain_deadline = now () +. 60.0e6 in
-  let rec drain () =
-    ignore (Ns.Sim.run ~until:(now () +. sweep_period_us) sim);
-    ignore (T.Tcp.sweep stcp);
-    (* client too: the finwait2 reaper must cover half-closes a crashed
-       server can no longer finish *)
-    ignore (T.Tcp.sweep ctcp);
-    if
-      (T.Tcp.session_count stcp > 0 || T.Tcp.session_count ctcp > 0)
-      && now () < drain_deadline
-    then drain ()
-  in
-  drain ();
+  T.Stack.teardown pair;
   ignore (Ns.Sim.run sim);
   Invariant.check inv ~at_us:(now ()) ~name:"liveness.timer_drain"
     ~detail:(fun () ->
@@ -725,20 +708,6 @@ let render cells =
 
 (* ----- JSON --------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let item_json i =
   let base = Printf.sprintf "{\"at_us\": %.0f, " i.at_us in
   base
@@ -774,7 +743,9 @@ let case_to_json ?(expect = []) c =
   Buffer.add_string b
     (Printf.sprintf "  \"expect\": [%s],\n"
        (String.concat ", "
-          (List.map (fun n -> Printf.sprintf "\"%s\"" (json_escape n)) expect)));
+          (List.map
+             (fun n -> Printf.sprintf "\"%s\"" (Obs.Json.escape n))
+             expect)));
   Buffer.add_string b "  \"schedule\": [\n";
   Buffer.add_string b
     (String.concat ",\n"
@@ -922,7 +893,7 @@ let matrix_to_json cells =
       o.end_us o.goodput_rps o.lat.Util.Stats.p50 o.lat.Util.Stats.p99
       (String.concat ", "
          (List.map
-            (fun n -> Printf.sprintf "\"%s\"" (json_escape n))
+            (fun n -> Printf.sprintf "\"%s\"" (Obs.Json.escape n))
             (failure_names o)))
   in
   Buffer.add_string b (String.concat ",\n" (List.map cell_json cells));

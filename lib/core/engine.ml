@@ -52,6 +52,31 @@ let rpc_server_desc =
       [ ("srv_in_path", R.Specs.server_input_chain);
         ("srv_out_path", R.Specs.server_output_chain) ] }
 
+(* ----- one signature for both stacks -------------------------------------- *)
+
+module type STACK = sig
+  type host
+  type test
+  val desc : desc
+  val server_image : Config.t -> layout:Config.layout -> Image.t
+  val opts_for : T.Opts.t -> int -> T.Opts.t
+  val make_net :
+    ?opts_for:(int -> T.Opts.t) ->
+    ?meter_for:(int -> Meter.t option) ->
+    topology:Ns.Topology.t ->
+    unit ->
+    host T.Stack.gnet
+  val env : host -> Ns.Host_env.t
+  val lance : host -> Ns.Lance.t
+  val establish : host T.Stack.gpair -> rounds:int -> test
+  val start : test -> unit
+  val set_on_roundtrip : test -> (int -> unit) -> unit
+  val rounds_completed : test -> int
+  val retransmits : host T.Stack.gpair -> int
+  val layers : string list
+  val layer_aliases : (string * string) list
+end
+
 (* ----- untraced kernel code (interrupt dispatch, context switch) --------- *)
 
 let untraced_func ~name n =
@@ -177,6 +202,55 @@ let build_image (config : Config.t) (desc : desc) ~(layout : Config.layout) =
         let img = build_image_uncached config desc ~layout in
         Hashtbl.add image_cache key img;
         img)
+
+module Tcpip_stack = struct
+  type host = T.Stack.host
+  type test = T.Tcptest.t
+  let desc = tcpip_desc
+  (* both hosts run the configured version *)
+  let server_image config ~layout = build_image config tcpip_desc ~layout
+  let opts_for opts _ = opts
+  let make_net = T.Stack.make_net
+  let env (h : host) = h.T.Stack.env
+  let lance (h : host) = h.T.Stack.lance
+  let establish pair ~rounds = fst (T.Stack.establish pair ~rounds)
+  let start = T.Tcptest.start
+  let set_on_roundtrip = T.Tcptest.set_on_roundtrip
+  let rounds_completed = T.Tcptest.rounds_completed
+  let retransmits (p : T.Stack.pair) = T.Tcp.retransmits p.client.T.Stack.tcp
+  let layers = Xk.Protocol.names (T.Stack.figure1 ())
+  let layer_aliases = [ ("clientstream_", "TCP") ]
+end
+
+module Rpc_stack = struct
+  type host = R.Rstack.host
+  type test = R.Xrpctest.t
+  let desc = rpc_client_desc
+  (* the server always runs the best version (§4.2) *)
+  let server_image _ ~layout:_ =
+    build_image (Config.make Config.All) rpc_server_desc
+      ~layout:Config.Bipartite
+  let opts_for opts i = if i = 0 then opts else T.Opts.improved
+  let make_net = R.Rstack.make_net
+  let env (h : host) = h.R.Rstack.env
+  let lance (h : host) = h.R.Rstack.lance
+  let establish pair ~rounds = fst (R.Rstack.make_tests pair ~rounds)
+  let start = R.Xrpctest.start
+  let set_on_roundtrip = R.Xrpctest.set_on_roundtrip
+  let rounds_completed = R.Xrpctest.rounds_completed
+  let retransmits (p : R.Rstack.pair) =
+    R.Chan.request_retransmits p.client.R.Rstack.chan
+  let layers = Xk.Protocol.names (R.Rstack.figure1 ())
+  let layer_aliases = []
+end
+
+let tcpip = (module Tcpip_stack : STACK with type host = T.Stack.host)
+
+let rpc = (module Rpc_stack : STACK with type host = R.Rstack.host)
+
+let stack = function
+  | Tcpip -> (module Tcpip_stack : STACK)
+  | Rpc -> (module Rpc_stack : STACK)
 
 (* ----- per-host engine state ---------------------------------------------- *)
 
@@ -781,18 +855,17 @@ type run_result = {
   invariants : string list;
 }
 
-let layout_for config stack ?layout () =
-  let layout =
-    match layout with
-    | Some l -> l
-    | None -> Config.layout_of config.Config.version
-  in
-  let desc = match stack with Tcpip -> tcpip_desc | Rpc -> rpc_client_desc in
-  build_image config desc ~layout
+let layout_of config = function
+  | Some l -> l
+  | None -> Config.layout_of config.Config.version
 
-let client_units config stack =
-  let desc = match stack with Tcpip -> tcpip_desc | Rpc -> rpc_client_desc in
-  units_for config desc
+let layout_for config kind ?layout () =
+  let (module S) = stack kind in
+  build_image config S.desc ~layout:(layout_of config layout)
+
+let client_units config kind =
+  let (module S) = stack kind in
+  units_for config S.desc
 
 let make_hstate ~params ~image ~sim ~simmem =
   (* one region: [stack (8KB, grows down) | heap-touch window] *)
@@ -826,10 +899,11 @@ let static_path_of (config : Config.t) desc =
   let funcs = desc.funcs config.Config.opts in
   Layout.Layout_stats.static_path_instrs funcs
 
-(* Drive a prepared pair of hosts: [start] kicks the client, [completed]
-   reads its roundtrip count, [on_roundtrip] installs the callback. *)
-let drive ~sim ~(ch : hstate) ?(window_us = 5.0e6) ?(span = Obs.Span.null)
-    ~start ~on_roundtrip ~completed ~rounds ~warmup () =
+(* Drive a prepared pair of hosts: start the client's [test] and time
+   each of its roundtrips. *)
+let drive (type t) (module S : STACK with type test = t) (test : t) ~sim
+    ~(ch : hstate) ?(window_us = 5.0e6) ?(span = Obs.Span.null) ~rounds
+    ~warmup () =
   let total = rounds + warmup in
   let rtts = ref [] in
   let last = ref 0.0 in
@@ -838,19 +912,19 @@ let drive ~sim ~(ch : hstate) ?(window_us = 5.0e6) ?(span = Obs.Span.null)
      the exact [now] subtracted below — that identity is what makes the
      per-stage sums conserve bit-exactly *)
   Obs.Span.begin_run span ~at:0.0;
-  on_roundtrip (fun i ->
+  S.set_on_roundtrip test (fun i ->
       let now = Ns.Sim.now sim in
       if i > warmup then rtts := (now -. !last) :: !rtts;
       Obs.Span.roll span ~at:now ~measured:(i > warmup);
       last := now;
       (* collect exactly one steady-state roundtrip's trace *)
       ch.collecting <- i = warmup);
-  start ();
+  S.start test;
   ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. window_us) sim);
-  if completed () < total then
+  if S.rounds_completed test < total then
     failwith
       (Printf.sprintf "Engine.drive: only %d of %d roundtrips completed"
-         (completed ()) total);
+         (S.rounds_completed test) total);
   List.rev !rtts
 
 let perturb simmem seed =
@@ -954,127 +1028,27 @@ let compose_meter base = function
   | None -> base
   | Some extra -> Xk.Meter.both base extra
 
-let run_tcpip ?(rx_overhead_us = 0.0) ?fault ?extra_meter ?(trace_events = false)
-    ?(spans = false) ~topology ~seed ~rounds ~warmup ~params
-    ~(config : Config.t) ~layout () =
-  let client_image = build_image config tcpip_desc ~layout in
-  let server_image = client_image in
-  let net =
-    T.Stack.make_net ~opts_for:(fun _ -> config.Config.opts) ~topology ()
-  in
-  let pair = T.Stack.pair_of_net net in
-  let fabric = net.T.Stack.fabric in
-  let cenv = pair.T.Stack.client.T.Stack.env in
-  let senv = pair.T.Stack.server.T.Stack.env in
-  let tracer = make_tracer ~trace_events pair.T.Stack.sim in
-  install_tracer tracer ~cenv ~senv ~fabric
-    ~client_lance:pair.T.Stack.client.T.Stack.lance
-    ~server_lance:pair.T.Stack.server.T.Stack.lance;
-  let span = make_span ~spans pair.T.Stack.sim in
-  install_span span ~cenv ~senv ~fabric
-    ~client_lance:pair.T.Stack.client.T.Stack.lance
-    ~server_lance:pair.T.Stack.server.T.Stack.lance;
-  perturb cenv.Ns.Host_env.simmem seed;
-  perturb senv.Ns.Host_env.simmem (seed + 17);
+(* Both hosts' machine models, in this order: the client's then the
+   server's state, their meters (each composed with [extra_meter]), then
+   their phase hooks. *)
+let instrument ~params ?(rx_overhead_us = 0.0) ?extra_meter sim ~cenv ~senv
+    ~client_image ~server_image =
   let ch =
-    make_hstate ~params ~image:client_image ~sim:pair.T.Stack.sim
-      ~simmem:cenv.Ns.Host_env.simmem
+    make_hstate ~params ~image:client_image ~sim ~simmem:cenv.Ns.Host_env.simmem
   in
   let sh =
-    make_hstate ~params ~image:server_image ~sim:pair.T.Stack.sim
-      ~simmem:senv.Ns.Host_env.simmem
+    make_hstate ~params ~image:server_image ~sim ~simmem:senv.Ns.Host_env.simmem
   in
   cenv.Ns.Host_env.meter <- compose_meter (make_meter ch) extra_meter;
   senv.Ns.Host_env.meter <- compose_meter (make_meter sh) extra_meter;
   install_phase_hook ~rx_overhead_us ch cenv;
   install_phase_hook ~rx_overhead_us sh senv;
-  let client_test, _server_test =
-    T.Stack.establish pair ~rounds:(rounds + warmup)
-  in
-  (* faults start only after the handshake so every run reaches steady
-     state; the window widens because retransmission timeouts back off *)
-  (match fault with
-  | None -> ()
-  | Some spec ->
-    install_fault ~seed:(seed lxor 0x5EED) ~metrics:pair.T.Stack.metrics spec
-      ~fabric
-      ~client_lance:pair.T.Stack.client.T.Stack.lance
-      ~server_lance:pair.T.Stack.server.T.Stack.lance);
-  let window_us = if fault = None then None else Some 60.0e6 in
-  let rtts =
-    drive ~sim:pair.T.Stack.sim ~ch ?window_us ~span
-      ~start:(fun () -> T.Tcptest.start client_test)
-      ~on_roundtrip:(T.Tcptest.set_on_roundtrip client_test)
-      ~completed:(fun () -> T.Tcptest.rounds_completed client_test)
-      ~rounds ~warmup ()
-  in
-  finish ~params ~config ~desc:tcpip_desc ~ch ~rtts
-    ~retransmissions:(T.Tcp.retransmits pair.T.Stack.client.T.Stack.tcp)
-    ~metrics:pair.T.Stack.metrics ~events:tracer ~spans:span
+  (ch, sh)
 
-let run_rpc ?(rx_overhead_us = 0.0) ?fault ?extra_meter ?(trace_events = false)
-    ?(spans = false) ~topology ~seed ~rounds ~warmup ~params
-    ~(config : Config.t) ~layout () =
-  let client_image = build_image config rpc_client_desc ~layout in
-  (* the server always runs the best version (§4.2) *)
-  let server_image =
-    build_image (Config.make Config.All) rpc_server_desc
-      ~layout:Config.Bipartite
-  in
-  let net =
-    R.Rstack.make_net
-      ~opts_for:(fun i ->
-        if i = 0 then config.Config.opts else T.Opts.improved)
-      ~topology ()
-  in
-  let pair = R.Rstack.pair_of_net net in
-  let fabric = net.R.Rstack.fabric in
-  let cenv = pair.R.Rstack.client.R.Rstack.env in
-  let senv = pair.R.Rstack.server.R.Rstack.env in
-  let tracer = make_tracer ~trace_events pair.R.Rstack.sim in
-  install_tracer tracer ~cenv ~senv ~fabric
-    ~client_lance:pair.R.Rstack.client.R.Rstack.lance
-    ~server_lance:pair.R.Rstack.server.R.Rstack.lance;
-  let span = make_span ~spans pair.R.Rstack.sim in
-  install_span span ~cenv ~senv ~fabric
-    ~client_lance:pair.R.Rstack.client.R.Rstack.lance
-    ~server_lance:pair.R.Rstack.server.R.Rstack.lance;
-  perturb cenv.Ns.Host_env.simmem seed;
-  perturb senv.Ns.Host_env.simmem (seed + 17);
-  let ch =
-    make_hstate ~params ~image:client_image ~sim:pair.R.Rstack.sim
-      ~simmem:cenv.Ns.Host_env.simmem
-  in
-  let sh =
-    make_hstate ~params ~image:server_image ~sim:pair.R.Rstack.sim
-      ~simmem:senv.Ns.Host_env.simmem
-  in
-  cenv.Ns.Host_env.meter <- compose_meter (make_meter ch) extra_meter;
-  senv.Ns.Host_env.meter <- compose_meter (make_meter sh) extra_meter;
-  install_phase_hook ~rx_overhead_us ch cenv;
-  install_phase_hook ~rx_overhead_us sh senv;
-  let client_test, _server_test =
-    R.Rstack.make_tests pair ~rounds:(rounds + warmup)
-  in
-  (match fault with
-  | None -> ()
-  | Some spec ->
-    install_fault ~seed:(seed lxor 0x5EED) ~metrics:pair.R.Rstack.metrics spec
-      ~fabric
-      ~client_lance:pair.R.Rstack.client.R.Rstack.lance
-      ~server_lance:pair.R.Rstack.server.R.Rstack.lance);
-  let window_us = if fault = None then None else Some 60.0e6 in
-  let rtts =
-    drive ~sim:pair.R.Rstack.sim ~ch ?window_us ~span
-      ~start:(fun () -> R.Xrpctest.start client_test)
-      ~on_roundtrip:(R.Xrpctest.set_on_roundtrip client_test)
-      ~completed:(fun () -> R.Xrpctest.rounds_completed client_test)
-      ~rounds ~warmup ()
-  in
-  finish ~params ~config ~desc:rpc_client_desc ~ch ~rtts
-    ~retransmissions:
-      (R.Chan.request_retransmits pair.R.Rstack.client.R.Rstack.chan)
-    ~metrics:pair.R.Rstack.metrics ~events:tracer ~spans:span
+let pump sim ~slice_us ~deadline finished =
+  while (not (finished ())) && Ns.Sim.now sim < deadline do
+    ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. slice_us) sim)
+  done
 
 (* ----- run specification: the single construction path for runs -------- *)
 
@@ -1122,7 +1096,7 @@ module Spec = struct
 end
 
 let run (spec : Spec.t) =
-  let { Spec.stack;
+  let { Spec.stack = kind;
         config;
         topology;
         seed;
@@ -1141,18 +1115,43 @@ let run (spec : Spec.t) =
     invalid_arg
       "Engine.run: spec topology must have exactly 2 hosts (use Incast for \
        N-host fabric scenarios)";
-  let layout =
-    match layout with
-    | Some l -> l
-    | None -> Config.layout_of config.Config.version
+  let layout = layout_of config layout in
+  let (module S) = stack kind in
+  let client_image = build_image config S.desc ~layout in
+  let server_image = S.server_image config ~layout in
+  let net =
+    S.make_net ~opts_for:(S.opts_for config.Config.opts) ~topology ()
   in
-  match stack with
-  | Tcpip ->
-    run_tcpip ~rx_overhead_us ?fault ?extra_meter ~trace_events ~spans
-      ~topology ~seed ~rounds ~warmup ~params ~config ~layout ()
-  | Rpc ->
-    run_rpc ~rx_overhead_us ?fault ?extra_meter ~trace_events ~spans
-      ~topology ~seed ~rounds ~warmup ~params ~config ~layout ()
+  let pair = T.Stack.pair_of_net net in
+  let sim = pair.T.Stack.sim and fabric = net.T.Stack.fabric in
+  let cenv = S.env pair.T.Stack.client and senv = S.env pair.T.Stack.server in
+  let client_lance = S.lance pair.T.Stack.client
+  and server_lance = S.lance pair.T.Stack.server in
+  let tracer = make_tracer ~trace_events sim in
+  install_tracer tracer ~cenv ~senv ~fabric ~client_lance ~server_lance;
+  let span = make_span ~spans sim in
+  install_span span ~cenv ~senv ~fabric ~client_lance ~server_lance;
+  perturb cenv.Ns.Host_env.simmem seed;
+  perturb senv.Ns.Host_env.simmem (seed + 17);
+  let ch, _ =
+    instrument ~params ~rx_overhead_us ?extra_meter sim ~cenv ~senv
+      ~client_image ~server_image
+  in
+  let test = S.establish pair ~rounds:(rounds + warmup) in
+  (* faults start only after the handshake so every run reaches steady
+     state; the window widens because retransmission timeouts back off *)
+  (match fault with
+  | None -> ()
+  | Some spec ->
+    install_fault ~seed:(seed lxor 0x5EED) ~metrics:pair.T.Stack.metrics spec
+      ~fabric ~client_lance ~server_lance);
+  let window_us = if fault = None then None else Some 60.0e6 in
+  let rtts =
+    drive (module S) test ~sim ~ch ?window_us ~span ~rounds ~warmup ()
+  in
+  finish ~params ~config ~desc:S.desc ~ch ~rtts
+    ~retransmissions:(S.retransmits pair) ~metrics:pair.T.Stack.metrics
+    ~events:tracer ~spans:span
 
 (* ----- bulk-transfer throughput (§4.1: "none of the techniques
    negatively affected throughput"; §2.2.5: CPU utilization) ------------- *)
@@ -1173,20 +1172,12 @@ let throughput ?(bytes = 64 * 1024) ?(params = Machine.Params.default)
     T.Stack.pair_of_net
       (T.Stack.make_net ~opts_for:(fun _ -> config.Config.opts) ~topology ())
   in
+  let sim = pair.T.Stack.sim in
   let cenv = pair.T.Stack.client.T.Stack.env in
-  let senv = pair.T.Stack.server.T.Stack.env in
-  let ch =
-    make_hstate ~params ~image:client_image ~sim:pair.T.Stack.sim
-      ~simmem:cenv.Ns.Host_env.simmem
+  let ch, sh =
+    instrument ~params sim ~cenv ~senv:pair.T.Stack.server.T.Stack.env
+      ~client_image ~server_image:client_image
   in
-  let sh =
-    make_hstate ~params ~image:client_image ~sim:pair.T.Stack.sim
-      ~simmem:senv.Ns.Host_env.simmem
-  in
-  cenv.Ns.Host_env.meter <- make_meter ch;
-  senv.Ns.Host_env.meter <- make_meter sh;
-  install_phase_hook ch cenv;
-  install_phase_hook sh senv;
   let received = ref 0 in
   T.Tcp.listen pair.T.Stack.server.T.Stack.tcp ~port:5001
     ~receive:(fun _ data -> received := !received + Bytes.length data);
@@ -1195,26 +1186,20 @@ let throughput ?(bytes = 64 * 1024) ?(params = Machine.Params.default)
       ~remote_ip:pair.T.Stack.server.T.Stack.ip_addr ~remote_port:5001
       ~receive:(fun _ _ -> ())
   in
-  ignore (Ns.Sim.run ~until:(Ns.Sim.now pair.T.Stack.sim +. 50_000.0) pair.T.Stack.sim);
+  ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 50_000.0) sim);
   if T.Tcp.state session <> T.Tcb.Established then
     failwith "Engine.throughput: handshake failed";
-  let t0 = Ns.Sim.now pair.T.Stack.sim in
+  let t0 = Ns.Sim.now sim in
   let cpu0_c = ch.busy_us.(0) and cpu0_s = sh.busy_us.(0) in
   Ns.Host_env.phase cenv "bulk_send" (fun () ->
       T.Tcp.send session (Bytes.make bytes 'b'));
-  let deadline = t0 +. 10.0e6 in
-  let rec pump () =
-    if !received < bytes && Ns.Sim.now pair.T.Stack.sim < deadline then begin
-      ignore (Ns.Sim.run ~until:(Ns.Sim.now pair.T.Stack.sim +. 10_000.0) pair.T.Stack.sim);
-      pump ()
-    end
-  in
-  pump ();
+  pump sim ~slice_us:10_000.0 ~deadline:(t0 +. 10.0e6) (fun () ->
+      !received >= bytes);
   if !received < bytes then
     failwith
       (Printf.sprintf "Engine.throughput: only %d of %d bytes arrived"
          !received bytes);
-  let elapsed = Ns.Sim.now pair.T.Stack.sim -. t0 in
+  let elapsed = Ns.Sim.now sim -. t0 in
   let cb = T.Tcp.tcb session in
   { mbits_per_s = float_of_int (bytes * 8) /. elapsed;
     elapsed_us = elapsed;

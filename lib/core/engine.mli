@@ -24,6 +24,68 @@ type stack_kind =
 
 val stack_name : stack_kind -> string
 
+type desc
+(** A stack's code as the engine compiles it. *)
+
+(** One stack as every two-host harness drives it: Figure 1's TCP/IP and
+    RPC over the same ETH/LANCE.  Harnesses build the net, instrument both
+    hosts, run the ping-pong test and count retransmissions through this
+    signature; only protocol-specific workloads touch [host]. *)
+module type STACK = sig
+  type host
+  type test
+
+  val desc : desc
+  (** the client's code *)
+
+  val server_image : Config.t -> layout:Config.layout -> Layout.Image.t
+  (** TCP/IP's server runs the client's image; RPC's always runs ALL with
+      the bipartite layout (§4.2) *)
+
+  val opts_for : Protolat_tcpip.Opts.t -> int -> Protolat_tcpip.Opts.t
+  (** host [i]'s §2.2 options when the client runs the given set *)
+
+  val make_net :
+    ?opts_for:(int -> Protolat_tcpip.Opts.t) ->
+    ?meter_for:(int -> Protolat_xkernel.Meter.t option) ->
+    topology:Protolat_netsim.Topology.t ->
+    unit ->
+    host Protolat_tcpip.Stack.gnet
+
+  val env : host -> Protolat_netsim.Host_env.t
+  val lance : host -> Protolat_netsim.Lance.t
+
+  val establish : host Protolat_tcpip.Stack.gpair -> rounds:int -> test
+  (** creates both ends of a [rounds]-roundtrip ping-pong test (TCP/IP
+      also runs the handshake) and returns the client's *)
+
+  val start : test -> unit
+  val set_on_roundtrip : test -> (int -> unit) -> unit
+  val rounds_completed : test -> int
+
+  val retransmits : host Protolat_tcpip.Stack.gpair -> int
+  (** the client's: TCP segments, or CHAN requests *)
+
+  val layers : string list
+  (** Figure 1's layers top-down; a function belongs to the one whose
+      lowercased name plus ['_'] prefixes it, or to an alias's *)
+
+  val layer_aliases : (string * string) list
+end
+
+val tcpip : (module STACK with type host = Protolat_tcpip.Stack.host)
+val rpc : (module STACK with type host = Protolat_rpc.Rstack.host)
+val stack : stack_kind -> (module STACK)
+
+val pump :
+  Protolat_netsim.Sim.t ->
+  slice_us:float ->
+  deadline:float ->
+  (unit -> bool) ->
+  unit
+(** Run the simulator in [slice_us] slices until the predicate holds or
+    the clock reaches [deadline] (the last slice may overrun it). *)
+
 type run_result = {
   rtts : float list;  (** per measured roundtrip, µs *)
   trace : Machine.Trace.t;  (** one steady-state client roundtrip *)

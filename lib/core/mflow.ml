@@ -121,64 +121,118 @@ type flow = {
   mutable last_progress_us : float;  (** last send or completed exchange *)
 }
 
-(* satellite diagnostics: when flows miss the deadline, name each stuck
-   flow and its state instead of reporting a bare count *)
-let fail_deadline ~(flows : flow array) ~(wl : workload) ~conn_desc
-    ~flows_done ~nflows ~client_timers ~server_timers =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "Mflow: only %d of %d flows finished by the deadline (pending \
-        timers: client=%d server=%d)"
-       flows_done nflows client_timers server_timers);
-  Array.iter
-    (fun f ->
-      if not f.done_ then
-        Buffer.add_string b
-          (Printf.sprintf
-             "\n  flow %d stuck at %d/%d exchanges (%d sent, %d inflight, \
-              conn %s)"
-             f.fid f.completed wl.requests_per_flow f.sent
-             (Queue.length f.inflight) (conn_desc f)))
-    flows;
-  failwith (Buffer.contents b)
-
-(* quiesce-time audit shared by both runners: any broken metrics
-   conservation law becomes a cell violation *)
-let quiesce_violations sim metrics =
-  let iv = Invariant.create () in
-  Invariant.conservation iv ~at_us:(Ns.Sim.now sim) metrics;
-  List.map Invariant.render_violation (Invariant.violations iv)
-
 let server_port = 7000
 
 let client_port_base = 10_000
 
-(* ----- TCP cell ----------------------------------------------------------- *)
+(* ----- the shared cell ---------------------------------------------------- *)
+
+(* What both stacks' workloads share: the pair's simulator and hosts, the
+   flows, and the latency histogram every completed exchange feeds. *)
+type ctx = {
+  sim : Ns.Sim.t;
+  cenv : Ns.Host_env.t;
+  senv : Ns.Host_env.t;
+  wl : workload;
+  nflows : int;
+  fl : flow array;
+  flows_done : int ref;
+  lat_hist : Obs.Metrics.histogram;
+}
+
+(* What only a stack's workload can report, read once the queue ran dry:
+   whether its sessions drained too, and its own counters. *)
+type tally = {
+  drained : bool;
+  conns : int;
+  reconnects : int;
+  retransmits : int;
+  sweeps : int;
+  server_map : map_stats;
+}
+
+let map_stats (mc : Xk.Map.counters) nonempty =
+  { resolves = mc.Xk.Map.resolves;
+    cache_hits = mc.Xk.Map.cache_hits;
+    key_compares = mc.Xk.Map.key_compares;
+    buckets_scanned = mc.Xk.Map.buckets_scanned;
+    nonempty }
+
+let finish_flow c f =
+  if not f.done_ then begin
+    f.done_ <- true;
+    incr c.flows_done
+  end
+
+(* one completed exchange, [v] µs after its request left *)
+let record c f v =
+  Util.Stats.Hist.add f.lat v;
+  Obs.Metrics.observe c.lat_hist v;
+  f.completed <- f.completed + 1
+
+(* open-loop arrivals tick independently of the response stream *)
+let rec schedule_arrival c f ia arrive =
+  if f.scheduled < c.wl.requests_per_flow then begin
+    f.scheduled <- f.scheduled + 1;
+    ignore
+      (Ns.Host_env.timeout c.cenv ~delay:(draw_exp f.rng ia) (fun () ->
+           arrive f;
+           schedule_arrival c f ia arrive))
+  end
+
+(* Start every flow, then drive until each finished its request quota.
+   Past the deadline, fail naming each stuck flow and its state instead of
+   reporting a bare count. *)
+let drive c ~start ~conn_desc =
+  Array.iter
+    (fun f -> if c.wl.requests_per_flow <= 0 then finish_flow c f else start f)
+    c.fl;
+  let deadline =
+    Ns.Sim.now c.sim
+    +. 10.0e6
+    +. (float_of_int (c.nflows * max 1 c.wl.requests_per_flow) *. 5_000.0)
+  in
+  Engine.pump c.sim ~slice_us:2_000.0 ~deadline (fun () ->
+      !(c.flows_done) >= c.nflows);
+  if !(c.flows_done) < c.nflows then begin
+    let b = Buffer.create 256 in
+    Buffer.add_string b
+      (Printf.sprintf
+         "Mflow: only %d of %d flows finished by the deadline (pending \
+          timers: client=%d server=%d)"
+         !(c.flows_done) c.nflows
+         (Xk.Event.pending c.cenv.Ns.Host_env.events)
+         (Xk.Event.pending c.senv.Ns.Host_env.events));
+    Array.iter
+      (fun f ->
+        if not f.done_ then
+          Buffer.add_string b
+            (Printf.sprintf
+               "\n  flow %d stuck at %d/%d exchanges (%d sent, %d inflight, \
+                conn %s)"
+               f.fid f.completed c.wl.requests_per_flow f.sent
+               (Queue.length f.inflight) (conn_desc f)))
+      c.fl;
+    failwith (Buffer.contents b)
+  end
+
+(* run the event queue dry: no sim event and no host timer may be left *)
+let quiesce c =
+  ignore (Ns.Sim.run c.sim);
+  Ns.Sim.pending c.sim = 0
+  && Xk.Event.pending c.cenv.Ns.Host_env.events = 0
+  && Xk.Event.pending c.senv.Ns.Host_env.events = 0
+
+(* ----- TCP workload ------------------------------------------------------- *)
 
 let establish_poll_us = 100.0
 
 let sweep_interval_us = 2_000.0
 
-let run_tcp ~(config : Config.t) ~topology ~seed ~flows:nflows
-    ~(wl : workload) ?chaos () =
-  if nflows <= 0 then invalid_arg "Mflow: flows must be positive";
-  (match (chaos, wl.arrival) with
-  | Some _, Open_loop _ ->
-    (* an open-loop arrival stream has no response to pace itself on, so a
-       crash silently sheds its backlog instead of recovering it *)
-    invalid_arg "Mflow: chaos requires a closed-loop workload"
-  | _ -> ());
-  let net =
-    T.Stack.make_net ~opts_for:(fun _ -> config.Config.opts) ~topology ()
-  in
-  let pair = T.Stack.pair_of_net net in
-  let sim = pair.T.Stack.sim in
-  let cenv = pair.T.Stack.client.T.Stack.env in
-  let senv = pair.T.Stack.server.T.Stack.env in
-  let ctcp = pair.T.Stack.client.T.Stack.tcp in
-  let stcp = pair.T.Stack.server.T.Stack.tcp in
-  let server_ip = pair.T.Stack.server.T.Stack.ip_addr in
+let tcp_workload ?chaos (net : T.Stack.net) (pair : T.Stack.pair) c =
+  let sim = c.sim and cenv = c.cenv and senv = c.senv and wl = c.wl in
+  let ctcp = pair.client.T.Stack.tcp and stcp = pair.server.T.Stack.tcp in
+  let server_ip = pair.server.T.Stack.ip_addr in
   let req_payload = Bytes.make (max 1 wl.req_bytes) 'q' in
   let resp_payload = Bytes.make (max 1 wl.resp_bytes) 'r' in
   (* server: byte-counting echo responder — every [req_bytes] received on a
@@ -239,30 +293,6 @@ let run_tcp ~(config : Config.t) ~topology ~seed ~flows:nflows
   in
   let conns_opened = ref 0 in
   let reconnects = ref 0 in
-  let flows_done = ref 0 in
-  let lat_hist =
-    Obs.Metrics.histogram
-      (Obs.Metrics.scoped pair.T.Stack.metrics "mflow")
-      ~help:"request-response latency" "lat_us"
-  in
-  let flow_of i =
-    { fid = i;
-      rng = Util.Rng.create (seed + (1_000_003 * i));
-      inflight = Queue.create ();
-      conn = None;
-      conn_requests = 0;
-      lifetime = 0;
-      conn_idx = 0;
-      sent = 0;
-      completed = 0;
-      resp_acc = 0;
-      backlog = 0;
-      scheduled = 0;
-      lat = Util.Stats.Hist.create ();
-      done_ = false;
-      last_progress_us = 0.0 }
-  in
-  let flows = Array.init nflows flow_of in
   (* a crash can abort the current connection under a callback's feet, so
      every callback checks it still speaks for the flow's live session *)
   let conn_current f s =
@@ -277,7 +307,7 @@ let run_tcp ~(config : Config.t) ~topology ~seed ~flows:nflows
   let rec open_conn f =
     (* disjoint port spaces per flow: reopened connections get fresh ports
        so old Time_wait incarnations never collide *)
-    let port = client_port_base + (f.conn_idx * nflows) + f.fid in
+    let port = client_port_base + (f.conn_idx * c.nflows) + f.fid in
     f.conn_idx <- f.conn_idx + 1;
     incr conns_opened;
     f.conn_requests <- 0;
@@ -321,10 +351,7 @@ let run_tcp ~(config : Config.t) ~topology ~seed ~flows:nflows
       while f.resp_acc >= wl.resp_bytes && not (Queue.is_empty f.inflight) do
         f.resp_acc <- f.resp_acc - wl.resp_bytes;
         let t0 = Queue.pop f.inflight in
-        let v = Ns.Sim.now sim -. t0 in
-        Util.Stats.Hist.add f.lat v;
-        Obs.Metrics.observe lat_hist v;
-        f.completed <- f.completed + 1;
+        record c f (Ns.Sim.now sim -. t0);
         f.conn_requests <- f.conn_requests + 1;
         f.last_progress_us <- Ns.Sim.now sim;
         after_response f s
@@ -334,10 +361,7 @@ let run_tcp ~(config : Config.t) ~topology ~seed ~flows:nflows
     if f.completed >= wl.requests_per_flow then begin
       T.Tcp.close s;
       f.conn <- None;
-      if not f.done_ then begin
-        f.done_ <- true;
-        incr flows_done
-      end
+      finish_flow c f
     end
     else if f.conn_requests >= f.lifetime && Queue.is_empty f.inflight then begin
       (* connection churn: tear down at a quiescent point, reopen fresh *)
@@ -359,19 +383,6 @@ let run_tcp ~(config : Config.t) ~topology ~seed ~flows:nflows
                  | _ -> ()))
       | Open_loop _ -> ()
   in
-  (* open-loop arrivals tick independently of the response stream *)
-  let rec schedule_arrival f ia =
-    if f.scheduled < wl.requests_per_flow then begin
-      f.scheduled <- f.scheduled + 1;
-      ignore
-        (Ns.Host_env.timeout cenv ~delay:(draw_exp f.rng ia) (fun () ->
-             (match f.conn with
-             | Some s when T.Tcp.state s = T.Tcb.Established ->
-               send_request f s
-             | _ -> f.backlog <- f.backlog + 1);
-             schedule_arrival f ia))
-    end
-  in
   (* chaos supervision: a client crash kills the think and handshake
      timers along with every session, leaving its flows permanently idle.
      The supervisor runs on the raw simulator — outside any host, so no
@@ -385,7 +396,7 @@ let run_tcp ~(config : Config.t) ~topology ~seed ~flows:nflows
     let stall_us = 50_000.0 in
     let supervise_period_us = 5_000.0 in
     let rec supervise () =
-      if !flows_done < nflows then begin
+      if !(c.flows_done) < c.nflows then begin
         let now = Ns.Sim.now sim in
         if
           not
@@ -405,259 +416,186 @@ let run_tcp ~(config : Config.t) ~topology ~seed ~flows:nflows
                 incr reconnects;
                 open_conn f
               end)
-            flows;
+            c.fl;
         Ns.Sim.schedule sim ~delay:supervise_period_us supervise
       end
     in
     Ns.Sim.schedule sim ~delay:supervise_period_us supervise);
-  Array.iter
-    (fun f ->
-      if wl.requests_per_flow <= 0 then begin
-        f.done_ <- true;
-        incr flows_done
-      end
-      else begin
-        open_conn f;
-        match wl.arrival with
-        | Open_loop { interarrival_us } -> schedule_arrival f interarrival_us
-        | Closed_loop _ -> ()
-      end)
-    flows;
-  (* drive until every flow finished its request quota *)
-  let deadline =
-    Ns.Sim.now sim
-    +. 10.0e6
-    +. (float_of_int (nflows * max 1 wl.requests_per_flow) *. 5_000.0)
-  in
-  let rec pump () =
-    if !flows_done < nflows && Ns.Sim.now sim < deadline then begin
-      ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 2_000.0) sim);
-      pump ()
-    end
-  in
-  pump ();
-  if !flows_done < nflows then
-    fail_deadline ~flows ~wl
-      ~conn_desc:(fun f ->
-        match f.conn with
-        | None -> "none"
-        | Some s -> T.Tcb.state_string (T.Tcp.state s))
-      ~flows_done:!flows_done ~nflows
-      ~client_timers:(Xk.Event.pending cenv.Ns.Host_env.events)
-      ~server_timers:(Xk.Event.pending senv.Ns.Host_env.events);
-  (* teardown: keep sweeping until both PCB maps are empty (Close_wait
-     reaped, Time_wait expired), then let the event queue run dry.  The
-     budget must clear fully backed-off retransmit timers — under heavy
-     fan-in the last FIN exchanges can sit behind RTOs of seconds — so it
-     is a time window, not an iteration count. *)
-  let drain_deadline = Ns.Sim.now sim +. 60.0e6 in
-  let rec drain () =
-    ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. sweep_interval_us) sim);
-    ignore (T.Tcp.sweep stcp);
-    (* the client needs the finwait2 reaper too: a crashed server cannot
-       finish a close the client already half-completed *)
-    ignore (T.Tcp.sweep ctcp);
-    if
-      (T.Tcp.session_count stcp > 0 || T.Tcp.session_count ctcp > 0)
-      && Ns.Sim.now sim < drain_deadline
-    then drain ()
-  in
-  drain ();
+  drive c
+    ~start:(fun f ->
+      open_conn f;
+      match wl.arrival with
+      | Open_loop { interarrival_us } ->
+        schedule_arrival c f interarrival_us (fun f ->
+            match f.conn with
+            | Some s when T.Tcp.state s = T.Tcb.Established -> send_request f s
+            | _ -> f.backlog <- f.backlog + 1)
+      | Closed_loop _ -> ())
+    ~conn_desc:(fun f ->
+      match f.conn with
+      | None -> "none"
+      | Some s -> T.Tcb.state_string (T.Tcp.state s));
+  (* teardown: reap both PCB maps (a time window, not an iteration count:
+     under heavy fan-in the last FIN exchanges can sit behind RTOs of
+     seconds), stop the server's sweep, then let the queue run dry *)
+  T.Stack.teardown pair;
   sweeping := false;
-  ignore (Ns.Sim.run sim);
   let drained =
-    Ns.Sim.pending sim = 0
-    && Xk.Event.pending cenv.Ns.Host_env.events = 0
-    && Xk.Event.pending senv.Ns.Host_env.events = 0
-    && T.Tcp.session_count ctcp = 0
-    && T.Tcp.session_count stcp = 0
+    quiesce c && T.Tcp.session_count ctcp = 0 && T.Tcp.session_count stcp = 0
   in
-  let mc = T.Tcp.map_counters stcp in
-  let server_map =
-    { resolves = mc.Xk.Map.resolves;
-      cache_hits = mc.Xk.Map.cache_hits;
-      key_compares = mc.Xk.Map.key_compares;
-      buckets_scanned = mc.Xk.Map.buckets_scanned;
-      nonempty = T.Tcp.map_nonempty_buckets stcp }
-  in
-  ( flows,
-    { stack = Engine.Tcpip;
-      flows = nflows;
-      seed;
-      requests = Array.fold_left (fun a f -> a + f.completed) 0 flows;
-      conns = !conns_opened;
-      reconnects = !reconnects;
-      retransmits = T.Tcp.retransmits ctcp + T.Tcp.retransmits stcp;
-      lat = Util.Stats.Hist.(digest (create ())) (* patched below *);
-      per_flow = [||];
-      server_map;
-      timer_high_water =
-        max
-          (Xk.Event.high_water cenv.Ns.Host_env.events)
-          (Xk.Event.high_water senv.Ns.Host_env.events);
-      sweeps = !sweeps;
-      drained;
-      violations = quiesce_violations sim pair.T.Stack.metrics;
-      metrics = pair.T.Stack.metrics } )
+  ({ drained;
+     conns = !conns_opened;
+     reconnects = !reconnects;
+     retransmits = T.Tcp.retransmits ctcp + T.Tcp.retransmits stcp;
+     sweeps = !sweeps;
+     server_map =
+       map_stats (T.Tcp.map_counters stcp) (T.Tcp.map_nonempty_buckets stcp) }
+    : tally)
 
-(* ----- RPC cell ----------------------------------------------------------- *)
+(* ----- RPC workload ------------------------------------------------------- *)
 
 (* N MSELECT clients calling through the shared VCHAN pool: the CHAN
    channel map takes the role of the TCP PCB map.  Channels are pooled
    rather than torn down, so churn here is pool growth + interleaving, not
    connection teardown. *)
-let run_rpc ~(config : Config.t) ~topology ~seed ~flows:nflows
-    ~(wl : workload) () =
-  if nflows <= 0 then invalid_arg "Mflow: flows must be positive";
-  let pair =
-    R.Rstack.pair_of_net
-      (R.Rstack.make_net
-         ~opts_for:(fun i ->
-           if i = 0 then config.Config.opts else T.Opts.improved)
-         ~topology ())
-  in
-  let sim = pair.R.Rstack.sim in
-  let cenv = pair.R.Rstack.client.R.Rstack.env in
-  let senv = pair.R.Rstack.server.R.Rstack.env in
+let rpc_workload _net (pair : R.Rstack.pair) c =
+  let wl = c.wl in
   let resp_payload = Bytes.make (max 1 wl.resp_bytes) 'r' in
-  for f = 0 to nflows - 1 do
-    R.Mselect.register pair.R.Rstack.server.R.Rstack.mselect ~client:f
+  for f = 0 to c.nflows - 1 do
+    R.Mselect.register pair.server.R.Rstack.mselect ~client:f
       (fun _data ~reply -> reply resp_payload)
   done;
-  let flows =
-    Array.init nflows (fun i ->
-        { fid = i;
-          rng = Util.Rng.create (seed + (1_000_003 * i));
-          inflight = Queue.create ();
-          conn = None;
-          conn_requests = 0;
-          lifetime = 0;
-          conn_idx = 0;
-          sent = 0;
-          completed = 0;
-          resp_acc = 0;
-          backlog = 0;
-          scheduled = 0;
-          lat = Util.Stats.Hist.create ();
-          done_ = false;
-          last_progress_us = 0.0 })
-  in
-  let flows_done = ref 0 in
-  let lat_hist =
-    Obs.Metrics.histogram
-      (Obs.Metrics.scoped pair.R.Rstack.metrics "mflow")
-      ~help:"request-response latency" "lat_us"
-  in
   let rec issue f =
     f.sent <- f.sent + 1;
-    let t0 = Ns.Sim.now sim in
-    let msg = Msg.alloc cenv.Ns.Host_env.simmem ~headroom:64 0 in
+    let t0 = Ns.Sim.now c.sim in
+    let msg = Msg.alloc c.cenv.Ns.Host_env.simmem ~headroom:64 0 in
     Msg.set_payload msg (Bytes.make (max 1 wl.req_bytes) 'q');
-    R.Mselect.call pair.R.Rstack.client.R.Rstack.mselect ~client:f.fid msg
+    R.Mselect.call pair.client.R.Rstack.mselect ~client:f.fid msg
       ~reply:(fun _ ->
-        let v = Ns.Sim.now sim -. t0 in
-        Util.Stats.Hist.add f.lat v;
-        Obs.Metrics.observe lat_hist v;
-        f.completed <- f.completed + 1;
-        if f.completed >= wl.requests_per_flow then begin
-          f.done_ <- true;
-          incr flows_done
-        end
+        record c f (Ns.Sim.now c.sim -. t0);
+        if f.completed >= wl.requests_per_flow then finish_flow c f
         else
           match wl.arrival with
           | Closed_loop { think_us } ->
             let delay = draw_exp f.rng think_us in
             if delay <= 0.0 then issue f
-            else ignore (Ns.Host_env.timeout cenv ~delay (fun () -> issue f))
+            else ignore (Ns.Host_env.timeout c.cenv ~delay (fun () -> issue f))
           | Open_loop _ -> ())
   in
-  let rec schedule_arrival f ia =
-    if f.scheduled < wl.requests_per_flow then begin
-      f.scheduled <- f.scheduled + 1;
-      ignore
-        (Ns.Host_env.timeout cenv ~delay:(draw_exp f.rng ia) (fun () ->
-             issue f;
-             schedule_arrival f ia))
-    end
-  in
-  Array.iter
-    (fun f ->
-      if wl.requests_per_flow <= 0 then begin
-        f.done_ <- true;
-        incr flows_done
-      end
-      else
-        match wl.arrival with
-        | Closed_loop _ -> issue f
-        | Open_loop { interarrival_us } -> schedule_arrival f interarrival_us)
-    flows;
-  let deadline =
-    Ns.Sim.now sim
-    +. 10.0e6
-    +. (float_of_int (nflows * max 1 wl.requests_per_flow) *. 5_000.0)
-  in
-  let rec pump () =
-    if !flows_done < nflows && Ns.Sim.now sim < deadline then begin
-      ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 2_000.0) sim);
-      pump ()
-    end
-  in
-  pump ();
-  if !flows_done < nflows then
-    fail_deadline ~flows ~wl
-      ~conn_desc:(fun _ -> "rpc channel")
-      ~flows_done:!flows_done ~nflows
-      ~client_timers:(Xk.Event.pending cenv.Ns.Host_env.events)
-      ~server_timers:(Xk.Event.pending senv.Ns.Host_env.events);
-  ignore (Ns.Sim.run sim);
-  let drained =
-    Ns.Sim.pending sim = 0
-    && Xk.Event.pending cenv.Ns.Host_env.events = 0
-    && Xk.Event.pending senv.Ns.Host_env.events = 0
-  in
-  let schan = pair.R.Rstack.server.R.Rstack.chan in
-  let mc = R.Chan.map_counters schan in
-  let server_map =
-    { resolves = mc.Xk.Map.resolves;
-      cache_hits = mc.Xk.Map.cache_hits;
-      key_compares = mc.Xk.Map.key_compares;
-      buckets_scanned = mc.Xk.Map.buckets_scanned;
-      nonempty = R.Chan.map_nonempty_buckets schan }
-  in
-  ( flows,
-    { stack = Engine.Rpc;
-      flows = nflows;
-      seed;
-      requests = Array.fold_left (fun a f -> a + f.completed) 0 flows;
-      conns = R.Chan.map_size pair.R.Rstack.client.R.Rstack.chan;
-      reconnects = 0;
-      retransmits =
-        R.Chan.request_retransmits pair.R.Rstack.client.R.Rstack.chan;
-      lat = Util.Stats.Hist.(digest (create ()));
-      per_flow = [||];
-      server_map;
-      timer_high_water =
-        max
-          (Xk.Event.high_water cenv.Ns.Host_env.events)
-          (Xk.Event.high_water senv.Ns.Host_env.events);
-      sweeps = 0;
-      drained;
-      violations = quiesce_violations sim pair.R.Rstack.metrics;
-      metrics = pair.R.Rstack.metrics } )
+  drive c
+    ~start:(fun f ->
+      match wl.arrival with
+      | Closed_loop _ -> issue f
+      | Open_loop { interarrival_us } ->
+        schedule_arrival c f interarrival_us issue)
+    ~conn_desc:(fun _ -> "rpc channel");
+  let drained = quiesce c in
+  let cchan = pair.client.R.Rstack.chan and schan = pair.server.R.Rstack.chan in
+  ({ drained;
+     conns = R.Chan.map_size cchan;
+     reconnects = 0;
+     retransmits = R.Chan.request_retransmits cchan;
+     sweeps = 0;
+     server_map =
+       map_stats (R.Chan.map_counters schan) (R.Chan.map_nonempty_buckets schan)
+   }
+    : tally)
 
 (* ----- cell assembly ------------------------------------------------------ *)
 
-let finish_cell (flows, cell) =
-  (* flow histograms merge in flow order: exact counts, order-independent *)
-  let merged =
-    Array.fold_left
-      (fun acc f -> Util.Stats.Hist.merge acc f.lat)
-      (Util.Stats.Hist.create ())
-      flows
+let run_cell ?(workload = default_workload) ?chaos ~flows:nflows
+    (spec : Engine.Spec.t) =
+  let config = spec.Engine.Spec.config
+  and seed = spec.Engine.Spec.seed
+  and topology = spec.Engine.Spec.topology in
+  if Ns.Topology.hosts topology <> 2 then
+    invalid_arg "Mflow: spec topology must have exactly 2 hosts";
+  (match (chaos, spec.Engine.Spec.stack) with
+  | Some _, Engine.Rpc ->
+    (* RPC channels are pooled, not torn down; host-lifecycle faults have
+       no reconnect story there yet *)
+    invalid_arg "Mflow: chaos supports the TCP stack only"
+  | _ -> ());
+  if nflows <= 0 then invalid_arg "Mflow: flows must be positive";
+  (match (chaos, workload.arrival) with
+  | Some _, Open_loop _ ->
+    (* an open-loop arrival stream has no response to pace itself on, so a
+       crash silently sheds its backlog instead of recovering it *)
+    invalid_arg "Mflow: chaos requires a closed-loop workload"
+  | _ -> ());
+  let on_stack (type h) (module S : Engine.STACK with type host = h) run =
+    let net =
+      S.make_net ~opts_for:(S.opts_for config.Config.opts) ~topology ()
+    in
+    let pair = T.Stack.pair_of_net net in
+    let metrics = pair.T.Stack.metrics in
+    let flow_of i =
+      { fid = i;
+        rng = Util.Rng.create (seed + (1_000_003 * i));
+        inflight = Queue.create ();
+        conn = None;
+        conn_requests = 0;
+        lifetime = 0;
+        conn_idx = 0;
+        sent = 0;
+        completed = 0;
+        resp_acc = 0;
+        backlog = 0;
+        scheduled = 0;
+        lat = Util.Stats.Hist.create ();
+        done_ = false;
+        last_progress_us = 0.0 }
+    in
+    let c =
+      { sim = pair.T.Stack.sim;
+        cenv = S.env pair.T.Stack.client;
+        senv = S.env pair.T.Stack.server;
+        wl = workload;
+        nflows;
+        fl = Array.init nflows flow_of;
+        flows_done = ref 0;
+        lat_hist =
+          Obs.Metrics.histogram
+            (Obs.Metrics.scoped metrics "mflow")
+            ~help:"request-response latency" "lat_us" }
+    in
+    let (t : tally) = run net pair c in
+    (* quiesce-time audit: any broken metrics conservation law becomes a
+       cell violation *)
+    let iv = Invariant.create () in
+    Invariant.conservation iv ~at_us:(Ns.Sim.now c.sim) metrics;
+    (* flow histograms merge in flow order: exact counts, order-independent *)
+    let merged =
+      Array.fold_left
+        (fun acc f -> Util.Stats.Hist.merge acc f.lat)
+        (Util.Stats.Hist.create ())
+        c.fl
+    in
+    { stack = spec.Engine.Spec.stack;
+      flows = nflows;
+      seed;
+      requests = Array.fold_left (fun a f -> a + f.completed) 0 c.fl;
+      conns = t.conns;
+      reconnects = t.reconnects;
+      retransmits = t.retransmits;
+      lat = Util.Stats.Hist.digest merged;
+      per_flow = Array.map (fun f -> Util.Stats.Hist.digest f.lat) c.fl;
+      server_map = t.server_map;
+      timer_high_water =
+        max
+          (Xk.Event.high_water c.cenv.Ns.Host_env.events)
+          (Xk.Event.high_water c.senv.Ns.Host_env.events);
+      sweeps = t.sweeps;
+      drained = t.drained;
+      violations =
+        List.map Invariant.render_violation (Invariant.violations iv);
+      metrics }
   in
-  let per_flow = Array.map (fun f -> Util.Stats.Hist.digest f.lat) flows in
-  let lat = Util.Stats.Hist.digest merged in
-  let cell = { cell with lat; per_flow } in
+  let cell =
+    match spec.Engine.Spec.stack with
+    | Engine.Tcpip -> on_stack Engine.tcpip (tcp_workload ?chaos)
+    | Engine.Rpc -> on_stack Engine.rpc rpc_workload
+  in
   (* register the cell's headline numbers in the pair's metrics registry
      (the lat_us histogram itself is populated at record time) *)
   let mf = Obs.Metrics.scoped cell.metrics "mflow" in
@@ -676,26 +614,6 @@ let finish_cell (flows, cell) =
        "map_hit_rate")
     (hit_rate cell.server_map);
   cell
-
-let run_cell ?(workload = default_workload) ?chaos ~flows
-    (spec : Engine.Spec.t) =
-  let config = spec.Engine.Spec.config
-  and seed = spec.Engine.Spec.seed
-  and topology = spec.Engine.Spec.topology in
-  if Ns.Topology.hosts topology <> 2 then
-    invalid_arg "Mflow: spec topology must have exactly 2 hosts";
-  finish_cell
-    (match spec.Engine.Spec.stack with
-    | Engine.Tcpip ->
-      run_tcp ~config ~topology ~seed ~flows ~wl:workload ?chaos ()
-    | Engine.Rpc ->
-      (match chaos with
-      | Some _ ->
-        (* RPC channels are pooled, not torn down; host-lifecycle faults
-           have no reconnect story there yet *)
-        invalid_arg "Mflow: chaos supports the TCP stack only"
-      | None -> ());
-      run_rpc ~config ~topology ~seed ~flows ~wl:workload ())
 
 (* ----- sweep -------------------------------------------------------------- *)
 
@@ -792,7 +710,7 @@ let render t =
   Buffer.contents b
 
 let passed t =
-  List.for_all (fun c -> c.drained && c.violations = []) t.cells
+  List.for_all (fun (c : cell) -> c.drained && c.violations = []) t.cells
 
 (* ----- JSON export -------------------------------------------------------- *)
 
@@ -822,17 +740,6 @@ let to_json t =
        | None -> "null"
        | Some n -> string_of_int n));
   Buffer.add_string b "  \"cells\": [\n";
-  let esc s =
-    let eb = Buffer.create (String.length s) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string eb "\\\""
-        | '\\' -> Buffer.add_string eb "\\\\"
-        | '\n' -> Buffer.add_string eb "\\n"
-        | c -> Buffer.add_char eb c)
-      s;
-    Buffer.contents eb
-  in
   let cell_json (c : cell) =
     let q = c.lat in
     let flow_p99 = Array.map (fun d -> d.Util.Stats.Hist.p99) c.per_flow in
@@ -858,7 +765,7 @@ let to_json t =
       c.server_map.buckets_scanned c.server_map.nonempty c.timer_high_water
       c.sweeps c.retransmits c.reconnects c.drained
       (String.concat ", "
-         (List.map (fun v -> "\"" ^ esc v ^ "\"") c.violations))
+         (List.map (fun v -> "\"" ^ Obs.Json.escape v ^ "\"") c.violations))
   in
   Buffer.add_string b (String.concat ",\n" (List.map cell_json t.cells));
   Buffer.add_string b "\n  ],\n  \"summary\": [\n";

@@ -12,31 +12,20 @@ let has_prefix p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
 let layer_of ~stack func =
+  let (module S) = Engine.stack stack in
+  let prefixes =
+    List.map (fun l -> (String.lowercase_ascii l ^ "_", l)) S.layers
+    @ S.layer_aliases
+  in
   if List.mem func library_funcs then "LIB"
   else
-    let pfx = [ ("eth_", "ETH"); ("lance_", "LANCE") ] in
-    let pfx =
-      match stack with
-      | Engine.Tcpip ->
-        [ ("tcptest_", "TCPTEST"); ("clientstream_", "TCP"); ("tcp_", "TCP");
-          ("ip_", "IP"); ("vnet_", "VNET") ]
-        @ pfx
-      | Engine.Rpc ->
-        [ ("xrpctest_", "XRPCTEST"); ("mselect_", "MSELECT");
-          ("vchan_", "VCHAN"); ("chan_", "CHAN"); ("bid_", "BID");
-          ("blast_", "BLAST") ]
-        @ pfx
-    in
-    match List.find_opt (fun (p, _) -> has_prefix p func) pfx with
+    match List.find_opt (fun (p, _) -> has_prefix p func) prefixes with
     | Some (_, l) -> l
     | None -> "OTHER"
 
 let layer_order ~stack =
-  (match stack with
-  | Engine.Tcpip -> [ "TCPTEST"; "TCP"; "IP"; "VNET"; "ETH"; "LANCE" ]
-  | Engine.Rpc ->
-    [ "XRPCTEST"; "MSELECT"; "VCHAN"; "CHAN"; "BID"; "BLAST"; "ETH"; "LANCE" ])
-  @ [ "LIB"; "OTHER" ]
+  let (module S) = Engine.stack stack in
+  S.layers @ [ "LIB"; "OTHER" ]
 
 type layer = {
   layer : string;

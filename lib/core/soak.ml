@@ -173,26 +173,26 @@ let check failures what ok = if not ok then failures := what :: !failures
 let pattern ~tag len =
   Bytes.init len (fun i -> Char.chr ((i * 131 + tag * 17 + len) land 0xFF))
 
+(* The pair every scenario runs on: both hosts at the default (improved)
+   options, each metered for cold-path coverage. *)
+let pair_for (type h) (module S : Engine.STACK with type host = h) cover
+    ~topology : h T.Stack.gpair =
+  let m = Cover.meter cover in
+  T.Stack.pair_of_net (S.make_net ~meter_for:(fun _ -> Some m) ~topology ())
+
 (* Same seed derivation as Engine.install_fault, so a soak cell and a
    metered Engine.run with the same seed see the same fault sequence. *)
-let install_faults ?metrics ~seed ~spec ~link ~client_lance ~server_lance () =
-  let scoped name =
-    match metrics with
-    | Some m -> Some (Obs.Metrics.scoped m name)
-    | None -> None
+let install_faults (type h) (module S : Engine.STACK with type host = h)
+    (p : h T.Stack.gpair) ~seed ~spec =
+  let plan name seed =
+    Ns.Fault.create ~seed ~metrics:(Obs.Metrics.scoped p.metrics name) spec
   in
-  let lf = Ns.Fault.create ~seed:(seed lxor 0x5EED) ?metrics:(scoped "wire") spec in
-  let clf =
-    Ns.Fault.create ~seed:(seed lxor 0x5EED + 101)
-      ?metrics:(scoped "client_dev") spec
-  in
-  let slf =
-    Ns.Fault.create ~seed:(seed lxor 0x5EED + 211)
-      ?metrics:(scoped "server_dev") spec
-  in
-  Ns.Ether.Link.set_fault link (Some lf);
-  Ns.Lance.set_fault client_lance (Some clf);
-  Ns.Lance.set_fault server_lance (Some slf);
+  let lf = plan "wire" (seed lxor 0x5EED) in
+  let clf = plan "client_dev" (seed lxor 0x5EED + 101) in
+  let slf = plan "server_dev" (seed lxor 0x5EED + 211) in
+  Ns.Ether.Link.set_fault p.link (Some lf);
+  Ns.Lance.set_fault (S.lance p.client) (Some clf);
+  Ns.Lance.set_fault (S.lance p.server) (Some slf);
   (lf, clf, slf)
 
 let fault_counters (lf, clf, slf) =
@@ -221,45 +221,42 @@ let pump sim ~deadline pred =
 
 (* Every timer in the stacks is bounded (retransmission, NACK and call
    caps), so running the queue dry terminates; afterwards no host may
-   hold a registered-but-unfired timer. *)
-let drain_check ?metrics failures sim envs =
+   hold a registered-but-unfired timer, and with the wire quiet the run's
+   counters must satisfy the metrics conservation laws — a broken law is a
+   cell failure like any other.  [counters] are read only then, and join
+   every metric the pair's registry accumulated. *)
+let finish (type h) (module S : Engine.STACK with type host = h)
+    (p : h T.Stack.gpair) failures counters =
+  let sim = p.sim in
   ignore (Ns.Sim.run sim);
   check failures "event queue drains" (Ns.Sim.pending sim = 0);
   List.iteri
-    (fun i env ->
-      let left = Xk.Event.pending env.Ns.Host_env.events in
+    (fun i h ->
+      let left = Xk.Event.pending (S.env h).Ns.Host_env.events in
       check failures
         (Printf.sprintf "host%d leaks no timers (%d left)" i left)
         (left = 0))
-    envs;
-  (* with the wire quiet, the run's counters must satisfy the metrics
-     conservation laws — a broken law is a cell failure like any other *)
-  match metrics with
-  | None -> ()
-  | Some m ->
-    let iv = Invariant.create () in
-    Invariant.conservation iv ~at_us:(Ns.Sim.now sim) m;
-    List.iter
-      (fun v -> check failures (Invariant.render_violation v) false)
-      (Invariant.violations iv)
+    [ p.client; p.server ];
+  let iv = Invariant.create () in
+  Invariant.conservation iv ~at_us:(Ns.Sim.now sim) p.metrics;
+  List.iter
+    (fun v -> check failures (Invariant.render_violation v) false)
+    (Invariant.violations iv);
+  (List.rev !failures,
+   List.sort compare (counters () @ metrics_counters p.metrics))
 
 let is_clean spec = spec = Ns.Fault.clean
 
 (* ----- scenarios ---------------------------------------------------------- *)
 
-(* Bulk client->server transfer over TCP: payload must arrive intact and
-   in order whatever the wire does; lost frames must be covered by
-   retransmission, corrupted frames rejected by a checksum somewhere. *)
-let tcp_transfer ~cover ~seed ~spec ~quick ~topology =
-  let m = Cover.meter cover in
-  let p =
-    T.Stack.pair_of_net
-      (T.Stack.make_net
-         ~meter_for:(fun _ -> Some m)
-         ~topology ())
-  in
+(* A client->server TCP byte stream on a fresh pair.  Once the handshake
+   completed, [body] runs with the connection, the server's first session
+   and the bytes the server received, and returns its counters; then the
+   client closes, the server only later, so the client's FIN arrives while
+   the server is still Established (the FIN-processing slow path). *)
+let tcp_stream cover ~topology body =
+  let p = pair_for Engine.tcpip cover ~topology in
   let sim = p.T.Stack.sim in
-  let failures = ref [] in
   let received = Buffer.create 8192 in
   let srv_session = ref None in
   T.Tcp.listen p.T.Stack.server.T.Stack.tcp ~port:9 ~receive:(fun s data ->
@@ -275,95 +272,82 @@ let tcp_transfer ~cover ~seed ~spec ~quick ~topology =
     ([ "handshake did not complete" ], [])
   else begin
     T.Tcp.set_nodelay cs true;
-    (* faults start only after the handshake, as in Engine.run *)
-    let faults =
-      install_faults ~metrics:p.T.Stack.metrics ~seed ~spec
-        ~link:p.T.Stack.link
-        ~client_lance:p.T.Stack.client.T.Stack.lance
-        ~server_lance:p.T.Stack.server.T.Stack.lance ()
-    in
-    let sent = Buffer.create 8192 in
-    let chunks = if quick then 30 else 90 in
-    for i = 0 to chunks - 1 do
-      let b = pattern ~tag:i (64 + ((i * 97) mod 900)) in
-      Buffer.add_bytes sent b;
-      T.Tcp.send cs b;
-      ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 300.0) sim)
-    done;
-    let total = Buffer.length sent in
-    let delivered =
-      pump sim
-        ~deadline:(Ns.Sim.now sim +. 30.0e6)
-        (fun () -> Buffer.length received >= total)
-    in
-    check failures "all bytes delivered" delivered;
-    if delivered then
-      check failures "payload intact and in order"
-        (Bytes.equal (Buffer.to_bytes received) (Buffer.to_bytes sent));
-    let ctcp = p.T.Stack.client.T.Stack.tcp in
-    let stcp = p.T.Stack.server.T.Stack.tcp in
-    let rexmt = T.Tcp.retransmits ctcp + T.Tcp.retransmits stcp in
-    let lf, _, _ = faults in
-    if is_clean spec then begin
-      check failures "clean: no retransmissions" (rexmt = 0);
-      check failures "clean: no wire drops"
-        (Ns.Ether.Link.frames_dropped p.T.Stack.link = 0)
-    end;
-    (* independent loss without duplication must force retransmission *)
-    if spec.Ns.Fault.duplicate_pct = 0.0 && Ns.Fault.drops lf >= 5 then
-      check failures "loss recovered by retransmission" (rexmt > 0);
-    if Ns.Fault.corruptions lf >= 5 then
-      check failures "corruption rejected by a checksum"
-        (Cover.triggered cover ~func:"tcp_input" ~block:"bad_cksum" > 0
-        || T.Ip.packets_dropped p.T.Stack.client.T.Stack.ip
-           + T.Ip.packets_dropped p.T.Stack.server.T.Stack.ip
-           > 0);
-    (* staggered bidirectional close: the client's FIN must arrive while
-       the server is still Established (the FIN-processing slow path) *)
+    let failures = ref [] in
+    let counters = body p cs ~srv_session ~received failures in
     T.Tcp.close cs;
     ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 50_000.0) sim);
     (match !srv_session with
     | Some s -> T.Tcp.close s
     | None -> ());
-    drain_check ~metrics:p.T.Stack.metrics failures sim
-      [ p.T.Stack.client.T.Stack.env; p.T.Stack.server.T.Stack.env ];
-    let counters =
-      [ ("bytes", total);
-        ("retransmits", rexmt);
-        ("link_drops", Ns.Ether.Link.frames_dropped p.T.Stack.link);
-        ("ring_full_events",
-         Ns.Netdev.tx_ring_full_events p.T.Stack.client.T.Stack.netdev
-         + Ns.Netdev.tx_ring_full_events p.T.Stack.server.T.Stack.netdev);
-        ("rx_desc_errors",
-         Ns.Netdev.rx_desc_errors p.T.Stack.client.T.Stack.netdev
-         + Ns.Netdev.rx_desc_errors p.T.Stack.server.T.Stack.netdev) ]
-      @ fault_counters faults
-    in
-    (List.rev !failures,
-   List.sort compare (counters @ metrics_counters p.T.Stack.metrics))
+    finish Engine.tcpip p failures counters
   end
+
+(* Bulk client->server transfer over TCP: payload must arrive intact and
+   in order whatever the wire does; lost frames must be covered by
+   retransmission, corrupted frames rejected by a checksum somewhere. *)
+let tcp_transfer ~cover ~seed ~spec ~quick ~topology =
+  tcp_stream cover ~topology (fun p cs ~srv_session:_ ~received failures ->
+      let sim = p.T.Stack.sim in
+      (* faults start only after the handshake, as in Engine.run *)
+      let faults = install_faults Engine.tcpip p ~seed ~spec in
+      let sent = Buffer.create 8192 in
+      let chunks = if quick then 30 else 90 in
+      for i = 0 to chunks - 1 do
+        let b = pattern ~tag:i (64 + ((i * 97) mod 900)) in
+        Buffer.add_bytes sent b;
+        T.Tcp.send cs b;
+        ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 300.0) sim)
+      done;
+      let total = Buffer.length sent in
+      let delivered =
+        pump sim
+          ~deadline:(Ns.Sim.now sim +. 30.0e6)
+          (fun () -> Buffer.length received >= total)
+      in
+      check failures "all bytes delivered" delivered;
+      if delivered then
+        check failures "payload intact and in order"
+          (Bytes.equal (Buffer.to_bytes received) (Buffer.to_bytes sent));
+      let ctcp = p.T.Stack.client.T.Stack.tcp in
+      let stcp = p.T.Stack.server.T.Stack.tcp in
+      let rexmt = T.Tcp.retransmits ctcp + T.Tcp.retransmits stcp in
+      let lf, _, _ = faults in
+      if is_clean spec then begin
+        check failures "clean: no retransmissions" (rexmt = 0);
+        check failures "clean: no wire drops"
+          (Ns.Ether.Link.frames_dropped p.T.Stack.link = 0)
+      end;
+      (* independent loss without duplication must force retransmission *)
+      if spec.Ns.Fault.duplicate_pct = 0.0 && Ns.Fault.drops lf >= 5 then
+        check failures "loss recovered by retransmission" (rexmt > 0);
+      if Ns.Fault.corruptions lf >= 5 then
+        check failures "corruption rejected by a checksum"
+          (Cover.triggered cover ~func:"tcp_input" ~block:"bad_cksum" > 0
+          || T.Ip.packets_dropped p.T.Stack.client.T.Stack.ip
+             + T.Ip.packets_dropped p.T.Stack.server.T.Stack.ip
+             > 0);
+      (fun () ->
+        [ ("bytes", total);
+          ("retransmits", rexmt);
+          ("link_drops", Ns.Ether.Link.frames_dropped p.T.Stack.link);
+          ("ring_full_events",
+           Ns.Netdev.tx_ring_full_events p.T.Stack.client.T.Stack.netdev
+           + Ns.Netdev.tx_ring_full_events p.T.Stack.server.T.Stack.netdev);
+          ("rx_desc_errors",
+           Ns.Netdev.rx_desc_errors p.T.Stack.client.T.Stack.netdev
+           + Ns.Netdev.rx_desc_errors p.T.Stack.server.T.Stack.netdev) ]
+        @ fault_counters faults))
 
 (* The paper's latency ping-pong under faults: every roundtrip must still
    complete (retransmission covers losses), and a fault-free wire must
    not retransmit at all. *)
 let tcp_pingpong ~cover ~seed ~spec ~quick ~topology =
-  let m = Cover.meter cover in
-  let p =
-    T.Stack.pair_of_net
-      (T.Stack.make_net
-         ~meter_for:(fun _ -> Some m)
-         ~topology ())
-  in
+  let p = pair_for Engine.tcpip cover ~topology in
   let sim = p.T.Stack.sim in
   let failures = ref [] in
   let rounds = if quick then 20 else 40 in
   let ct, _st = T.Stack.establish p ~rounds in
-  let faults =
-    install_faults ~metrics:p.T.Stack.metrics ~seed ~spec
-      ~link:p.T.Stack.link
-      ~client_lance:p.T.Stack.client.T.Stack.lance
-      ~server_lance:p.T.Stack.server.T.Stack.lance ()
-  in
+  let faults = install_faults Engine.tcpip p ~seed ~spec in
   T.Tcptest.start ct;
   let completed =
     pump sim
@@ -383,113 +367,69 @@ let tcp_pingpong ~cover ~seed ~spec ~quick ~topology =
     check failures "clean: no wire drops"
       (Ns.Ether.Link.frames_dropped p.T.Stack.link = 0)
   end;
-  drain_check ~metrics:p.T.Stack.metrics failures sim
-    [ p.T.Stack.client.T.Stack.env; p.T.Stack.server.T.Stack.env ];
-  let counters =
-    [ ("rounds", T.Tcptest.rounds_completed ct);
-      ("retransmits", rexmt);
-      ("link_drops", Ns.Ether.Link.frames_dropped p.T.Stack.link) ]
-    @ fault_counters faults
-  in
-  (List.rev !failures,
-   List.sort compare (counters @ metrics_counters p.T.Stack.metrics))
+  finish Engine.tcpip p failures (fun () ->
+      [ ("rounds", T.Tcptest.rounds_completed ct);
+        ("retransmits", rexmt);
+        ("link_drops", Ns.Ether.Link.frames_dropped p.T.Stack.link) ]
+      @ fault_counters faults)
 
 (* Receiver advertises a zero window mid-transfer: the sender must arm
    the persist timer and probe (tcp_output/persist is otherwise dead
    code), then resume and finish once the window reopens. *)
 let tcp_zero_window ~cover ~seed:_ ~spec:_ ~quick:_ ~topology =
-  let m = Cover.meter cover in
-  let p =
-    T.Stack.pair_of_net
-      (T.Stack.make_net
-         ~meter_for:(fun _ -> Some m)
-         ~topology ())
-  in
-  let sim = p.T.Stack.sim in
-  let failures = ref [] in
-  let received = Buffer.create 8192 in
-  let srv_session = ref None in
-  T.Tcp.listen p.T.Stack.server.T.Stack.tcp ~port:9 ~receive:(fun s data ->
-      if !srv_session = None then srv_session := Some s;
-      Buffer.add_bytes received data);
-  let cs =
-    T.Tcp.connect p.T.Stack.client.T.Stack.tcp ~local_port:2048
-      ~remote_ip:p.T.Stack.server.T.Stack.ip_addr ~remote_port:9
-      ~receive:(fun _ _ -> ())
-  in
-  ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 100_000.0) sim);
-  if T.Tcp.state cs <> T.Tcb.Established then
-    ([ "handshake did not complete" ], [])
-  else begin
-    T.Tcp.set_nodelay cs true;
-    (* close the receive window, then queue more data than the last
-       advertised window can absorb: the surplus must wait on probes *)
-    (T.Tcp.tcb cs).T.Tcb.rcv_wnd <- 4096;
-    let server_tcb = ref None in
-    let sent = Buffer.create 8192 in
-    let chunks = 12 in
-    for i = 0 to chunks - 1 do
-      let b = pattern ~tag:i 512 in
-      Buffer.add_bytes sent b;
-      T.Tcp.send cs b;
-      if i = 0 then begin
-        (* first chunk reveals the server session; freeze its window *)
-        ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 5_000.0) sim);
-        match !srv_session with
-        | Some s ->
-          let tcb = T.Tcp.tcb s in
-          tcb.T.Tcb.rcv_wnd <- 0;
-          server_tcb := Some tcb
-        | None -> check failures "server session appeared" false
-      end
-    done;
-    ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 40_000.0) sim);
-    let probes = T.Tcp.persist_probes p.T.Stack.client.T.Stack.tcp in
-    check failures "persist probes sent while window closed" (probes > 0);
-    check failures "transfer stalled on the closed window"
-      (Buffer.length received < Buffer.length sent);
-    (* reopen the window: the next probe's ack unblocks the sender *)
-    (match !server_tcb with
-    | Some tcb -> tcb.T.Tcb.rcv_wnd <- 4096
-    | None -> ());
-    let total = Buffer.length sent in
-    let delivered =
-      pump sim
-        ~deadline:(Ns.Sim.now sim +. 2.0e6)
-        (fun () -> Buffer.length received >= total)
-    in
-    check failures "all bytes delivered after reopen" delivered;
-    if delivered then
-      check failures "payload intact and in order"
-        (Bytes.equal (Buffer.to_bytes received) (Buffer.to_bytes sent));
-    T.Tcp.close cs;
-    ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 50_000.0) sim);
-    (match !srv_session with
-    | Some s -> T.Tcp.close s
-    | None -> ());
-    drain_check ~metrics:p.T.Stack.metrics failures sim
-      [ p.T.Stack.client.T.Stack.env; p.T.Stack.server.T.Stack.env ];
-    let counters =
-      [ ("bytes", total);
-        ("persist_probes", T.Tcp.persist_probes p.T.Stack.client.T.Stack.tcp)
-      ]
-    in
-    (List.rev !failures,
-   List.sort compare (counters @ metrics_counters p.T.Stack.metrics))
-  end
+  tcp_stream cover ~topology (fun p cs ~srv_session ~received failures ->
+      let sim = p.T.Stack.sim in
+      (* close the receive window, then queue more data than the last
+         advertised window can absorb: the surplus must wait on probes *)
+      (T.Tcp.tcb cs).T.Tcb.rcv_wnd <- 4096;
+      let server_tcb = ref None in
+      let sent = Buffer.create 8192 in
+      let chunks = 12 in
+      for i = 0 to chunks - 1 do
+        let b = pattern ~tag:i 512 in
+        Buffer.add_bytes sent b;
+        T.Tcp.send cs b;
+        if i = 0 then begin
+          (* first chunk reveals the server session; freeze its window *)
+          ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 5_000.0) sim);
+          match !srv_session with
+          | Some s ->
+            let tcb = T.Tcp.tcb s in
+            tcb.T.Tcb.rcv_wnd <- 0;
+            server_tcb := Some tcb
+          | None -> check failures "server session appeared" false
+        end
+      done;
+      ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 40_000.0) sim);
+      let probes = T.Tcp.persist_probes p.T.Stack.client.T.Stack.tcp in
+      check failures "persist probes sent while window closed" (probes > 0);
+      check failures "transfer stalled on the closed window"
+        (Buffer.length received < Buffer.length sent);
+      (* reopen the window: the next probe's ack unblocks the sender *)
+      (match !server_tcb with
+      | Some tcb -> tcb.T.Tcb.rcv_wnd <- 4096
+      | None -> ());
+      let total = Buffer.length sent in
+      let delivered =
+        pump sim
+          ~deadline:(Ns.Sim.now sim +. 2.0e6)
+          (fun () -> Buffer.length received >= total)
+      in
+      check failures "all bytes delivered after reopen" delivered;
+      if delivered then
+        check failures "payload intact and in order"
+          (Bytes.equal (Buffer.to_bytes received) (Buffer.to_bytes sent));
+      (fun () ->
+        [ ("bytes", total);
+          ("persist_probes", T.Tcp.persist_probes p.T.Stack.client.T.Stack.tcp)
+        ]))
 
 (* Protocol edge cases that need no wire faults: send-before-establish,
    SYN to a dead port (retransmit give-up), unroutable destination,
    IP fragmentation/reassembly, unknown ethertype, and a receive handler
    that retains its buffer (forcing the pool's free/malloc slow path). *)
 let tcp_edge ~cover ~seed:_ ~spec:_ ~quick:_ ~topology =
-  let m = Cover.meter cover in
-  let p =
-    T.Stack.pair_of_net
-      (T.Stack.make_net
-         ~meter_for:(fun _ -> Some m)
-         ~topology ())
-  in
+  let p = pair_for Engine.tcpip cover ~topology in
   let sim = p.T.Stack.sim in
   let client = p.T.Stack.client in
   let server = p.T.Stack.server in
@@ -559,27 +499,16 @@ let tcp_edge ~cover ~seed:_ ~spec:_ ~quick:_ ~topology =
     (Cover.triggered cover ~func:"eth_demux" ~block:"badtype" > 0);
   check failures "retained buffer forced pool free+malloc"
     (Cover.triggered cover ~func:"pool_put" ~block:"malloc" > 0);
-  drain_check ~metrics:p.T.Stack.metrics failures sim
-    [ client.T.Stack.env; server.T.Stack.env ];
-  let counters =
-    [ ("client_retransmits", T.Tcp.retransmits client.T.Stack.tcp);
-      ("ip_fragmented", T.Ip.datagrams_fragmented client.T.Stack.ip);
-      ("ip_reassembled", T.Ip.datagrams_reassembled server.T.Stack.ip) ]
-  in
-  (List.rev !failures,
-   List.sort compare (counters @ metrics_counters p.T.Stack.metrics))
+  finish Engine.tcpip p failures (fun () ->
+      [ ("client_retransmits", T.Tcp.retransmits client.T.Stack.tcp);
+        ("ip_fragmented", T.Ip.datagrams_fragmented client.T.Stack.ip);
+        ("ip_reassembled", T.Ip.datagrams_reassembled server.T.Stack.ip) ])
 
 (* Multi-fragment BLAST transfers: reassembly with selective retransmit
    must deliver every message exactly once and intact; a 64 KB burst
    overruns the 16-descriptor LANCE transmit ring on the way out. *)
 let blast_transfer ~cover ~seed ~spec ~quick ~topology =
-  let m = Cover.meter cover in
-  let p =
-    R.Rstack.pair_of_net
-      (R.Rstack.make_net
-         ~meter_for:(fun _ -> Some m)
-         ~topology ())
-  in
+  let p = pair_for Engine.rpc cover ~topology in
   let sim = p.R.Rstack.sim in
   let client = p.R.Rstack.client in
   let server = p.R.Rstack.server in
@@ -589,11 +518,7 @@ let blast_transfer ~cover ~seed ~spec ~quick ~topology =
      itself, so reassembled messages land in our collector *)
   R.Blast.set_upper server.R.Rstack.blast (fun ~src:_ msg ->
       deliveries := Msg.contents msg :: !deliveries);
-  let faults =
-    install_faults ~metrics:p.R.Rstack.metrics ~seed ~spec
-      ~link:p.R.Rstack.link ~client_lance:client.R.Rstack.lance
-      ~server_lance:server.R.Rstack.lance ()
-  in
+  let faults = install_faults Engine.rpc p ~seed ~spec in
   let sizes = if quick then [ 4000; 33000 ] else [ 4000; 12000; 64000; 2900 ] in
   List.iteri
     (fun i size ->
@@ -637,44 +562,28 @@ let blast_transfer ~cover ~seed ~spec ~quick ~topology =
       (R.Blast.cksum_drops server.R.Rstack.blast
        + R.Blast.cksum_drops client.R.Rstack.blast
        > 0);
-  drain_check ~metrics:p.R.Rstack.metrics failures sim
-    [ client.R.Rstack.env; server.R.Rstack.env ];
-  let counters =
-    [ ("messages", List.length !deliveries);
-      ("nacks", R.Blast.nacks_sent server.R.Rstack.blast);
-      ("frag_retransmits", R.Blast.retransmissions client.R.Rstack.blast);
-      ("cksum_drops",
-       R.Blast.cksum_drops server.R.Rstack.blast
-       + R.Blast.cksum_drops client.R.Rstack.blast);
-      ("late_fragments", R.Blast.late_fragments server.R.Rstack.blast);
-      ("abandoned", R.Blast.abandoned server.R.Rstack.blast);
-      ("ring_full_events",
-       Ns.Netdev.tx_ring_full_events client.R.Rstack.netdev) ]
-    @ fault_counters faults
-  in
-  (List.rev !failures,
-   List.sort compare (counters @ metrics_counters p.R.Rstack.metrics))
+  finish Engine.rpc p failures (fun () ->
+      [ ("messages", List.length !deliveries);
+        ("nacks", R.Blast.nacks_sent server.R.Rstack.blast);
+        ("frag_retransmits", R.Blast.retransmissions client.R.Rstack.blast);
+        ("cksum_drops",
+         R.Blast.cksum_drops server.R.Rstack.blast
+         + R.Blast.cksum_drops client.R.Rstack.blast);
+        ("late_fragments", R.Blast.late_fragments server.R.Rstack.blast);
+        ("abandoned", R.Blast.abandoned server.R.Rstack.blast);
+        ("ring_full_events",
+         Ns.Netdev.tx_ring_full_events client.R.Rstack.netdev) ]
+      @ fault_counters faults)
 
 (* The RPC ping-pong under faults: CHAN's request retransmission must
    carry every call to completion; a clean wire retransmits nothing. *)
 let rpc_pingpong ~cover ~seed ~spec ~quick ~topology =
-  let m = Cover.meter cover in
-  let p =
-    R.Rstack.pair_of_net
-      (R.Rstack.make_net
-         ~meter_for:(fun _ -> Some m)
-         ~topology ())
-  in
+  let p = pair_for Engine.rpc cover ~topology in
   let sim = p.R.Rstack.sim in
   let failures = ref [] in
   let rounds = if quick then 15 else 30 in
   let ct, _st = R.Rstack.make_tests p ~rounds in
-  let faults =
-    install_faults ~metrics:p.R.Rstack.metrics ~seed ~spec
-      ~link:p.R.Rstack.link
-      ~client_lance:p.R.Rstack.client.R.Rstack.lance
-      ~server_lance:p.R.Rstack.server.R.Rstack.lance ()
-  in
+  let faults = install_faults Engine.rpc p ~seed ~spec in
   R.Xrpctest.start ct;
   let completed =
     pump sim
@@ -693,31 +602,20 @@ let rpc_pingpong ~cover ~seed ~spec ~quick ~topology =
   end;
   check failures "no calls abandoned"
     (R.Chan.call_failures p.R.Rstack.client.R.Rstack.chan = 0);
-  drain_check ~metrics:p.R.Rstack.metrics failures sim
-    [ p.R.Rstack.client.R.Rstack.env; p.R.Rstack.server.R.Rstack.env ];
-  let counters =
-    [ ("rounds", R.Xrpctest.rounds_completed ct);
-      ("request_retransmits", creq);
-      ("duplicate_requests",
-       R.Chan.duplicate_requests p.R.Rstack.server.R.Rstack.chan);
-      ("link_drops", Ns.Ether.Link.frames_dropped p.R.Rstack.link) ]
-    @ fault_counters faults
-  in
-  (List.rev !failures,
-   List.sort compare (counters @ metrics_counters p.R.Rstack.metrics))
+  finish Engine.rpc p failures (fun () ->
+      [ ("rounds", R.Xrpctest.rounds_completed ct);
+        ("request_retransmits", creq);
+        ("duplicate_requests",
+         R.Chan.duplicate_requests p.R.Rstack.server.R.Rstack.chan);
+        ("link_drops", Ns.Ether.Link.frames_dropped p.R.Rstack.link) ]
+      @ fault_counters faults)
 
 (* CHAN/VCHAN/MSELECT edge cases on a clean wire: a busy channel, an
    unanswered request retransmitting to its cap, a duplicate reply with
    nobody waiting, an undecodable request, channel-pool growth under
    concurrent calls, and a call to an unregistered client id. *)
 let rpc_stress ~cover ~seed:_ ~spec:_ ~quick:_ ~topology =
-  let m = Cover.meter cover in
-  let p =
-    R.Rstack.pair_of_net
-      (R.Rstack.make_net
-         ~meter_for:(fun _ -> Some m)
-         ~topology ())
-  in
+  let p = pair_for Engine.rpc cover ~topology in
   let sim = p.R.Rstack.sim in
   let client = p.R.Rstack.client in
   let server = p.R.Rstack.server in
@@ -795,15 +693,10 @@ let rpc_stress ~cover ~seed:_ ~spec:_ ~quick:_ ~topology =
   ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. 80_000.0) sim);
   check failures "unanswered call abandoned after the retransmit cap"
     (R.Chan.call_failures client.R.Rstack.chan = 1);
-  drain_check ~metrics:p.R.Rstack.metrics failures sim
-    [ client.R.Rstack.env; server.R.Rstack.env ];
-  let counters =
-    [ ("echoes", !echoes);
-      ("duplicate_requests", R.Chan.duplicate_requests server.R.Rstack.chan);
-      ("call_failures", R.Chan.call_failures client.R.Rstack.chan) ]
-  in
-  (List.rev !failures,
-   List.sort compare (counters @ metrics_counters p.R.Rstack.metrics))
+  finish Engine.rpc p failures (fun () ->
+      [ ("echoes", !echoes);
+        ("duplicate_requests", R.Chan.duplicate_requests server.R.Rstack.chan);
+        ("call_failures", R.Chan.call_failures client.R.Rstack.chan) ])
 
 (* ----- the matrix --------------------------------------------------------- *)
 

@@ -20,6 +20,12 @@ val schema_version : int
     ["topology"] field, the ["switch"] span stage, and the incast
     export. *)
 
+val escape : string -> string
+(** The body of a JSON string literal holding [s]: ['"'] and ['\\']
+    backslash-escaped, newline as [\n], every other byte below 0x20 as
+    [\u00XX], all other bytes as they are.  [parse ("\"" ^ escape s ^ "\"")]
+    is [Ok (Str s)]. *)
+
 type v =
   | Null
   | Bool of bool

@@ -9,21 +9,6 @@ type process = {
    simulator's µs-scale clock *)
 let ts_fmt = format_of_string "%.3f"
 
-let escape s =
-  (* event names/categories are simulator-chosen identifiers; escape just
-     enough to stay valid JSON if one ever carries a quote *)
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let add_meta buf ~first ~pid ?tid ~name ~label () =
   if not !first then Buffer.add_string buf ",\n";
   first := false;
@@ -36,7 +21,7 @@ let add_meta buf ~first ~pid ?tid ~name ~label () =
       (Printf.sprintf "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"%s\"" pid
          tid name));
   Buffer.add_string buf
-    (Printf.sprintf ",\"args\":{\"name\":\"%s\"}}" (escape label))
+    (Printf.sprintf ",\"args\":{\"name\":\"%s\"}}" (Json.escape label))
 
 let add_event buf ~first ~pid (e : Tracer.event) =
   if not !first then Buffer.add_string buf ",\n";
@@ -51,8 +36,8 @@ let add_event buf ~first ~pid (e : Tracer.event) =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\"%s%s,\"ts\":%(%f%),\"pid\":%d,\"tid\":%d,\"args\":{\"a0\":%d}}"
-       (escape e.Tracer.name) (escape e.Tracer.cat) ph id_field scope ts_fmt
-       e.Tracer.ts pid e.Tracer.tid e.Tracer.a0)
+       (Json.escape e.Tracer.name) (Json.escape e.Tracer.cat) ph id_field
+       scope ts_fmt e.Tracer.ts pid e.Tracer.tid e.Tracer.a0)
 
 type span_track = {
   span_pid : int;

@@ -17,63 +17,30 @@ type host = {
 
 let ethertype_rpc = 0x0801
 
-let make_host sim link ~station ~mac ~peer_mac ~boot_id ~(opts : Opts.t)
-    ?meter ?metrics ?simmem_base () =
-  let env = Ns.Host_env.create sim ?meter ?metrics ?simmem_base () in
-  let lance =
-    Ns.Lance.create sim env.Ns.Host_env.simmem link ~station
-      ~mode:(Opts.lance_mode opts) ~metrics:env.Ns.Host_env.metrics ()
-  in
-  let netdev =
-    Ns.Netdev.create env lance ~mac
-      ~config:
-        { Ns.Netdev.usc = opts.Opts.usc_lance;
-          map_cache_inline = opts.Opts.map_cache_inline;
-          refresh_shortcircuit = opts.Opts.refresh_shortcircuit }
-      ()
-  in
-  let blast =
-    Blast.create env netdev ~ethertype:ethertype_rpc
-      ~map_cache_inline:opts.Opts.map_cache_inline ()
-  in
-  let bid = Bid.create env blast ~boot_id in
-  let chan =
-    Chan.create env bid ~peer_mac ~map_cache_inline:opts.Opts.map_cache_inline
-      ()
-  in
-  let vchan = Vchan.create env chan () in
-  let mselect = Mselect.create env vchan in
-  { env; lance; netdev; blast; bid; chan; vchan; mselect; mac }
-
-type pair = {
+type 'h gpair = 'h Protolat_tcpip.Stack.gpair = {
   sim : Ns.Sim.t;
   link : Ns.Ether.Link.t;
-  client : host;
-  server : host;
-  metrics : Obs.Metrics.t;  (* root registry: client.*, server.*, link.* *)
+  client : 'h;
+  server : 'h;
+  metrics : Obs.Metrics.t;
 }
 
-type net = {
+type 'h gnet = 'h Protolat_tcpip.Stack.gnet = {
   n_sim : Ns.Sim.t;
   fabric : Ns.Fabric.t;
-  hosts : host array;
+  hosts : 'h array;
   n_metrics : Obs.Metrics.t;
 }
 
-let mac_client = 0x0800_2B00_0011
+type pair = host gpair
+
+type net = host gnet
 
 (* addressing as a pure function of the host index, mirroring
    [T.Stack.mac_of] but on the RPC harness's own MAC block *)
-let mac_of i = mac_client + i
+let mac_of i = 0x0800_2B00_0011 + i
 
 let boot_id_of i = 0x1001 + (i * 0x1000)
-
-let simmem_base_of i = 0x1010_0000 + (i * 0x2000_0000)
-
-let scope_of i =
-  if i = 0 then "client"
-  else if i = 1 then "server"
-  else Printf.sprintf "h%d" i
 
 let make_net ?(opts_for = fun _ -> Opts.improved) ?(meter_for = fun _ -> None)
     ~topology () =
@@ -82,28 +49,21 @@ let make_net ?(opts_for = fun _ -> Opts.improved) ?(meter_for = fun _ -> None)
      line:2 — the latter exercise the switched forwarding path). *)
   if Ns.Topology.hosts topology <> 2 then
     invalid_arg "Rstack.make_net: the RPC stack is two-party (2 hosts)";
-  let sim = Ns.Sim.create () in
-  let metrics = Obs.Metrics.create () in
-  let fabric = Ns.Fabric.create sim ~topology ~mac_of ~metrics () in
-  let hosts =
-    Array.init 2 (fun i ->
-        make_host sim
-          (Ns.Fabric.host_link fabric i)
-          ~station:(Ns.Fabric.host_station fabric i)
-          ~mac:(mac_of i)
-          ~peer_mac:(mac_of (1 - i))
-          ~boot_id:(boot_id_of i) ~opts:(opts_for i) ?meter:(meter_for i)
-          ~metrics:(Obs.Metrics.scoped metrics (scope_of i))
-          ~simmem_base:(simmem_base_of i) ())
-  in
-  { n_sim = sim; fabric; hosts; n_metrics = metrics }
+  Protolat_tcpip.Stack.build_net ~opts_for ~meter_for ~topology ~mac_of
+    (fun i ~opts (env, lance, netdev) ->
+      let map_cache_inline = opts.Opts.map_cache_inline in
+      let blast =
+        Blast.create env netdev ~ethertype:ethertype_rpc ~map_cache_inline ()
+      in
+      let bid = Bid.create env blast ~boot_id:(boot_id_of i) in
+      let chan =
+        Chan.create env bid ~peer_mac:(mac_of (1 - i)) ~map_cache_inline ()
+      in
+      let vchan = Vchan.create env chan () in
+      let mselect = Mselect.create env vchan in
+      { env; lance; netdev; blast; bid; chan; vchan; mselect; mac = mac_of i })
 
-let pair_of_net net =
-  { sim = net.n_sim;
-    link = Ns.Fabric.host_link net.fabric 0;
-    client = net.hosts.(0);
-    server = net.hosts.(1);
-    metrics = net.n_metrics }
+let pair_of_net = Protolat_tcpip.Stack.pair_of_net
 
 let make_tests pair ~rounds =
   let server = Xrpctest.server pair.server.env pair.server.mselect ~client_id:1 in

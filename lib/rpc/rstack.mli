@@ -20,24 +20,25 @@ type host = {
 
 val ethertype_rpc : int
 
-type pair = {
+(** The records every stack shares, re-exported with their fields. *)
+type 'h gpair = 'h Protolat_tcpip.Stack.gpair = {
   sim : Ns.Sim.t;
   link : Ns.Ether.Link.t;
-  client : host;
-  server : host;
+  client : 'h;
+  server : 'h;
   metrics : Obs.Metrics.t;
-      (** root registry; hosts register under [client.]/[server.], the wire
-          under [link.] *)
 }
 
-(** Two hosts wired per a 2-host {!Ns.Topology.t}.  Host 0 keeps the
-    historic [client] scope/addressing, host 1 [server]. *)
-type net = {
+type 'h gnet = 'h Protolat_tcpip.Stack.gnet = {
   n_sim : Ns.Sim.t;
   fabric : Ns.Fabric.t;
-  hosts : host array;
+  hosts : 'h array;
   n_metrics : Obs.Metrics.t;
 }
+
+type pair = host gpair
+
+type net = host gnet
 
 val mac_of : int -> int
 
@@ -47,9 +48,10 @@ val make_net :
   topology:Ns.Topology.t ->
   unit ->
   net
-(** Build the fabric and both hosts.  Over {!Ns.Topology.pair} this
-    reproduces the historic construction bit for bit; [star]/[line] with 2
-    hosts exercise the switched forwarding path.
+(** {!Protolat_tcpip.Stack.build_net} with RPC hosts, each host's CHAN
+    bound to the other.  Over {!Ns.Topology.pair} this reproduces the
+    historic construction bit for bit; [star]/[line] with 2 hosts exercise
+    the switched forwarding path.
     @raise Invalid_argument unless the topology has exactly 2 hosts (the
     request-reply channel stack is two-party). *)
 

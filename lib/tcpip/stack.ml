@@ -16,8 +16,8 @@ type host = {
 
 let ethertype_ip = 0x0800
 
-let make_host sim link ~station ~mac ~ip_addr ~opts ?meter ?metrics
-    ?simmem_base () =
+(* the half of a host both stacks share: environment, LANCE, ETH *)
+let make_device sim link ~station ~mac ~opts ?meter ?metrics ?simmem_base () =
   let env = Ns.Host_env.create sim ?meter ?metrics ?simmem_base () in
   let lance =
     Ns.Lance.create sim env.Ns.Host_env.simmem link ~station
@@ -31,6 +31,9 @@ let make_host sim link ~station ~mac ~ip_addr ~opts ?meter ?metrics
           refresh_shortcircuit = opts.Opts.refresh_shortcircuit }
       ()
   in
+  (env, lance, netdev)
+
+let upper (env, lance, netdev) ~mac ~ip_addr ~opts =
   let vnet = Vnet.create env netdev ~ethertype:ethertype_ip in
   let ip =
     Ip.create env vnet ~my_ip:ip_addr
@@ -40,20 +43,30 @@ let make_host sim link ~station ~mac ~ip_addr ~opts ?meter ?metrics
   let udp = Udp.create env ip in
   { env; lance; netdev; vnet; ip; tcp; udp; mac; ip_addr }
 
-type pair = {
+let make_host sim link ~station ~mac ~ip_addr ~opts ?meter ?metrics
+    ?simmem_base () =
+  upper
+    (make_device sim link ~station ~mac ~opts ?meter ?metrics ?simmem_base ())
+    ~mac ~ip_addr ~opts
+
+type 'h gpair = {
   sim : Ns.Sim.t;
   link : Ns.Ether.Link.t;
-  client : host;
-  server : host;
+  client : 'h;
+  server : 'h;
   metrics : Obs.Metrics.t;  (* root registry: client.*, server.*, link.* *)
 }
 
-type net = {
+type 'h gnet = {
   n_sim : Ns.Sim.t;
   fabric : Ns.Fabric.t;
-  hosts : host array;
+  hosts : 'h array;
   n_metrics : Obs.Metrics.t;
 }
+
+type pair = host gpair
+
+type net = host gnet
 
 let addr_client = 0xC0A80001 (* 192.168.0.1 *)
 
@@ -72,32 +85,42 @@ let scope_of i =
   else if i = 1 then "server"
   else Printf.sprintf "h%d" i
 
-let make_net ?(opts_for = fun _ -> Opts.improved) ?(meter_for = fun _ -> None)
-    ~topology () =
+let build_net ~opts_for ~meter_for ~topology ~mac_of upper =
   let sim = Ns.Sim.create () in
   let metrics = Obs.Metrics.create () in
   let fabric = Ns.Fabric.create sim ~topology ~mac_of ~metrics () in
-  let n = Ns.Topology.hosts topology in
   let hosts =
-    Array.init n (fun i ->
-        make_host sim
-          (Ns.Fabric.host_link fabric i)
-          ~station:(Ns.Fabric.host_station fabric i)
-          ~mac:(mac_of i) ~ip_addr:(ip_of i) ~opts:(opts_for i)
-          ?meter:(meter_for i)
-          ~metrics:(Obs.Metrics.scoped metrics (scope_of i))
-          ~simmem_base:(simmem_base_of i) ())
+    Array.init (Ns.Topology.hosts topology) (fun i ->
+        let opts = opts_for i in
+        let dev =
+          make_device sim
+            (Ns.Fabric.host_link fabric i)
+            ~station:(Ns.Fabric.host_station fabric i)
+            ~mac:(mac_of i) ~opts ?meter:(meter_for i)
+            ~metrics:(Obs.Metrics.scoped metrics (scope_of i))
+            ~simmem_base:(simmem_base_of i) ()
+        in
+        upper i ~opts dev)
+  in
+  { n_sim = sim; fabric; hosts; n_metrics = metrics }
+
+let make_net ?(opts_for = fun _ -> Opts.improved) ?(meter_for = fun _ -> None)
+    ~topology () =
+  let net =
+    build_net ~opts_for ~meter_for ~topology ~mac_of (fun i ~opts dev ->
+        upper dev ~mac:(mac_of i) ~ip_addr:(ip_of i) ~opts)
   in
   (* routes: host i to every peer in increasing index order, then itself —
      for hosts 0/1 exactly the historic four-call sequence *)
+  let n = Array.length net.hosts in
   Array.iteri
     (fun i h ->
       for j = 0 to n - 1 do
         if j <> i then Vnet.add_route h.vnet ~ip:(ip_of j) ~mac:(mac_of j)
       done;
       Vnet.add_route h.vnet ~ip:h.ip_addr ~mac:h.mac)
-    hosts;
-  { n_sim = sim; fabric; hosts; n_metrics = metrics }
+    net.hosts;
+  net
 
 let pair_of_net net =
   if Array.length net.hosts <> 2 then
@@ -120,6 +143,22 @@ let establish pair ~rounds =
   | Some s when Tcp.state s = Tcb.Established -> ()
   | _ -> failwith "Stack.establish: handshake did not complete");
   (client_test, server_test)
+
+let teardown pair =
+  let ctcp = pair.client.tcp and stcp = pair.server.tcp in
+  let deadline = Ns.Sim.now pair.sim +. 60.0e6 in
+  let rec drain () =
+    ignore (Ns.Sim.run ~until:(Ns.Sim.now pair.sim +. 2_000.0) pair.sim);
+    ignore (Tcp.sweep stcp);
+    (* the client needs the finwait2 reaper too: a crashed server cannot
+       finish a close the client already half-completed *)
+    ignore (Tcp.sweep ctcp);
+    if
+      (Tcp.session_count stcp > 0 || Tcp.session_count ctcp > 0)
+      && Ns.Sim.now pair.sim < deadline
+    then drain ()
+  in
+  drain ()
 
 let figure1 () =
   Xk.Protocol.make "TCP/IP stack"

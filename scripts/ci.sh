@@ -11,7 +11,7 @@
 # and per-function profile JSON reports against the golden files in
 # test/golden/, the benchmark smoke (pinned workload digests), a pair
 # bit-identity check plus replays of the committed chaos repro files, and
-# a quick end-to-end bench table.
+# a quick end-to-end paper table (protolat tables --quick table1).
 # Usage: scripts/ci.sh  (run from the repository root)
 set -eu
 
@@ -79,4 +79,4 @@ fi
 # to exactly its recorded at-most-once violation, the fixed one cleanly
 dune exec bin/protolat_cli.exe -- chaos --replay test/repro/chaos_dedup_bug.json
 dune exec bin/protolat_cli.exe -- chaos --replay test/repro/chaos_dedup_fixed.json
-dune exec bench/main.exe -- quick only table1
+dune exec bin/protolat_cli.exe -- tables --quick table1

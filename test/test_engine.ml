@@ -357,8 +357,6 @@ let suite =
     [ Alcotest.test_case "all configs complete" `Slow test_all_configs_complete;
       Alcotest.test_case "determinism" `Quick test_determinism;
       Alcotest.test_case "paper cells pinned" `Quick test_paper_cells_pinned;
-      Alcotest.test_case "faulted and bulk runs pinned" `Quick
-        test_faulted_and_bulk_pinned;
       Alcotest.test_case "parallel sweep determinism" `Slow
         test_full_run_jobs_identical;
       Alcotest.test_case "seed perturbation" `Quick test_seed_perturbs;
@@ -383,4 +381,6 @@ let suite =
       Alcotest.test_case "micro images pinned" `Quick test_micro_images_pinned;
       Alcotest.test_case "bsd model" `Quick test_bsd_model;
       QCheck_alcotest.to_alcotest prop_image_pcs_monotonic;
-      Alcotest.test_case "config names" `Quick test_config_names ] )
+      Alcotest.test_case "config names" `Quick test_config_names;
+      Alcotest.test_case "faulted and bulk runs pinned" `Quick
+        test_faulted_and_bulk_pinned ] )

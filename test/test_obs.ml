@@ -90,6 +90,25 @@ let test_json_parser () =
       | Error _ -> ())
     [ "{"; "[1,]"; "{\"a\":}"; "[1] trailing"; "\"unterminated"; "nul" ]
 
+(* The one string escaper every JSON export uses: any byte below 0x80,
+   control characters included, survives an escape-then-parse round
+   trip. *)
+let json_roundtrip s =
+  Obs.Json.parse ("\"" ^ Obs.Json.escape s ^ "\"") = Ok (Obs.Json.Str s)
+
+let test_json_escape_bytes () =
+  for i = 0 to 0x7F do
+    Alcotest.(check bool)
+      (Printf.sprintf "byte 0x%02x" i)
+      true
+      (json_roundtrip (String.make 1 (Char.chr i)))
+  done
+
+let prop_json_escape_roundtrip =
+  QCheck.Test.make ~name:"json escape round-trips ASCII strings" ~count:500
+    QCheck.(string_of (Gen.map Char.chr (Gen.int_range 0 0x7F)))
+    json_roundtrip
+
 (* ----- tracer ------------------------------------------------------------- *)
 
 let test_tracer_ring () =
@@ -301,4 +320,7 @@ let suite =
       Alcotest.test_case "schema_version round-trips in every export" `Quick
         test_schema_version_round_trips;
       Alcotest.test_case "engine events and unified metrics" `Quick
-        test_engine_events_and_metrics ] )
+        test_engine_events_and_metrics;
+      Alcotest.test_case "json escape round-trips every byte" `Quick
+        test_json_escape_bytes;
+      QCheck_alcotest.to_alcotest prop_json_escape_roundtrip ] )
