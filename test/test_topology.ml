@@ -142,70 +142,146 @@ let test_switch_partition_port () =
   ignore (Sim.run sim);
   Alcotest.(check int) "healed" 1 (List.length !got1)
 
-(* Span drop marks: each ends its message's wire leg in the rto-wait
-   stage. *)
-let rto_wait_marks span =
-  Array.fold_left
-    (fun n (m : Obs.Span.message) ->
-      Array.fold_left
-        (fun n (g : Obs.Span.seg) ->
-          if g.Obs.Span.stage = Obs.Span.stage_rto_wait then n + 1 else n)
-        n m.Obs.Span.segs)
-    0 (Obs.Span.messages span)
+(* Every drop site in the network model, one frame each: the site's
+   counter, the tracer instant named after it and the span ledger's
+   rto-wait mark must each move by exactly one, the instant on the thread
+   and the mark on the host code of the component that dropped.  The rig:
+   a LANCE at station 0 of segment [l0] carrying the server's host code
+   (on a switched fabric every LANCE sits at station 0, so the code cannot
+   come from the station), [l0]'s station 1 on port 0 of a two-port switch
+   with a 1-frame egress queue, and port 1's segment [l1] ending in a
+   sink. *)
+type drop_rig = {
+  sw : Switch.t;
+  l0 : Ether.Link.t;
+  l1 : Ether.Link.t;
+  lance : Ns.Lance.t;
+}
 
-(* A wire loss and the switch's queue-overflow and partition drops each
-   fire the same triple as a powered-off LANCE (netsim's "lance
-   powered-off transmit"): the site's counter, one span drop mark and one
-   tracer instant, each moving by exactly one per dropped frame. *)
-let test_drop_triples () =
-  let triple label ~instant ~count ~install ~fire =
-    let sim, _, sw, (l0, _), _ = two_port_switch ~queue_frames:1 () in
+type drop_site = {
+  site : string;
+  instant : string;  (** the tracer instant's name *)
+  code : int;  (** host code of the dropping component *)
+  sent : int;  (** frames put on either segment *)
+  count : drop_rig -> int;  (** the site's counter *)
+  fire : drop_rig -> unit;
+}
+
+let test_drop_sites () =
+  let lance_code = Obs.Span.host_server and wire = Obs.Span.host_wire in
+  let check { site = label; instant; code; sent; count; fire } =
+    let sim = Sim.create () in
+    let sw = Switch.create sim ~ports:2 ~latency_us:5.0 ~queue_frames:1 () in
+    let l0 = Ether.Link.create sim () and l1 = Ether.Link.create sim () in
+    let lance =
+      Ns.Lance.create sim (Protolat_xkernel.Simmem.create ()) l0 ~station:0 ()
+    in
+    Switch.attach sw ~port:0 ~station:1 l0;
+    Switch.attach sw ~port:1 ~station:1 l1;
+    let survivors = ref 0 in
+    Ether.Link.attach l1 ~station:0 (fun _ -> incr survivors);
+    Switch.add_static sw ~mac:7 ~port:1;
+    let rig = { sw; l0; l1; lance } in
     let tracer = Obs.Tracer.create ~clock:(Sim.clock_cell sim) () in
     let span = Obs.Span.create ~clock:(Sim.clock_cell sim) () in
-    install sw l0 tracer span;
+    Switch.set_tracer sw ~tid:wire tracer;
+    Switch.set_span sw span;
+    List.iter
+      (fun l ->
+        Ether.Link.set_tracer l ~tid:wire tracer;
+        Ether.Link.set_span l span)
+      [ l0; l1 ];
+    Ns.Lance.set_tracer lance ~tid:lance_code tracer;
+    Ns.Lance.set_span ~host:lance_code lance span;
     (* the ledger's message is queued for the wire when the frame dies *)
     let host = Obs.Span.host_client in
     Obs.Span.begin_run span ~at:0.0;
     Obs.Span.mark_tx_proto span ~host;
     Obs.Span.mark_tx_queue span ~host;
-    let count0 = count sw l0 in
-    fire l0;
+    let count0 = count rig in
+    fire rig;
     ignore (Sim.run sim);
     Obs.Span.roll span ~at:(Sim.now sim) ~measured:true;
-    let instants = ref 0 in
+    let tids = ref [] in
     Obs.Tracer.iter tracer (fun e ->
-        if e.Obs.Tracer.name = instant then incr instants);
-    Alcotest.(check int) (label ^ ": counter") (count0 + 1) (count sw l0);
-    Alcotest.(check int) (label ^ ": one tracer instant") 1 !instants;
-    Alcotest.(check int) (label ^ ": one span drop mark") 1
-      (rto_wait_marks span)
+        if e.Obs.Tracer.name = instant then tids := e.Obs.Tracer.tid :: !tids);
+    let marks = ref [] in
+    Array.iter
+      (fun (m : Obs.Span.message) ->
+        Array.iter
+          (fun (g : Obs.Span.seg) ->
+            if g.Obs.Span.stage = Obs.Span.stage_rto_wait then
+              marks := g.Obs.Span.host :: !marks)
+          m.Obs.Span.segs)
+      (Obs.Span.messages span);
+    Alcotest.(check int) (label ^ ": counter") (count0 + 1) (count rig);
+    Alcotest.(check (list int)) (label ^ ": one instant, its thread")
+      [ code ] !tids;
+    Alcotest.(check (list int)) (label ^ ": one span drop mark, its host")
+      [ code ] !marks;
+    Alcotest.(check int) (label ^ ": frames put on a wire") sent
+      (Ether.Link.frames_sent l0 + Ether.Link.frames_sent l1);
+    Alcotest.(check int) (label ^ ": survivors at the sink")
+      (if instant = "queue_drop" then 1 else 0)
+      !survivors
   in
-  let send l0 = Ether.Link.transmit l0 ~station:0 (frame ~src:3 ~dst:7 64) in
-  let on_switch sw _ tracer span =
-    Switch.set_tracer sw ~tid:9 tracer;
-    Switch.set_span sw span;
-    Switch.add_static sw ~mac:7 ~port:1
+  let pkt dst = frame ~src:3 ~dst 64 in
+  let send r = Ether.Link.transmit r.l0 ~station:0 (pkt 7) in
+  (* a frame from the switch side toward the LANCE *)
+  let arrive r = Ether.Link.transmit r.l0 ~station:1 (pkt 3) in
+  let plan spec = Some (Ns.Fault.create ~seed:1 spec) in
+  let wire_drops r = Ether.Link.frames_dropped r.l0 in
+  let wire_site site instant ~sent count fire =
+    { site; instant; code = wire; sent; count; fire }
+  and lance_site site instant count fire =
+    { site; instant; code = lance_code; sent = 1; count; fire }
   in
-  triple "wire loss" ~instant:"drop"
-    ~count:(fun _ l0 -> Ether.Link.frames_dropped l0)
-    ~install:(fun _ l0 tracer span ->
-      Ether.Link.set_tracer l0 ~tid:2 tracer;
-      Ether.Link.set_span l0 span;
-      Ether.Link.set_filter l0 (fun _ -> true))
-    ~fire:send;
-  (* two frames arrive together; the 1-frame egress queue takes the first *)
-  triple "switch queue overflow" ~instant:"queue_drop"
-    ~count:(fun sw _ -> Switch.queue_drops sw)
-    ~install:on_switch
-    ~fire:(fun l0 ->
-      send l0;
-      send l0);
-  triple "switch partition" ~instant:"partition_drop"
-    ~count:(fun sw _ -> Switch.partition_drops sw)
-    ~install:(fun sw l0 tracer span ->
-      on_switch sw l0 tracer span;
-      Switch.set_partition sw ~port:1 true)
-    ~fire:send
+  List.iter check
+    [ wire_site "wire filter loss" "drop" ~sent:1 wire_drops (fun r ->
+          Ether.Link.set_filter r.l0 (fun _ -> true);
+          send r);
+      wire_site "wire fault-plan loss" "drop" ~sent:1 wire_drops (fun r ->
+          Ether.Link.set_fault r.l0
+            (plan { Ns.Fault.clean with Ns.Fault.loss_pct = 100.0 });
+          send r);
+      (* two frames arrive together; the 1-frame egress queue takes one *)
+      wire_site "switch queue overflow" "queue_drop" ~sent:3
+        (fun r -> Switch.queue_drops r.sw)
+        (fun r ->
+          send r;
+          send r);
+      wire_site "switch ingress partition" "partition_drop" ~sent:1
+        (fun r -> Switch.partition_drops r.sw)
+        (fun r ->
+          Switch.set_partition r.sw ~port:0 true;
+          send r);
+      wire_site "switch egress partition" "partition_drop" ~sent:1
+        (fun r -> Switch.partition_drops r.sw)
+        (fun r ->
+          Switch.set_partition r.sw ~port:1 true;
+          send r);
+      wire_site "switch unknown destination" "unknown_drop" ~sent:1
+        (fun r -> Switch.unknown_drops r.sw)
+        (fun r -> Ether.Link.transmit r.l0 ~station:0 (pkt 99));
+      (* nothing reaches the wire *)
+      { (lance_site "lance tx while powered off" "down_drop"
+           (fun r -> Ns.Lance.down_drops r.lance)
+           (fun r ->
+             Ns.Lance.set_power r.lance false;
+             Ns.Lance.transmit r.lance (pkt 7)))
+        with
+        sent = 0 };
+      lance_site "lance rx while powered off" "down_drop"
+        (fun r -> Ns.Lance.down_drops r.lance)
+        (fun r ->
+          Ns.Lance.set_power r.lance false;
+          arrive r);
+      lance_site "lance rx overrun" "rx_overrun"
+        (fun r -> Ns.Lance.rx_missed_total r.lance)
+        (fun r ->
+          Ns.Lance.set_fault r.lance
+            (plan { Ns.Fault.clean with Ns.Fault.rx_overrun_pct = 100.0 });
+          arrive r) ]
 
 (* ----- fabric --------------------------------------------------------------- *)
 
@@ -387,5 +463,5 @@ let suite =
         test_incast_pinned_percentiles;
       Alcotest.test_case "incast latency grows with fan-in" `Quick
         test_incast_latency_grows_with_fan_in;
-      Alcotest.test_case "wire and switch drop triples" `Quick
-        test_drop_triples ] )
+      Alcotest.test_case "every drop site moves all three channels" `Quick
+        test_drop_sites ] )
