@@ -902,9 +902,9 @@ let static_path_of (config : Config.t) desc =
 (* Drive a prepared pair of hosts: start the client's [test] and time
    each of its roundtrips. *)
 let drive (type t) (module S : STACK with type test = t) (test : t) ~sim
-    ~(ch : hstate) ?(window_us = 5.0e6) ?(span = Obs.Span.null) ~rounds
-    ~warmup () =
+    ~(ch : hstate) ?(window_us = 5.0e6) ~rounds ~warmup () =
   let total = rounds + warmup in
+  let span = Ns.Sim.spans sim in
   let rtts = ref [] in
   let last = ref 0.0 in
   (* the ledger's message windows share the RTT measurement's operands: the
@@ -985,44 +985,6 @@ let install_fault ~seed ~metrics spec ~fabric ~client_lance ~server_lance =
     (Some (Ns.Fault.create ~seed:(seed + 101) ~metrics:(scoped "client_dev") spec));
   Ns.Lance.set_fault server_lance
     (Some (Ns.Fault.create ~seed:(seed + 211) ~metrics:(scoped "server_dev") spec))
-
-(* tracer shared by the whole pair: client events on tid 0, server on
-   tid 1, the wire itself on tid 2 *)
-let tid_client = 0
-
-let tid_server = 1
-
-let tid_wire = 2
-
-let make_tracer ~trace_events sim =
-  if trace_events then Obs.Tracer.create ~clock:(Ns.Sim.clock_cell sim) ()
-  else Obs.Tracer.null
-
-(* span ledger shared by the whole pair: client marks carry host 0, server
-   host 1, the wire host 2 (same codes as the tracer tids) *)
-let make_span ~spans sim =
-  if spans then Obs.Span.create ~clock:(Ns.Sim.clock_cell sim) ()
-  else Obs.Span.null
-
-let install_span span ~cenv ~senv ~fabric ~client_lance ~server_lance =
-  if Obs.Span.enabled span then begin
-    Ns.Host_env.set_span cenv ~host:Obs.Span.host_client span;
-    Ns.Host_env.set_span senv ~host:Obs.Span.host_server span;
-    (* host i's span code is i (client 0, server 1); switch-side stations
-       carry host_wire so multi-hop paths telescope into wire/switch/wire *)
-    Ns.Fabric.set_span fabric span ~code_of:(fun i -> i);
-    Ns.Lance.set_span ~host:Obs.Span.host_client client_lance span;
-    Ns.Lance.set_span ~host:Obs.Span.host_server server_lance span
-  end
-
-let install_tracer tracer ~cenv ~senv ~fabric ~client_lance ~server_lance =
-  if Obs.Tracer.enabled tracer then begin
-    Ns.Host_env.set_tracer cenv ~tid:tid_client tracer;
-    Ns.Host_env.set_tracer senv ~tid:tid_server tracer;
-    Ns.Fabric.set_tracer fabric ~tid:tid_wire tracer;
-    Ns.Lance.set_tracer client_lance ~tid:tid_client tracer;
-    Ns.Lance.set_tracer server_lance ~tid:tid_server tracer
-  end
 
 let compose_meter base = function
   | None -> base
@@ -1127,10 +1089,7 @@ let run (spec : Spec.t) =
   let cenv = S.env pair.T.Stack.client and senv = S.env pair.T.Stack.server in
   let client_lance = S.lance pair.T.Stack.client
   and server_lance = S.lance pair.T.Stack.server in
-  let tracer = make_tracer ~trace_events sim in
-  install_tracer tracer ~cenv ~senv ~fabric ~client_lance ~server_lance;
-  let span = make_span ~spans sim in
-  install_span span ~cenv ~senv ~fabric ~client_lance ~server_lance;
+  Ns.Sim.record sim ~events:trace_events ~spans;
   perturb cenv.Ns.Host_env.simmem seed;
   perturb senv.Ns.Host_env.simmem (seed + 17);
   let ch, _ =
@@ -1146,12 +1105,10 @@ let run (spec : Spec.t) =
     install_fault ~seed:(seed lxor 0x5EED) ~metrics:pair.T.Stack.metrics spec
       ~fabric ~client_lance ~server_lance);
   let window_us = if fault = None then None else Some 60.0e6 in
-  let rtts =
-    drive (module S) test ~sim ~ch ?window_us ~span ~rounds ~warmup ()
-  in
+  let rtts = drive (module S) test ~sim ~ch ?window_us ~rounds ~warmup () in
   finish ~params ~config ~desc:S.desc ~ch ~rtts
     ~retransmissions:(S.retransmits pair) ~metrics:pair.T.Stack.metrics
-    ~events:tracer ~spans:span
+    ~events:(Ns.Sim.tracer sim) ~spans:(Ns.Sim.spans sim)
 
 (* ----- bulk-transfer throughput (§4.1: "none of the techniques
    negatively affected throughput"; §2.2.5: CPU utilization) ------------- *)

@@ -30,12 +30,9 @@ module Link = struct
     c_dropped : Obs.Metrics.counter;
     mutable loss : frame -> bool;
     mutable fault : Fault.t option;
-    mutable tracer : Obs.Tracer.t;
-    mutable trace_tid : int;
-    mutable spans : Obs.Span.t;
-    (* span host code per station: on the classic two-host link stations
-       double as host codes; fabric links carry the attached host's code on
-       one side and [Span.host_wire] on the switch side *)
+    (* host code per station: on the classic two-host link stations double
+       as host codes; fabric links carry the attached host's code on one
+       side and [Span.host_wire] on the switch side *)
     span_hosts : int array;
     (* cross-shard delivery: a station living on another shard's simulator
        receives through a sink instead of a locally scheduled handler *)
@@ -57,9 +54,6 @@ module Link = struct
           "frames_dropped";
       loss = (fun _ -> false);
       fault = None;
-      tracer = Obs.Tracer.null;
-      trace_tid = 0;
-      spans = Obs.Span.null;
       span_hosts = [| 0; 1 |];
       remotes = Array.make 2 None }
 
@@ -69,12 +63,6 @@ module Link = struct
   let attach t ~station handler =
     check_station station;
     t.handlers.(station) <- Some handler
-
-  let set_tracer t ~tid tracer =
-    t.tracer <- tracer;
-    t.trace_tid <- tid
-
-  let set_span t spans = t.spans <- spans
 
   let set_span_hosts t ~station0 ~station1 =
     t.span_hosts.(0) <- station0;
@@ -91,14 +79,18 @@ module Link = struct
 
   let wire = "wire"
 
+  (* the wire's host code: the thread of its events, the host of its drops *)
+  let host = Obs.Span.host_wire
+
+  let drop t seq =
+    Sim.drop t.sim t.c_dropped ~host ~cat:wire ~name:"drop" ~a0:seq
+
   let transmit t ~station frame =
     check_station station;
     Obs.Metrics.inc t.c_sent;
     let peer = 1 - station in
-    Obs.Span.mark_wire t.spans ~rx:t.span_hosts.(peer)
+    Obs.Span.mark_wire (Sim.spans t.sim) ~rx:t.span_hosts.(peer)
       ~station:t.span_hosts.(station) ();
-    let traced = Obs.Tracer.enabled t.tracer in
-    let tid = t.trace_tid in
     let len = Bytes.length frame.payload in
     (* frame sequence number: unique span id and stable drop label *)
     let seq = Obs.Metrics.value t.c_sent in
@@ -111,32 +103,27 @@ module Link = struct
            so cross-shard links run without them. *)
         sink ~at:(Sim.now t.sim +. delay) frame
       | None ->
-        if span && traced then
-          Obs.Tracer.span_begin t.tracer ~tid ~id:seq ~cat:wire ~name:"frame"
-            ~a0:len;
+        if span && Obs.Tracer.enabled (Sim.tracer t.sim) then
+          Obs.Tracer.span_begin (Sim.tracer t.sim) ~tid:host ~id:seq ~cat:wire
+            ~name:"frame" ~a0:len;
         Sim.schedule t.sim ~delay (fun () ->
-            if span && traced then
-              Obs.Tracer.span_end t.tracer ~tid ~id:seq ~cat:wire
-                ~name:"frame" ~a0:len;
-            if span then
-              Obs.Span.mark_rx_intr t.spans ~host:t.span_hosts.(peer);
+            if span then begin
+              if Obs.Tracer.enabled (Sim.tracer t.sim) then
+                Obs.Tracer.span_end (Sim.tracer t.sim) ~tid:host ~id:seq
+                  ~cat:wire ~name:"frame" ~a0:len;
+              Obs.Span.mark_rx_intr (Sim.spans t.sim) ~host:t.span_hosts.(peer)
+            end;
             match t.handlers.(peer) with
             | Some h -> h frame
             | None -> ())
     in
-    let drop () =
-      Obs.Metrics.inc t.c_dropped;
-      Obs.Span.mark_drop t.spans ~host:Obs.Span.host_wire;
-      if traced then
-        Obs.Tracer.instant t.tracer ~tid ~cat:wire ~name:"drop" ~a0:seq
-    in
-    if t.loss frame then drop ()
+    if t.loss frame then drop t seq
     else
       match t.fault with
       | None -> deliver ~span:true base_delay frame
       | Some f ->
         let v = Fault.wire_verdict f ~len:(Bytes.length frame.payload) in
-        if v.Fault.drop then drop ()
+        if v.Fault.drop then drop t seq
         else begin
           let frame =
             if v.Fault.corrupt_at < 0 then frame
@@ -147,17 +134,14 @@ module Link = struct
               let b = Char.code (Bytes.get payload v.Fault.corrupt_at) in
               Bytes.set payload v.Fault.corrupt_at
                 (Char.chr (b lxor v.Fault.corrupt_mask));
-              if traced then
-                Obs.Tracer.instant t.tracer ~tid ~cat:wire ~name:"corrupt"
-                  ~a0:seq;
+              Sim.instant t.sim ~tid:host ~cat:wire ~name:"corrupt" ~a0:seq;
               { frame with payload }
             end
           in
           let delay = base_delay +. v.Fault.extra_delay_us in
           deliver ~span:true delay frame;
           if v.Fault.duplicate then begin
-            if traced then
-              Obs.Tracer.instant t.tracer ~tid ~cat:wire ~name:"dup" ~a0:seq;
+            Sim.instant t.sim ~tid:host ~cat:wire ~name:"dup" ~a0:seq;
             (* the copy arrives one serialization time later *)
             deliver ~span:false (delay +. tx_time_us (Bytes.length frame.payload))
               frame

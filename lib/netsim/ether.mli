@@ -41,27 +41,19 @@ module Link : sig
   (** Register the receive handler of a station.
       @raise Invalid_argument for stations other than 0 or 1. *)
 
-  val set_tracer : t -> tid:int -> Protolat_obs.Tracer.t -> unit
-  (** Install a timeline tracer: each delivered frame becomes an async
-      span (begin at transmit, end at delivery) on thread [tid]; drops,
-      corruptions and duplications are instant events. *)
-
-  val set_span : t -> Protolat_obs.Span.t -> unit
-  (** Install the span ledger: transmit marks the wire stage, delivery the
-      rx-interrupt stage, a dropped frame the rto-wait stage. *)
-
   val set_span_hosts : t -> station0:int -> station1:int -> unit
-  (** Span host codes carried by each station's marks (default: the station
-      indices, the classic two-host convention).  Fabric links set the
-      attached host's code on one side and {!Protolat_obs.Span.host_wire}
-      on the switch side, which makes a hop re-enter the wire stage. *)
+  (** Host codes carried by each station's span marks (default: the
+      station indices, the classic two-host convention).  {!Fabric.create}
+      sets the attached host's code on one side and
+      {!Protolat_obs.Span.host_wire} on the switch side, which makes a hop
+      re-enter the wire stage. *)
 
   val set_remote : t -> station:int -> (at:float -> frame -> unit) -> unit
   (** Declare a station remote: frames addressed to it are handed to the
       sink with their absolute arrival time instead of being scheduled on
       this link's simulator.  Used by the sharded fabric for deterministic
-      time-stepped cross-shard exchange; tracers and spans never fire on a
-      remote path. *)
+      time-stepped cross-shard exchange; a remote delivery records no frame
+      span and no rx-interrupt mark. *)
 
   val inject : t -> station:int -> at:float -> frame -> unit
   (** Schedule a frame for delivery to [station]'s handler at absolute time
@@ -71,7 +63,12 @@ module Link : sig
 
   val transmit : t -> station:int -> frame -> unit
   (** Put a frame on the wire; it is delivered to the other station after
-      serialization + propagation time. *)
+      serialization + propagation time.  When the simulator records, the
+      frame is an async span on the wire's thread
+      ({!Protolat_obs.Span.host_wire}) from transmit to delivery, and
+      corruptions and duplications are instants there; the span ledger
+      marks the wire stage at transmit and the rx-interrupt stage at
+      delivery.  A lost frame goes through {!Sim.drop} as [drop]. *)
 
   val set_filter : t -> (frame -> bool) -> unit
   (** Install a targeted drop predicate (frames for which it returns

@@ -6,7 +6,9 @@
    own access segment (["link<i>"] scopes, host at station 0, switch at
    station 1) and install static forwarding entries for the harness's MAC
    assignment; learning topologies skip the static table and let the
-   switches flood.
+   switches flood.  Host i's code is i; switch-facing stations and trunks
+   carry [Span.host_wire], so a multi-hop path telescopes into
+   wire/switch/wire span segments.
 
    Hosts are not created here — the stack harnesses attach their LANCEs to
    [host_link]/[host_station] — so the fabric stays protocol-agnostic. *)
@@ -29,6 +31,18 @@ let port_host = 0
 let port_right = 1
 
 let port_left = 2
+
+(* host side carries the host's code; the switch side carries [host_wire],
+   so a hop re-enters the wire stage from the switch stage (see
+   Span.mark_wire) *)
+let access_link sim ~prop ~metrics i =
+  let link =
+    Ether.Link.create sim ~propagation_us:prop
+      ~metrics:(Obs.Metrics.scoped metrics (Printf.sprintf "link%d" i))
+      ()
+  in
+  Ether.Link.set_span_hosts link ~station0:i ~station1:Obs.Span.host_wire;
+  link
 
 let create sim ~topology ?(mac_of = fun i -> i) ?metrics () =
   let topo = Topology.validate topology in
@@ -55,12 +69,7 @@ let create sim ~topology ?(mac_of = fun i -> i) ?metrics () =
         ~queue_frames:topo.Topology.port_queue_frames
         ~learning:topo.Topology.learning ~metrics ()
     in
-    let links =
-      Array.init n (fun i ->
-          Ether.Link.create sim ~propagation_us:prop
-            ~metrics:(Obs.Metrics.scoped metrics (Printf.sprintf "link%d" i))
-            ())
-    in
+    let links = Array.init n (access_link sim ~prop ~metrics) in
     Array.iteri
       (fun i link ->
         Switch.attach sw ~port:i ~station:1 link;
@@ -83,12 +92,7 @@ let create sim ~topology ?(mac_of = fun i -> i) ?metrics () =
             ~metrics:(Obs.Metrics.scoped metrics (Printf.sprintf "sw%d" i))
             ())
     in
-    let links =
-      Array.init n (fun i ->
-          Ether.Link.create sim ~propagation_us:prop
-            ~metrics:(Obs.Metrics.scoped metrics (Printf.sprintf "link%d" i))
-            ())
-    in
+    let links = Array.init n (access_link sim ~prop ~metrics) in
     Array.iteri
       (fun i link -> Switch.attach switches.(i) ~port:port_host ~station:1 link)
       links;
@@ -100,6 +104,8 @@ let create sim ~topology ?(mac_of = fun i -> i) ?metrics () =
                 (Obs.Metrics.scoped metrics (Printf.sprintf "trunk%d" i))
               ()
           in
+          Ether.Link.set_span_hosts trunk ~station0:Obs.Span.host_wire
+            ~station1:Obs.Span.host_wire;
           Switch.attach switches.(i) ~port:port_right ~station:0 trunk;
           Switch.attach switches.(i + 1) ~port:port_left ~station:1 trunk;
           trunk)
@@ -142,35 +148,6 @@ let iter_links t f =
     Array.iter f t.links;
     Array.iter f t.trunks
   end
-
-let set_span t spans ~code_of =
-  if is_pair t then begin
-    Ether.Link.set_span t.links.(0) spans;
-    Ether.Link.set_span_hosts t.links.(0) ~station0:(code_of 0)
-      ~station1:(code_of 1)
-  end
-  else begin
-    Array.iteri
-      (fun i link ->
-        Ether.Link.set_span link spans;
-        (* host side carries the host's code; the switch side carries
-           [host_wire], so a hop re-enters the wire stage from the switch
-           stage (see Span.mark_wire) *)
-        Ether.Link.set_span_hosts link ~station0:(code_of i)
-          ~station1:Obs.Span.host_wire)
-      t.links;
-    Array.iter
-      (fun trunk ->
-        Ether.Link.set_span trunk spans;
-        Ether.Link.set_span_hosts trunk ~station0:Obs.Span.host_wire
-          ~station1:Obs.Span.host_wire)
-      t.trunks;
-    Array.iter (fun sw -> Switch.set_span sw spans) t.switches
-  end
-
-let set_tracer t ~tid tracer =
-  iter_links t (fun link -> Ether.Link.set_tracer link ~tid tracer);
-  Array.iter (fun sw -> Switch.set_tracer sw ~tid tracer) t.switches
 
 let partition_host t ~host on =
   if is_pair t then

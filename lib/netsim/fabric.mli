@@ -8,6 +8,13 @@
     static forwarding entries for the harness's MAC assignment unless the
     topology asks for learning.
 
+    Each segment's stations carry span host codes from the topology: the
+    pair's stations are hosts 0 and 1; an access segment carries its
+    host's index on the host side and {!Protolat_obs.Span.host_wire} on
+    the switch side, and trunks carry [host_wire] on both, so multi-hop
+    paths telescope into wire/switch/wire segments.  Links and switches
+    record into the simulator's recorders ({!Sim.record}).
+
     Hosts are not created here: stack harnesses attach their LANCEs to
     {!host_link}/{!host_station}, keeping the fabric protocol-agnostic. *)
 
@@ -43,14 +50,6 @@ val pair_link : t -> Ether.Link.t
 val iter_links : t -> (Ether.Link.t -> unit) -> unit
 (** Every distinct segment: access links, then trunks (the pair's shared
     segment once). *)
-
-val set_span : t -> Protolat_obs.Span.t -> code_of:(int -> int) -> unit
-(** Install the span ledger on every segment and switch; [code_of i] is
-    host [i]'s span host code.  Switch-facing stations carry
-    {!Protolat_obs.Span.host_wire} so multi-hop paths telescope into
-    wire/switch/wire segments. *)
-
-val set_tracer : t -> tid:int -> Protolat_obs.Tracer.t -> unit
 
 val partition_host : t -> host:int -> bool -> unit
 (** Partition one host at its switch port.  On the pair shape the segment

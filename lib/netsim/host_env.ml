@@ -10,10 +10,7 @@ type t = {
   sched : Xk.Thread.t;
   mutable run_phase : string -> (unit -> unit) -> unit;
   metrics : Obs.Metrics.t;
-  mutable tracer : Obs.Tracer.t;
-  mutable trace_tid : int;
-  mutable span : Obs.Span.t;
-  mutable span_host : int;
+  host : int;
   mutable timer_scale : float;
       (* clock-skew model: every timer delay registered through [timeout]
          is stretched by this factor (1.0 = nominal) *)
@@ -24,8 +21,8 @@ type t = {
 
 let advance_events t = ignore (Xk.Event.advance t.events (Sim.now t.sim))
 
-let create sim ?(meter = Xk.Meter.null) ?metrics ?(simmem_base = 0x1000_0000)
-    () =
+let create sim ?(host = 0) ?(meter = Xk.Meter.null) ?metrics
+    ?(simmem_base = 0x1000_0000) () =
   let simmem = Xk.Simmem.create ~base:simmem_base () in
   let stack_pool = Xk.Thread.Stack_pool.create simmem () in
   let sched = Xk.Thread.create stack_pool in
@@ -47,26 +44,21 @@ let create sim ?(meter = Xk.Meter.null) ?metrics ?(simmem_base = 0x1000_0000)
           work ();
           ignore (Xk.Thread.run sched));
       metrics;
-      tracer = Obs.Tracer.null;
-      trace_tid = 0;
-      span = Obs.Span.null;
-      span_host = 0;
+      host;
       timer_scale = 1.0;
       wake = (fun () -> advance_events t) }
   in
   t
 
-let set_tracer t ~tid tracer =
-  t.tracer <- tracer;
-  t.trace_tid <- tid
-
-let set_span t ~host span =
-  t.span <- span;
-  t.span_host <- host
+let mark t f = f (Sim.spans t.sim) ~host:t.host
 
 let trace_instant t ~cat ~name ~a0 =
-  if Obs.Tracer.enabled t.tracer then
-    Obs.Tracer.instant t.tracer ~tid:t.trace_tid ~cat ~name ~a0
+  Sim.instant t.sim ~tid:t.host ~cat ~name ~a0
+
+let retry t counter ~cat ~name ~a0 =
+  mark t Obs.Span.retry;
+  Obs.Metrics.inc counter;
+  trace_instant t ~cat ~name ~a0
 
 let phase t name work = t.run_phase name work
 
@@ -82,14 +74,12 @@ let timer_scale t = t.timer_scale
 let timeout t ~delay fn =
   let at = Sim.now t.sim +. (delay *. t.timer_scale) in
   let fn =
-    if Obs.Tracer.enabled t.tracer then begin
+    if Obs.Tracer.enabled (Sim.tracer t.sim) then begin
       (* round the delay to whole µs for the event arg: it is a label, and
          an int keeps the tracer columns unboxed *)
-      Obs.Tracer.instant t.tracer ~tid:t.trace_tid ~cat:timer_seq
-        ~name:"timer_arm" ~a0:(int_of_float delay);
+      trace_instant t ~cat:timer_seq ~name:"timer_arm" ~a0:(int_of_float delay);
       fun () ->
-        Obs.Tracer.instant t.tracer ~tid:t.trace_tid ~cat:timer_seq
-          ~name:"timer_fire" ~a0:0;
+        trace_instant t ~cat:timer_seq ~name:"timer_fire" ~a0:0;
         fn ()
     end
     else fn

@@ -1,7 +1,8 @@
 (** Per-host runtime environment shared by all protocol modules: simulated
     clock and memory, the instrumentation meter, the metrics registry, the
-    timeline tracer, the timer manager, and the continuation scheduler
-    with its LIFO stack pool.
+    host code under which it records into the simulator's tracer and span
+    ledger, the timer manager, and the continuation scheduler with its
+    LIFO stack pool.
 
     [run_phase] is installed by the execution engine: it brackets each burst
     of protocol processing (a send initiation, a receive interrupt) so the
@@ -21,10 +22,10 @@ type t = {
   sched : Xk.Thread.t;
   mutable run_phase : string -> (unit -> unit) -> unit;
   metrics : Obs.Metrics.t;  (** host-scoped registry (e.g. ["client."]) *)
-  mutable tracer : Obs.Tracer.t;  (** {!Obs.Tracer.null} unless installed *)
-  mutable trace_tid : int;  (** Perfetto thread id for this host's events *)
-  mutable span : Obs.Span.t;  (** {!Obs.Span.null} unless installed *)
-  mutable span_host : int;  (** span host code for this host's marks *)
+  host : int;
+      (** host code: the tracer thread of this host's events and the host
+          of its span marks ({!Obs.Span.host_client} or
+          {!Obs.Span.host_server}) *)
   mutable timer_scale : float;
       (** clock-skew model: factor applied to every [timeout] delay *)
   wake : unit -> unit;
@@ -33,20 +34,24 @@ type t = {
 }
 
 val create :
-  Sim.t -> ?meter:Xk.Meter.t -> ?metrics:Obs.Metrics.t -> ?simmem_base:int ->
-  unit -> t
-(** [metrics] defaults to a fresh private registry so hosts created outside
-    the engine (unit tests, ad-hoc sims) need no wiring. *)
+  Sim.t -> ?host:int -> ?meter:Xk.Meter.t -> ?metrics:Obs.Metrics.t ->
+  ?simmem_base:int -> unit -> t
+(** [host] is the host code (default 0, the client); [metrics] defaults to
+    a fresh private registry so hosts created outside the engine (unit
+    tests, ad-hoc sims) need no wiring. *)
 
-val set_tracer : t -> tid:int -> Obs.Tracer.t -> unit
-(** Install the shared timeline tracer; this host's events carry [tid]. *)
-
-val set_span : t -> host:int -> Obs.Span.t -> unit
-(** Install the shared span ledger; this host's marks carry [host]
-    ({!Obs.Span.host_client} or {!Obs.Span.host_server}). *)
+val mark : t -> (Obs.Span.t -> host:int -> unit) -> unit
+(** [mark t Obs.Span.mark_app]: record a span mark of this host in the
+    simulator's ledger (no-op unless it records spans). *)
 
 val trace_instant : t -> cat:string -> name:string -> a0:int -> unit
 (** Emit an instant event on this host's thread (no-op when untraced). *)
+
+val retry :
+  t -> Obs.Metrics.counter -> cat:string -> name:string -> a0:int -> unit
+(** A retransmission of the in-flight message by this host: the span
+    ledger's retry, then [counter], then the instant [name] — in that
+    order, on every channel at once. *)
 
 val phase : t -> string -> (unit -> unit) -> unit
 (** [phase t name work]: run [work] under the engine's phase hook. *)

@@ -8,6 +8,7 @@ type t = {
   sim : Sim.t;
   link : Ether.Link.t;
   station : int;
+  host : int;  (* host code of this device's instants and drop marks *)
   mode : mode;
   ring_size : int;
   shared : Sparse_mem.t; (* tx ring then rx ring *)
@@ -32,20 +33,13 @@ type t = {
       (* a powered-down controller (crashed host) drops every incoming
          frame on the floor — no DMA, no interrupt *)
   mutable fault : Fault.t option;
-  mutable tracer : Obs.Tracer.t;
-  mutable trace_tid : int;
-  mutable spans : Obs.Span.t;
-  mutable span_host : int;
-      (* span host code for this device's drop marks; defaults to the
-         station index (the two-host convention), overridden on fabric
-         links where every host sits at station 0 of its own segment *)
 }
 
 let dev = "dev"
 
-let create sim simmem link ~station ?(mode = Usc_direct) ?(ring_size = 16)
-    ?(controller_overhead_us = 47.0) ?(rx_interrupt_delay_us = 2.0) ?metrics
-    () =
+let create sim simmem link ~station ?(host = station) ?(mode = Usc_direct)
+    ?(ring_size = 16) ?(controller_overhead_us = 47.0)
+    ?(rx_interrupt_delay_us = 2.0) ?metrics () =
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
@@ -53,6 +47,7 @@ let create sim simmem link ~station ?(mode = Usc_direct) ?(ring_size = 16)
     { sim;
       link;
       station;
+      host;
       mode;
       ring_size;
       shared =
@@ -84,20 +79,12 @@ let create sim simmem link ~station ?(mode = Usc_direct) ?(ring_size = 16)
       tx_outstanding = 0;
       rx_missed = false;
       power = true;
-      fault = None;
-      tracer = Obs.Tracer.null;
-      trace_tid = 0;
-      spans = Obs.Span.null;
-      span_host = station }
+      fault = None }
   in
   Ether.Link.attach link ~station (fun frame ->
-      if not t.power then begin
-        Obs.Metrics.inc t.c_down_drops;
-        Obs.Span.mark_drop t.spans ~host:t.span_host;
-        if Obs.Tracer.enabled t.tracer then
-          Obs.Tracer.instant t.tracer ~tid:t.trace_tid ~cat:dev
-            ~name:"down_drop" ~a0:(Bytes.length frame.Ether.payload)
-      end
+      let len = Bytes.length frame.Ether.payload in
+      if not t.power then
+        Sim.drop sim t.c_down_drops ~host ~cat:dev ~name:"down_drop" ~a0:len
       else
       let overrun =
         match t.fault with Some f -> Fault.rx_overrun f | None -> false
@@ -106,22 +93,15 @@ let create sim simmem link ~station ?(mode = Usc_direct) ?(ring_size = 16)
         (* no free receive descriptor: the controller drops the frame and
            latches the MISS condition for the next receive interrupt *)
         t.rx_missed <- true;
-        Obs.Metrics.inc t.c_rx_missed;
-        Obs.Span.mark_drop t.spans ~host:t.span_host;
-        if Obs.Tracer.enabled t.tracer then
-          Obs.Tracer.instant t.tracer ~tid:t.trace_tid ~cat:dev
-            ~name:"rx_overrun" ~a0:(Bytes.length frame.Ether.payload)
+        Sim.drop sim t.c_rx_missed ~host ~cat:dev ~name:"rx_overrun" ~a0:len
       end
       else begin
         Obs.Metrics.inc t.c_rx;
-        if Obs.Tracer.enabled t.tracer then
-          Obs.Tracer.instant t.tracer ~tid:t.trace_tid ~cat:dev
-            ~name:"lance_rx" ~a0:(Bytes.length frame.Ether.payload);
+        Sim.instant sim ~tid:host ~cat:dev ~name:"lance_rx" ~a0:len;
         (* controller DMAs the frame and fills the next receive descriptor *)
         let desc = t.ring_size + t.rx_index in
         t.rx_index <- (t.rx_index + 1) mod t.ring_size;
-        Usc.set t.shared ~desc Usc.Status
-          (Ether.frame_bytes (Bytes.length frame.Ether.payload));
+        Usc.set t.shared ~desc Usc.Status (Ether.frame_bytes len);
         Usc.set t.shared ~desc Usc.Flags Usc.flags_enp;
         Sim.schedule sim ~delay:t.rx_interrupt_delay_us (fun () ->
             t.on_receive frame)
@@ -163,9 +143,8 @@ let transmit_live t frame =
   t.tx_outstanding <- t.tx_outstanding + 1;
   fill_tx_descriptor t ~desc ~len:(Bytes.length frame.Ether.payload);
   Obs.Metrics.inc t.c_tx;
-  if Obs.Tracer.enabled t.tracer then
-    Obs.Tracer.instant t.tracer ~tid:t.trace_tid ~cat:dev ~name:"lance_tx"
-      ~a0:(Bytes.length frame.Ether.payload);
+  Sim.instant t.sim ~tid:t.host ~cat:dev ~name:"lance_tx"
+    ~a0:(Bytes.length frame.Ether.payload);
   (* the controller picks the frame up after its overhead (plus any
      injected stall), but transmits frames strictly in order: a frame
      waits for the wire to go idle *)
@@ -174,9 +153,8 @@ let transmit_live t frame =
   in
   if stall > 0.0 then begin
     Obs.Metrics.inc t.c_tx_stalls;
-    if Obs.Tracer.enabled t.tracer then
-      Obs.Tracer.instant t.tracer ~tid:t.trace_tid ~cat:dev ~name:"tx_stall"
-        ~a0:(int_of_float stall)
+    Sim.instant t.sim ~tid:t.host ~cat:dev ~name:"tx_stall"
+      ~a0:(int_of_float stall)
   end;
   let now = Sim.now t.sim in
   let start =
@@ -196,15 +174,11 @@ let transmit_live t frame =
 let transmit t frame =
   if tx_ring_full t then
     invalid_arg "Lance.transmit: tx ring full (check tx_ring_full first)";
-  if not t.power then begin
+  if not t.power then
     (* a crashed host cannot put frames on the wire; a straggling interrupt
        handler scheduled before the crash just loses its frame *)
-    Obs.Metrics.inc t.c_down_drops;
-    Obs.Span.mark_drop t.spans ~host:t.span_host;
-    if Obs.Tracer.enabled t.tracer then
-      Obs.Tracer.instant t.tracer ~tid:t.trace_tid ~cat:dev ~name:"down_drop"
-        ~a0:(Bytes.length frame.Ether.payload)
-  end
+    Sim.drop t.sim t.c_down_drops ~host:t.host ~cat:dev ~name:"down_drop"
+      ~a0:(Bytes.length frame.Ether.payload)
   else transmit_live t frame
 
 let set_fault t f = t.fault <- f
@@ -220,14 +194,6 @@ let stall t ~us =
     invalid_arg "Lance.stall: duration must be finite and non-negative";
   let now = Sim.now t.sim in
   t.busy_until <- Float.max t.busy_until now +. us
-
-let set_tracer t ~tid tracer =
-  t.tracer <- tracer;
-  t.trace_tid <- tid
-
-let set_span ?host t spans =
-  t.spans <- spans;
-  match host with Some h -> t.span_host <- h | None -> ()
 
 let consume_rx_missed t =
   let m = t.rx_missed in

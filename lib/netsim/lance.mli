@@ -22,6 +22,7 @@ val create :
   Protolat_xkernel.Simmem.t ->
   Ether.Link.t ->
   station:int ->
+  ?host:int ->
   ?mode:mode ->
   ?ring_size:int ->
   ?controller_overhead_us:float ->
@@ -29,8 +30,13 @@ val create :
   ?metrics:Protolat_obs.Metrics.t ->
   unit ->
   t
-(** [metrics] hosts the device counters ([lance.frames_tx], [.frames_rx],
-    [.rx_missed], [.tx_stalls]); defaults to a fresh private registry. *)
+(** [host] is the device's host code: the tracer thread of its instants
+    (frame handoffs [lance_tx], rx DMAs [lance_rx], injected [tx_stall]s)
+    and the host of its drops.  It defaults to [station], the two-host
+    convention; a switched fabric puts every LANCE at station 0 of its own
+    segment, so fabric hosts pass their index.  [metrics] hosts the device
+    counters ([lance.frames_tx], [.frames_rx], [.rx_missed], [.tx_stalls],
+    [.down_drops]); defaults to a fresh private registry. *)
 
 val set_handlers :
   t -> on_tx_complete:(unit -> unit) -> on_receive:(Ether.frame -> unit) -> unit
@@ -58,8 +64,8 @@ val set_fault : t -> Fault.t option -> unit
 
 val set_power : t -> bool -> unit
 (** Power the controller up or down.  While down (a crashed host) every
-    incoming frame and every straggling transmit is dropped and counted in
-    [lance.down_drops]; no DMA happens and no interrupt fires.  Powering
+    incoming frame and every straggling transmit is dropped through
+    {!Sim.drop} as [down_drop]; no DMA happens and no interrupt fires.  Powering
     back up does not replay anything — lost frames stay lost. *)
 
 val powered : t -> bool
@@ -73,18 +79,6 @@ val stall : t -> us:float -> unit
     models a cache-pressure / DMA-contention event stealing the
     controller's cycles.
     @raise Invalid_argument if [us] is negative or not finite. *)
-
-val set_tracer : t -> tid:int -> Protolat_obs.Tracer.t -> unit
-(** Install a timeline tracer: frame handoffs ([lance_tx]), rx DMAs
-    ([lance_rx]), injected stalls and rx overruns become instant events on
-    thread [tid]. *)
-
-val set_span : ?host:int -> t -> Protolat_obs.Span.t -> unit
-(** Install the span ledger: device-level losses (powered-down drops, rx
-    descriptor overruns) mark the rto-wait stage for the tracked message.
-    [host] is the span host code carried by those marks; it defaults to
-    the station index (the two-host convention) and must be overridden on
-    fabric links, where every host sits at station 0 of its own segment. *)
 
 val consume_rx_missed : t -> bool
 (** Whether an rx-descriptor overrun happened since the last call; reading

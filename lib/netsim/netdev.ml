@@ -84,7 +84,7 @@ let lance_send t frame =
   let shared = Lance.tx_descriptor_rings t.lance in
   (* tx-queue stage opens when the driver takes the frame; re-entry from the
      tx_intr backlog drain is not a new stage and is ignored by the ledger *)
-  Obs.Span.mark_tx_queue t.env.Host_env.span ~host:t.env.Host_env.span_host;
+  Host_env.mark t.env Obs.Span.mark_tx_queue;
   Meter.fn m s_lance_send (fun () ->
       m.Meter.block s_lance_send_setup
         ~reads:[ Meter.range ~base:(Sparse_mem.sim_addr_of_word shared 0) ~len:16 () ];
@@ -155,7 +155,7 @@ let eth_demux t frame =
 let lance_rx t frame =
   let m = t.env.Host_env.meter in
   let shared = Lance.tx_descriptor_rings t.lance in
-  Obs.Span.mark_rx_proto t.env.Host_env.span ~host:t.env.Host_env.span_host;
+  Host_env.mark t.env Obs.Span.mark_rx_proto;
   Meter.fn m s_lance_rx (fun () ->
       t.frames_received <- t.frames_received + 1;
       m.Meter.block s_lance_rx_getbuf;

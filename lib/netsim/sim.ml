@@ -1,4 +1,5 @@
 module Heap = Protolat_util.Heap
+module Obs = Protolat_obs
 
 (* [now] lives in a 1-element float array: a plain mutable float field in
    this mixed record would be boxed, and the engine advances the clock once
@@ -6,9 +7,32 @@ module Heap = Protolat_util.Heap
 type t = {
   now : float array;
   queue : (unit -> unit) Heap.t;
+  mutable tracer : Obs.Tracer.t;
+  mutable spans : Obs.Span.t;
 }
 
-let create () = { now = [| 0.0 |]; queue = Heap.create () }
+let create () =
+  { now = [| 0.0 |];
+    queue = Heap.create ();
+    tracer = Obs.Tracer.null;
+    spans = Obs.Span.null }
+
+let record t ~events ~spans =
+  if events then t.tracer <- Obs.Tracer.create ~clock:t.now ();
+  if spans then t.spans <- Obs.Span.create ~clock:t.now ()
+
+let tracer t = t.tracer
+
+let spans t = t.spans
+
+let instant t ~tid ~cat ~name ~a0 =
+  if Obs.Tracer.enabled t.tracer then
+    Obs.Tracer.instant t.tracer ~tid ~cat ~name ~a0
+
+let drop t counter ~host ~cat ~name ~a0 =
+  Obs.Metrics.inc counter;
+  Obs.Span.mark_drop t.spans ~host;
+  instant t ~tid:host ~cat ~name ~a0
 
 let now t = t.now.(0)
 

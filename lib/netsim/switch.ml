@@ -9,11 +9,12 @@
    way the LANCE serializes its own (frames overlap on *different* segments,
    never on one).
 
-   Drops mirror the LANCE rx-overrun path bit for bit: a bounded egress
-   queue that overflows records the loss through the same triple of hooks —
-   a metrics counter, [Span.mark_drop] on the shared ledger, and a tracer
-   instant — so the Invariant conservation laws and the span state machine
-   hold on the forwarding path just as they do on the host path. *)
+   Every drop (egress queue overflow, partition, unknown destination) goes
+   through [Sim.drop] on the wire's host code, the call a LANCE rx overrun
+   makes: the metrics counter, the span ledger's drop mark and a tracer
+   instant move together, so the Invariant conservation laws and the span
+   state machine hold on the forwarding path just as they do on the host
+   path. *)
 
 module Obs = Protolat_obs
 
@@ -41,9 +42,6 @@ type t = {
   c_flood_copies : Obs.Metrics.counter;
   g_queue_peak : Obs.Metrics.gauge;
   mutable queue_peak : int;
-  mutable spans : Obs.Span.t;
-  mutable tracer : Obs.Tracer.t;
-  mutable trace_tid : int;
 }
 
 let create sim ~ports ?(latency_us = Topology.default_switch_latency_us)
@@ -83,29 +81,16 @@ let create sim ~ports ?(latency_us = Topology.default_switch_latency_us)
     g_queue_peak =
       Obs.Metrics.gauge m ~help:"peak egress queue depth over any port"
         "queue_peak";
-    queue_peak = 0;
-    spans = Obs.Span.null;
-    tracer = Obs.Tracer.null;
-    trace_tid = 0 }
+    queue_peak = 0 }
 
 let ports t = Array.length t.ports
-
-let set_span t spans = t.spans <- spans
-
-let set_tracer t ~tid tracer =
-  t.tracer <- tracer;
-  t.trace_tid <- tid
 
 let check_port t port =
   if port < 0 || port >= Array.length t.ports then
     invalid_arg "Switch: bad port"
 
-(* the LANCE rx-overrun drop triple: counter + span + tracer instant *)
 let drop t counter ~name =
-  Obs.Metrics.inc counter;
-  Obs.Span.mark_drop t.spans ~host:Obs.Span.host_wire;
-  if Obs.Tracer.enabled t.tracer then
-    Obs.Tracer.instant t.tracer ~tid:t.trace_tid ~cat:"switch" ~name ~a0:0
+  Sim.drop t.sim counter ~host:Obs.Span.host_wire ~cat:"switch" ~name ~a0:0
 
 let forward t p (frame : Ether.frame) =
   if p.partitioned || not p.attached then

@@ -5,10 +5,10 @@
     receive handler).  Forwarding consults a static table installed by the
     fabric, or — in learning mode — a table learned from source addresses,
     flooding unknown destinations.  Egress is serialized per port through a
-    [busy_until] exactly like the LANCE's transmit path, and a bounded
-    egress queue that overflows records the loss through the same
-    metrics/span/tracer drop hooks as a LANCE rx overrun, so conservation
-    laws hold on the forwarding path.
+    [busy_until] exactly like the LANCE's transmit path.  Every drop goes
+    through {!Sim.drop} on {!Protolat_obs.Span.host_wire}, as a LANCE rx
+    overrun does on its host's code, so conservation laws hold on the
+    forwarding path.
 
     Counters (under a ["switch"] scope of [metrics]): [frames_in],
     [frames_out], [queue_drops], [unknown_drops], [partition_drops],
@@ -50,11 +50,6 @@ val set_partition : t -> port:int -> bool -> unit
     @raise Invalid_argument if nothing is attached to the port. *)
 
 val partitioned : t -> port:int -> bool
-
-val set_span : t -> Protolat_obs.Span.t -> unit
-(** Install the span ledger used by the drop hooks. *)
-
-val set_tracer : t -> tid:int -> Protolat_obs.Tracer.t -> unit
 
 val queue_depth : t -> port:int -> int
 

@@ -154,7 +154,7 @@ let handle_nack t ~src hdr payload =
     if Bytes.length payload > 0 then
       (* one new generation per NACK burst, however many fragments it asks
          to resend *)
-      Obs.Span.retry t.env.Ns.Host_env.span ~host:t.env.Ns.Host_env.span_host;
+      Ns.Host_env.mark t.env Obs.Span.retry;
     Bytes.iter
       (fun c ->
         let ix = Char.code c in

@@ -129,11 +129,8 @@ let rec arm_timeout t (c : chan_state) =
              end
              else
                Ns.Host_env.phase t.env "chan_rexmt" (fun () ->
-                   Obs.Span.retry t.env.Ns.Host_env.span
-                     ~host:t.env.Ns.Host_env.span_host;
                    c.rexmt_tries <- c.rexmt_tries + 1;
-                   Obs.Metrics.inc t.c_req_retransmits;
-                   Ns.Host_env.trace_instant t.env ~cat:"chan"
+                   Ns.Host_env.retry t.env t.c_req_retransmits ~cat:"chan"
                      ~name:"req_retransmit" ~a0:c.rexmt_tries;
                    send_request t c payload;
                    arm_timeout t c)

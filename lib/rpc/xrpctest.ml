@@ -36,8 +36,7 @@ let meter t = t.env.Ns.Host_env.meter
 
 let rec xrpctest_call t =
   let m = meter t in
-  Protolat_obs.Span.mark_tx_proto t.env.Ns.Host_env.span
-    ~host:t.env.Ns.Host_env.span_host;
+  Ns.Host_env.mark t.env Protolat_obs.Span.mark_tx_proto;
   Meter.fn m s_xrpctest_call (fun () ->
       m.Meter.cold ~triggered:t.first s_xrpctest_call_init;
       t.first <- false;
@@ -55,8 +54,7 @@ let rec xrpctest_call t =
 
 and xrpctest_cont t =
   let m = meter t in
-  Protolat_obs.Span.mark_app t.env.Ns.Host_env.span
-    ~host:t.env.Ns.Host_env.span_host;
+  Ns.Host_env.mark t.env Protolat_obs.Span.mark_app;
   Meter.fn m s_xrpctest_cont (fun () ->
       m.Meter.block s_xrpctest_cont_cont;
       t.remaining <- t.remaining - 1;
@@ -93,15 +91,13 @@ let server env mselect ~client_id =
   in
   Mselect.register mselect ~client:client_id (fun _data ~reply ->
       let m = meter t in
-      Protolat_obs.Span.mark_app t.env.Ns.Host_env.span
-        ~host:t.env.Ns.Host_env.span_host;
+      Ns.Host_env.mark t.env Protolat_obs.Span.mark_app;
       Meter.fn m s_xrpctest_serve (fun () ->
           t.completed <- t.completed + 1;
           m.Meter.block s_xrpctest_serve_serve;
           m.Meter.cold ~triggered:false s_xrpctest_serve_unknownproc;
           m.Meter.call s_xrpctest_serve_serve_0;
-          Protolat_obs.Span.mark_tx_proto t.env.Ns.Host_env.span
-            ~host:t.env.Ns.Host_env.span_host;
+          Ns.Host_env.mark t.env Protolat_obs.Span.mark_tx_proto;
           reply Bytes.empty));
   t
 

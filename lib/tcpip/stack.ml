@@ -16,11 +16,13 @@ type host = {
 
 let ethertype_ip = 0x0800
 
-(* the half of a host both stacks share: environment, LANCE, ETH *)
-let make_device sim link ~station ~mac ~opts ?meter ?metrics ?simmem_base () =
-  let env = Ns.Host_env.create sim ?meter ?metrics ?simmem_base () in
+(* the half of a host both stacks share: environment, LANCE, ETH; both
+   record under the host code [host] *)
+let make_device sim link ~station ~host ~mac ~opts ?meter ?metrics
+    ?simmem_base () =
+  let env = Ns.Host_env.create sim ~host ?meter ?metrics ?simmem_base () in
   let lance =
-    Ns.Lance.create sim env.Ns.Host_env.simmem link ~station
+    Ns.Lance.create sim env.Ns.Host_env.simmem link ~station ~host
       ~mode:(Opts.lance_mode opts) ~metrics:env.Ns.Host_env.metrics ()
   in
   let netdev =
@@ -46,7 +48,8 @@ let upper (env, lance, netdev) ~mac ~ip_addr ~opts =
 let make_host sim link ~station ~mac ~ip_addr ~opts ?meter ?metrics
     ?simmem_base () =
   upper
-    (make_device sim link ~station ~mac ~opts ?meter ?metrics ?simmem_base ())
+    (make_device sim link ~station ~host:station ~mac ~opts ?meter ?metrics
+       ?simmem_base ())
     ~mac ~ip_addr ~opts
 
 type 'h gpair = {
@@ -96,7 +99,7 @@ let build_net ~opts_for ~meter_for ~topology ~mac_of upper =
           make_device sim
             (Ns.Fabric.host_link fabric i)
             ~station:(Ns.Fabric.host_station fabric i)
-            ~mac:(mac_of i) ~opts ?meter:(meter_for i)
+            ~host:i ~mac:(mac_of i) ~opts ?meter:(meter_for i)
             ~metrics:(Obs.Metrics.scoped metrics (scope_of i))
             ~simmem_base:(simmem_base_of i) ()
         in

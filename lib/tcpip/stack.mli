@@ -33,8 +33,8 @@ val make_host :
   unit ->
   host
 (** One TCP/IP host: its environment, LANCE driver and ETH layer (the half
-    both stacks share), then VNET, IP, TCP and UDP.  Routes are the
-    caller's. *)
+    both stacks share), then VNET, IP, TCP and UDP.  Its host code is
+    [station], the two-host convention.  Routes are the caller's. *)
 
 (** Two hosts of either stack: host 0 is the client, host 1 the server. *)
 type 'h gpair = {
@@ -81,8 +81,8 @@ val build_net :
   'h gnet
 (** The net builder of both stacks: the simulator, metrics root and
     fabric, then each host in index order — its environment, LANCE and ETH
-    (options [opts_for i], meter [meter_for i]) and the upper layers the
-    last argument builds on them. *)
+    (options [opts_for i], meter [meter_for i], host code [i]) and the
+    upper layers the last argument builds on them. *)
 
 val make_net :
   ?opts_for:(int -> Opts.t) ->

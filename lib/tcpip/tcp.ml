@@ -305,13 +305,10 @@ and retransmit ?(fast = false) s =
         else begin
           let m = meter t in
           m.Meter.cold ~triggered:true s_tcp_output_rexmt_path;
-          Obs.Span.retry t.env.Ns.Host_env.span
-            ~host:t.env.Ns.Host_env.span_host;
-          Obs.Metrics.inc t.c_retransmits;
-          if fast then Obs.Metrics.inc t.c_fast_retransmits;
-          Ns.Host_env.trace_instant t.env ~cat:"tcp"
+          Ns.Host_env.retry t.env t.c_retransmits ~cat:"tcp"
             ~name:(if fast then "fast_retransmit" else "retransmit")
             ~a0:s.tcb.Tcb.rexmt_shift;
+          if fast then Obs.Metrics.inc t.c_fast_retransmits;
           s.tcb.Tcb.retransmits <- s.tcb.Tcb.retransmits + 1;
           s.tcb.Tcb.rexmt_shift <- s.tcb.Tcb.rexmt_shift + 1;
           (* Karn: samples from retransmitted data are ambiguous *)

@@ -41,8 +41,7 @@ let payload = Bytes.make 1 'p'
 let tcptest_send t =
   let m = meter t in
   let env = t.env in
-  Protolat_obs.Span.mark_tx_proto env.Ns.Host_env.span
-    ~host:env.Ns.Host_env.span_host;
+  Ns.Host_env.mark env Protolat_obs.Span.mark_tx_proto;
   Meter.fn m s_tcptest_send (fun () ->
       (match t.session with
       | None -> failwith "Tcptest: no session"
@@ -63,8 +62,7 @@ let tcptest_send t =
 let tcptest_recv t _data =
   let m = meter t in
   let env = t.env in
-  Protolat_obs.Span.mark_app env.Ns.Host_env.span
-    ~host:env.Ns.Host_env.span_host;
+  Ns.Host_env.mark env Protolat_obs.Span.mark_app;
   Meter.fn m s_tcptest_recv (fun () ->
       m.Meter.block s_tcptest_recv_main;
       match t.role with

@@ -106,8 +106,8 @@ let test_tcp_gives_up_on_dead_wire () =
 let test_tcp_backoff_cap () =
   let p, cs, _ = tcp_pair_established () in
   let sim = p.T.Stack.sim in
-  let tracer = Obs.Tracer.create ~clock:(Ns.Sim.clock_cell sim) () in
-  Ns.Host_env.set_tracer p.T.Stack.client.T.Stack.env ~tid:0 tracer;
+  Ns.Sim.record sim ~events:true ~spans:false;
+  let tracer = Ns.Sim.tracer sim in
   T.Tcp.set_nodelay cs true;
   Ns.Lance.set_power p.T.Stack.server.T.Stack.lance false;
   let t0 = Ns.Sim.now sim in
@@ -118,7 +118,7 @@ let test_tcp_backoff_cap () =
   let dropped_at = Ns.Sim.now sim in
   let sends = ref [ t0 ] in
   Obs.Tracer.iter tracer (fun e ->
-      if e.Obs.Tracer.name = "retransmit" then
+      if e.Obs.Tracer.name = "retransmit" && e.Obs.Tracer.tid = 0 then
         sends := e.Obs.Tracer.ts :: !sends);
   let times = Array.of_list (List.rev (dropped_at :: !sends)) in
   Alcotest.(check int) "12 retransmissions" 12

@@ -105,8 +105,8 @@ let test_switch_queue_overflow_triple () =
   let sim, metrics, sw, (l0, _), (_, got1) =
     two_port_switch ~queue_frames:1 ()
   in
-  let tracer = Obs.Tracer.create ~clock:(Sim.clock_cell sim) () in
-  Switch.set_tracer sw ~tid:9 tracer;
+  Sim.record sim ~events:true ~spans:false;
+  let tracer = Sim.tracer sim in
   Switch.add_static sw ~mac:7 ~port:1;
   for _ = 1 to 3 do
     (* same instant: serialization happens on the ingress segment, so all
@@ -174,7 +174,8 @@ let test_drop_sites () =
     let sw = Switch.create sim ~ports:2 ~latency_us:5.0 ~queue_frames:1 () in
     let l0 = Ether.Link.create sim () and l1 = Ether.Link.create sim () in
     let lance =
-      Ns.Lance.create sim (Protolat_xkernel.Simmem.create ()) l0 ~station:0 ()
+      Ns.Lance.create sim (Protolat_xkernel.Simmem.create ()) l0 ~station:0
+        ~host:lance_code ()
     in
     Switch.attach sw ~port:0 ~station:1 l0;
     Switch.attach sw ~port:1 ~station:1 l1;
@@ -182,17 +183,8 @@ let test_drop_sites () =
     Ether.Link.attach l1 ~station:0 (fun _ -> incr survivors);
     Switch.add_static sw ~mac:7 ~port:1;
     let rig = { sw; l0; l1; lance } in
-    let tracer = Obs.Tracer.create ~clock:(Sim.clock_cell sim) () in
-    let span = Obs.Span.create ~clock:(Sim.clock_cell sim) () in
-    Switch.set_tracer sw ~tid:wire tracer;
-    Switch.set_span sw span;
-    List.iter
-      (fun l ->
-        Ether.Link.set_tracer l ~tid:wire tracer;
-        Ether.Link.set_span l span)
-      [ l0; l1 ];
-    Ns.Lance.set_tracer lance ~tid:lance_code tracer;
-    Ns.Lance.set_span ~host:lance_code lance span;
+    Sim.record sim ~events:true ~spans:true;
+    let tracer = Sim.tracer sim and span = Sim.spans sim in
     (* the ledger's message is queued for the wire when the frame dies *)
     let host = Obs.Span.host_client in
     Obs.Span.begin_run span ~at:0.0;
