@@ -128,3 +128,22 @@ let write out data =
     close_out oc;
     Printf.printf "wrote %d bytes to %s\n" (String.length data) path
   | None -> print_string data
+
+(* The --check of a JSON report: it parses, carries the current
+   schema_version and holds [cells] entries under "cells".  Otherwise name
+   the fault on stderr and exit 1. *)
+let check_report name json ~cells =
+  let module J = Protolat_obs.Json in
+  let fail msg =
+    Printf.eprintf "%s JSON%s\n" name msg;
+    exit 1
+  in
+  match J.parse json with
+  | Error msg -> fail (" is malformed: " ^ msg)
+  | Ok v -> (
+    (match J.member "schema_version" v with
+    | Some (J.Num got) when int_of_float got = J.schema_version -> ()
+    | _ -> fail ": bad schema_version");
+    match J.member "cells" v with
+    | Some cs when J.array_length cs = cells -> ()
+    | _ -> fail ": wrong cell count")

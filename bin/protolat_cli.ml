@@ -73,8 +73,10 @@ let tables_cmd =
       "fault"; "mflow"; "chaos"; "fabric"; "search"; "layout"; "ablations" ]
   in
   let which =
-    Arg.(value & pos_all string names & info [] ~docv:"TABLE"
-           ~doc:"Tables to print (default: all).")
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) names)) names
+      & info [] ~docv:"TABLE" ~doc:"Tables to print (default: all).")
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Fewer samples/rounds.")
@@ -505,27 +507,8 @@ let mflow_cmd =
     Cli_common.write out
       (if json then P.Mflow.to_json r ^ "\n" else P.Mflow.render r);
     if check then begin
-      (match Protolat_obs.Json.parse (P.Mflow.to_json r) with
-      | Error msg ->
-        Printf.eprintf "mflow JSON is malformed: %s\n" msg;
-        exit 1
-      | Ok v ->
-        let expect field n =
-          match Protolat_obs.Json.member field v with
-          | Some (Protolat_obs.Json.Num got) when int_of_float got = n -> ()
-          | _ ->
-            Printf.eprintf "mflow JSON: bad %s\n" field;
-            exit 1
-        in
-        expect "schema_version" Protolat_obs.Json.schema_version;
-        (match Protolat_obs.Json.member "cells" v with
-        | Some cells
-          when Protolat_obs.Json.array_length cells
-               = List.length flows * seeds ->
-          ()
-        | _ ->
-          Printf.eprintf "mflow JSON: wrong cell count\n";
-          exit 1));
+      Cli_common.check_report "mflow" (P.Mflow.to_json r)
+        ~cells:(List.length flows * seeds);
       if not json then
         Printf.eprintf "check: JSON well-formed, every cell drained\n"
     end;
@@ -711,26 +694,8 @@ let chaos_cmd =
           (if json then P.Chaos.matrix_to_json cells ^ "\n"
            else P.Chaos.render cells);
         if check then begin
-          (match Protolat_obs.Json.parse (P.Chaos.matrix_to_json cells) with
-          | Error msg ->
-            Printf.eprintf "chaos JSON is malformed: %s\n" msg;
-            exit 1
-          | Ok v ->
-            (match Protolat_obs.Json.member "schema_version" v with
-            | Some (Protolat_obs.Json.Num got)
-              when int_of_float got = Protolat_obs.Json.schema_version ->
-              ()
-            | _ ->
-              Printf.eprintf "chaos JSON: bad schema_version\n";
-              exit 1);
-            (match Protolat_obs.Json.member "cells" v with
-            | Some cs
-              when Protolat_obs.Json.array_length cs
-                   = List.length intensities * seeds ->
-              ()
-            | _ ->
-              Printf.eprintf "chaos JSON: wrong cell count\n";
-              exit 1));
+          Cli_common.check_report "chaos" (P.Chaos.matrix_to_json cells)
+            ~cells:(List.length intensities * seeds);
           if not json then
             Printf.eprintf "check: JSON well-formed, digest %s\n"
               (P.Chaos.digest cells)
@@ -811,26 +776,8 @@ let fabric_cmd =
     Cli_common.write out
       (if json then P.Incast.to_json r else P.Incast.render r);
     if check then begin
-      (match Protolat_obs.Json.parse (P.Incast.to_json r) with
-      | Error msg ->
-        Printf.eprintf "fabric JSON is malformed: %s\n" msg;
-        exit 1
-      | Ok v ->
-        (match Protolat_obs.Json.member "schema_version" v with
-        | Some (Protolat_obs.Json.Num got)
-          when int_of_float got = Protolat_obs.Json.schema_version ->
-          ()
-        | _ ->
-          Printf.eprintf "fabric JSON: bad schema_version\n";
-          exit 1);
-        (match Protolat_obs.Json.member "cells" v with
-        | Some cs
-          when Protolat_obs.Json.array_length cs
-               = List.length fan_ins * seeds ->
-          ()
-        | _ ->
-          Printf.eprintf "fabric JSON: wrong cell count\n";
-          exit 1));
+      Cli_common.check_report "fabric" (P.Incast.to_json r)
+        ~cells:(List.length fan_ins * seeds);
       if not json then
         Printf.eprintf "check: JSON well-formed, every cell drained\n"
     end;

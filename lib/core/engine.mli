@@ -163,7 +163,9 @@ module Spec : sig
             soak harness to record cold-path coverage in metered runs *)
     trace_events : bool;
         (** record timeline events (packets, timers, faults,
-            retransmissions) into [result.events] for Perfetto export *)
+            retransmissions) into [result.events] for Perfetto export;
+            {!run} passes this and [spans] to
+            {!Protolat_netsim.Sim.record} once *)
     spans : bool;
         (** record the per-message span ledger into [result.spans]
             (default off).  Marks never touch simulation state, so results

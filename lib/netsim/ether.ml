@@ -89,8 +89,11 @@ module Link = struct
     check_station station;
     Obs.Metrics.inc t.c_sent;
     let peer = 1 - station in
-    Obs.Span.mark_wire (Sim.spans t.sim) ~rx:t.span_hosts.(peer)
+    let spans = Sim.spans t.sim in
+    Obs.Span.mark_wire spans ~rx:t.span_hosts.(peer)
       ~station:t.span_hosts.(station) ();
+    (* read once per frame, so its async span's begin and end pair up *)
+    let traced = Obs.Tracer.enabled (Sim.tracer t.sim) in
     let len = Bytes.length frame.payload in
     (* frame sequence number: unique span id and stable drop label *)
     let seq = Obs.Metrics.value t.c_sent in
@@ -103,16 +106,14 @@ module Link = struct
            so cross-shard links run without them. *)
         sink ~at:(Sim.now t.sim +. delay) frame
       | None ->
-        if span && Obs.Tracer.enabled (Sim.tracer t.sim) then
+        if span && traced then
           Obs.Tracer.span_begin (Sim.tracer t.sim) ~tid:host ~id:seq ~cat:wire
             ~name:"frame" ~a0:len;
         Sim.schedule t.sim ~delay (fun () ->
-            if span then begin
-              if Obs.Tracer.enabled (Sim.tracer t.sim) then
-                Obs.Tracer.span_end (Sim.tracer t.sim) ~tid:host ~id:seq
-                  ~cat:wire ~name:"frame" ~a0:len;
-              Obs.Span.mark_rx_intr (Sim.spans t.sim) ~host:t.span_hosts.(peer)
-            end;
+            if span && traced then
+              Obs.Tracer.span_end (Sim.tracer t.sim) ~tid:host ~id:seq
+                ~cat:wire ~name:"frame" ~a0:len;
+            if span then Obs.Span.mark_rx_intr spans ~host:t.span_hosts.(peer);
             match t.handlers.(peer) with
             | Some h -> h frame
             | None -> ())

@@ -10,8 +10,9 @@
 # byte-for-byte checks of the TCP and RPC multi-flow, chaos matrix, fabric
 # and per-function profile JSON reports against the golden files in
 # test/golden/, the benchmark smoke (pinned workload digests), a pair
-# bit-identity check plus replays of the committed chaos repro files, and
-# a quick end-to-end paper table (protolat tables --quick table1).
+# bit-identity check plus replays of the committed chaos repro files, a
+# check that an unknown table name is rejected, and a quick end-to-end
+# paper table (protolat tables --quick table1).
 # Usage: scripts/ci.sh  (run from the repository root)
 set -eu
 
@@ -79,4 +80,9 @@ fi
 # to exactly its recorded at-most-once violation, the fixed one cleanly
 dune exec bin/protolat_cli.exe -- chaos --replay test/repro/chaos_dedup_bug.json
 dune exec bin/protolat_cli.exe -- chaos --replay test/repro/chaos_dedup_fixed.json
+# a mistyped table name is a usage error, never an empty success
+if dune exec bin/protolat_cli.exe -- tables tabel4 > /dev/null 2>&1; then
+  echo "ci: protolat tables accepted an unknown table name" >&2
+  exit 1
+fi
 dune exec bin/protolat_cli.exe -- tables --quick table1
