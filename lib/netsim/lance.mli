@@ -65,8 +65,8 @@ val set_fault : t -> Fault.t option -> unit
 val set_power : t -> bool -> unit
 (** Power the controller up or down.  While down (a crashed host) every
     incoming frame and every straggling transmit is dropped through
-    {!Sim.drop} as [down_drop]; no DMA happens and no interrupt fires.  Powering
-    back up does not replay anything — lost frames stay lost. *)
+    {!Sim.drop} as [down_drop]; no DMA happens and no interrupt fires.
+    Powering back up does not replay anything — lost frames stay lost. *)
 
 val powered : t -> bool
 

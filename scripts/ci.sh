@@ -80,9 +80,12 @@ fi
 # to exactly its recorded at-most-once violation, the fixed one cleanly
 dune exec bin/protolat_cli.exe -- chaos --replay test/repro/chaos_dedup_bug.json
 dune exec bin/protolat_cli.exe -- chaos --replay test/repro/chaos_dedup_fixed.json
-# a mistyped table name is a usage error, never an empty success
-if dune exec bin/protolat_cli.exe -- tables tabel4 > /dev/null 2>&1; then
-  echo "ci: protolat tables accepted an unknown table name" >&2
+# a mistyped table name is a usage error (cmdliner's exit 124), never an
+# empty success
+STATUS=0
+dune exec bin/protolat_cli.exe -- tables tabel4 > /dev/null 2>&1 || STATUS=$?
+if [ "$STATUS" -ne 124 ]; then
+  echo "ci: protolat tables tabel4 exited $STATUS, not a usage error" >&2
   exit 1
 fi
 dune exec bin/protolat_cli.exe -- tables --quick table1
