@@ -142,6 +142,64 @@ let test_switch_partition_port () =
   ignore (Sim.run sim);
   Alcotest.(check int) "healed" 1 (List.length !got1)
 
+(* Span drop marks: each ends its message's wire leg in the rto-wait
+   stage. *)
+let rto_wait_marks span =
+  Array.fold_left
+    (fun n (m : Obs.Span.message) ->
+      Array.fold_left
+        (fun n (g : Obs.Span.seg) ->
+          if g.Obs.Span.stage = Obs.Span.stage_rto_wait then n + 1 else n)
+        n m.Obs.Span.segs)
+    0 (Obs.Span.messages span)
+
+(* A wire loss and the switch's queue-overflow and partition drops each
+   fire the same triple as a powered-off LANCE (netsim's "lance
+   powered-off transmit"): the site's counter, one span drop mark and one
+   tracer instant, each moving by exactly one per dropped frame. *)
+let test_drop_triples () =
+  let triple label ~instant ~count ~install ~fire =
+    let sim, _, sw, (l0, _), _ = two_port_switch ~queue_frames:1 () in
+    Sim.record sim ~events:true ~spans:true;
+    let tracer = Sim.tracer sim and span = Sim.spans sim in
+    install sw l0;
+    (* the ledger's message is queued for the wire when the frame dies *)
+    let host = Obs.Span.host_client in
+    Obs.Span.begin_run span ~at:0.0;
+    Obs.Span.mark_tx_proto span ~host;
+    Obs.Span.mark_tx_queue span ~host;
+    let count0 = count sw l0 in
+    fire l0;
+    ignore (Sim.run sim);
+    Obs.Span.roll span ~at:(Sim.now sim) ~measured:true;
+    let instants = ref 0 in
+    Obs.Tracer.iter tracer (fun e ->
+        if e.Obs.Tracer.name = instant then incr instants);
+    Alcotest.(check int) (label ^ ": counter") (count0 + 1) (count sw l0);
+    Alcotest.(check int) (label ^ ": one tracer instant") 1 !instants;
+    Alcotest.(check int) (label ^ ": one span drop mark") 1
+      (rto_wait_marks span)
+  in
+  let send l0 = Ether.Link.transmit l0 ~station:0 (frame ~src:3 ~dst:7 64) in
+  let on_switch sw _ = Switch.add_static sw ~mac:7 ~port:1 in
+  triple "wire loss" ~instant:"drop"
+    ~count:(fun _ l0 -> Ether.Link.frames_dropped l0)
+    ~install:(fun _ l0 -> Ether.Link.set_filter l0 (fun _ -> true))
+    ~fire:send;
+  (* two frames arrive together; the 1-frame egress queue takes the first *)
+  triple "switch queue overflow" ~instant:"queue_drop"
+    ~count:(fun sw _ -> Switch.queue_drops sw)
+    ~install:on_switch
+    ~fire:(fun l0 ->
+      send l0;
+      send l0);
+  triple "switch partition" ~instant:"partition_drop"
+    ~count:(fun sw _ -> Switch.partition_drops sw)
+    ~install:(fun sw l0 ->
+      on_switch sw l0;
+      Switch.set_partition sw ~port:1 true)
+    ~fire:send
+
 (* Every drop site in the network model, one frame each: the site's
    counter, the tracer instant named after it and the span ledger's
    rto-wait mark must each move by exactly one, the instant on the thread
@@ -455,5 +513,7 @@ let suite =
         test_incast_pinned_percentiles;
       Alcotest.test_case "incast latency grows with fan-in" `Quick
         test_incast_latency_grows_with_fan_in;
+      Alcotest.test_case "wire and switch drop triples" `Quick
+        test_drop_triples;
       Alcotest.test_case "every drop site moves all three channels" `Quick
         test_drop_sites ] )
