@@ -17,4 +17,5 @@ let () =
       Test_chaos.suite;
       Test_fastpath.suite;
       Test_fastpath.replay_suite;
-      Test_search.suite ]
+      Test_search.suite;
+      Test_export.suite ]
