@@ -506,16 +506,15 @@ let mflow_cmd =
     let r = P.Mflow.sweep ~flow_counts:flows ~seeds ~jobs ~workload spec in
     Cli_common.write out
       (if json then P.Mflow.to_json r ^ "\n" else P.Mflow.render r);
-    if check then begin
+    if check then
       Cli_common.check_report "mflow" (P.Mflow.to_json r)
         ~cells:(List.length flows * seeds);
-      if not json then
-        Printf.eprintf "check: JSON well-formed, every cell drained\n"
-    end;
     if not (P.Mflow.passed r) then begin
-      Printf.eprintf "mflow: a cell failed to drain cleanly\n";
+      Printf.eprintf "mflow: a cell failed to drain or reported a violation\n";
       exit 1
-    end
+    end;
+    if check && not json then
+      Printf.eprintf "check: JSON well-formed, every cell drained\n"
   in
   Cmd.v
     (Cmd.info "mflow"

@@ -107,7 +107,7 @@ let layout_matrix () =
             Trace.map_pcs
               (Layout.Image.pc_map base.Engine.client_image img)
               base.Engine.trace ))
-      Experiments.layout_candidates
+      Config.all_layouts
   in
   let t =
     Table.create

@@ -139,7 +139,10 @@ let crash_host (h : T.Stack.host) =
   Ns.Netdev.reset h.T.Stack.netdev;
   ignore (Xk.Event.cancel_all h.T.Stack.env.Ns.Host_env.events)
 
-let inject (net : T.Stack.net) ?(flush_us = 250.0) ~on_restart sched =
+(* how long a cache flush stalls the host's LANCE *)
+let flush_us = 250.0
+
+let inject (net : T.Stack.net) ~on_restart sched =
   let st =
     { client_down = false;
       server_down = false;
@@ -709,49 +712,36 @@ let render cells =
 (* ----- JSON --------------------------------------------------------------- *)
 
 let item_json i =
-  let base = Printf.sprintf "{\"at_us\": %.0f, " i.at_us in
-  base
-  ^ (match i.ev with
-    | Crash h -> Printf.sprintf "\"event\": \"crash\", \"host\": \"%s\"}" (host_string h)
-    | Restart h ->
-      Printf.sprintf "\"event\": \"restart\", \"host\": \"%s\"}" (host_string h)
-    | Partition_on -> "\"event\": \"partition_on\"}"
-    | Partition_off -> "\"event\": \"partition_off\"}"
-    | Skew (h, s) ->
-      Printf.sprintf "\"event\": \"skew\", \"host\": \"%s\", \"scale\": %.2f}"
-        (host_string h) s
-    | Skew_reset h ->
-      Printf.sprintf "\"event\": \"skew_reset\", \"host\": \"%s\"}"
-        (host_string h)
-    | Cache_flush h ->
-      Printf.sprintf "\"event\": \"cache_flush\", \"host\": \"%s\"}"
-        (host_string h))
+  let open Obs.Json.Out in
+  let name, host, scale =
+    match i.ev with
+    | Crash h -> ("crash", Some h, None)
+    | Restart h -> ("restart", Some h, None)
+    | Partition_on -> ("partition_on", None, None)
+    | Partition_off -> ("partition_off", None, None)
+    | Skew (h, s) -> ("skew", Some h, Some s)
+    | Skew_reset h -> ("skew_reset", Some h, None)
+    | Cache_flush h -> ("cache_flush", Some h, None)
+  in
+  let opt key f = function Some x -> [ (key, f x) ] | None -> [] in
+  Obj
+    ([ ("at_us", Fixed (0, i.at_us)); ("event", Str name) ]
+    @ opt "host" (fun h -> Str (host_string h)) host
+    @ opt "scale" (fun s -> Fixed (2, s)) scale)
+
+let strs l = Obs.Json.Out.(Arr (List.map (fun s -> Str s) l))
 
 let case_to_json ?(expect = []) c =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"schema_version\": %d,\n" Obs.Json.schema_version);
-  Buffer.add_string b "  \"kind\": \"chaos_repro\",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"seed\": %d,\n  \"flows\": %d,\n  \"requests\": %d,\n\
-       \  \"horizon_us\": %.0f,\n  \"bug\": \"%s\",\n\
-       \  \"topology\": \"%s\",\n"
-       c.seed c.flows c.requests c.horizon_us (bug_string c.bug)
-       (Ns.Topology.to_string c.topology));
-  Buffer.add_string b
-    (Printf.sprintf "  \"expect\": [%s],\n"
-       (String.concat ", "
-          (List.map
-             (fun n -> Printf.sprintf "\"%s\"" (Obs.Json.escape n))
-             expect)));
-  Buffer.add_string b "  \"schedule\": [\n";
-  Buffer.add_string b
-    (String.concat ",\n"
-       (List.map (fun i -> "    " ^ item_json i) (normalize c.sched)));
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  Obs.Json.Out.(
+    to_string Report
+      (document ~kind:"chaos_repro"
+         [ ("seed", Int c.seed); ("flows", Int c.flows);
+           ("requests", Int c.requests);
+           ("horizon_us", Fixed (0, c.horizon_us));
+           ("bug", Str (bug_string c.bug));
+           ("topology", Str (Ns.Topology.to_string c.topology));
+           ("expect", strs expect);
+           ("schedule", Rows (List.map item_json (normalize c.sched))) ]))
 
 let case_of_json text =
   let ( let* ) r f = Result.bind r f in
@@ -866,39 +856,29 @@ let case_of_json text =
       expect )
 
 let matrix_to_json cells =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"schema_version\": %d,\n" Obs.Json.schema_version);
-  Buffer.add_string b "  \"kind\": \"chaos\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"digest\": \"%s\",\n" (digest cells));
-  Buffer.add_string b "  \"cells\": [\n";
+  let open Obs.Json.Out in
   let cell_json cl =
     let o = cl.c_outcome in
-    Printf.sprintf
-      "    {\"intensity\": %d, \"seed\": %d, \"events\": %d, \"bug\": \
-       \"%s\", \"topology\": \"%s\", \"completed\": %d, \"total\": %d, \
-       \"reconnects\": %d, \
-       \"duplicate_execs\": %d, \"crashes\": %d, \"restarts\": %d, \
-       \"partitions\": %d, \"flushes\": %d, \"end_us\": %.0f, \
-       \"goodput_rps\": %.2f, \"p50_us\": %.3f, \"p99_us\": %.3f, \
-       \"violations\": [%s]}"
-      cl.intensity cl.c_case.seed
-      (List.length cl.c_case.sched)
-      (bug_string cl.c_case.bug)
-      (Ns.Topology.to_string cl.c_case.topology)
-      o.completed o.total o.reconnects
-      o.duplicate_execs o.o_crashes o.o_restarts o.o_partitions o.o_flushes
-      o.end_us o.goodput_rps o.lat.Util.Stats.p50 o.lat.Util.Stats.p99
-      (String.concat ", "
-         (List.map
-            (fun n -> Printf.sprintf "\"%s\"" (Obs.Json.escape n))
-            (failure_names o)))
+    Obj
+      [ ("intensity", Int cl.intensity); ("seed", Int cl.c_case.seed);
+        ("events", Int (List.length cl.c_case.sched));
+        ("bug", Str (bug_string cl.c_case.bug));
+        ("topology", Str (Ns.Topology.to_string cl.c_case.topology));
+        ("completed", Int o.completed); ("total", Int o.total);
+        ("reconnects", Int o.reconnects);
+        ("duplicate_execs", Int o.duplicate_execs);
+        ("crashes", Int o.o_crashes); ("restarts", Int o.o_restarts);
+        ("partitions", Int o.o_partitions); ("flushes", Int o.o_flushes);
+        ("end_us", Fixed (0, o.end_us));
+        ("goodput_rps", Fixed (2, o.goodput_rps));
+        ("p50_us", Fixed (3, o.lat.Util.Stats.p50));
+        ("p99_us", Fixed (3, o.lat.Util.Stats.p99));
+        ("violations", strs (failure_names o)) ]
   in
-  Buffer.add_string b (String.concat ",\n" (List.map cell_json cells));
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  to_string Report
+    (document ~kind:"chaos"
+       [ ("digest", Str (digest cells));
+         ("cells", Rows (List.map cell_json cells)) ])
 
 (* ----- shrinking ---------------------------------------------------------- *)
 

@@ -31,7 +31,8 @@ type event =
   | Partition_off
   | Skew of host * float  (** timer-clock scale factor (1.0 = nominal) *)
   | Skew_reset of host
-  | Cache_flush of host  (** NIC busy-stall modelling cache pressure *)
+  | Cache_flush of host
+      (** a 250 µs NIC busy-stall modelling cache pressure *)
 
 type item = {
   at_us : float;
@@ -79,7 +80,6 @@ val flushes : status -> int
 
 val inject :
   T.Stack.net ->
-  ?flush_us:float ->
   on_restart:(host -> unit) ->
   schedule ->
   status

@@ -42,6 +42,8 @@ let layout_of = function
   | Clo | All -> Bipartite
   | Bad -> Pessimal
 
+let all_layouts = [ Bipartite; Micro; Linear; Link_order; Pessimal ]
+
 let layout_name = function
   | Link_order -> "link-order"
   | Bipartite -> "bipartite"

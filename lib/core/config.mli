@@ -28,6 +28,10 @@ type layout =
 
 val layout_of : version -> layout
 
+val all_layouts : layout list
+(** Every placement strategy, in the order the layout sweeps, the spans
+    report and the layout search list them. *)
+
 val layout_name : layout -> string
 
 val path_inlined : version -> bool

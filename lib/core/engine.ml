@@ -153,32 +153,26 @@ let units_for (config : Config.t) (desc : desc) =
   in
   (units, order)
 
-let build_image_uncached (config : Config.t) (desc : desc)
-    ~(layout : Config.layout) =
-  let units, order = units_for config desc in
-  let placement =
-    match layout with
-    | Config.Link_order ->
-      (* uncontrolled: alphabetical object-file order *)
-      let sorted =
-        List.sort
-          (fun a b -> compare (Image.unit_name a) (Image.unit_name b))
-          units
-      in
-      Layout.Strategy.link_order ~base:code_base sorted
-    | Config.Bipartite ->
-      Layout.Strategy.bipartite ~base:code_base ~icache_bytes:8192 ~order
+let placement (layout : Config.layout) ~order units =
+  match layout with
+  | Config.Link_order ->
+    (* uncontrolled: alphabetical object-file order *)
+    let sorted =
+      List.sort
+        (fun a b -> compare (Image.unit_name a) (Image.unit_name b))
         units
-    | Config.Pessimal ->
-      Layout.Strategy.pessimal ~base:code_base ~icache_bytes:8192
-        ~bcache_bytes:(2 * 1024 * 1024) units
-    | Config.Micro ->
-      Layout.Strategy.micro_position ~base:code_base ~icache_bytes:8192
-        ~block_bytes:32 ~ref_seq:order units
-    | Config.Linear ->
-      Layout.Strategy.invocation_order ~base:code_base ~order units
-  in
-  Image.build placement
+    in
+    Layout.Strategy.link_order ~base:code_base sorted
+  | Config.Bipartite ->
+    Layout.Strategy.bipartite ~base:code_base ~icache_bytes:8192 ~order units
+  | Config.Pessimal ->
+    Layout.Strategy.pessimal ~base:code_base ~icache_bytes:8192
+      ~bcache_bytes:(2 * 1024 * 1024) units
+  | Config.Micro ->
+    Layout.Strategy.micro_position ~base:code_base ~icache_bytes:8192
+      ~block_bytes:32 ~ref_seq:order units
+  | Config.Linear ->
+    Layout.Strategy.invocation_order ~base:code_base ~order units
 
 (* Images are immutable once built and depend only on (stack descriptor,
    version, §2.2 option set, placement strategy), so repeated samples of
@@ -199,7 +193,8 @@ let build_image (config : Config.t) (desc : desc) ~(layout : Config.layout) =
       match Hashtbl.find_opt image_cache key with
       | Some img -> img
       | None ->
-        let img = build_image_uncached config desc ~layout in
+        let units, order = units_for config desc in
+        let img = Image.build (placement layout ~order units) in
         Hashtbl.add image_cache key img;
         img)
 

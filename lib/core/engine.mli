@@ -117,6 +117,14 @@ val layout_for :
   Config.t -> stack_kind -> ?layout:Config.layout -> unit -> Layout.Image.t
 (** Build the client code image alone (for layout experiments). *)
 
+val placement :
+  Config.layout ->
+  order:string list ->
+  Layout.Image.unit_spec list ->
+  Layout.Strategy.placement
+(** Where the named strategy puts [units], given their invocation
+    [order]: the placement of every image {!layout_for} and {!run} build. *)
+
 val client_units :
   Config.t -> stack_kind -> Layout.Image.unit_spec list * string list
 (** The exact units the client image of this configuration is built from,

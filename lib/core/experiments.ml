@@ -589,10 +589,6 @@ let micro_positioning () =
 
 (* ----- incremental layout sweep ------------------------------------------- *)
 
-let layout_candidates =
-  [ Config.Bipartite; Config.Micro; Config.Linear; Config.Link_order;
-    Config.Pessimal ]
-
 (* One measurement run executes the same protocol actions under every
    candidate placement of the same units, so a layout sweep does not need a
    full protocol simulation per candidate: the base run's steady-state
@@ -607,7 +603,7 @@ let layout_sweep_base ?(config = Config.make Config.Clo)
   Engine.run (Engine.Spec.make ~stack ~config ~layout:base_layout ())
 
 let layout_sweep ?(config = Config.make Config.Clo) ?(stack = Engine.Tcpip)
-    ?(layouts = layout_candidates) ?base ~incremental () =
+    ?(layouts = Config.all_layouts) ?base ~incremental () =
   if not incremental then
     List.map
       (fun layout ->

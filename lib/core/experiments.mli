@@ -72,9 +72,6 @@ val map_traversal : unit -> Protolat_util.Table.t
 val micro_positioning : unit -> Protolat_util.Table.t
 (** §3.2: micro-positioning vs bipartite layout. *)
 
-val layout_candidates : Config.layout list
-(** Every placement strategy, in sweep order. *)
-
 val layout_sweep_base :
   ?config:Config.t -> ?stack:Engine.stack_kind -> unit -> Engine.run_result
 (** The base measurement run an incremental {!layout_sweep} starts from

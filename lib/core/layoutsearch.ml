@@ -62,18 +62,9 @@ let icache_ref = 8192
 
 let block_bytes = 32
 
-let bcache_ref = 2 * 1024 * 1024
-
 let nsets_ref = icache_ref / block_bytes
 
 let ib = Machine.Instr.bytes
-
-let named_candidates =
-  [ Config.Bipartite; Config.Micro; Config.Linear; Config.Link_order;
-    Config.Pessimal ]
-
-let seedable_candidates =
-  [ Config.Bipartite; Config.Micro; Config.Linear; Config.Link_order ]
 
 let best_named c =
   c.named
@@ -513,29 +504,6 @@ let propose st rng cur =
 
 (* ----- named layouts and seeds ---------------------------------------------- *)
 
-(* The exact placements [Engine.build_image] constructs, from the same
-   units and invocation order. *)
-let named_placement sctx layout =
-  let units = Array.to_list sctx.units in
-  let order = sctx.order in
-  match layout with
-  | Config.Link_order ->
-    let sorted =
-      List.sort
-        (fun a b -> compare (Image.unit_name a) (Image.unit_name b))
-        units
-    in
-    Strategy.link_order ~base:code_base sorted
-  | Config.Bipartite ->
-    Strategy.bipartite ~base:code_base ~icache_bytes:icache_ref ~order units
-  | Config.Pessimal ->
-    Strategy.pessimal ~base:code_base ~icache_bytes:icache_ref
-      ~bcache_bytes:bcache_ref units
-  | Config.Micro ->
-    Strategy.micro_position ~base:code_base ~icache_bytes:icache_ref
-      ~block_bytes ~ref_seq:order units
-  | Config.Linear -> Strategy.invocation_order ~base:code_base ~order units
-
 let unit_index sctx name =
   let rec go i = if sctx.unit_names.(i) = name then i else go (i + 1) in
   go 0
@@ -619,14 +587,16 @@ let search_cell ~budget ~seeds ~jobs sctx kb =
   let seed_info =
     List.map
       (fun layout ->
-        if List.mem layout seedable_candidates then begin
-          let placement = named_placement sctx layout in
+        if layout = Config.Pessimal then (layout, None)
+        else begin
+          let placement =
+            Engine.placement layout ~order:sctx.order (Array.to_list sctx.units)
+          in
           let g = genome_of_placement sctx placement in
           if genome_reproduces sctx g placement then (layout, Some g)
           else (layout, None)
-        end
-        else (layout, None))
-      named_candidates
+        end)
+      Config.all_layouts
   in
   let seed_genomes = List.filter_map snd seed_info in
   ignore (eval_batch st seed_genomes);
@@ -867,60 +837,40 @@ let table (t : t) =
 let render t = Table.render (table t)
 
 let to_json (t : t) =
-  let b = Buffer.create 8192 in
-  Printf.bprintf b "{\"schema_version\":%d,\"budget\":%d,\"seeds\":%d,"
-    Obs.Json.schema_version t.budget t.seeds;
-  Printf.bprintf b "\"jobs\":%d,\"wall_s\":%.3f,\"candidates_per_sec\":%.1f,"
-    t.jobs t.wall_s (candidates_per_sec t);
-  Printf.bprintf b "\"digest\":%S,\"cells\":[" (digest t);
-  List.iteri
-    (fun i (c : cell) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"stack\":%S,\"icache_kb\":%d,\"evals\":%d,"
-        (Engine.stack_name c.stack) c.icache_kb c.evals;
-      Printf.bprintf b "\"eval_s\":%.3f,\"candidates_per_sec\":%.1f,"
-        c.eval_s
-        (if c.eval_s > 0.0 then float_of_int c.evals /. c.eval_s else 0.0);
-      Buffer.add_string b "\"named\":[";
-      List.iteri
-        (fun j (l, us) ->
-          if j > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "{\"layout\":%S,\"steady_us\":%.6f}"
-            (Config.layout_name l) us)
-        c.named;
-      Buffer.add_string b "],\"seeded\":[";
-      List.iteri
-        (fun j l ->
-          if j > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "%S" (Config.layout_name l))
-        c.seeded;
-      Printf.bprintf b "],\"best_us\":%.6f,\"greedy_us\":%.6f," c.best_us
-        c.greedy_us;
-      Buffer.add_string b "\"best_order\":[";
-      List.iteri
-        (fun j n ->
-          if j > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "%S" n)
-        c.best_order;
-      Buffer.add_string b "],\"best_offsets\":[";
-      Array.iteri
-        (fun j o ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (string_of_int o))
-        c.best.offs;
-      Buffer.add_string b "],\"best_cold\":[";
-      Array.iteri
-        (fun j v ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (if v then "true" else "false"))
-        c.best.cold;
-      Buffer.add_string b "],\"trajectory\":[";
-      List.iteri
-        (fun j p ->
-          if j > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "{\"eval\":%d,\"us\":%.6f}" p.eval p.us)
-        c.trajectory;
-      Buffer.add_string b "]}")
-    t.cells;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Obs.Json.Out in
+  let layout l = Str (Config.layout_name l) and micro x = Fixed (6, x) in
+  let cell_json (c : cell) =
+    let rate =
+      if c.eval_s > 0.0 then float_of_int c.evals /. c.eval_s else 0.0
+    in
+    Obj
+      [ ("stack", Str (Engine.stack_name c.stack));
+        ("icache_kb", Int c.icache_kb); ("evals", Int c.evals);
+        ("eval_s", Fixed (3, c.eval_s));
+        ("candidates_per_sec", Fixed (1, rate));
+        ( "named",
+          Arr
+            (List.map
+               (fun (l, us) ->
+                 Obj [ ("layout", layout l); ("steady_us", micro us) ])
+               c.named) );
+        ("seeded", Arr (List.map layout c.seeded));
+        ("best_us", micro c.best_us); ("greedy_us", micro c.greedy_us);
+        ("best_order", Arr (List.map (fun n -> Str n) c.best_order));
+        ( "best_offsets",
+          Arr (Array.to_list (Array.map (fun o -> Int o) c.best.offs)) );
+        ( "best_cold",
+          Arr (Array.to_list (Array.map (fun v -> Bool v) c.best.cold)) );
+        ( "trajectory",
+          Arr
+            (List.map
+               (fun p -> Obj [ ("eval", Int p.eval); ("us", micro p.us) ])
+               c.trajectory) ) ]
+  in
+  to_string Compact
+    (document
+       [ ("budget", Int t.budget); ("seeds", Int t.seeds); ("jobs", Int t.jobs);
+         ("wall_s", Fixed (3, t.wall_s));
+         ("candidates_per_sec", Fixed (1, candidates_per_sec t));
+         ("digest", Str (digest t));
+         ("cells", Arr (List.map cell_json t.cells)) ])

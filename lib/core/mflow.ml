@@ -138,6 +138,7 @@ type ctx = {
   fl : flow array;
   flows_done : int ref;
   lat_hist : Obs.Metrics.histogram;
+  iv : Invariant.t;  (** the cell's violations *)
 }
 
 (* What only a stack's workload can report, read once the queue ran dry:
@@ -181,8 +182,9 @@ let rec schedule_arrival c f ia arrive =
   end
 
 (* Start every flow, then drive until each finished its request quota.
-   Past the deadline, fail naming each stuck flow and its state instead of
-   reporting a bare count. *)
+   Past the deadline, record a [liveness.flows] violation naming each stuck
+   flow and its state, then count the stuck flows as finished so that no
+   harness timer outlives the run. *)
 let drive c ~start ~conn_desc =
   Array.iter
     (fun f -> if c.wl.requests_per_flow <= 0 then finish_flow c f else start f)
@@ -195,25 +197,26 @@ let drive c ~start ~conn_desc =
   Engine.pump c.sim ~slice_us:2_000.0 ~deadline (fun () ->
       !(c.flows_done) >= c.nflows);
   if !(c.flows_done) < c.nflows then begin
-    let b = Buffer.create 256 in
-    Buffer.add_string b
-      (Printf.sprintf
-         "Mflow: only %d of %d flows finished by the deadline (pending \
-          timers: client=%d server=%d)"
-         !(c.flows_done) c.nflows
-         (Xk.Event.pending c.cenv.Ns.Host_env.events)
-         (Xk.Event.pending c.senv.Ns.Host_env.events));
-    Array.iter
-      (fun f ->
-        if not f.done_ then
-          Buffer.add_string b
-            (Printf.sprintf
+    let stuck =
+      Array.to_list c.fl
+      |> List.filter (fun f -> not f.done_)
+      |> List.map (fun f ->
+             Printf.sprintf
                "\n  flow %d stuck at %d/%d exchanges (%d sent, %d inflight, \
                 conn %s)"
                f.fid f.completed c.wl.requests_per_flow f.sent
-               (Queue.length f.inflight) (conn_desc f)))
-      c.fl;
-    failwith (Buffer.contents b)
+               (Queue.length f.inflight) (conn_desc f))
+    in
+    Invariant.report c.iv ~at_us:(Ns.Sim.now c.sim) ~name:"liveness.flows"
+      ~detail:
+        (Printf.sprintf
+           "only %d of %d flows finished by the deadline (pending timers: \
+            client=%d server=%d)%s"
+           !(c.flows_done) c.nflows
+           (Xk.Event.pending c.cenv.Ns.Host_env.events)
+           (Xk.Event.pending c.senv.Ns.Host_env.events)
+           (String.concat "" stuck));
+    Array.iter (finish_flow c) c.fl
   end
 
 (* run the event queue dry: no sim event and no host timer may be left *)
@@ -557,13 +560,13 @@ let run_cell ?(workload = default_workload) ?chaos ~flows:nflows
         lat_hist =
           Obs.Metrics.histogram
             (Obs.Metrics.scoped metrics "mflow")
-            ~help:"request-response latency" "lat_us" }
+            ~help:"request-response latency" "lat_us";
+        iv = Invariant.create () }
     in
     let (t : tally) = run net pair c in
     (* quiesce-time audit: any broken metrics conservation law becomes a
        cell violation *)
-    let iv = Invariant.create () in
-    Invariant.conservation iv ~at_us:(Ns.Sim.now c.sim) metrics;
+    Invariant.conservation c.iv ~at_us:(Ns.Sim.now c.sim) metrics;
     (* flow histograms merge in flow order: exact counts, order-independent *)
     let merged =
       Array.fold_left
@@ -588,7 +591,7 @@ let run_cell ?(workload = default_workload) ?chaos ~flows:nflows
       sweeps = t.sweeps;
       drained = t.drained;
       violations =
-        List.map Invariant.render_violation (Invariant.violations iv);
+        List.map Invariant.render_violation (Invariant.violations c.iv);
       metrics }
   in
   let cell =
@@ -715,68 +718,57 @@ let passed t =
 (* ----- JSON export -------------------------------------------------------- *)
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"schema_version\": %d,\n" Obs.Json.schema_version);
-  Buffer.add_string b "  \"kind\": \"mflow\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"stack\": \"%s\",\n"
-       (match t.rstack with Engine.Tcpip -> "tcpip" | Engine.Rpc -> "rpc"));
-  Buffer.add_string b
-    (Printf.sprintf "  \"topology\": \"%s\",\n"
-       (Ns.Topology.to_string t.rtopology));
-  Buffer.add_string b
-    (Printf.sprintf "  \"seeds\": %d,\n  \"flow_counts\": [%s],\n" t.seeds
-       (String.concat ", " (List.map string_of_int t.flow_counts)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"workload\": {\"arrival\": \"%s\", \"req_bytes\": %d, \
-        \"resp_bytes\": %d, \"requests_per_flow\": %d, \"conn_lifetime\": \
-        %s},\n"
-       (arrival_name t.workload.arrival)
-       t.workload.req_bytes t.workload.resp_bytes t.workload.requests_per_flow
-       (match t.workload.conn_lifetime with
-       | None -> "null"
-       | Some n -> string_of_int n));
-  Buffer.add_string b "  \"cells\": [\n";
+  let us x = Obs.Json.Out.Fixed (3, x) in
   let cell_json (c : cell) =
     let q = c.lat in
-    let flow_p99 = Array.map (fun d -> d.Util.Stats.Hist.p99) c.per_flow in
-    Array.sort Float.compare flow_p99;
     let worst_flow_p99 =
-      if Array.length flow_p99 = 0 then 0.0
-      else flow_p99.(Array.length flow_p99 - 1)
+      Array.fold_left
+        (fun acc d -> Float.max acc d.Util.Stats.Hist.p99)
+        0.0 c.per_flow
     in
-    Printf.sprintf
-      "    {\"flows\": %d, \"seed\": %d, \"requests\": %d, \"conns\": %d, \
-       \"p50_us\": %.3f, \"p90_us\": %.3f, \"p99_us\": %.3f, \"p999_us\": \
-       %.3f, \"max_us\": %.3f, \"worst_flow_p99_us\": %.3f, \
-       \"map_hit_rate\": %.6f, \
-       \"key_compares_per_resolve\": %.4f, \"buckets_scanned\": %d, \
-       \"nonempty_buckets\": %d, \"timer_high_water\": %d, \"sweeps\": %d, \
-       \"retransmits\": %d, \"reconnects\": %d, \"drained\": %b, \
-       \"violations\": [%s]}"
-      c.flows c.seed c.requests c.conns q.Util.Stats.Hist.p50
-      q.Util.Stats.Hist.p90 q.Util.Stats.Hist.p99 q.Util.Stats.Hist.p999
-      q.Util.Stats.Hist.max worst_flow_p99
-      (hit_rate c.server_map)
-      (compares_per_resolve c.server_map)
-      c.server_map.buckets_scanned c.server_map.nonempty c.timer_high_water
-      c.sweeps c.retransmits c.reconnects c.drained
-      (String.concat ", "
-         (List.map (fun v -> "\"" ^ Obs.Json.escape v ^ "\"") c.violations))
+    Obs.Json.Out.(
+      Obj
+        [ ("flows", Int c.flows); ("seed", Int c.seed);
+          ("requests", Int c.requests); ("conns", Int c.conns);
+          ("p50_us", us q.Util.Stats.Hist.p50);
+          ("p90_us", us q.Util.Stats.Hist.p90);
+          ("p99_us", us q.Util.Stats.Hist.p99);
+          ("p999_us", us q.Util.Stats.Hist.p999);
+          ("max_us", us q.Util.Stats.Hist.max);
+          ("worst_flow_p99_us", us worst_flow_p99);
+          ("map_hit_rate", Fixed (6, hit_rate c.server_map));
+          ( "key_compares_per_resolve",
+            Fixed (4, compares_per_resolve c.server_map) );
+          ("buckets_scanned", Int c.server_map.buckets_scanned);
+          ("nonempty_buckets", Int c.server_map.nonempty);
+          ("timer_high_water", Int c.timer_high_water);
+          ("sweeps", Int c.sweeps); ("retransmits", Int c.retransmits);
+          ("reconnects", Int c.reconnects); ("drained", Bool c.drained);
+          ("violations", Arr (List.map (fun v -> Str v) c.violations)) ])
   in
-  Buffer.add_string b (String.concat ",\n" (List.map cell_json t.cells));
-  Buffer.add_string b "\n  ],\n  \"summary\": [\n";
-  Buffer.add_string b
-    (String.concat ",\n"
-       (List.map
-          (fun (n, (p50, p99, hit, cmp)) ->
-            Printf.sprintf
-              "    {\"flows\": %d, \"p50_us\": %.3f, \"p99_us\": %.3f, \
-               \"map_hit_rate\": %.6f, \"key_compares_per_resolve\": %.4f}"
-              n p50 p99 hit cmp)
-          (summary t)));
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let summary_json (n, (p50, p99, hit, cmp)) =
+    Obs.Json.Out.(
+      Obj
+        [ ("flows", Int n); ("p50_us", us p50); ("p99_us", us p99);
+          ("map_hit_rate", Fixed (6, hit));
+          ("key_compares_per_resolve", Fixed (4, cmp)) ])
+  in
+  let wl = t.workload in
+  Obs.Json.Out.(
+    to_string Report
+      (document ~kind:"mflow"
+         [ ("stack", Str (if t.rstack = Engine.Tcpip then "tcpip" else "rpc"));
+           ("topology", Str (Ns.Topology.to_string t.rtopology));
+           ("seeds", Int t.seeds);
+           ("flow_counts", Arr (List.map (fun n -> Int n) t.flow_counts));
+           ( "workload",
+             Obj
+               [ ("arrival", Str (arrival_name wl.arrival));
+                 ("req_bytes", Int wl.req_bytes);
+                 ("resp_bytes", Int wl.resp_bytes);
+                 ("requests_per_flow", Int wl.requests_per_flow);
+                 ( "conn_lifetime",
+                   match wl.conn_lifetime with None -> Null | Some n -> Int n )
+               ] );
+           ("cells", Rows (List.map cell_json t.cells));
+           ("summary", Rows (List.map summary_json (summary t))) ]))

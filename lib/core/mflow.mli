@@ -87,8 +87,11 @@ type cell = {
   drained : bool;
       (** teardown left no session, no pending timer, no sim event *)
   violations : string list;
-      (** {!Invariant.conservation} findings against the cell's metrics
-          at quiesce, rendered; empty for a sound cell *)
+      (** rendered {!Invariant} findings, empty for a sound cell:
+          [liveness.flows] when a flow missed its request quota by the
+          internal deadline (naming each stuck flow), then
+          {!Invariant.conservation} findings against the cell's metrics at
+          quiesce *)
   metrics : Obs.Metrics.t;
       (** the pair's unified registry, including the [mflow.*] scope
           (latency histogram, request/connection counters, hit-rate and
@@ -112,9 +115,11 @@ val run_cell :
     flows and resends their cleared in-flight requests (counted in
     [reconnects]).  Chaos requires the TCP stack and a closed-loop
     workload.
-    @raise Failure if flows do not finish before the internal deadline or
-    a handshake fails (the message names each stuck flow with its
-    connection state and in-flight count).
+    Flows still short of their quota at the internal deadline are
+    reported as a [liveness.flows] violation that names each stuck flow
+    with its exchange, send and in-flight counts and its connection
+    state; the cell still tears down and reports [drained].
+    @raise Failure if a TCP handshake fails in a run without chaos.
     @raise Invalid_argument for chaos on RPC or an open-loop workload. *)
 
 type report = {
@@ -148,7 +153,8 @@ val summary : report -> (int * (float * float * float * float)) list
 val render : report -> string
 
 val passed : report -> bool
-(** Every cell drained cleanly and broke no conservation law. *)
+(** Every cell drained cleanly and reported no violation: no stuck flow and
+    no broken conservation law. *)
 
 val to_json : report -> string
 (** Deterministic JSON document (carries ["schema_version"]). *)

@@ -169,7 +169,8 @@ let header t =
     t.seed
     (match t.mode with `Steady -> "steady-state" | `Cold -> "cold-start")
 
-let render ?(top = 12) t =
+let render t =
+  let top = 12 in
   let b = Buffer.create 4096 in
   let rep = report t in
   let tot = t.attrib.Obs.Attrib.totals in
@@ -234,83 +235,67 @@ let render ?(top = 12) t =
 
 (* ----- JSON ---------------------------------------------------------------- *)
 
-let add_f b x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.bprintf b "%.0f" x
-  else Printf.bprintf b "%.6f" x
-
-let add_row_fields b ~instrs ~issue ~penalty ~stall ~imiss ~imiss_cold
-    ~imiss_repl ~dwb_miss =
-  Printf.bprintf b "\"instrs\":%d,\"issue\":" instrs;
-  add_f b issue;
-  Buffer.add_string b ",\"penalty\":";
-  add_f b penalty;
-  Buffer.add_string b ",\"stall\":";
-  add_f b stall;
-  Buffer.add_string b ",\"cycles\":";
-  add_f b (issue +. penalty +. stall);
-  Buffer.add_string b ",\"mcpi\":";
-  add_f b (if instrs = 0 then 0.0 else stall /. float_of_int instrs);
-  Printf.bprintf b
-    ",\"imiss\":%d,\"imiss_cold\":%d,\"imiss_repl\":%d,\"dwb_miss\":%d" imiss
-    imiss_cold imiss_repl dwb_miss
+let row_fields (r : Obs.Attrib.row) =
+  Obs.Json.Out.
+    [ ("instrs", Int r.Obs.Attrib.instrs); ("issue", Real r.Obs.Attrib.issue);
+      ("penalty", Real r.Obs.Attrib.penalty);
+      ("stall", Real r.Obs.Attrib.stall);
+      ("cycles", Real (Obs.Attrib.cycles r));
+      ("mcpi", Real (Obs.Attrib.mcpi r)); ("imiss", Int r.Obs.Attrib.imiss);
+      ("imiss_cold", Int r.Obs.Attrib.imiss_cold);
+      ("imiss_repl", Int r.Obs.Attrib.imiss_repl);
+      ("dwb_miss", Int r.Obs.Attrib.dwb_miss) ]
 
 let to_json t =
-  let b = Buffer.create 8192 in
   let tot = t.attrib.Obs.Attrib.totals in
-  let rep = report t in
-  Printf.bprintf b
-    "{\"schema_version\":%d,\"stack\":\"%s\",\"version\":\"%s\",\"topology\":\"%s\",\"seed\":%d,"
-    Obs.Json.schema_version
-    (Engine.stack_name t.stack)
-    (Config.version_name t.version)
-    (Protolat_netsim.Topology.to_string t.topology)
-    t.seed;
-  Printf.bprintf b "\"mode\":\"%s\","
-    (match t.mode with `Steady -> "steady" | `Cold -> "cold");
-  Buffer.add_string b "\"aggregate\":{";
-  add_row_fields b ~instrs:rep.Machine.Perf.length ~issue:tot.Obs.Attrib.issue
-    ~penalty:tot.Obs.Attrib.penalty ~stall:tot.Obs.Attrib.stall
-    ~imiss:tot.Obs.Attrib.imiss ~imiss_cold:tot.Obs.Attrib.imiss_cold
-    ~imiss_repl:tot.Obs.Attrib.imiss_repl ~dwb_miss:tot.Obs.Attrib.dwb_miss;
-  Buffer.add_string b ",\"rtt_us_mean\":";
-  add_f b (Stats.mean t.run.Engine.rtts);
-  Buffer.add_string b "},\"layers\":[";
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"layer\":\"%s\"," l.layer;
-      add_row_fields b ~instrs:l.instrs ~issue:l.issue ~penalty:l.penalty
-        ~stall:l.stall ~imiss:l.imiss ~imiss_cold:l.imiss_cold
-        ~imiss_repl:l.imiss_repl ~dwb_miss:l.dwb_miss;
-      Buffer.add_char b '}')
-    t.layers;
-  Buffer.add_string b "],\"functions\":[";
-  List.iteri
-    (fun i (r : Obs.Attrib.row) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"func\":\"%s\",\"layer\":\"%s\","
-        r.Obs.Attrib.func
-        (layer_of ~stack:t.stack r.Obs.Attrib.func);
-      add_row_fields b ~instrs:r.Obs.Attrib.instrs ~issue:r.Obs.Attrib.issue
-        ~penalty:r.Obs.Attrib.penalty ~stall:r.Obs.Attrib.stall
-        ~imiss:r.Obs.Attrib.imiss ~imiss_cold:r.Obs.Attrib.imiss_cold
-        ~imiss_repl:r.Obs.Attrib.imiss_repl ~dwb_miss:r.Obs.Attrib.dwb_miss;
-      Buffer.add_char b '}')
-    t.attrib.Obs.Attrib.rows;
-  Buffer.add_string b "],\"conflicts\":[";
-  List.iteri
-    (fun i (c : Obs.Attrib.conflict) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"victim\":\"%s\",\"evictor\":\"%s\",\"count\":%d}"
-        c.Obs.Attrib.victim c.Obs.Attrib.evictor c.Obs.Attrib.count)
-    t.attrib.Obs.Attrib.conflicts;
-  Printf.bprintf b
-    "],\"imiss_summary\":{\"cold\":%d,\"self\":%d,\"cross\":%d,\"total\":%d},"
-    t.attrib.Obs.Attrib.cold_imisses
-    (Obs.Attrib.self_imisses t.attrib)
-    (Obs.Attrib.cross_imisses t.attrib)
-    tot.Obs.Attrib.imiss;
-  Buffer.add_string b "\"metrics\":";
-  Buffer.add_string b (Obs.Metrics.to_json t.run.Engine.metrics);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let instrs = (report t).Machine.Perf.length in
+  let layer_row l =
+    { Obs.Attrib.func = l.layer; instrs = l.instrs; issue = l.issue;
+      penalty = l.penalty; stall = l.stall; imiss = l.imiss;
+      imiss_cold = l.imiss_cold; imiss_repl = l.imiss_repl;
+      dwb_miss = l.dwb_miss }
+  in
+  Obs.Json.Out.(
+    to_string Compact
+      (document
+         [ ("stack", Str (Engine.stack_name t.stack));
+           ("version", Str (Config.version_name t.version));
+           ("topology", Str (Protolat_netsim.Topology.to_string t.topology));
+           ("seed", Int t.seed);
+           ("mode", Str (if t.mode = `Steady then "steady" else "cold"));
+           ( "aggregate",
+             Obj
+               (row_fields { tot with Obs.Attrib.instrs = instrs }
+               @ [ ("rtt_us_mean", Real (Stats.mean t.run.Engine.rtts)) ]) );
+           ( "layers",
+             Arr
+               (List.map
+                  (fun l ->
+                    Obj (("layer", Str l.layer) :: row_fields (layer_row l)))
+                  t.layers) );
+           ( "functions",
+             Arr
+               (List.map
+                  (fun (r : Obs.Attrib.row) ->
+                    let f = r.Obs.Attrib.func in
+                    Obj
+                      (("func", Str f)
+                      :: ("layer", Str (layer_of ~stack:t.stack f))
+                      :: row_fields r))
+                  t.attrib.Obs.Attrib.rows) );
+           ( "conflicts",
+             Arr
+               (List.map
+                  (fun (c : Obs.Attrib.conflict) ->
+                    Obj
+                      [ ("victim", Str c.Obs.Attrib.victim);
+                        ("evictor", Str c.Obs.Attrib.evictor);
+                        ("count", Int c.Obs.Attrib.count) ])
+                  t.attrib.Obs.Attrib.conflicts) );
+           ( "imiss_summary",
+             Obj
+               [ ("cold", Int t.attrib.Obs.Attrib.cold_imisses);
+                 ("self", Int (Obs.Attrib.self_imisses t.attrib));
+                 ("cross", Int (Obs.Attrib.cross_imisses t.attrib));
+                 ("total", Int tot.Obs.Attrib.imiss) ] );
+           ("metrics", Obs.Metrics.json t.run.Engine.metrics) ]))

@@ -80,9 +80,9 @@ val report : t -> Machine.Perf.report
 val check : t -> (unit, string) result
 (** All conservation laws, or a newline-separated list of violations. *)
 
-val render : ?top:int -> t -> string
-(** Text report: aggregate line, per-layer table, top-[top] (default 12)
-    functions by attributed cycles, and the i-cache conflict matrix. *)
+val render : t -> string
+(** Text report: aggregate line, per-layer table, the top 12 functions by
+    attributed cycles, and the i-cache conflict matrix. *)
 
 val to_json : t -> string
 (** Deterministic JSON document embedding the layer/function/conflict

@@ -180,8 +180,10 @@ let pair_for (type h) (module S : Engine.STACK with type host = h) cover
   let m = Cover.meter cover in
   T.Stack.pair_of_net (S.make_net ~meter_for:(fun _ -> Some m) ~topology ())
 
-(* Same seed derivation as Engine.install_fault, so a soak cell and a
-   metered Engine.run with the same seed see the same fault sequence. *)
+(* On the pair this is Engine.install_fault's seed derivation, so a soak
+   cell and a metered Engine.run with the same seed see the same fault
+   sequence.  On a switched fabric they differ: Engine impairs every
+   segment, the soak only host 0's access segment. *)
 let install_faults (type h) (module S : Engine.STACK with type host = h)
     (p : h T.Stack.gpair) ~seed ~spec =
   let plan name seed =

@@ -18,12 +18,6 @@ type t = {
   cells : cell list;
 }
 
-(* Same candidate set as the layout sweep; kept local so Experiments stays
-   free to depend on this module. *)
-let default_layouts =
-  [ Config.Bipartite; Config.Micro; Config.Linear; Config.Link_order;
-    Config.Pessimal ]
-
 let collect_one ?(topology = Protolat_netsim.Topology.pair ()) ?(seed = 42)
     ?(rounds = 24) ?fault ~stack ~version ~layout () =
   let config = Config.make version in
@@ -36,7 +30,7 @@ let collect_one ?(topology = Protolat_netsim.Topology.pair ()) ?(seed = 42)
   { layout; run; msgs; budget = Obs.Span.budget msgs }
 
 let collect ?(topology = Protolat_netsim.Topology.pair ()) ?(seed = 42)
-    ?(rounds = 24) ?(layouts = default_layouts) ?fault ?jobs ~stack ~version
+    ?(rounds = 24) ?(layouts = Config.all_layouts) ?fault ?jobs ~stack ~version
     () =
   let cells =
     Protolat_util.Dpool.run ?jobs
@@ -136,68 +130,35 @@ let render t =
 
 (* ----- JSON ---------------------------------------------------------------- *)
 
-let add_f b x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.bprintf b "%.0f" x
-  else Printf.bprintf b "%.6f" x
-
-let add_farr b a =
-  Buffer.add_char b '[';
-  Array.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char b ',';
-      add_f b x)
-    a;
-  Buffer.add_char b ']'
-
 let to_json t =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\"schema_version\":%d,\"stack\":\"%s\",\"version\":\"%s\",\"topology\":\"%s\",\"seed\":%d,\"rounds\":%d,"
-    Obs.Json.schema_version
-    (Engine.stack_name t.stack)
-    (Config.version_name t.version)
-    (Protolat_netsim.Topology.to_string t.topology)
-    t.seed t.rounds;
-  Buffer.add_string b "\"stages\":[";
-  for s = 0 to Obs.Span.n_stages - 1 do
-    if s > 0 then Buffer.add_char b ',';
-    Printf.bprintf b "\"%s\"" (Obs.Span.stage_name s)
-  done;
-  Buffer.add_string b "],\"hosts\":[";
-  for h = 0 to Obs.Span.n_hosts - 1 do
-    if h > 0 then Buffer.add_char b ',';
-    Printf.bprintf b "\"%s\"" (Obs.Span.host_name h)
-  done;
-  Buffer.add_string b "],\"layouts\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"layout\":\"%s\",\"messages\":%d,"
-        (Config.layout_name c.layout)
-        c.budget.Obs.Span.messages;
-      Buffer.add_string b "\"mean_rtt_us\":";
-      add_f b c.budget.Obs.Span.mean_rtt_us;
-      Printf.bprintf b ",\"extra_generations\":%d,"
-        c.budget.Obs.Span.extra_generations;
-      Buffer.add_string b "\"stage_mean_us\":";
-      add_farr b
-        (Array.init Obs.Span.n_stages (fun s -> mean_stage c s));
-      Buffer.add_string b ",\"host_stage_us\":[";
-      Array.iteri
-        (fun h row ->
-          if h > 0 then Buffer.add_char b ',';
-          ignore row;
-          add_farr b c.budget.Obs.Span.host_stage_us.(h))
-        c.budget.Obs.Span.host_stage_us;
-      Printf.bprintf b "],\"conserved\":%b,"
-        (match Obs.Span.conserved c.msgs ~rtts:c.run.Engine.rtts with
-        | Ok () -> true
-        | Error _ -> false);
-      Buffer.add_string b "\"retransmissions\":";
-      Printf.bprintf b "%d}" c.run.Engine.retransmissions)
-    t.cells;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Obs.Json.Out in
+  let reals a = Arr (List.map (fun x -> Real x) (Array.to_list a)) in
+  let names n name = Arr (List.init n (fun i -> Str (name i))) in
+  let cell_json c =
+    let b = c.budget in
+    Obj
+      [ ("layout", Str (Config.layout_name c.layout));
+        ("messages", Int b.Obs.Span.messages);
+        ("mean_rtt_us", Real b.Obs.Span.mean_rtt_us);
+        ("extra_generations", Int b.Obs.Span.extra_generations);
+        ("stage_mean_us", reals (Array.init Obs.Span.n_stages (mean_stage c)));
+        ( "host_stage_us",
+          Arr (Array.to_list (Array.map reals b.Obs.Span.host_stage_us)) );
+        ( "conserved",
+          Bool
+            (Result.is_ok
+               (Obs.Span.conserved c.msgs ~rtts:c.run.Engine.rtts)) );
+        ("retransmissions", Int c.run.Engine.retransmissions) ]
+  in
+  to_string Compact
+    (document
+       [ ("stack", Str (Engine.stack_name t.stack));
+         ("version", Str (Config.version_name t.version));
+         ("topology", Str (Protolat_netsim.Topology.to_string t.topology));
+         ("seed", Int t.seed); ("rounds", Int t.rounds);
+         ("stages", names Obs.Span.n_stages Obs.Span.stage_name);
+         ("hosts", names Obs.Span.n_hosts Obs.Span.host_name);
+         ("layouts", Arr (List.map cell_json t.cells)) ])
 
 (* ----- Perfetto ------------------------------------------------------------ *)
 

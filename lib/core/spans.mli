@@ -29,10 +29,6 @@ type t = {
   cells : cell list;  (** one per layout, in request order *)
 }
 
-val default_layouts : Config.layout list
-(** The layout-sweep candidate set (bipartite, micro, linear, link-order,
-    pessimal). *)
-
 val collect_one :
   ?topology:Protolat_netsim.Topology.t ->
   ?seed:int ->
@@ -56,7 +52,7 @@ val collect :
   version:Config.version ->
   unit ->
   t
-(** One {!collect_one} per layout (default {!default_layouts}), fanned
+(** One {!collect_one} per layout (default {!Config.all_layouts}), fanned
     over a domain pool; results are identical at any job count. *)
 
 val check : t -> (unit, string) result

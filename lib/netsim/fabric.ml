@@ -65,9 +65,7 @@ let create sim ~topology ?(mac_of = fun i -> i) ?metrics () =
       host_port = [| (-1, -1); (-1, -1) |] }
   | Topology.Star ->
     let sw =
-      Switch.create sim ~ports:n ~latency_us:topo.Topology.switch_latency_us
-        ~queue_frames:topo.Topology.port_queue_frames
-        ~learning:topo.Topology.learning ~metrics ()
+      Switch.create sim ~ports:n ~learning:topo.Topology.learning ~metrics ()
     in
     let links = Array.init n (access_link sim ~prop ~metrics) in
     Array.iteri
@@ -85,10 +83,7 @@ let create sim ~topology ?(mac_of = fun i -> i) ?metrics () =
   | Topology.Line ->
     let switches =
       Array.init n (fun i ->
-          Switch.create sim ~ports:3
-            ~latency_us:topo.Topology.switch_latency_us
-            ~queue_frames:topo.Topology.port_queue_frames
-            ~learning:topo.Topology.learning
+          Switch.create sim ~ports:3 ~learning:topo.Topology.learning
             ~metrics:(Obs.Metrics.scoped metrics (Printf.sprintf "sw%d" i))
             ())
     in

@@ -10,10 +10,7 @@ type t = {
   station : int;
   host : int;  (* host code of this device's instants and drop marks *)
   mode : mode;
-  ring_size : int;
   shared : Sparse_mem.t; (* tx ring then rx ring *)
-  controller_overhead_us : float;
-  rx_interrupt_delay_us : float;
   mutable tx_index : int;
   mutable rx_index : int;
   mutable on_tx_complete : unit -> unit;
@@ -37,9 +34,17 @@ type t = {
 
 let dev = "dev"
 
+(* descriptors per ring *)
+let ring_size = 16
+
+(* ≈47 µs from handing a frame over to putting it on the wire (§4.3) *)
+let controller_overhead_us = 47.0
+
+(* from the rx DMA to the receive interrupt *)
+let rx_interrupt_delay_us = 2.0
+
 let create sim simmem link ~station ?(host = station) ?(mode = Usc_direct)
-    ?(ring_size = 16) ?(controller_overhead_us = 47.0)
-    ?(rx_interrupt_delay_us = 2.0) ?metrics () =
+    ?metrics () =
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
@@ -49,11 +54,8 @@ let create sim simmem link ~station ?(host = station) ?(mode = Usc_direct)
       station;
       host;
       mode;
-      ring_size;
       shared =
         Sparse_mem.create simmem ~words:(2 * ring_size * Usc.descriptor_words);
-      controller_overhead_us;
-      rx_interrupt_delay_us;
       tx_index = 0;
       rx_index = 0;
       on_tx_complete = (fun () -> ());
@@ -99,11 +101,11 @@ let create sim simmem link ~station ?(host = station) ?(mode = Usc_direct)
         Obs.Metrics.inc t.c_rx;
         Sim.instant sim ~tid:host ~cat:dev ~name:"lance_rx" ~a0:len;
         (* controller DMAs the frame and fills the next receive descriptor *)
-        let desc = t.ring_size + t.rx_index in
-        t.rx_index <- (t.rx_index + 1) mod t.ring_size;
+        let desc = ring_size + t.rx_index in
+        t.rx_index <- (t.rx_index + 1) mod ring_size;
         Usc.set t.shared ~desc Usc.Status (Ether.frame_bytes len);
         Usc.set t.shared ~desc Usc.Flags Usc.flags_enp;
-        Sim.schedule sim ~delay:t.rx_interrupt_delay_us (fun () ->
+        Sim.schedule sim ~delay:rx_interrupt_delay_us (fun () ->
             t.on_receive frame)
       end);
   t
@@ -132,14 +134,14 @@ let fill_tx_descriptor t ~desc ~len =
              dense.(Usc.field_word Usc.Flags) land 0x00FF
              lor ((Usc.flags_own lor Usc.flags_stp lor Usc.flags_enp) lsl 8)))
 
-let tx_complete_latency_us t payload_len =
-  t.controller_overhead_us +. Ether.tx_time_us payload_len
+let tx_complete_latency_us _ payload_len =
+  controller_overhead_us +. Ether.tx_time_us payload_len
 
-let tx_ring_full t = t.tx_outstanding >= t.ring_size
+let tx_ring_full t = t.tx_outstanding >= ring_size
 
 let transmit_live t frame =
   let desc = t.tx_index in
-  t.tx_index <- (t.tx_index + 1) mod t.ring_size;
+  t.tx_index <- (t.tx_index + 1) mod ring_size;
   t.tx_outstanding <- t.tx_outstanding + 1;
   fill_tx_descriptor t ~desc ~len:(Bytes.length frame.Ether.payload);
   Obs.Metrics.inc t.c_tx;
@@ -158,7 +160,7 @@ let transmit_live t frame =
   end;
   let now = Sim.now t.sim in
   let start =
-    Float.max (now +. t.controller_overhead_us +. stall) t.busy_until
+    Float.max (now +. controller_overhead_us +. stall) t.busy_until
   in
   let tx_time = Ether.tx_time_us (Bytes.length frame.Ether.payload) in
   t.busy_until <- start +. tx_time;

@@ -24,9 +24,6 @@ val create :
   station:int ->
   ?host:int ->
   ?mode:mode ->
-  ?ring_size:int ->
-  ?controller_overhead_us:float ->
-  ?rx_interrupt_delay_us:float ->
   ?metrics:Protolat_obs.Metrics.t ->
   unit ->
   t
@@ -54,7 +51,7 @@ val transmit : t -> Ether.frame -> unit
     transmit-complete interrupt. *)
 
 val tx_ring_full : t -> bool
-(** All [ring_size] transmit descriptors are owned by the controller. *)
+(** All 16 transmit descriptors are owned by the controller. *)
 
 val set_fault : t -> Fault.t option -> unit
 (** Install a device fault plan: transmit stalls delay the controller

@@ -171,7 +171,7 @@ let lance_rx t frame =
       m.Meter.call s_lance_rx_refresh_0;
       pool_put_metered t msg)
 
-let create env lance ~mac ?(config = improved_config) ?(rx_buffers = 16) () =
+let create env lance ~mac ?(config = improved_config) () =
   let t =
     { env;
       lance;
@@ -181,7 +181,7 @@ let create env lance ~mac ?(config = improved_config) ?(rx_buffers = 16) () =
       arp = Hashtbl.create 8;
       pool =
         Xk.Pool.create env.Host_env.simmem
-          ~shortcircuit:config.refresh_shortcircuit ~buffers:rx_buffers
+          ~shortcircuit:config.refresh_shortcircuit ~buffers:16
           ~size:1600 ();
       tx_backlog = Queue.create ();
       frames_sent = 0;

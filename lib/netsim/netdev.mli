@@ -20,7 +20,7 @@ val improved_config : config
 type t
 
 val create :
-  Host_env.t -> Lance.t -> mac:int -> ?config:config -> ?rx_buffers:int -> unit -> t
+  Host_env.t -> Lance.t -> mac:int -> ?config:config -> unit -> t
 
 val mac : t -> int
 

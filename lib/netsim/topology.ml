@@ -14,8 +14,6 @@ type t = {
   shape : shape;
   hosts : int;
   propagation_us : float;
-  switch_latency_us : float;
-  port_queue_frames : int;
   learning : bool;
 }
 
@@ -36,44 +34,18 @@ let validate t =
   if t.hosts > 4096 then invalid_arg "Topology: at most 4096 hosts";
   if not (Float.is_finite t.propagation_us) || t.propagation_us < 0.0 then
     invalid_arg "Topology: propagation must be finite and non-negative";
-  if not (Float.is_finite t.switch_latency_us) || t.switch_latency_us < 0.0
-  then invalid_arg "Topology: switch latency must be finite and non-negative";
-  if t.port_queue_frames < 1 then
-    invalid_arg "Topology: port queues need at least one frame";
   t
 
 let pair ?(propagation_us = default_propagation_us) () =
-  validate
-    { shape = Pair;
-      hosts = 2;
-      propagation_us;
-      switch_latency_us = 0.0;
-      port_queue_frames = default_port_queue_frames;
-      learning = false }
+  validate { shape = Pair; hosts = 2; propagation_us; learning = false }
 
-let star ?(propagation_us = default_propagation_us)
-    ?(switch_latency_us = default_switch_latency_us)
-    ?(port_queue_frames = default_port_queue_frames) ?(learning = false)
-    ~hosts () =
-  validate
-    { shape = Star;
-      hosts;
-      propagation_us;
-      switch_latency_us;
-      port_queue_frames;
-      learning }
+let star ?(propagation_us = default_propagation_us) ?(learning = false) ~hosts
+    () =
+  validate { shape = Star; hosts; propagation_us; learning }
 
-let line ?(propagation_us = default_propagation_us)
-    ?(switch_latency_us = default_switch_latency_us)
-    ?(port_queue_frames = default_port_queue_frames) ?(learning = false)
-    ~hosts () =
-  validate
-    { shape = Line;
-      hosts;
-      propagation_us;
-      switch_latency_us;
-      port_queue_frames;
-      learning }
+let line ?(propagation_us = default_propagation_us) ?(learning = false) ~hosts
+    () =
+  validate { shape = Line; hosts; propagation_us; learning }
 
 let hosts t = t.hosts
 

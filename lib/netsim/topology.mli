@@ -14,9 +14,6 @@ type t = private {
   shape : shape;
   hosts : int;
   propagation_us : float;  (** per-segment propagation delay *)
-  switch_latency_us : float;
-      (** store-and-forward decision latency per switch hop *)
-  port_queue_frames : int;  (** egress queue capacity per switch port *)
   learning : bool;
       (** learn the forwarding table from source addresses (flooding
           unknown destinations) instead of the static table the fabric
@@ -27,33 +24,21 @@ val pair : ?propagation_us:float -> unit -> t
 (** The paper's wiring: two hosts on one segment, no switch.  Runs over it
     are bit-identical to the historic pre-topology construction. *)
 
-val star :
-  ?propagation_us:float ->
-  ?switch_latency_us:float ->
-  ?port_queue_frames:int ->
-  ?learning:bool ->
-  hosts:int ->
-  unit ->
-  t
+val star : ?propagation_us:float -> ?learning:bool -> hosts:int -> unit -> t
 (** [hosts] stations, each on its own segment into one switch — the incast
     / fan-in shape. *)
 
-val line :
-  ?propagation_us:float ->
-  ?switch_latency_us:float ->
-  ?port_queue_frames:int ->
-  ?learning:bool ->
-  hosts:int ->
-  unit ->
-  t
+val line : ?propagation_us:float -> ?learning:bool -> hosts:int -> unit -> t
 (** A chain of [hosts] switches, one host each; traffic between hosts [i]
     and [j] crosses [abs (i - j)] trunk hops. *)
 
 val default_propagation_us : float
 
 val default_switch_latency_us : float
+(** Store-and-forward decision latency of every fabric switch hop. *)
 
 val default_port_queue_frames : int
+(** Egress queue capacity of every fabric switch port. *)
 
 val hosts : t -> int
 

@@ -201,3 +201,86 @@ let member key = function
   | _ -> None
 
 let array_length = function Arr l -> List.length l | _ -> 0
+
+module Out = struct
+  type t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Fixed of int * float
+    | Real of float
+    | Str of string
+    | Arr of t list
+    | Rows of t list
+    | Obj of (string * t) list
+
+  type layout =
+    | Compact
+    | Report
+
+  (* fixed-format float rendering so exports are bit-identical across runs *)
+  let real v =
+    if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+    else Printf.sprintf "%.6f" v
+
+  let document ?kind fields =
+    Obj
+      ((("schema_version", Int schema_version)
+       :: (match kind with Some k -> [ ("kind", Str k) ] | None -> []))
+      @ fields)
+
+  let to_string layout doc =
+    let b = Buffer.create 4096 in
+    let add = Buffer.add_string b in
+    let comma, colon =
+      match layout with Compact -> (",", ":") | Report -> (", ", ": ")
+    in
+    let indent depth =
+      match layout with
+      | Compact -> ""
+      | Report -> String.make (2 * depth) ' '
+    in
+    let sep_list sep f l =
+      List.iteri
+        (fun i x ->
+          if i > 0 then add sep;
+          f x)
+        l
+    in
+    let rec value depth = function
+      | Null -> add "null"
+      | Bool x -> add (string_of_bool x)
+      | Int i -> add (string_of_int i)
+      | Fixed (digits, x) -> Printf.bprintf b "%.*f" digits x
+      | Real x -> add (real x)
+      | Str s -> Printf.bprintf b "\"%s\"" (escape s)
+      | Arr l ->
+        add "[";
+        sep_list comma (value depth) l;
+        add "]"
+      | Rows l ->
+        (* one row per line; an empty list still opens and closes on
+           lines of their own *)
+        add "[\n";
+        sep_list ",\n"
+          (fun row ->
+            add (indent (depth + 1));
+            value (depth + 1) row)
+          l;
+        add ("\n" ^ indent depth ^ "]")
+      | Obj fields ->
+        add "{";
+        sep_list comma (field depth) fields;
+        add "}"
+    and field depth (k, v) =
+      Printf.bprintf b "\"%s\"%s" (escape k) colon;
+      value depth v
+    in
+    (match (layout, doc) with
+    | Report, Obj fields ->
+      add "{\n  ";
+      sep_list ",\n  " (field 1) fields;
+      add "\n}\n"
+    | _ -> value 0 doc);
+    Buffer.contents b
+end

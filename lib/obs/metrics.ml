@@ -128,13 +128,8 @@ let find t name =
   | Some m -> Some (sample_of m)
   | None -> None
 
-(* fixed-format float rendering so dumps are bit-identical across runs *)
-let f v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6f" v
-
 let render t =
+  let f = Json.Out.real in
   let buf = Buffer.create 512 in
   List.iter
     (fun (name, s) ->
@@ -147,51 +142,26 @@ let render t =
     (dump t);
   Buffer.contents buf
 
-let to_json t =
-  let buf = Buffer.create 1024 in
+let json t =
+  let open Json.Out in
   let all = dump t in
-  let section name filter render_v =
-    Buffer.add_string buf (Printf.sprintf "\"%s\":{" name);
-    let first = ref true in
-    List.iter
-      (fun (k, s) ->
-        match filter s with
-        | None -> ()
-        | Some v ->
-          if not !first then Buffer.add_char buf ',';
-          first := false;
-          Buffer.add_string buf (Printf.sprintf "\"%s\":" k);
-          render_v v)
-      all;
-    Buffer.add_char buf '}'
+  let entry pick (k, s) = Option.map (fun v -> (k, v)) (pick s) in
+  let section pick = Obj (List.filter_map (entry pick) all) in
+  let bucket bounds i c =
+    let le = if i < Array.length bounds then Real bounds.(i) else Str "inf" in
+    Arr [ le; Int c ]
   in
-  Buffer.add_char buf '{';
-  Buffer.add_string buf
-    (Printf.sprintf "\"schema_version\":%d," Json.schema_version);
-  section "counters"
-    (function Counter n -> Some n | _ -> None)
-    (fun n -> Buffer.add_string buf (string_of_int n));
-  Buffer.add_char buf ',';
-  section "gauges"
-    (function Gauge v -> Some v | _ -> None)
-    (fun v -> Buffer.add_string buf (f v));
-  Buffer.add_char buf ',';
-  section "histograms"
-    (function
-      | Histogram { bounds; counts; count; sum } ->
-        Some (bounds, counts, count, sum)
-      | _ -> None)
-    (fun (bounds, counts, count, sum) ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"count\":%d,\"sum\":%s,\"buckets\":[" count (f sum));
-      Array.iteri
-        (fun i c ->
-          if i > 0 then Buffer.add_char buf ',';
-          let le =
-            if i < Array.length bounds then f bounds.(i) else "\"inf\""
-          in
-          Buffer.add_string buf (Printf.sprintf "[%s,%d]" le c))
-        counts;
-      Buffer.add_string buf "]}");
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  document
+    [ ("counters", section (function Counter n -> Some (Int n) | _ -> None));
+      ("gauges", section (function Gauge v -> Some (Real v) | _ -> None));
+      ( "histograms",
+        section (function
+          | Histogram { bounds; counts; count; sum } ->
+            Some
+              (Obj
+                 [ ("count", Int count); ("sum", Real sum);
+                   ( "buckets",
+                     Arr (List.mapi (bucket bounds) (Array.to_list counts)) ) ])
+          | _ -> None) ) ]
+
+let to_json t = Json.Out.(to_string Compact (json t))

@@ -79,6 +79,9 @@ val find : t -> string -> sample option
 val render : t -> string
 (** Human-readable dump, one metric per line, sorted by name. *)
 
+val json : t -> Json.Out.t
+(** Deterministic JSON document: [{"schema_version":...,"counters":{...},
+    "gauges":{...},"histograms":{...}}] with keys sorted by name. *)
+
 val to_json : t -> string
-(** Deterministic JSON object: [{"counters":{...},"gauges":{...},
-    "histograms":{...}}] with keys sorted by name. *)
+(** {!json}, printed compact. *)

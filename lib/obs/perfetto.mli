@@ -24,6 +24,4 @@ type span_track = {
     sending host's slice, [ph:"f"] on the receiving host's slice) tying each
     wire hop's send span to its receive span across hosts. *)
 
-val to_buffer : ?spans:span_track list -> Buffer.t -> process list -> unit
-
 val to_string : ?spans:span_track list -> process list -> string

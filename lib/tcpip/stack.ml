@@ -45,10 +45,9 @@ let upper (env, lance, netdev) ~mac ~ip_addr ~opts =
   let udp = Udp.create env ip in
   { env; lance; netdev; vnet; ip; tcp; udp; mac; ip_addr }
 
-let make_host sim link ~station ~mac ~ip_addr ~opts ?meter ?metrics
-    ?simmem_base () =
+let make_host sim link ~station ~mac ~ip_addr ~opts ?metrics ?simmem_base () =
   upper
-    (make_device sim link ~station ~host:station ~mac ~opts ?meter ?metrics
+    (make_device sim link ~station ~host:station ~mac ~opts ?metrics
        ?simmem_base ())
     ~mac ~ip_addr ~opts
 

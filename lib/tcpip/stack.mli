@@ -27,7 +27,6 @@ val make_host :
   mac:int ->
   ip_addr:int ->
   opts:Opts.t ->
-  ?meter:Xk.Meter.t ->
   ?metrics:Obs.Metrics.t ->
   ?simmem_base:int ->
   unit ->

@@ -9,10 +9,11 @@
 # quick fabric incast export plus its --jobs byte-identity check,
 # byte-for-byte checks of the TCP and RPC multi-flow, chaos matrix, fabric
 # and per-function profile JSON reports against the golden files in
-# test/golden/, the benchmark smoke (pinned workload digests), a pair
-# bit-identity check plus replays of the committed chaos repro files, a
-# check that an unknown table name is rejected, and a quick end-to-end
-# paper table (protolat tables --quick table1).
+# test/golden/, a check that the 19-flow RPC run ends in a checked report
+# (exit 0 or 1) and never in a crash, the benchmark smoke (pinned workload
+# digests), a pair bit-identity check plus replays of the committed chaos
+# repro files, a check that an unknown table name is rejected, and a quick
+# end-to-end paper table (protolat tables --quick table1).
 # Usage: scripts/ci.sh  (run from the repository root)
 set -eu
 
@@ -45,6 +46,15 @@ cmp "$GOLDEN" test/golden/mflow_64x2.json
 # run collapses, a known open defect) and the host-lifecycle chaos matrix
 dune exec bin/protolat_cli.exe -- mflow -s rpc --flows 1,8 --seeds 2 --json > "$GOLDEN"
 cmp "$GOLDEN" test/golden/mflow_rpc_1_8x2.json
+# at 19 flows the collapse must come back as a report: every request
+# completed (exit 0) or the stuck flows named as a liveness.flows
+# violation (exit 1); an uncaught exception (exit 125) fails here
+STATUS=0
+dune exec bin/protolat_cli.exe -- mflow -s rpc --flows 19 --seeds 1 --json --check > "$GOLDEN" || STATUS=$?
+if [ "$STATUS" -gt 1 ]; then
+  echo "ci: protolat mflow -s rpc --flows 19 exited $STATUS, not 0 or 1" >&2
+  exit 1
+fi
 dune exec bin/protolat_cli.exe -- chaos --quick --json > "$GOLDEN"
 cmp "$GOLDEN" test/golden/chaos_quick.json
 dune exec bin/protolat_cli.exe -- fabric --fan-ins 2,16 --seeds 2 --json > "$GOLDEN"

@@ -114,6 +114,27 @@ let test_rpc_cell () =
   Alcotest.(check bool) "latency sampled" true
     (c.P.Mflow.lat.Stats.Hist.p50 > 0.0)
 
+(* From 19 flows the RPC run collapses (a known open defect).  The cell
+   must still come back as data: either every request completed, or the
+   stuck flows are reported as a [liveness.flows] violation. *)
+let test_rpc_collapse_is_reported () =
+  let spec =
+    P.Engine.Spec.default ~stack:P.Engine.Rpc
+      ~config:(P.Config.make P.Config.All)
+  in
+  let c = P.Mflow.run_cell ~flows:19 spec in
+  let all = 19 * P.Mflow.default_workload.P.Mflow.requests_per_flow in
+  let stuck =
+    List.exists
+      (fun v -> String.starts_with ~prefix:"liveness.flows " v)
+      c.P.Mflow.violations
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d requests, or liveness.flows reported"
+       c.P.Mflow.requests all)
+    true
+    (c.P.Mflow.requests = all || stuck)
+
 (* ----- open-loop arrivals ------------------------------------------------- *)
 
 let test_open_loop () =
@@ -212,6 +233,8 @@ let suite =
       Alcotest.test_case "hit rate falls with flows" `Quick
         test_hit_rate_falls_with_flows;
       Alcotest.test_case "rpc cell" `Quick test_rpc_cell;
+      Alcotest.test_case "rpc collapse is reported" `Quick
+        test_rpc_collapse_is_reported;
       Alcotest.test_case "open loop" `Quick test_open_loop;
       Alcotest.test_case "chaos cell" `Quick test_chaos_cell;
       Alcotest.test_case "chaos rejections" `Quick test_chaos_rejections;
