@@ -91,6 +91,41 @@ let test_trajectory_monotone () =
         (c.LS.best_us <= c.LS.greedy_us))
     (Lazy.force t1).LS.cells
 
+let test_full_default_digest () =
+  (* the default configuration (8 cells x 600 evaluations, 2 restarts):
+     the digest folds in every cell's named scores, best genome and
+     trajectory, so it pins the scorer on every geometry *)
+  Alcotest.(check string)
+    "full default search digest" "1fabb7d4fdaa540d74c09d34a799f28f"
+    (LS.digest (LS.run ()))
+
+let test_base_trace_rounds () =
+  (* the search reads only the client image and the first measured
+     roundtrip's trace, so its base run may be a one-round run *)
+  List.iter
+    (fun stack ->
+      let trace rounds =
+        (P.Engine.run
+           (P.Engine.Spec.make ~rounds ~stack
+              ~config:(P.Config.make P.Config.Clo)
+              ~layout:(P.Config.layout_of P.Config.Clo) ()))
+          .P.Engine.trace
+      in
+      let a = trace 1 and b = trace 24 in
+      let module T = Protolat_machine.Trace in
+      let name = P.Engine.stack_name stack in
+      Alcotest.(check int) (name ^ " trace length") (T.length b) (T.length a);
+      let column f = List.init (T.length a) f in
+      let same what f g =
+        Alcotest.(check bool) (name ^ " " ^ what ^ " column") true
+          (column f = column g)
+      in
+      same "pc" (T.pc_at a) (T.pc_at b);
+      same "class" (T.cls_at a) (T.cls_at b);
+      same "kind" (T.kind_at a) (T.kind_at b);
+      same "address" (T.addr_at a) (T.addr_at b))
+    [ P.Engine.Tcpip; P.Engine.Rpc ]
+
 let test_top_conflicts () =
   (* the typed Attrib query feeding the move generator: ordered by count,
      bounded by k, and cross_only drops self-conflicts *)
@@ -127,4 +162,8 @@ let suite =
         test_pinned_best_scores;
       Alcotest.test_case "trajectory and phases" `Quick
         test_trajectory_monotone;
+      Alcotest.test_case "full default digest pinned" `Quick
+        test_full_default_digest;
+      Alcotest.test_case "base trace independent of rounds" `Quick
+        test_base_trace_rounds;
       Alcotest.test_case "attrib top conflicts" `Quick test_top_conflicts ] )
