@@ -13,7 +13,7 @@
      mflow    multi-flow traffic engine with connection churn
      chaos    host-lifecycle chaos with shrinkable repro schedules
      fabric   N-client incast over the switched star fabric
-     search   automated code-layout search over the incremental path   *)
+     search   automated code-layout search scored on the i-cache alone   *)
 
 module P = Protolat
 module M = Protolat_machine
@@ -810,8 +810,8 @@ let search_cmd =
   let budget_arg =
     Arg.(value & opt int 600
          & info [ "budget" ] ~docv:"N"
-             ~doc:"Scorer evaluations per stack x geometry cell (seed \
-                   scoring included).")
+             ~doc:"Scorer evaluations per stack x geometry cell, the five \
+                   named layouts included (at least 5).")
   in
   let seeds_arg =
     Cli_common.seeds_arg ~default:2
@@ -820,8 +820,9 @@ let search_cmd =
   let geometry_arg =
     Arg.(value & opt (some (list int)) None
          & info [ "geometry" ] ~docv:"KB"
-             ~doc:"Comma-separated i-cache sizes in KB to search (default: \
-                   the full 4,8,16,32 layout matrix).")
+             ~doc:"Comma-separated i-cache sizes in KB to search, each a \
+                   power of two (default: the full 4,8,16,32 layout \
+                   matrix).")
   in
   let quick_arg =
     Arg.(value & flag
@@ -848,7 +849,13 @@ let search_cmd =
       | Some g -> g
       | None -> if quick then [ 8 ] else P.Layoutsearch.geometries
     in
-    let t = P.Layoutsearch.run ~budget ~seeds ~geometries ~jobs () in
+    let t =
+      (* a budget below the named layouts or a bad geometry *)
+      try P.Layoutsearch.run ~budget ~seeds ~geometries ~jobs ()
+      with Invalid_argument msg ->
+        Printf.eprintf "protolat search: %s\n" msg;
+        exit 124
+    in
     let doc =
       if json then P.Layoutsearch.to_json t ^ "\n"
       else
@@ -874,9 +881,9 @@ let search_cmd =
        ~doc:
          "Attrib-guided automated code-layout search: greedy hill-climb \
           then seeded simulated annealing over unit order, i-cache set \
-          offsets and clone toggles, scored through the incremental replay \
-          path (one base simulation per stack, pure pc arithmetic per \
-          candidate).  Seeded with the paper's named layouts, so the best \
+          offsets and clone toggles, each candidate scored on the i-cache \
+          alone (one base simulation per stack, exact against a full \
+          simulation of the candidate).  Seeded with the paper's named layouts, so the best \
           found placement never loses to the best hand-picked one.  \
           Deterministic: equal digests at any --jobs.")
     Term.(

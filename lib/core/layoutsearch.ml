@@ -64,8 +64,6 @@ let block_bytes = 32
 
 let nsets_ref = icache_ref / block_bytes
 
-let ib = Machine.Instr.bytes
-
 let best_named c =
   c.named
   |> List.filter (fun (l, _) -> l <> Config.Pessimal)
@@ -101,21 +99,14 @@ let copy_genome g =
 
 (* ----- per-stack context ---------------------------------------------------- *)
 
-(* Everything needed to turn a genome into the pc column of the retargeted
-   trace by pure arithmetic, for one clone-toggle vector.  Under a fixed
-   vector every placement is a translation of each unit's slots plus a
-   prefix-sum relocation of the shared cold region, so one template image
-   per vector replaces an [Image.build] per candidate — the difference
-   between ~600 and >1000 candidates/sec. *)
-type template = {
-  sizes : int array;  (** unit footprint at its base address *)
-  cold_sizes : int array;  (** unit's chunk of the shared cold region *)
-  last_end : int array;  (** (last slot byte end) - unit base *)
-  ev_unit : int array;  (** per trace event: owning unit *)
-  ev_cold : Bytes.t;  (** per trace event: 1 if in the cold region *)
-  ev_off : int array;  (** per trace event: offset from the unit's anchor *)
-}
-
+(* Everything a candidate's score needs that no candidate changes.  A
+   candidate only moves code, so its steady time is the base trace's
+   instruction cycles, the data side's stall [dside], and the i-cache
+   misses of the candidate's fetch stream (see [icharge]).  The stream is
+   kept as runs of consecutive events of one unit on one line of its hot
+   part: unit bases are block-aligned, so a run stays one line wherever
+   the unit goes.  An event in an outlined cold block is a run of its
+   own, since the shared cold region does not keep lines. *)
 type sctx = {
   config : Config.t;
   stack : Engine.stack_kind;
@@ -128,11 +119,17 @@ type sctx = {
   toggleable : bool array;
   toggles : int array;  (** indices of toggleable units *)
   unit_of_func : (string, int) Hashtbl.t;
-  templates : (string, template) Hashtbl.t;  (** keyed by cold vector *)
+  size : int array;  (** unit bytes with its cold blocks kept inside *)
+  hot : int array;  (** unit bytes with its cold blocks deferred *)
+  run_unit : int array;  (** per run: owning unit *)
+  run_off : int array;
+      (** per run: offset from the unit's base with its cold blocks kept
+          inside, so [>= hot] marks a cold-block event *)
+  room : int;
+      (** lines from [code_base] to the first b-cache set holding data
+          (0 if the base trace's own code does not fit below it) *)
+  dside : float;  (** stall cycles of the data side, the same for all *)
 }
-
-let cold_key cold =
-  String.init (Array.length cold) (fun i -> if cold.(i) then '1' else '0')
 
 let apply_cold sctx cold =
   Array.mapi
@@ -141,96 +138,83 @@ let apply_cold sctx cold =
       else u)
     sctx.units
 
-let build_template sctx cold =
-  let t_units = apply_cold sctx cold in
-  let placement =
-    Strategy.at_offsets ~base:code_base ~icache_bytes:icache_ref ~block_bytes
-      (Array.to_list (Array.map (fun u -> (u, -1)) t_units))
-  in
-  let img = Image.build placement in
-  let bases = Array.of_list (List.map snd placement) in
-  let sizes = Array.map Image.size_bytes t_units in
-  let cold_sizes = Array.map Image.cold_size_bytes t_units in
-  let nu = sctx.nu in
-  let tpre = Array.make nu 0 in
-  let acc = ref 0 in
-  for i = 0 to nu - 1 do
-    tpre.(i) <- !acc;
-    acc := !acc + cold_sizes.(i)
-  done;
-  let cold_start =
-    List.fold_left
-      (fun acc (n, s, _) -> if n = "<cold-region>" then s else acc)
-      max_int (Image.regions img)
-  in
-  let last_end = Array.make nu 0 in
-  List.iter
-    (fun (s : Image.slot) ->
-      if s.Image.addr < cold_start then begin
-        let u = Hashtbl.find sctx.unit_of_func s.Image.func in
-        let last = s.Image.pcs.(Array.length s.Image.pcs - 1) in
-        if last + ib - bases.(u) > last_end.(u) then
-          last_end.(u) <- last + ib - bases.(u)
-      end)
-    (Image.slots img);
-  let trace = sctx.base.Engine.trace in
-  let len = Trace.length trace in
-  let b2t = Image.pc_map sctx.base.Engine.client_image img in
-  let ev_unit = Array.make len 0 in
-  let ev_cold = Bytes.make len '\000' in
-  let ev_off = Array.make len 0 in
-  for i = 0 to len - 1 do
-    let tpc = b2t (Trace.pc_at trace i) in
-    if tpc >= cold_start then begin
-      let rec findc u =
-        if u = nu - 1 || cold_start + tpre.(u + 1) > tpc then u
-        else findc (u + 1)
-      in
-      let u = findc 0 in
-      ev_unit.(i) <- u;
-      Bytes.set ev_cold i '\001';
-      ev_off.(i) <- tpc - cold_start - tpre.(u)
-    end
-    else begin
-      (* dense canonical placement: bases increase, so the first unit
-         whose extent reaches past the pc owns it *)
-      let rec findu u =
-        if u = nu - 1 || tpc < bases.(u) + sizes.(u) then u
-        else findu (u + 1)
-      in
-      let u = findu 0 in
-      ev_unit.(i) <- u;
-      ev_off.(i) <- tpc - bases.(u)
-    end
-  done;
-  { sizes; cold_sizes; last_end; ev_unit; ev_cold; ev_off }
+(* [Strategy.at_offsets]'s address for the unit after [cursor]: dense
+   ([off < 0]) or at set offset [off] plus whole reference periods *)
+let addr_at cursor off =
+  if off < 0 then (cursor + block_bytes - 1) / block_bytes * block_bytes
+  else begin
+    let candidate =
+      (cursor / icache_ref * icache_ref) + (off mod nsets_ref * block_bytes)
+    in
+    (if candidate >= cursor then candidate else candidate + icache_ref)
+    + (off / nsets_ref * icache_ref)
+  end
 
-let template_for sctx cold =
-  let k = cold_key cold in
-  match Hashtbl.find_opt sctx.templates k with
-  | Some t -> t
-  | None ->
-    let t = build_template sctx cold in
-    Hashtbl.add sctx.templates k t;
-    t
+(* The full path: decode the genome with [Strategy.at_offsets], build its
+   image and retarget the base trace to it. *)
+let retarget_image sctx img =
+  Trace.map_pcs
+    (Image.pc_map sctx.base.Engine.client_image img)
+    sctx.base.Engine.trace
+
+let retarget sctx g =
+  let units = apply_cold sctx g.cold in
+  retarget_image sctx
+    (Image.build
+       (Strategy.at_offsets ~base:code_base ~icache_bytes:icache_ref
+          ~block_bytes
+          (Array.to_list (Array.mapi (fun k u -> (units.(u), g.offs.(k))) g.perm))))
+
+(* One warmup replay suffices: the deterministic replay reaches its
+   periodic cache fixpoint after a single pass, so the measurement equals
+   the canonical [Perf.steady] (warmup 3) bit for bit — [check] and the
+   tests re-simulate through that path and fail loudly if a future trace
+   ever breaks the fixpoint. *)
+let reference_us p trace = (Perf.steady ~warmup:1 p trace).Perf.time_us
+
+(* The i-side stall of the measured pass of a warmup-1 replay of the
+   fetched [lines], given that each one stays in the b-cache: a miss on
+   the line after the previous miss streams in at [b_seq_cycles], any
+   other miss pays [b_hit_cycles] and its prefetch is free.  Two passes
+   over a direct-mapped tag array ([tags], one per i-cache set); only the
+   second is charged, and the last miss carries over as in the replay. *)
+let icharge p tags lines =
+  Array.fill tags 0 (Array.length tags) (-1);
+  let mask = Array.length tags - 1 in
+  let last = ref min_int and seq = ref 0 and other = ref 0 in
+  for pass = 0 to 1 do
+    for r = 0 to Array.length lines - 1 do
+      let line = Array.unsafe_get lines r in
+      if Array.unsafe_get tags (line land mask) <> line then begin
+        Array.unsafe_set tags (line land mask) line;
+        if pass = 1 then begin
+          if line = !last + 1 then incr seq else incr other
+        end;
+        last := line
+      end
+    done
+  done;
+  (p.Params.b_seq_cycles * !seq) + (p.Params.b_hit_cycles * !other)
 
 let make_sctx stack =
   let config = Config.make Config.Clo in
-  let base_layout = Config.layout_of config.Config.version in
+  (* the search reads only the client image and the first measured
+     roundtrip's trace, which one round collects *)
   let base =
-    Engine.run (Engine.Spec.make ~stack ~config ~layout:base_layout ())
+    Engine.run
+      (Engine.Spec.make ~rounds:1 ~stack ~config
+         ~layout:(Config.layout_of config.Config.version) ())
   in
   let units_l, order = Engine.client_units config stack in
   let units = Array.of_list units_l in
   let nu = Array.length units in
-  let unit_names = Array.map Image.unit_name units in
-  let base_cold = Array.map Image.unit_separate_cold units in
+  let with_cold b u =
+    if Image.unit_outlined u then Image.set_separate_cold u b else u
+  in
+  let size = Array.map (fun u -> Image.size_bytes (with_cold false u)) units in
+  let hot = Array.map (fun u -> Image.size_bytes (with_cold true u)) units in
   let toggleable =
-    Array.map
-      (fun u ->
-        Image.unit_outlined u
-        && Image.cold_size_bytes (Image.set_separate_cold u true) > 0)
-      units
+    Array.mapi (fun i u -> Image.unit_outlined u && size.(i) > hot.(i)) units
   in
   let toggles =
     Array.of_list
@@ -244,133 +228,136 @@ let make_sctx stack =
         (fun f -> Hashtbl.replace unit_of_func f.Layout.Func.name i)
         (Image.unit_funcs u))
     units;
-  { config; stack; base; units; order; nu; unit_names; base_cold; toggleable;
-    toggles; unit_of_func; templates = Hashtbl.create 8 }
+  (* the unit table: every event as (unit, offset) in the dense canonical
+     image with all cold blocks inside their units, where hot offsets
+     are those of every clone toggle *)
+  let placement =
+    Strategy.at_offsets ~base:code_base ~icache_bytes:icache_ref ~block_bytes
+      (Array.to_list (Array.map (fun u -> (with_cold false u, -1)) units))
+  in
+  let bases = Array.of_list (List.map snd placement) in
+  let to_canon = Image.pc_map base.Engine.client_image (Image.build placement) in
+  let trace = base.Engine.trace in
+  let len = Trace.length trace in
+  let runs = ref [] in
+  for i = 0 to len - 1 do
+    let pc = to_canon (Trace.pc_at trace i) in
+    (* bases increase, so the first unit reaching past the pc owns it *)
+    let rec owner u =
+      if u = nu - 1 || pc < bases.(u) + size.(u) then u else owner (u + 1)
+    in
+    let u = owner 0 in
+    let off = pc - bases.(u) in
+    match !runs with
+    | (u', off') :: _
+      when u' = u && off' / block_bytes = off / block_bytes && off' < hot.(u)
+           && off < hot.(u) -> ()
+    | _ -> runs := (u, off) :: !runs
+  done;
+  let runs = Array.of_list (List.rev !runs) in
+  (* the data's b-cache sets, as a distance from the first code line *)
+  let p = Params.default in
+  let bsets = p.Params.bcache_bytes / block_bytes in
+  let lo = code_base / block_bytes in
+  let room = ref bsets in
+  for i = 0 to len - 1 do
+    if Trace.kind_at trace i <> Trace.kind_none then
+      room :=
+        min !room (((Trace.addr_at trace i / block_bytes) - lo) land (bsets - 1))
+  done;
+  (* the data side's stall: the base replay's less its own i-side *)
+  let lines = Array.init len (fun i -> Trace.pc_at trace i / block_bytes) in
+  let fits = Array.for_all (fun l -> l >= lo && l + 1 - lo < !room) lines in
+  let dside =
+    (Perf.steady ~warmup:1 p trace).Perf.stats.Memsys.stall_cycles
+    -. float_of_int
+         (icharge p (Array.make (p.Params.icache_bytes / block_bytes) 0) lines)
+  in
+  { config; stack; base; units; order; nu;
+    unit_names = Array.map Image.unit_name units;
+    base_cold = Array.map Image.unit_separate_cold units;
+    toggleable; toggles; unit_of_func; size; hot;
+    run_unit = Array.map fst runs; run_off = Array.map snd runs;
+    room = (if fits then !room else 0); dside }
 
 (* ----- scorer --------------------------------------------------------------- *)
 
+(* One geometry's scorer, with its own scratch: unit bases, run-head
+   lines and the i-cache tag array. *)
 type cctx = {
   s : sctx;
-  icache_kb : int;
   params : Params.t;
-  issue_cycles : float;
   instr_cycles : float;
-  pairs : (int * int * int) array;  (* (victim unit, evictor unit, count) *)
-  pair_total : int;
+  ubase : int array;
+  cbase : int array;  (** cold chunk start less the unit's [hot] *)
+  heads : int array;
+  tags : int array;
 }
 
-(* Per-domain scratch hierarchy: [Memsys.clear] per candidate instead of
-   [Memsys.create].  Keyed by params so a geometry switch reallocates. *)
-let scratch_slot : (Params.t * Memsys.t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let geometry_params kb =
+  if kb <= 0 || kb land (kb - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Layoutsearch: an i-cache of %d KB is not a positive power of two" kb);
+  { Params.default with Params.icache_bytes = kb * 1024 }
 
-let scratch_for p =
-  let r = Domain.DLS.get scratch_slot in
-  match !r with
-  | Some (p', m) when p' = p -> m
-  | _ ->
-    let m = Memsys.create p in
-    r := Some (p, m);
-    m
+let make_cctx s kb =
+  let params = geometry_params kb in
+  { s; params;
+    instr_cycles = Machine.Cpu.perfect_memory_cycles params s.base.Engine.trace;
+    ubase = Array.make s.nu 0; cbase = Array.make s.nu 0;
+    heads = Array.make (Array.length s.run_unit) 0;
+    tags = Array.make (params.Params.icache_bytes / block_bytes) 0 }
 
-(* Per-domain candidate pc column, refilled by every [candidate_pcs] on
-   the domain instead of allocating a trace-length array per candidate.
-   Reuse is safe because [score_genome] lets only the float score escape:
-   the remapped trace adopting the column is dead before the next
-   candidate refills it.  Keyed by length so a trace of another
-   stack reallocates. *)
-let pcs_slot : int array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
-
-let pcs_buffer len =
-  let r = Domain.DLS.get pcs_slot in
-  if Array.length !r <> len then r := Array.make len 0;
-  !r
-
-(* Decode a genome to the candidate's pc column: place units with the
-   [Strategy.at_offsets] cursor arithmetic, derive the shared cold
-   region's start the way [Image.build] does, then anchor every event's
-   precomputed (unit, offset).  The column is this domain's
-   [pcs_buffer], valid until the next call on the domain. *)
-let candidate_pcs cc tmpl g =
-  let nu = cc.s.nu in
-  let ubase = Array.make nu 0 and cbase = Array.make nu 0 in
-  let cursor = ref code_base and max_addr = ref 0 in
-  for k = 0 to nu - 1 do
+(* Decode the unit bases and the shared cold region the way
+   [Strategy.at_offsets] and [Image.build] place them.  While the code,
+   with the line its last miss prefetches, stays below the data's
+   b-cache sets, no b-cache line is evicted across the two sides, so the
+   steady time is [instr_cycles + dside + icharge] exactly: every stall
+   term is an integer, so the float sums agree in any order.  Other
+   genomes take the full path. *)
+let score_genome cc g =
+  let s = cc.s in
+  let cursor = ref code_base in
+  for k = 0 to s.nu - 1 do
     let u = g.perm.(k) in
-    let off = g.offs.(k) in
-    let addr =
-      if off < 0 then (!cursor + block_bytes - 1) / block_bytes * block_bytes
-      else begin
-        let offset_bytes = off mod nsets_ref * block_bytes in
-        let candidate = (!cursor / icache_ref * icache_ref) + offset_bytes in
-        let minimal =
-          if candidate >= !cursor then candidate else candidate + icache_ref
-        in
-        minimal + (off / nsets_ref * icache_ref)
-      end
-    in
-    ubase.(u) <- addr;
-    cursor := addr + tmpl.sizes.(u);
-    let e = addr + tmpl.last_end.(u) in
-    if e > !max_addr then max_addr := e
+    cc.ubase.(u) <- addr_at !cursor g.offs.(k);
+    cursor := cc.ubase.(u) + if g.cold.(u) then s.hot.(u) else s.size.(u)
   done;
-  let cold_start = (!max_addr + 4096 + 31) / 32 * 32 in
-  let pre = ref 0 in
-  for k = 0 to nu - 1 do
+  let cold = ref ((!cursor + 4096 + 31) / 32 * 32) in
+  for k = 0 to s.nu - 1 do
     let u = g.perm.(k) in
-    cbase.(u) <- cold_start + !pre;
-    pre := !pre + tmpl.cold_sizes.(u)
+    if g.cold.(u) then begin
+      cc.cbase.(u) <- !cold - s.hot.(u);
+      cold := !cold + s.size.(u) - s.hot.(u)
+    end
   done;
-  let ev_unit = tmpl.ev_unit and ev_off = tmpl.ev_off in
-  let ev_cold = tmpl.ev_cold in
-  let len = Array.length ev_unit in
-  let pcs = pcs_buffer len in
-  for i = 0 to len - 1 do
-    let u = Array.unsafe_get ev_unit i in
-    let b =
-      if Bytes.unsafe_get ev_cold i = '\001' then Array.unsafe_get cbase u
-      else Array.unsafe_get ubase u
-    in
-    Array.unsafe_set pcs i (b + Array.unsafe_get ev_off i)
-  done;
-  pcs
+  if (!cold / block_bytes) + 1 - (code_base / block_bytes) >= s.room then
+    reference_us cc.params (retarget s g)
+  else begin
+    for r = 0 to Array.length cc.heads - 1 do
+      let u = s.run_unit.(r) and off = s.run_off.(r) in
+      cc.heads.(r) <-
+        ((if off >= s.hot.(u) && g.cold.(u) then cc.cbase.(u) else cc.ubase.(u))
+         + off)
+        / block_bytes
+    done;
+    let i_stall = icharge cc.params cc.tags cc.heads in
+    Params.cycles_to_us cc.params
+      (cc.instr_cycles +. (s.dside +. float_of_int i_stall))
+  end
 
-(* One warmup replay suffices: the deterministic replay reaches its
-   periodic cache fixpoint after a single pass, so the measurement equals
-   the canonical [Perf.steady] (warmup 3) bit for bit — [check] and the
-   tests re-simulate through that path and fail loudly if a future trace
-   ever breaks the fixpoint. *)
-let scorer_warmup = 1
-
-let score_genome cc tmpl g =
-  let pcs = candidate_pcs cc tmpl g in
-  let trace' = Trace.remap_pcs cc.s.base.Engine.trace pcs in
-  (Perf.steady_scratch ~warmup:scorer_warmup ~scratch:(scratch_for cc.params)
-     ~issue_cycles:cc.issue_cycles ~instr_cycles:cc.instr_cycles cc.params
-     trace')
-    .Perf.time_us
-
-(* Score an arbitrary pre-built image (named strategies, incl. pessimal)
-   through the same incremental path, so every number in a cell is the
-   same measurement. *)
-let score_image cc img =
-  let trace' =
-    Trace.map_pcs
-      (Image.pc_map cc.s.base.Engine.client_image img)
-      cc.s.base.Engine.trace
-  in
-  (Perf.steady_scratch ~warmup:scorer_warmup ~scratch:(scratch_for cc.params)
-     ~issue_cycles:cc.issue_cycles ~instr_cycles:cc.instr_cycles cc.params
-     trace')
-    .Perf.time_us
+let score stack icache_kb genomes =
+  let cc = make_cctx (make_sctx stack) icache_kb in
+  List.map (score_genome cc) genomes
 
 (* ----- search state --------------------------------------------------------- *)
 
 type state = {
   cc : cctx;
   budget : int;
-  jobs : int;
+  pairs : (int * int * int) array;  (* (victim unit, evictor unit, count) *)
+  pair_total : int;
   memo : (string, float) Hashtbl.t;
   mutable evals : int;
   mutable eval_s : float;
@@ -385,10 +372,8 @@ let note_best st g us =
     st.best <- Some (g, us);
     st.traj <- { eval = st.evals; us } :: st.traj
 
-(* Score a batch.  Proposals were generated on this domain; only the pure
-   scoring fans out, and [Dpool.run] returns submission-order results, so
-   memo/best/trajectory updates are identical at any job count.  Memo
-   hits are free; fresh genomes consume budget. *)
+(* Score a batch in submission order.  Memo hits are free; fresh genomes
+   consume budget. *)
 let eval_batch st genomes =
   let fresh = ref [] and n_fresh = ref 0 in
   let seen = Hashtbl.create 16 in
@@ -407,16 +392,8 @@ let eval_batch st genomes =
     genomes;
   let fresh = List.rev !fresh in
   if fresh <> [] then begin
-    let tasks =
-      List.map
-        (fun (_, g) ->
-          (* resolve the template here: the table is not thread-safe *)
-          let tmpl = template_for st.cc.s g.cold in
-          fun () -> score_genome st.cc tmpl g)
-        fresh
-    in
     let t0 = Unix.gettimeofday () in
-    let scores = Dpool.run ~jobs:st.jobs tasks in
+    let scores = List.map (fun (_, g) -> score_genome st.cc g) fresh in
     st.eval_s <- st.eval_s +. (Unix.gettimeofday () -. t0);
     List.iter2
       (fun (k, g) us ->
@@ -433,13 +410,13 @@ let pos_of g u =
   let rec go k = if g.perm.(k) = u then k else go (k + 1) in
   go 0
 
-let pick_pair cc rng =
-  if Array.length cc.pairs = 0 || cc.pair_total <= 0 then None
+let pick_pair st rng =
+  if Array.length st.pairs = 0 || st.pair_total <= 0 then None
   else begin
-    let r = Rng.int rng cc.pair_total in
+    let r = Rng.int rng st.pair_total in
     let rec go i acc =
-      let ((_, _, c) as p) = cc.pairs.(i) in
-      if r < acc + c || i = Array.length cc.pairs - 1 then p
+      let ((_, _, c) as p) = st.pairs.(i) in
+      if r < acc + c || i = Array.length st.pairs - 1 then p
       else go (i + 1) (acc + c)
     in
     Some (go 0 0)
@@ -451,11 +428,10 @@ let pick_pair cc rng =
    dense behind the evictor (adjacent code cannot conflict), drop an
    offset back to dense packing, or flip a clone toggle. *)
 let propose st rng cur =
-  let cc = st.cc in
-  let s = cc.s in
+  let s = st.cc.s in
   let g = copy_genome cur in
   let u, v =
-    match pick_pair cc rng with
+    match pick_pair st rng with
     | Some (vi, ev, _) -> if Rng.bool rng then (vi, ev) else (ev, vi)
     | None ->
       let a = Rng.int rng s.nu in
@@ -516,10 +492,7 @@ let genome_of_placement sctx placement =
     List.map
       (fun (u, a) ->
         let set = a / block_bytes mod nsets_ref in
-        let candidate = (!cursor / icache_ref * icache_ref) + (set * block_bytes) in
-        let minimal =
-          if candidate >= !cursor then candidate else candidate + icache_ref
-        in
+        let minimal = addr_at !cursor set in
         cursor := a + Image.size_bytes u;
         set + ((a - minimal) / icache_ref * nsets_ref))
       placement
@@ -551,15 +524,13 @@ let genome_reproduces sctx g placement =
 
 let stack_seed = function Engine.Tcpip -> 0 | Engine.Rpc -> 1
 
-let search_cell ~budget ~seeds ~jobs sctx kb =
-  let params =
-    { Params.default with Params.icache_bytes = kb * 1024 }
-  in
-  let trace = sctx.base.Engine.trace in
-  let issue_cycles = Machine.Cpu.issue_cycles params trace in
-  let instr_cycles = Machine.Cpu.perfect_memory_cycles params trace in
+let search_cell ~budget ~seeds sctx kb =
+  let cc = make_cctx sctx kb in
   (* guidance: the conflict matrix of the base layout at this geometry *)
-  let attrib = Obs.Attrib.profile params sctx.base.Engine.client_image trace in
+  let attrib =
+    Obs.Attrib.profile cc.params sctx.base.Engine.client_image
+      sctx.base.Engine.trace
+  in
   let pairs =
     Obs.Attrib.top_conflicts ~k:16 attrib
     |> List.filter_map (fun (c : Obs.Attrib.conflict) ->
@@ -571,19 +542,16 @@ let search_cell ~budget ~seeds ~jobs sctx kb =
            | _ -> None)
     |> Array.of_list
   in
-  let pair_total = Array.fold_left (fun a (_, _, c) -> a + c) 0 pairs in
-  let cc =
-    { s = sctx; icache_kb = kb; params; issue_cycles; instr_cycles; pairs;
-      pair_total }
-  in
   let st =
-    { cc; budget; jobs; memo = Hashtbl.create 1024; evals = 0; eval_s = 0.0;
-      best = None; traj = [] }
+    { cc; budget; pairs;
+      pair_total = Array.fold_left (fun a (_, _, c) -> a + c) 0 pairs;
+      memo = Hashtbl.create 1024; evals = 0; eval_s = 0.0; best = None;
+      traj = [] }
   in
   (* Named layouts: the four representable ones score through their seed
-     genome (one batch), pessimal through a direct image retarget.  Seed
-     scores land in the search memo, so best-found can never be worse
-     than the best hand-picked layout. *)
+     genome (one batch), pessimal, whose units sit a b-cache size apart,
+     through the full path.  Seed scores land in the search memo, so
+     best-found can never be worse than the best hand-picked layout. *)
   let seed_info =
     List.map
       (fun layout ->
@@ -608,7 +576,7 @@ let search_cell ~budget ~seeds ~jobs sctx kb =
         | None ->
           let img = Engine.layout_for sctx.config sctx.stack ~layout () in
           let t0 = Unix.gettimeofday () in
-          let us = score_image cc img in
+          let us = reference_us cc.params (retarget_image sctx img) in
           st.eval_s <- st.eval_s +. (Unix.gettimeofday () -. t0);
           st.evals <- st.evals + 1;
           (layout, us))
@@ -714,14 +682,23 @@ let search_cell ~budget ~seeds ~jobs sctx kb =
 
 let run ?(budget = 600) ?(seeds = 2) ?(geometries = all_geometries)
     ?(stacks = [ Engine.Tcpip; Engine.Rpc ]) ?(jobs = 1) () =
+  let named = List.length Config.all_layouts in
+  if budget < named then
+    invalid_arg
+      (Printf.sprintf
+         "Layoutsearch.run: a budget of %d is below the %d named layouts"
+         budget named);
+  List.iter (fun kb -> ignore (geometry_params kb)) geometries;
   let t0 = Unix.gettimeofday () in
+  (* one task per stack, each with its own context and scratch *)
   let cells =
-    List.concat_map
-      (fun stack ->
-        let sctx = make_sctx stack in
-        List.map (fun kb -> search_cell ~budget ~seeds ~jobs sctx kb)
-          geometries)
-      stacks
+    Dpool.run ~jobs
+      (List.map
+         (fun stack () ->
+           let sctx = make_sctx stack in
+           List.map (search_cell ~budget ~seeds sctx) geometries)
+         stacks)
+    |> List.concat
   in
   { cells; budget; seeds; jobs; wall_s = Unix.gettimeofday () -. t0 }
 
@@ -757,26 +734,10 @@ let check (t : t) =
   List.iter
     (fun (c : cell) ->
       if !problem = None then begin
-        let s = ctx_for c.stack in
-        let t_units = apply_cold s c.best.cold in
-        let placement =
-          Strategy.at_offsets ~base:code_base ~icache_bytes:icache_ref
-            ~block_bytes
-            (Array.to_list
-               (Array.mapi
-                  (fun k u -> (t_units.(u), c.best.offs.(k)))
-                  c.best.perm))
+        let r =
+          Perf.steady (geometry_params c.icache_kb)
+            (retarget (ctx_for c.stack) c.best)
         in
-        let img = Image.build placement in
-        let params =
-          { Params.default with Params.icache_bytes = c.icache_kb * 1024 }
-        in
-        let trace' =
-          Trace.map_pcs
-            (Image.pc_map s.base.Engine.client_image img)
-            s.base.Engine.trace
-        in
-        let r = Perf.steady params trace' in
         if r.Perf.time_us <> c.best_us then
           problem :=
             Some

@@ -4,22 +4,27 @@
     this module searches the layout space instead.  A candidate layout is
     a {e genome} — a unit order, a desired i-cache set offset per unit
     (or dense packing), and a clone-toggle per unit — decoded to a
-    placement by {!Protolat_layout.Strategy.at_offsets} and scored
-    through the incremental replay path: the base run's steady-state
-    trace is retargeted to the candidate by pure address arithmetic
-    against a per-clone-vector template image (no {!Protolat_layout.Image.build}
-    per candidate) and replayed against a reused scratch hierarchy
-    ({!Protolat_machine.Perf.steady_scratch}) — bit-identical to a full
-    simulation of the decoded image, at ≥1000 candidates/sec on one core.
+    placement by {!Protolat_layout.Strategy.at_offsets}.
+
+    A candidate only moves code, so it is scored on the i-cache alone.
+    One base run per stack gives the client trace; a unit table built
+    once maps its events to (unit, offset) runs, a genome's unit bases
+    follow by cursor arithmetic, and two passes of a direct-mapped tag
+    array count the steady pass's sequential and other i-misses.  The
+    data side's stall is measured once per stack.  While the candidate's
+    code stays inside one b-cache period and off the data's b-cache sets,
+    every i-miss hits the b-cache and the score is bit-identical to
+    {!Protolat_machine.Perf.steady} of the decoded image; other genomes,
+    and the pessimal layout, are scored through that full path.
 
     Moves are guided by the {!Protolat_obs.Attrib} i-cache conflict
     matrix ({!Protolat_obs.Attrib.top_conflicts}): swaps, set-offset
     shifts, pull-together and clone toggles target the hottest
     (victim, evictor) pairs rather than mutating blindly.  Two drivers
     run in sequence — greedy hill-climb, then seeded simulated annealing
-    with restarts — with candidate batches fanned over
-    {!Protolat_util.Dpool}; proposal generation and acceptance stay on
-    the calling domain, so results are bit-identical at any [jobs].
+    with restarts.  Stacks are searched in parallel over
+    {!Protolat_util.Dpool}, each on its own context, so results are
+    bit-identical at any [jobs].
 
     The named strategies (bipartite, micro, linear, link-order) are
     exactly representable as genomes and seed the search, so the best
@@ -47,7 +52,7 @@ type cell = {
   eval_s : float;  (** wall seconds inside candidate evaluation *)
   named : (Config.layout * float) list;
       (** steady time of every named strategy, scored through the same
-          incremental path *)
+          scorer *)
   seeded : Config.layout list;
       (** named strategies whose genome encodings decoded bit-identically
           to the engine-built image and therefore seeded the search *)
@@ -85,9 +90,19 @@ val run :
   unit ->
   t
 (** Search every stack x geometry cell.  [budget] (default 600) bounds
-    scorer evaluations per cell (seed scoring included); [seeds] (default
-    2) is the number of annealing restarts; [jobs] fans candidate batches
-    over that many domains — results are bit-identical at any value. *)
+    scorer evaluations per cell (the five named layouts included);
+    [seeds] (default 2) is the number of annealing restarts; [jobs] runs
+    the stacks on that many domains — results are bit-identical at any
+    value.
+    @raise Invalid_argument if [budget] is below the number of named
+    layouts or a geometry is not a positive power of two. *)
+
+val score : Engine.stack_kind -> int -> genome list -> float list
+(** [score stack icache_kb genomes] is the scorer's steady time of each
+    genome at that i-cache size, on a fresh base run: the value
+    [Protolat_machine.Perf.steady ~warmup:1] gives the decoded image's
+    retargeted trace, bit for bit.
+    @raise Invalid_argument as {!run} for the geometry. *)
 
 val digest : t -> string
 (** Hex digest over every cell's deterministic content (genomes, scores,

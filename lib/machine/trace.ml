@@ -143,21 +143,6 @@ let map_pcs f t =
     intern_tbl = Hashtbl.copy t.intern_tbl;
     funcs = Array.copy t.funcs }
 
-(* Like [map_pcs] but with the rewritten pc column supplied directly:
-   a layout-search scorer precomputes, once per base trace, where each
-   event's pc lives in the image (slot ordinal + index within the slot),
-   then fills one int array per candidate instead of paying a closure
-   call plus an [Image.find] per event.  The array is adopted as-is: the
-   caller must not mutate it while the derived trace is still live —
-   once it is dead it may refill the array for the next candidate. *)
-let remap_pcs t pcs =
-  if Array.length pcs <> t.len then invalid_arg "Trace.remap_pcs";
-  (* the metadata columns are shared, not copied: reads are bounded by
-     [len], appends to [t] only touch indices >= [len] (or reallocate),
-     and the result's own [pcs] is at capacity so appending to it forces
-     a reallocation of every column before anything shared is written *)
-  { t with pcs }
-
 let class_counts t =
   let counts = Array.make Instr.n_classes 0 in
   for i = 0 to t.len - 1 do

@@ -83,19 +83,6 @@ val map_pcs : (int -> int) -> t -> t
     units, so a layout sweep replays one captured trace per layout instead
     of re-running the whole protocol simulation. *)
 
-val remap_pcs : t -> int array -> t
-(** [remap_pcs t pcs] is {!map_pcs} with the rewritten pc column supplied
-    directly: every other column is shared with [t] (not copied), [pcs]
-    adopted as the new instruction-address column (not copied either —
-    the caller must not mutate it while the derived trace is live; once
-    it is dead the caller may refill it for the next candidate).  Raises
-    [Invalid_argument] unless [Array.length pcs = length t].  Sharing is
-    safe because reads are bounded by the length and an append to either
-    trace reallocates its columns before any shared cell is written; a
-    scorer that precomputes each event's (slot, index) once per base
-    trace then fills one array per candidate instead of paying a closure
-    plus lookup per event. *)
-
 val class_counts : t -> (Instr.cls * int) list
 (** Histogram of instruction classes, in [Instr.all] order. *)
 

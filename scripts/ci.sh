@@ -12,8 +12,11 @@
 # test/golden/, a check that the 19-flow RPC run ends in a checked report
 # (exit 0 or 1) and never in a crash, the benchmark smoke (pinned workload
 # digests), a pair bit-identity check plus replays of the committed chaos
-# repro files, a check that an unknown table name is rejected, and a quick
-# end-to-end paper table (protolat tables --quick table1).
+# repro files, the full default layout search re-simulated through the
+# full path (--check) against its pinned digest, checks that an unknown
+# table name and a layout search with a bad geometry or a budget below the
+# named layouts are rejected as usage errors, and a quick end-to-end
+# paper table (protolat tables --quick table1).
 # Usage: scripts/ci.sh  (run from the repository root)
 set -eu
 
@@ -69,6 +72,14 @@ for stack in tcpip rpc; do
   done
 done
 dune build @search-quick
+# the full default search (8 cells x 600 evaluations): every cell's best
+# layout must re-simulate bit-identically through the full path, and the
+# digest must be the one tier-1 pins
+SEARCH_DIGEST=$(dune exec bin/protolat_cli.exe -- search --check | sed -n 's/^digest \([0-9a-f]*\) .*/\1/p')
+if [ "$SEARCH_DIGEST" != 1fabb7d4fdaa540d74c09d34a799f28f ]; then
+  echo "ci: protolat search digest '$SEARCH_DIGEST', not the pinned 1fabb7d4fdaa540d74c09d34a799f28f" >&2
+  exit 1
+fi
 # the benchmark's smoke: every workload at 2 inputs x 1 pass against its
 # pinned smoke digest and every per-input oracle
 dune build @perfbench/bench-smoke
@@ -98,4 +109,14 @@ if [ "$STATUS" -ne 124 ]; then
   echo "ci: protolat tables tabel4 exited $STATUS, not a usage error" >&2
   exit 1
 fi
+# so are a layout search geometry that is not a power of two and a budget
+# that cannot score the five named layouts ($args splits into flag and value)
+for args in "--geometry 3" "--budget 2"; do
+  STATUS=0
+  dune exec bin/protolat_cli.exe -- search $args > /dev/null 2>&1 || STATUS=$?
+  if [ "$STATUS" -ne 124 ]; then
+    echo "ci: protolat search $args exited $STATUS, not a usage error" >&2
+    exit 1
+  fi
+done
 dune exec bin/protolat_cli.exe -- tables --quick table1

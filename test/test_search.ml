@@ -126,6 +126,168 @@ let test_base_trace_rounds () =
       same "address" (T.addr_at a) (T.addr_at b))
     [ P.Engine.Tcpip; P.Engine.Rpc ]
 
+(* The scorer against the full path, on genomes the search would rarely
+   reach: every score must equal [Perf.steady ~warmup:1] of the decoded
+   image's retargeted trace bit for bit, on both stacks at every
+   geometry. *)
+let test_scorer_matches_full_path () =
+  let module M = Protolat_machine in
+  let module L = Protolat_layout in
+  let config = P.Config.make P.Config.Clo in
+  let bsets = M.Params.default.M.Params.bcache_bytes / 32 in
+  let sets column t =
+    List.sort_uniq compare
+      (List.filter_map (fun i -> Option.map (fun a -> a / 32 mod bsets) (column t i))
+         (List.init (M.Trace.length t) Fun.id))
+  in
+  List.iteri
+    (fun si stack ->
+      let name = P.Engine.stack_name stack in
+      let base =
+        P.Engine.run
+          (P.Engine.Spec.make ~rounds:1 ~stack ~config
+             ~layout:(P.Config.layout_of P.Config.Clo) ())
+      in
+      let units = Array.of_list (fst (P.Engine.client_units config stack)) in
+      let nu = Array.length units in
+      let base_cold = Array.map L.Image.unit_separate_cold units in
+      let toggleable =
+        Array.map
+          (fun u ->
+            L.Image.unit_outlined u
+            && L.Image.cold_size_bytes (L.Image.set_separate_cold u true) > 0)
+          units
+      in
+      let decode (g : LS.genome) =
+        let us =
+          Array.mapi
+            (fun i u ->
+              if g.LS.cold.(i) <> base_cold.(i) then
+                L.Image.set_separate_cold u g.LS.cold.(i)
+              else u)
+            units
+        in
+        let img =
+          L.Image.build
+            (L.Strategy.at_offsets ~base:0x10000 ~icache_bytes:8192
+               ~block_bytes:32
+               (Array.to_list
+                  (Array.mapi (fun k u -> (us.(u), g.LS.offs.(k))) g.LS.perm)))
+        in
+        M.Trace.map_pcs
+          (L.Image.pc_map base.P.Engine.client_image img)
+          base.P.Engine.trace
+      in
+      let rng = Random.State.make [| 26; si |] in
+      let random_genome () =
+        let perm = Array.init nu Fun.id in
+        for i = nu - 1 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let x = perm.(i) in
+          perm.(i) <- perm.(j);
+          perm.(j) <- x
+        done;
+        { LS.perm;
+          offs = Array.init nu (fun _ -> Random.State.int rng 257 - 1);
+          cold =
+            Array.mapi
+              (fun i c -> if toggleable.(i) then Random.State.bool rng else c)
+              base_cold }
+      in
+      (* 126 whole 8 KB periods put the code 1008 KB past its base, on
+         the b-cache sets of the data's densest lines, so only the full
+         path can score it *)
+      let far =
+        { LS.perm = Array.init nu Fun.id;
+          offs = Array.init nu (fun k -> if k = 0 then 126 * 256 else -1);
+          cold = Array.copy base_cold }
+      in
+      let genomes = far :: List.init 30 (fun _ -> random_genome ()) in
+      let traces = List.map decode genomes in
+      let data =
+        sets
+          (fun t i ->
+            if M.Trace.kind_at t i = M.Trace.kind_none then None
+            else Some (M.Trace.addr_at t i))
+          base.P.Engine.trace
+      in
+      Alcotest.(check bool)
+        (name ^ " far genome's code on the data's b-cache sets") true
+        (List.exists (fun s -> List.mem s data)
+           (sets (fun t i -> Some (M.Trace.pc_at t i)) (List.hd traces)));
+      List.iter
+        (fun kb ->
+          let p = { M.Params.default with M.Params.icache_bytes = kb * 1024 } in
+          List.iteri
+            (fun k (t, us) ->
+              let want = (M.Perf.steady ~warmup:1 p t).M.Perf.time_us in
+              if us <> want then
+                Alcotest.failf "%s %d KB genome %d: scorer %h us, full path %h us"
+                  name kb k us want)
+            (List.combine traces (LS.score stack kb genomes)))
+        LS.geometries)
+    [ P.Engine.Tcpip; P.Engine.Rpc ]
+
+(* Every named layout's score (the seeded ones through their seed
+   genomes, pessimal through the full path) against a full simulation of
+   the engine's own image of that layout, in every cell; the smallest
+   budget pays for exactly these five. *)
+let test_named_scores_match_full_path () =
+  let module M = Protolat_machine in
+  let config = P.Config.make P.Config.Clo in
+  let t = LS.run ~budget:5 () in
+  List.iter
+    (fun stack ->
+      let base =
+        P.Engine.run
+          (P.Engine.Spec.make ~rounds:1 ~stack ~config
+             ~layout:(P.Config.layout_of P.Config.Clo) ())
+      in
+      List.iter
+        (fun (c : LS.cell) ->
+          if c.LS.stack = stack then begin
+            Alcotest.(check int) "five evaluations" 5 c.LS.evals;
+            let p =
+              { M.Params.default with M.Params.icache_bytes = c.LS.icache_kb * 1024 }
+            in
+            List.iter
+              (fun (layout, us) ->
+                let img = P.Engine.layout_for config stack ~layout () in
+                let t' =
+                  M.Trace.map_pcs
+                    (Protolat_layout.Image.pc_map base.P.Engine.client_image img)
+                    base.P.Engine.trace
+                in
+                let want = (M.Perf.steady ~warmup:1 p t').M.Perf.time_us in
+                if us <> want then
+                  Alcotest.failf "%s %d KB %s: scorer %h us, full path %h us"
+                    (P.Engine.stack_name stack) c.LS.icache_kb
+                    (P.Config.layout_name layout) us want)
+              c.LS.named
+          end)
+        t.LS.cells)
+    [ P.Engine.Tcpip; P.Engine.Rpc ]
+
+let rejects what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+let test_small_budget_rejected () =
+  List.iter
+    (fun budget ->
+      rejects (Printf.sprintf "budget %d" budget) (fun () ->
+          LS.run ~budget ~geometries:[ 8 ] ()))
+    [ 0; 1; 2; 3; 4 ]
+
+let test_bad_geometry_rejected () =
+  List.iter
+    (fun kb ->
+      rejects (Printf.sprintf "geometry %d KB" kb) (fun () ->
+          LS.run ~budget:5 ~geometries:[ 8; kb ] ()))
+    [ 3; 0; -8 ];
+  rejects "score at 12 KB" (fun () -> LS.score P.Engine.Tcpip 12 [])
+
 let test_top_conflicts () =
   (* the typed Attrib query feeding the move generator: ordered by count,
      bounded by k, and cross_only drops self-conflicts *)
@@ -166,4 +328,12 @@ let suite =
         test_full_default_digest;
       Alcotest.test_case "base trace independent of rounds" `Quick
         test_base_trace_rounds;
+      Alcotest.test_case "scorer matches the full path" `Quick
+        test_scorer_matches_full_path;
+      Alcotest.test_case "named scores match the full path" `Quick
+        test_named_scores_match_full_path;
+      Alcotest.test_case "budget below the named layouts rejected" `Quick
+        test_small_budget_rejected;
+      Alcotest.test_case "bad geometry rejected" `Quick
+        test_bad_geometry_rejected;
       Alcotest.test_case "attrib top conflicts" `Quick test_top_conflicts ] )
