@@ -883,9 +883,9 @@ let search_cmd =
           then seeded simulated annealing over unit order, i-cache set \
           offsets and clone toggles, each candidate scored on the i-cache \
           alone (one base simulation per stack, exact against a full \
-          simulation of the candidate).  Seeded with the paper's named layouts, so the best \
-          found placement never loses to the best hand-picked one.  \
-          Deterministic: equal digests at any --jobs.")
+          simulation of the candidate).  Seeded with the paper's named \
+          layouts, so the best found placement never loses to the best \
+          hand-picked one.  Deterministic: equal digests at any --jobs.")
     Term.(
       const run $ budget_arg $ seeds_arg $ geometry_arg $ quick_arg
       $ json_arg $ check_arg $ out_arg $ jobs_arg)
