@@ -106,7 +106,7 @@ let copy_genome g =
    kept as runs of consecutive events of one unit on one line of its hot
    part: unit bases are block-aligned, so a run stays one line wherever
    the unit goes.  An event in an outlined cold block is a run of its
-   own, since the shared cold region does not keep lines. *)
+   own, since the chunks of the shared cold region are not line-aligned. *)
 type sctx = {
   config : Config.t;
   stack : Engine.stack_kind;
