@@ -293,44 +293,28 @@ let queue_pop q =
   else -1
 
 (* Per-slot memo for the warm-block fast path (its equivalence argument is
-   at [emit_slot_fast]).  A slot's instruction classes, penalties and
-   i-cache lines never change, so the per-instruction float expression of
-   [emit_one] is precomputed for the dominant case [lat = 0.0] (no memory
-   stall):
+   at [emit_slot_fast]): what varies per slot, namely the slot itself, its
+   instruction class codes and its chunk table.  What an instruction costs
+   depends only on its class, so those prices live in per-class tables of
+   the host state ([hstate.us0] and the rest).
 
-     us0.(i) = (0.0 +. (0.0 +. pen_i)) /. clock     (second of a pair)
-     us1.(i) = (0.0 +. (1.0 +. pen_i)) /. clock     (new issue slot)
-
-   and for the stall case the addends [pens.(i) = 0.0 +. pen_i] and
-   [sum1.(i) = 1.0 +. pen_i] keep the original operation order, so every
-   emitted microsecond is bit-identical to the slow path's.
-
-   The slot is further segmented into {e chunks} — maximal instruction
-   ranges sharing one i-cache line (pcs increase within a slot, so each
-   distinct line is exactly one chunk).  Chunks are the fast path's warmth
-   granularity: one generation compare decides whether the chunk's fetches
-   would all hit (nothing can evict the line mid-chunk: data references
-   never touch the i-cache and every fetch in the chunk is to this line),
-   in which case the hits are credited in one step and only data references
-   enter the memory system.  A chunk whose line is not resident makes one
-   real fetch, at its head — so one missing line costs one chunk, not the
-   whole slot.  [gens] holds the per-chunk generation snapshot
-   ([-1] = unverified), only ever taken while the line is resident; the
-   memo table is private to one host state, whose memory system never
-   changes, so snapshots cannot leak across caches. *)
+   A {e chunk} is a maximal instruction range sharing one i-cache line
+   (pcs increase within a slot, so each distinct line is exactly one
+   chunk).  Chunks are the fast path's warmth granularity: one tag compare
+   decides whether the chunk's fetches would all hit (nothing can evict
+   the line mid-chunk: data references never touch the i-cache and every
+   fetch in the chunk is to this line), in which case the hits are
+   credited in one step and only data references enter the memory system.
+   A chunk whose line is not resident makes one real fetch, at its head —
+   so one missing line costs one chunk, not the whole slot. *)
 type smemo = {
   m_slot : Image.slot;
   m_codes : int array;
-  m_pens : float array;
-  m_sum1 : float array;
-  m_us0 : float array;
-  m_us1 : float array;
   m_chunks : int array;
       (* stride-3 chunk table, one cache touch per chunk on the hot loop:
          chunk c = instrs [chunks.(3c), chunks.(3c+3)) on i-cache line
          chunks.(3c+1) in set chunks.(3c+2); the trailing word chunks.(3k)
          holds the slot length so the range read needs no bounds test *)
-  m_gens : int array;
 }
 
 (* A meter site's code as this host's image places it, resolved on first
@@ -346,6 +330,18 @@ type hstate = {
   memsys : Machine.Memsys.t;
   icache : Machine.Cache.t;
   fp : bool;  (* warm-block fast path enabled for this host *)
+  us0 : float array;
+  us1 : float array;
+  pen0 : float array;
+  pen1 : float array;
+      (* the fast path's prices by class code, compiled from [Cpu.penalty]
+         with [emit_one]'s own float expression: the microseconds of a
+         stall-free instruction that issues alone or first
+         ([us0 = (0.0 +. (0.0 +. pen)) /. clock]) or behind a pending one
+         ([us1], the same with 1.0), and the addend a stalled one adds to
+         its latency ([pen0 = 0.0 +. pen], [pen1 = 1.0 +. pen]) *)
+  pairs : bool array;
+      (* [Cpu.can_pair] by [pending * Instr.n_classes + code] *)
   mutable sa : entry array;
       (* by meter site: the prologue, hot block, guard or stub it emits *)
   mutable sb : entry array;
@@ -394,34 +390,10 @@ let code_load = Instr.code Instr.Load
 
 let code_store = Instr.code Instr.Store
 
-let code_mul = Instr.code Instr.Mul
-
-let build_smemo (p : Machine.Params.t) ic (slot : Image.slot) =
+let build_smemo ic (slot : Image.slot) =
   let instrs = slot.Image.instrs and pcs = slot.Image.pcs in
   let n = Array.length instrs in
-  let clock = p.Machine.Params.clock_mhz in
   let m_codes = Array.map Instr.code instrs in
-  let m_pens = Array.make n 0.0 in
-  let m_sum1 = Array.make n 0.0 in
-  let m_us0 = Array.make n 0.0 in
-  let m_us1 = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let pen =
-      match instrs.(i) with
-      | Instr.Br_taken -> p.Machine.Params.br_taken_penalty
-      | Instr.Jsr ->
-        p.Machine.Params.br_taken_penalty +. p.Machine.Params.call_penalty
-      | Instr.Ret ->
-        p.Machine.Params.br_taken_penalty +. p.Machine.Params.ret_penalty
-      | Instr.Mul -> p.Machine.Params.mul_cycles
-      | Instr.Load -> p.Machine.Params.load_use_penalty
-      | Instr.Alu | Instr.Store | Instr.Br_not_taken | Instr.Nop -> 0.0
-    in
-    m_pens.(i) <- 0.0 +. pen;
-    m_sum1.(i) <- 1.0 +. pen;
-    m_us0.(i) <- (0.0 +. (0.0 +. pen)) /. clock;
-    m_us1.(i) <- (0.0 +. (1.0 +. pen)) /. clock
-  done;
   (* chunk = maximal instr range on one i-cache line; pcs increase within a
      slot, so lines are non-decreasing and each distinct line is one chunk *)
   let starts = ref [] and lines = ref [] in
@@ -444,24 +416,17 @@ let build_smemo (p : Machine.Params.t) ic (slot : Image.slot) =
       m_chunks.((3 * c) + 1) <- l;
       m_chunks.((3 * c) + 2) <- Machine.Cache.set_of_line ic l)
     !lines;
-  { m_slot = slot;
-    m_codes;
-    m_pens;
-    m_sum1;
-    m_us0;
-    m_us1;
-    m_chunks;
-    m_gens = Array.make k (-1) }
+  { m_slot = slot; m_codes; m_chunks }
 
 (* Fast-path slot emission: the exact computation of [emit_one], chunk by
-   chunk.  A warm chunk (line verified resident by generation compare, or
-   by probe on mismatch) skips its instruction fetches — they would all hit,
-   contributing zero stall and no state change beyond the hit counters,
-   credited in one step — and only its data references enter the memory
-   system.  A cold chunk performs one real fetch at its head and then
-   snapshots its generation (the line was just fetched and nothing in the
-   chunk can evict it).  Pairing state, synthetic-address state and the
-   sequential busy/clock accumulation are bit-for-bit the slow path's.
+   chunk.  A warm chunk (its line resident: the set's i-cache tag holds it)
+   skips its instruction fetches — they would all hit, contributing zero
+   stall and no state change beyond the hit counters, credited in one step
+   — and only its data references enter the memory system.  A cold chunk
+   performs one real fetch at its head.  Pairing state, synthetic-address
+   state and the sequential busy/clock accumulation are bit-for-bit the
+   slow path's: the per-class tables hold [emit_one]'s own float
+   expressions, and the pairing table is [Cpu.can_pair].
 
    Equivalence argument (why the memory system ends every chunk in the
    state the per-instruction [emit_one] loop leaves it, by induction over
@@ -486,25 +451,21 @@ let emit_slot_fast h (m : smemo) =
   let p = h.params in
   let clock = p.Machine.Params.clock_mhz in
   let pct = p.Machine.Params.pair_success_pct in
+  let ncls = Instr.n_classes in
   let codes = m.m_codes in
   let pcs = m.m_slot.Image.pcs in
   let ic = h.icache in
-  let igens = Machine.Cache.generations ic in
+  let tags = ic.Machine.Cache.tags in
   let mlat = h.mlat in
   let chunks = m.m_chunks in
-  let nchunks = Array.length m.m_gens in
+  let nchunks = (Array.length chunks - 1) / 3 in
   for c = 0 to nchunks - 1 do
     let b = 3 * c in
     let lo = Array.unsafe_get chunks b in
     let hi = Array.unsafe_get chunks (b + 3) - 1 in
     let warm =
-      let g = Array.unsafe_get igens (Array.unsafe_get chunks (b + 2)) in
-      Array.unsafe_get m.m_gens c = g
-      || Machine.Cache.resident_line ic (Array.unsafe_get chunks (b + 1))
-         && begin
-              Array.unsafe_set m.m_gens c g;
-              true
-            end
+      Array.unsafe_get tags (Array.unsafe_get chunks (b + 2))
+      = Array.unsafe_get chunks (b + 1)
     in
     (* [fetch_i]: the single instruction of the chunk that performs a real
        fetch (the miss), or -1 when the line is already resident.  Every
@@ -551,15 +512,12 @@ let emit_slot_fast h (m : smemo) =
       let us =
         if h.pending < 0 then begin
           h.pending <- code;
-          if lat = 0.0 then Array.unsafe_get m.m_us0 i
-          else (lat +. Array.unsafe_get m.m_pens i) /. clock
+          if lat = 0.0 then Array.unsafe_get h.us0 code
+          else (lat +. Array.unsafe_get h.pen0 code) /. clock
         end
         else begin
-          let prev = h.pending in
           let paired =
-            prev <> code_mul && code <> code_mul
-            && (prev = code_load || prev = code_store)
-               <> (code = code_load || code = code_store)
+            Array.unsafe_get h.pairs ((h.pending * ncls) + code)
             && begin
                  let r = h.pair_mod + pct in
                  let r = if r >= 100 then r - 100 else r in
@@ -568,8 +526,8 @@ let emit_slot_fast h (m : smemo) =
                end
           in
           if paired then h.pending <- -1 else h.pending <- code;
-          if lat = 0.0 then Array.unsafe_get m.m_us1 i
-          else (lat +. Array.unsafe_get m.m_sum1 i) /. clock
+          if lat = 0.0 then Array.unsafe_get h.us1 code
+          else (lat +. Array.unsafe_get h.pen1 code) /. clock
         end
       in
       h.busy_us.(0) <- h.busy_us.(0) +. us;
@@ -578,10 +536,7 @@ let emit_slot_fast h (m : smemo) =
     (* hit credit for every skipped fetch; after the miss at [lo], so the
        i-cache's last_victim ends as the slow path leaves it (the victim if
        the chunk is a lone miss, -1 whenever hits follow) *)
-    Machine.Cache.credit_hits ic (if warm then hi - lo + 1 else hi - lo);
-    if not warm then
-      Array.unsafe_set m.m_gens c
-        (Array.unsafe_get igens (Array.unsafe_get chunks (b + 2)))
+    Machine.Cache.credit_hits ic (if warm then hi - lo + 1 else hi - lo)
   done
 
 (* The per-instruction hot path: no boxed events, options, tuples or list
@@ -615,17 +570,7 @@ let emit_one h ~pc ~cls ~kind ~addr ~fid =
       1.0
     end
   in
-  let pen =
-    match cls with
-    | Instr.Br_taken -> p.Machine.Params.br_taken_penalty
-    | Instr.Jsr ->
-      p.Machine.Params.br_taken_penalty +. p.Machine.Params.call_penalty
-    | Instr.Ret ->
-      p.Machine.Params.br_taken_penalty +. p.Machine.Params.ret_penalty
-    | Instr.Mul -> p.Machine.Params.mul_cycles
-    | Instr.Load -> p.Machine.Params.load_use_penalty
-    | Instr.Alu | Instr.Store | Instr.Br_not_taken | Instr.Nop -> 0.0
-  in
+  let pen = Machine.Cpu.penalty p cls in
   let us = (h.mlat.(0) +. (issue +. pen)) /. p.Machine.Params.clock_mhz in
   h.busy_us.(0) <- h.busy_us.(0) +. us;
   h.clock.(0) <- h.clock.(0) +. us;
@@ -690,7 +635,7 @@ let key_b (s : Meter.Site.t) =
 let resolve h s key =
   let func = Meter.Site.func s in
   match Image.find h.image ~func ~key with
-  | Image.Slot slot -> Emit (build_smemo h.params h.icache slot)
+  | Image.Slot slot -> Emit (build_smemo h.icache slot)
   | Image.Elided -> Elided
   | Image.Unknown -> fail_unknown func key
 
@@ -867,11 +812,25 @@ let make_hstate ~params ~image ~sim ~simmem =
   let region = Xk.Simmem.alloc simmem (8192 + 8192 + touch_window) in
   let stack_base = region + 8192 in
   let memsys = Machine.Memsys.create params in
+  let clock = params.Machine.Params.clock_mhz in
+  let ncls = Instr.n_classes in
+  let by_class f =
+    Array.init ncls (fun c ->
+        f (Machine.Cpu.penalty params (Instr.of_code c)))
+  in
   { params;
     image;
     memsys;
     icache = Machine.Memsys.icache memsys;
     fp = Machine.Blockcache.enabled ();
+    us0 = by_class (fun pen -> (0.0 +. (0.0 +. pen)) /. clock);
+    us1 = by_class (fun pen -> (0.0 +. (1.0 +. pen)) /. clock);
+    pen0 = by_class (fun pen -> 0.0 +. pen);
+    pen1 = by_class (fun pen -> 1.0 +. pen);
+    pairs =
+      Array.init (ncls * ncls) (fun k ->
+          Machine.Cpu.can_pair (Instr.of_code (k / ncls))
+            (Instr.of_code (k mod ncls)));
     sa = Array.make (Meter.Site.count ()) Unresolved;
     sb = Array.make (Meter.Site.count ()) Unresolved;
     mlat = Machine.Memsys.lat_cell memsys;
@@ -933,8 +892,7 @@ let finish ~params ~config ~desc ~(ch : hstate) ~rtts ~retransmissions
   List.iter (Obs.Metrics.observe h) rtts;
   (* the run is over, so the client's hierarchy is free: read its online
      counters, then replay the collected trace on it instead of creating
-     another (the replay clears it; the host's slot memos, whose
-     generation snapshots the clear invalidates, are never used again) *)
+     another (the replay clears it) *)
   let online = Machine.Memsys.stats ch.memsys in
   let cold, steady =
     Machine.Perf.cold_and_steady ~scratch:ch.memsys params ch.trace

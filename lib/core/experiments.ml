@@ -137,54 +137,41 @@ let table2 () =
 
 (* ----- Table 3 ------------------------------------------------------------ *)
 
-(* classify each trace pc by the function that owns it *)
-let func_of_pc image =
-  let spans =
-    Layout.Image.slots image
-    |> List.map (fun (s : Layout.Image.slot) ->
-           let last =
-             if Array.length s.Layout.Image.pcs = 0 then s.Layout.Image.addr
-             else s.Layout.Image.pcs.(Array.length s.Layout.Image.pcs - 1)
-           in
-           (s.Layout.Image.addr, last, s.Layout.Image.func))
-    |> List.sort compare
-  in
-  let arr = Array.of_list spans in
-  fun pc ->
-    let rec search lo hi =
-      if lo > hi then None
-      else
-        let mid = (lo + hi) / 2 in
-        let a, b, f = arr.(mid) in
-        if pc < a then search lo (mid - 1)
-        else if pc > b then search (mid + 1) hi
-        else Some f
-    in
-    search 0 (Array.length arr - 1)
+(* the function that emitted event [i], from the trace's own column *)
+let func_at trace i =
+  let fid = Trace.fid_at trace i in
+  if fid < 0 then None else Some (Trace.func_name trace fid)
 
-(* instructions from the first event inside [from_] to the first event
-   inside [to_] (the paper's "count instructions to complete a task") *)
+(* instructions from the entry of [from_] to the next entry of [to_] (the
+   paper's "count instructions to complete a task").  An entry is an event
+   at the first pc of the function's prologue slot: the trace opens inside
+   the previous packet's processing, so a function's first event can be
+   the tail of an earlier invocation. *)
 let segment trace image ~from_ ~to_ =
-  let fof = func_of_pc image in
-  let n = Trace.length trace in
-  let rec find_enter target j =
-    if j >= n then None
-    else if fof (Trace.get trace j).Trace.pc = Some target then Some j
-    else find_enter target (j + 1)
+  let ( let* ) = Option.bind in
+  let entry func =
+    match Layout.Image.find image ~func ~key:Layout.Image.Key.pro with
+    | Layout.Image.Slot s when Array.length s.Layout.Image.pcs > 0 ->
+      Some s.Layout.Image.pcs.(0)
+    | _ -> None
   in
-  match find_enter from_ 0 with
-  | None -> None
-  | Some s -> (
-    match find_enter to_ s with
-    | None -> None
-    | Some e -> Some (e - s))
+  let n = Trace.length trace in
+  let rec find pc j =
+    if j >= n then None
+    else if Trace.pc_at trace j = pc then Some j
+    else find pc (j + 1)
+  in
+  let* a = entry from_ in
+  let* b = entry to_ in
+  let* s = find a 0 in
+  let* e = find b s in
+  Some (e - s)
 
-let in_function trace image ~func =
-  let fof = func_of_pc image in
+let in_function trace ~func =
   let count = ref 0 in
-  Trace.iter
-    (fun e -> if fof e.Trace.pc = Some func then incr count)
-    trace;
+  for i = 0 to Trace.length trace - 1 do
+    if func_at trace i = Some func then incr count
+  done;
   !count
 
 let table3 () =
@@ -209,10 +196,10 @@ let table3 () =
   in
   Table.add_row t
     [ "...in ipintr / ipDemux"; "57"; "248";
-      i (in_function trace image ~func:"ip_demux") ];
+      i (in_function trace ~func:"ip_demux") ];
   Table.add_row t
     [ "...in tcp_input (after PCB lookup)"; "276"; "406";
-      i (in_function trace image ~func:"tcp_input") ];
+      i (in_function trace ~func:"tcp_input") ];
   Table.add_row t
     [ "...between IP input and TCP input"; "-"; "437";
       seg "ip_demux" "tcp_demux" ];
@@ -228,17 +215,14 @@ let table3 () =
 (* per-function profile of one steady-state roundtrip *)
 let profile ~stack ~version () =
   let r = Engine.run (Engine.Spec.default ~stack ~config:(Config.make version)) in
-  let trace = r.Engine.trace and image = r.Engine.client_image in
-  let fof = func_of_pc image in
+  let trace = r.Engine.trace in
   let counts = Hashtbl.create 32 in
-  Trace.iter
-    (fun e ->
-      match fof e.Trace.pc with
-      | None -> ()
-      | Some f ->
-        Hashtbl.replace counts f
-          (1 + try Hashtbl.find counts f with Not_found -> 0))
-    trace;
+  for i = 0 to Trace.length trace - 1 do
+    match func_at trace i with
+    | None -> ()
+    | Some f ->
+      Hashtbl.replace counts f (1 + try Hashtbl.find counts f with Not_found -> 0)
+  done;
   let total = Trace.length trace in
   let rows =
     Hashtbl.fold (fun f n acc -> (f, n) :: acc) counts []

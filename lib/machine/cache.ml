@@ -5,14 +5,6 @@ type t = {
   sets : int;
   set_mask : int; (* sets - 1 *)
   tags : int array; (* block address currently cached in each set; -1 empty *)
-  gens : int array;
-      (* per-set generation counter, bumped on every tag change (fill or
-         invalidate).  The engine's fast path records the generation of a
-         chunk's set when it verifies residency; as long as the generation
-         still matches, the line is provably still resident and the chunk
-         can be charged its hits without re-probing.  Empty for
-         [create_untagged]: nothing verifies the d- and b-caches, whose
-         arrays would only ever be written. *)
   mutable evicted : Bytes.t option array;
       (* paged grow-on-demand bitset over block addresses: blocks evicted
          at least once (feeds cold- vs replacement-miss accounting).  The
@@ -48,7 +40,7 @@ let page_blocks = 1 lsl page_shift
 
 let page_mask = page_blocks - 1
 
-let make ~generations ~name ~size_bytes ~block_bytes =
+let create ~name ~size_bytes ~block_bytes =
   if not (is_pow2 size_bytes && is_pow2 block_bytes) then
     invalid_arg "Cache.create: sizes must be powers of two";
   let sets = size_bytes / block_bytes in
@@ -58,19 +50,12 @@ let make ~generations ~name ~size_bytes ~block_bytes =
     sets;
     set_mask = sets - 1;
     tags = Array.make sets (-1);
-    gens = (if generations then Array.make sets 0 else [||]);
     evicted = Array.make 16 None;
     accesses = 0;
     hits = 0;
     cold = 0;
     repl = 0;
     last_victim = -1 }
-
-let create ~name ~size_bytes ~block_bytes =
-  make ~generations:true ~name ~size_bytes ~block_bytes
-
-let create_untagged ~name ~size_bytes ~block_bytes =
-  make ~generations:false ~name ~size_bytes ~block_bytes
 
 let name t = t.name
 
@@ -117,7 +102,6 @@ let fill t block =
   t.last_victim <- victim;
   if victim >= 0 then evicted_add t victim;
   t.tags.(set) <- block;
-  if Array.length t.gens > 0 then t.gens.(set) <- t.gens.(set) + 1;
   if evicted_mem t block then begin
     t.repl <- t.repl + 1;
     true
@@ -146,18 +130,11 @@ let invalidate_all t =
   for i = 0 to t.sets - 1 do
     if t.tags.(i) >= 0 then begin
       evicted_add t t.tags.(i);
-      t.tags.(i) <- -1;
-      if Array.length t.gens > 0 then t.gens.(i) <- t.gens.(i) + 1
+      t.tags.(i) <- -1
     end
   done
 
 let set_of_line t line = line land t.set_mask
-
-let resident_line t line = t.tags.(line land t.set_mask) = line
-
-let generation t set = t.gens.(set)
-
-let generations t = t.gens
 
 (* Batch credit for a verified-resident basic block: n hits have exactly the
    counter effect of n per-line [access] hits (accesses/hits up by n, no
@@ -175,16 +152,12 @@ let reset_stats t =
   t.cold <- 0;
   t.repl <- 0
 
-(* Restore the exact state of a fresh [create]: empty sets, generation
-   counters back at 0, no eviction history, zeroed counters.  Unlike
-   [invalidate_all] this forgets the eviction bitset too, so a subsequent
-   first-touch miss classifies as cold again.  Reusing a cleared cache is
-   only sound when no generation snapshot taken against it survives the
-   clear — a reset generation can coincide with a stale snapshot and fake
-   residency. *)
+(* Restore the exact state of a fresh [create]: empty sets, no eviction
+   history, zeroed counters.  Unlike [invalidate_all] this forgets the
+   eviction bitset too, so a subsequent first-touch miss classifies as
+   cold again. *)
 let clear t =
   Array.fill t.tags 0 t.sets (-1);
-  Array.fill t.gens 0 (Array.length t.gens) 0;
   (if Array.length t.evicted = 16 then Array.fill t.evicted 0 16 None
    else t.evicted <- Array.make 16 None);
   t.accesses <- 0;

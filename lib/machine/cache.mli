@@ -7,9 +7,10 @@
 (** The representation is exposed for {!Memsys}, which resolves a hit in
     place — probe [tags], bump [accesses] and [hits], clear
     [last_victim] — instead of paying a call per reference (calls across
-    modules are not inlined when a build compiles with [-opaque]).  A miss
-    goes through {!fill}.  Everything else should use the functions
-    below. *)
+    modules are not inlined when a build compiles with [-opaque]), and for
+    the engine's fast path, which reads [tags] to decide whether a chunk
+    of code is resident.  A miss goes through {!fill}.  Everything else
+    should use the functions below. *)
 type t = {
   name : string;
   block_bytes : int;
@@ -17,7 +18,6 @@ type t = {
   sets : int;
   set_mask : int;  (** [sets - 1] *)
   tags : int array;  (** line cached in each set; [-1] empty *)
-  gens : int array;  (** per-set generation counter; empty if untagged *)
   mutable evicted : Bytes.t option array;
       (** paged bitset over lines evicted at least once *)
   mutable accesses : int;
@@ -34,11 +34,6 @@ type outcome =
 
 val create : name:string -> size_bytes:int -> block_bytes:int -> t
 
-val create_untagged : name:string -> size_bytes:int -> block_bytes:int -> t
-(** {!create} without the per-set generation tags the engine's fast path
-    verifies residency with: for a cache nobody verifies (the d- and
-    b-caches), which then skips the array and its upkeep. *)
-
 val name : t -> string
 
 val line_of : t -> int -> int
@@ -53,54 +48,32 @@ val access : t -> int -> outcome
 val fill : t -> int -> bool
 (** [fill t line] is the miss half of {!access} on a line ({!line_of}) the
     caller found not resident: counts the access, records and remembers
-    the set's victim, installs [line] and bumps the set's generation.
-    [true] for a replacement miss, [false] for a cold one. *)
+    the set's victim and installs [line].  [true] for a replacement miss,
+    [false] for a cold one. *)
 
 val probe : t -> int -> bool
 (** Lookup without filling: is the block containing [addr] resident? *)
 
-(** {2 Generation tags — the engine fast path's residency witness}
-
-    Every set carries a generation counter bumped on each tag change (fill
-    or invalidation).  A memoized chunk of code that verified its line
-    resident at generation [g] stays provably resident while the
-    generation is unchanged, so re-verification is one integer compare
-    instead of a probe — and a hit costs no per-instruction work at
-    all. *)
-
 val set_of_line : t -> int -> int
-(** Set index holding block (line) address [line]. *)
-
-val resident_line : t -> int -> bool
-(** Like {!probe} but on a block (line) address from {!line_of}. *)
-
-val generation : t -> int -> int
-(** Current generation of set [set] (from {!set_of_line}).  Only on a
-    cache from {!create}. *)
-
-val generations : t -> int array
-(** The underlying per-set generation array itself, for fast-path
-    verifiers that compare generations in a hot loop (a call per compare
-    is not free without cross-module inlining).  Callers must treat it as
-    read-only.  Empty on a cache from {!create_untagged}. *)
+(** Set index holding block (line) address [line]: the line is resident
+    exactly when [tags.(set_of_line t line) = line]. *)
 
 val credit_hits : t -> int -> unit
 (** [credit_hits t n] records [n] hits in one step: exactly the statistics
     effect of [n] hitting {!access} calls (accesses and hits up by [n],
     {!last_victim} cleared).  Only valid when the caller has proven all
-    [n] lookups would hit (e.g. via generation tags). *)
+    [n] lookups would hit (e.g. the line is resident and nothing in
+    between can evict it). *)
 
 val invalidate_all : t -> unit
 (** Empty the cache but keep statistics and eviction history. *)
 
 val clear : t -> unit
-(** Restore the exact state of a fresh {!create}: empty sets, generations
-    back at 0, eviction history forgotten (first-touch misses classify as
-    cold again), statistics zeroed.  Unlike {!invalidate_all} this is a
-    true reset, not an eviction — it lets a scorer reuse one cache
-    allocation per candidate instead of paying {!create}.  Only sound when
-    no generation snapshot taken before the clear survives it: a reset
-    generation can coincide with a stale snapshot and fake residency. *)
+(** Restore the exact state of a fresh {!create}: empty sets, eviction
+    history forgotten (first-touch misses classify as cold again),
+    statistics zeroed.  Unlike {!invalidate_all} this is a true reset, not
+    an eviction — it lets a scorer reuse one cache allocation per
+    candidate instead of paying {!create}. *)
 
 val reset_stats : t -> unit
 

@@ -38,10 +38,10 @@ let create p =
       Cache.create ~name:"i-cache" ~size_bytes:p.Params.icache_bytes
         ~block_bytes:p.Params.block_bytes;
     dc =
-      Cache.create_untagged ~name:"d-cache" ~size_bytes:p.Params.dcache_bytes
+      Cache.create ~name:"d-cache" ~size_bytes:p.Params.dcache_bytes
         ~block_bytes:p.Params.block_bytes;
     bc =
-      Cache.create_untagged ~name:"b-cache" ~size_bytes:p.Params.bcache_bytes
+      Cache.create ~name:"b-cache" ~size_bytes:p.Params.bcache_bytes
         ~block_bytes:p.Params.block_bytes;
     wb = Write_buffer.create ~depth:p.Params.wb_depth ~block_bytes:p.Params.block_bytes;
     last_imiss_block = min_int;
@@ -262,8 +262,8 @@ let access_acc t ~pc ~kind ~addr =
      else float_of_int s)
 
 (* Data-side-only accesses for the engine's warm-chunk fast path: when the
-   caller has proven the i-fetch would hit (the chunk's line resident,
-   witnessed by generation tags), the i-side contributes exactly 0.0 stall
+   caller has proven the i-fetch would hit (the chunk's line resident in
+   the i-cache's tag array), the i-side contributes exactly 0.0 stall
    and the data reference is the whole latency — bit-identical to
    [access_acc] with a hitting pc, since [0 + x = x]. *)
 let load_acc t addr = t.lat.(0) <- float_of_int (dload t addr)
@@ -291,10 +291,6 @@ let invalidate_primary t =
   Cache.invalidate_all t.dc;
   ignore (Write_buffer.drain t.wb);
   t.last_imiss_block <- min_int
-
-let invalidate_all t =
-  invalidate_primary t;
-  Cache.invalidate_all t.bc
 
 (* Restore the exact state of a fresh [create p]: every component cleared
    back to its construction state, so a cleared hierarchy simulates any

@@ -56,7 +56,7 @@ val access_acc : t -> pc:int -> kind:int -> addr:int -> unit
 val load_acc : t -> int -> unit
 (** Data-side-only load: no instruction fetch is simulated.  Only valid
     when the caller has proven the i-fetch would hit (the line is
-    resident, witnessed by {!Cache} generation tags) — the i-side then
+    resident: its set's {!Cache} tag holds it) — the i-side then
     contributes exactly zero stall, so skipping it is bit-identical.  The
     i-cache hit statistics must be credited separately
     ({!Cache.credit_hits}). *)
@@ -73,12 +73,10 @@ val run : t -> Trace.t -> float
 val invalidate_primary : t -> unit
 (** Empty i-cache, d-cache and write buffer (keep the b-cache warm). *)
 
-val invalidate_all : t -> unit
-
 val clear : t -> unit
 (** Restore the exact state of a fresh [create (params t)] without
-    reallocating: caches emptied with eviction history and generations
-    reset ({!Cache.clear}), write buffer reset, all counters and stall
+    reallocating: caches emptied with eviction history reset
+    ({!Cache.clear}), write buffer reset, all counters and stall
     accumulators zeroed.  A cleared hierarchy simulates any trace
     bit-identically to a new one — the point is skipping the b-cache's
     65536-set tag array allocation when scoring many candidates, or

@@ -87,11 +87,11 @@ let add_packed t ~pc ~cls ~kind ~addr ~fid =
   t.fids.(i) <- fid;
   t.len <- i + 1
 
-let add t ~pc ~cls ?access ?(fid = -1) () =
+let add t ~pc ~cls ?access () =
   match access with
-  | None -> add_packed t ~pc ~cls ~kind:kind_none ~addr:0 ~fid
-  | Some (Read a) -> add_packed t ~pc ~cls ~kind:kind_read ~addr:a ~fid
-  | Some (Write a) -> add_packed t ~pc ~cls ~kind:kind_write ~addr:a ~fid
+  | None -> add_packed t ~pc ~cls ~kind:kind_none ~addr:0 ~fid:(-1)
+  | Some (Read a) -> add_packed t ~pc ~cls ~kind:kind_read ~addr:a ~fid:(-1)
+  | Some (Write a) -> add_packed t ~pc ~cls ~kind:kind_write ~addr:a ~fid:(-1)
 
 let pc_at t i = t.pcs.(i)
 
@@ -117,21 +117,6 @@ let iter f t =
   for i = 0 to t.len - 1 do
     f { pc = t.pcs.(i); cls = cls_at t i; access = access_at t i }
   done
-
-let append dst src =
-  let n = dst.len + src.len in
-  if n > Array.length dst.pcs then grow dst n;
-  Array.blit src.pcs 0 dst.pcs dst.len src.len;
-  Array.blit src.clss 0 dst.clss dst.len src.len;
-  Array.blit src.kinds 0 dst.kinds dst.len src.len;
-  Array.blit src.addrs 0 dst.addrs dst.len src.len;
-  (* fids are per-trace intern ids: remap through dst's table *)
-  for i = 0 to src.len - 1 do
-    let fid = src.fids.(i) in
-    dst.fids.(dst.len + i) <-
-      (if fid < 0 then -1 else intern dst src.funcs.(fid))
-  done;
-  dst.len <- n
 
 let map_pcs f t =
   { t with
@@ -173,7 +158,7 @@ let touched_instr_offsets t =
   done;
   seen
 
-(* ----- serialization ----------------------------------------------------- *)
+(* ----- text export ------------------------------------------------------- *)
 
 let cls_to_tag = function
   | Instr.Alu -> "alu"
@@ -185,18 +170,6 @@ let cls_to_tag = function
   | Instr.Ret -> "ret"
   | Instr.Mul -> "mul"
   | Instr.Nop -> "nop"
-
-let cls_of_tag = function
-  | "alu" -> Instr.Alu
-  | "ld" -> Instr.Load
-  | "st" -> Instr.Store
-  | "bt" -> Instr.Br_taken
-  | "bn" -> Instr.Br_not_taken
-  | "jsr" -> Instr.Jsr
-  | "ret" -> Instr.Ret
-  | "mul" -> Instr.Mul
-  | "nop" -> Instr.Nop
-  | s -> failwith ("Trace: unknown instruction class " ^ s)
 
 let event_to_string t i =
   let pc = t.pcs.(i) in
@@ -210,46 +183,6 @@ let event_to_string t i =
   let fid = t.fids.(i) in
   if fid < 0 then core else core ^ " @" ^ t.funcs.(fid)
 
-let save t oc =
-  for i = 0 to t.len - 1 do
-    output_string oc (event_to_string t i);
-    output_char oc '\n'
-  done
-
-let parse_line t line =
-  let tokens = String.split_on_char ' ' (String.trim line) in
-  (* optional trailing "@func" names the originating function *)
-  let tokens, fid =
-    match List.rev tokens with
-    | last :: rest
-      when String.length last > 1 && last.[0] = '@' ->
-      ( List.rev rest,
-        intern t (String.sub last 1 (String.length last - 1)) )
-    | _ -> (tokens, -1)
-  in
-  match tokens with
-  | [ "" ] -> ()
-  | [ pc; tag ] ->
-    add t ~pc:(int_of_string ("0x" ^ pc)) ~cls:(cls_of_tag tag) ~fid ()
-  | [ pc; tag; "R"; a ] ->
-    add t ~pc:(int_of_string ("0x" ^ pc)) ~cls:(cls_of_tag tag)
-      ~access:(Read (int_of_string ("0x" ^ a)))
-      ~fid ()
-  | [ pc; tag; "W"; a ] ->
-    add t ~pc:(int_of_string ("0x" ^ pc)) ~cls:(cls_of_tag tag)
-      ~access:(Write (int_of_string ("0x" ^ a)))
-      ~fid ()
-  | _ -> failwith ("Trace: malformed line: " ^ line)
-
-let load ic =
-  let t = create () in
-  (try
-     while true do
-       parse_line t (input_line ic)
-     done
-   with End_of_file -> ());
-  t
-
 let to_string t =
   let buf = Buffer.create 4096 in
   for i = 0 to t.len - 1 do
@@ -257,8 +190,3 @@ let to_string t =
     Buffer.add_char buf '\n'
   done;
   Buffer.contents buf
-
-let of_string s =
-  let t = create () in
-  String.split_on_char '\n' s |> List.iter (fun l -> if l <> "" then parse_line t l);
-  t

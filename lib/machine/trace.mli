@@ -24,7 +24,8 @@ val create : unit -> t
 
 val length : t -> int
 
-val add : t -> pc:int -> cls:Instr.cls -> ?access:access -> ?fid:int -> unit -> unit
+val add : t -> pc:int -> cls:Instr.cls -> ?access:access -> unit -> unit
+(** Append one untagged event (function id [-1]). *)
 
 (** {2 Function attribution}
 
@@ -73,8 +74,6 @@ val get : t -> int -> event
 
 val iter : (event -> unit) -> t -> unit
 
-val append : t -> t -> unit
-
 val map_pcs : (int -> int) -> t -> t
 (** A copy of the trace with every instruction address rewritten through
     [f] — classes, data references, ordering and function tags unchanged.
@@ -95,16 +94,8 @@ val distinct_blocks : t -> block_bytes:int -> int
 val touched_instr_offsets : t -> (int, unit) Hashtbl.t
 (** Set of distinct instruction addresses fetched. *)
 
-(** Text serialization (one event per line: [pc class [R|W addr] [@func]])
-    — the paper made its instruction traces available for download; so do
-    we.  The trailing [@func] records the originating function when the
-    event was tagged. *)
-
-val save : t -> out_channel -> unit
-
-val load : in_channel -> t
-(** @raise Failure on malformed input. *)
-
 val to_string : t -> string
-
-val of_string : string -> t
+(** One event per line: [pc class [R|W addr] [@func]], the trailing
+    [@func] naming the originating function when the event is tagged —
+    the paper made its instruction traces available for download; so do
+    we ([protolat trace --raw]). *)

@@ -64,12 +64,22 @@ let demux t ~src_mac:_ msg =
       t.packets_in <- t.packets_in + 1;
       m.Meter.block s_ip_demux_validate
         ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Ip_hdr.size () ];
-      let raw = Msg.peek msg 0 Ip_hdr.size in
+      (* a frame too short for a header, a bad checksum and a header that
+         is not plain IPv4 (version/IHL other than 0x45) are all drops *)
+      let raw = Msg.peek msg 0 (min (Msg.len msg) Ip_hdr.size) in
       m.Meter.call s_ip_demux_validate_0;
       let csum_ok =
-        Cksum_meter.verify m ~counters:t.cksum ~sim_base:(Msg.sim_addr msg) raw 0 Ip_hdr.size
+        Bytes.length raw = Ip_hdr.size
+        && Cksum_meter.verify m ~counters:t.cksum ~sim_base:(Msg.sim_addr msg)
+             raw 0 Ip_hdr.size
       in
-      let hdr = if csum_ok then Some (Ip_hdr.of_bytes raw) else None in
+      let hdr =
+        if not csum_ok then None
+        else
+          match Ip_hdr.of_bytes raw with
+          | h -> Some h
+          | exception Invalid_argument _ -> None
+      in
       let fragmented =
         match hdr with
         | Some h -> h.Ip_hdr.frag_off <> 0 || h.Ip_hdr.flags land 1 <> 0

@@ -2,33 +2,30 @@
 # Smoke script: full build, the test suite (the engine's fast path is
 # checked against the per-instruction reference by the suite's
 # differential tests, and span recording on against off), a short
-# multi-seed fault soak, the latency-attribution and timeline exports
-# (with their consistency / JSON well-formedness checks), a quick
-# multi-flow sweep, a quick latency-provenance spans report (with its
-# bit-exact conservation check), a quick host-lifecycle chaos sweep, a
-# quick fabric incast export plus its --jobs byte-identity check,
-# byte-for-byte checks of the TCP and RPC multi-flow, chaos matrix, fabric
-# and per-function profile JSON reports against the golden files in
-# test/golden/, a check that the 19-flow RPC run ends in a checked report
-# (exit 0 or 1) and never in a crash, the benchmark smoke (pinned workload
-# digests), a pair bit-identity check plus replays of the committed chaos
-# repro files, the full default layout search re-simulated through the
-# full path (--check) against its pinned digest, checks that an unknown
-# table name and a layout search with a bad geometry or a budget below the
-# named layouts are rejected as usage errors, and a quick end-to-end
-# paper table (protolat tables --quick table1).
+# multi-seed fault soak, the timeline export (with its JSON
+# well-formedness check), a quick latency-provenance spans report (with
+# its bit-exact conservation check), a fabric incast export's --jobs
+# byte-identity check, byte-for-byte checks of the TCP and RPC
+# multi-flow, chaos matrix, fabric and per-function profile JSON reports
+# against the golden files in test/golden/ (each run once, with --check:
+# drained cells and well-formed JSON, or attribution sums that match the
+# aggregate report), a check that the 19-flow RPC run ends in a checked
+# report (exit 0 or 1) and never in a crash, the benchmark smoke (pinned
+# workload digests), a pair bit-identity check plus replays of the
+# committed chaos repro files, the full default layout search
+# re-simulated through the full path (--check) against its pinned digest,
+# checks that an unknown table name and a layout search with a bad
+# geometry or a budget below the named layouts are rejected as usage
+# errors, and a quick end-to-end paper table (protolat tables --quick
+# table1).
 # Usage: scripts/ci.sh  (run from the repository root)
 set -eu
 
 dune build @all
 dune runtest
 dune exec bin/protolat_cli.exe -- soak --quick --seeds 2
-dune build @profile-quick
 dune build @trace-quick
-dune build @mflow-quick
 dune build @spans-quick
-dune build @chaos-quick
-dune build @fabric-quick
 # fabric cells fan out across domains: the JSON report must be
 # byte-identical at one and at two jobs
 FABRIC_J1=$(mktemp -t protolat-ci-fabric-j1.XXXXXX)
@@ -40,14 +37,15 @@ cmp "$FABRIC_J1" "$FABRIC_J2"
 # golden reports: every counter the multi-flow and fabric reports print
 # (hit rate, key compares, retransmits, sweeps, timer high-water, digests)
 # must match the committed files byte-for-byte, so a simulator speedup
-# that moved a single event fails here
+# that moved a single event fails here; --check adds nothing to a --json
+# report's stdout, and fails the run if a cell did not drain
 GOLDEN=$(mktemp -t protolat-ci-golden.XXXXXX)
 trap 'rm -f "$FABRIC_J1" "$FABRIC_J2" "$GOLDEN"' EXIT
-dune exec bin/protolat_cli.exe -- mflow --flows 64 --seeds 2 --json > "$GOLDEN"
+dune exec bin/protolat_cli.exe -- mflow --flows 64 --seeds 2 --json --check > "$GOLDEN"
 cmp "$GOLDEN" test/golden/mflow_64x2.json
 # the RPC multi-flow cell (kept at 18 flows or fewer: from 19 on the RPC
 # run collapses, a known open defect) and the host-lifecycle chaos matrix
-dune exec bin/protolat_cli.exe -- mflow -s rpc --flows 1,8 --seeds 2 --json > "$GOLDEN"
+dune exec bin/protolat_cli.exe -- mflow -s rpc --flows 1,8 --seeds 2 --json --check > "$GOLDEN"
 cmp "$GOLDEN" test/golden/mflow_rpc_1_8x2.json
 # at 19 flows the collapse must come back as a report: every request
 # completed (exit 0) or the stuck flows named as a liveness.flows
@@ -58,20 +56,20 @@ if [ "$STATUS" -gt 1 ]; then
   echo "ci: protolat mflow -s rpc --flows 19 exited $STATUS, not 0 or 1" >&2
   exit 1
 fi
-dune exec bin/protolat_cli.exe -- chaos --quick --json > "$GOLDEN"
+dune exec bin/protolat_cli.exe -- chaos --quick --json --check > "$GOLDEN"
 cmp "$GOLDEN" test/golden/chaos_quick.json
-dune exec bin/protolat_cli.exe -- fabric --fan-ins 2,16 --seeds 2 --json > "$GOLDEN"
+dune exec bin/protolat_cli.exe -- fabric --fan-ins 2,16 --seeds 2 --json --check > "$GOLDEN"
 cmp "$GOLDEN" test/golden/fabric_2_16x2.json
 # the metered path's goldens: per-function and per-layer attribution of
 # both stacks at the slowest and fastest versions, which depends on the
-# function names every meter site records
+# function names every meter site records (--check: the attribution sums
+# match the aggregate report)
 for stack in tcpip rpc; do
   for version in BAD ALL; do
-    dune exec bin/protolat_cli.exe -- profile -s "$stack" -c "$version" --json > "$GOLDEN"
+    dune exec bin/protolat_cli.exe -- profile -s "$stack" -c "$version" --json --check > "$GOLDEN"
     cmp "$GOLDEN" "test/golden/profile_${stack}_${version}.json"
   done
 done
-dune build @search-quick
 # the full default search (8 cells x 600 evaluations): every cell's best
 # layout must re-simulate bit-identically through the full path, and the
 # digest must be the one tier-1 pins

@@ -172,6 +172,51 @@ let test_experiment_tables_render () =
   Alcotest.(check bool) "figure1" true (String.length (P.Experiments.figure1 ()) > 100);
   Alcotest.(check bool) "figure2" true (String.length (P.Experiments.figure2 ()) > 100)
 
+(* Table 3's segments start at an entry of their first function (the first
+   pc of its prologue slot) and end at the next entry of the second, so the
+   IP -> TCP and TCP -> socket rows add up to the IP -> delivery total.
+   The collected trace opens inside the previous packet's input, where
+   [ip_demux] and [tcp_demux] are still unwinding. *)
+let test_table3_segments () =
+  let r =
+    P.Engine.run
+      (P.Engine.Spec.default ~stack:P.Engine.Tcpip
+         ~config:(P.Config.make ~opts:T.Opts.improved P.Config.Std))
+  in
+  let trace = r.P.Engine.trace and image = r.P.Engine.client_image in
+  let entry func =
+    match L.Image.find image ~func ~key:L.Image.Key.pro with
+    | L.Image.Slot s -> s.L.Image.pcs.(0)
+    | _ -> Alcotest.failf "%s has no prologue" func
+  in
+  let rec next pc i =
+    if i >= M.Trace.length trace then Alcotest.failf "no event at %x" pc
+    else if M.Trace.pc_at trace i = pc then i
+    else next pc (i + 1)
+  in
+  let ip = next (entry "ip_demux") 0 in
+  let tcp = next (entry "tcp_demux") ip in
+  let sock = next (entry "clientstream_demux") tcp in
+  let rows =
+    String.split_on_char '\n'
+      (Protolat_util.Table.render (P.Experiments.table3 ()))
+  in
+  let ours label =
+    match List.find_opt (String.starts_with ~prefix:label) rows with
+    | None -> Alcotest.failf "Table 3 has no row %S" label
+    | Some row ->
+      let cells = List.filter (( <> ) "") (String.split_on_char ' ' row) in
+      int_of_string (List.nth cells (List.length cells - 1))
+  in
+  let ip_tcp = ours "...between IP input and TCP input" in
+  let tcp_sock = ours "...between TCP input and socket input" in
+  let total = ours "total IP entry -> delivery" in
+  Alcotest.(check int) "IP input -> TCP input" (tcp - ip) ip_tcp;
+  Alcotest.(check int) "TCP input -> socket input" (sock - tcp) tcp_sock;
+  Alcotest.(check int) "total" (sock - ip) total;
+  Alcotest.(check int) "the segments add up to the total" total
+    (ip_tcp + tcp_sock)
+
 let test_image_slots_disjoint () =
   (* no two slots may ever share an instruction address, in any
      configuration or layout (this guards the dilution/footprint
@@ -376,6 +421,8 @@ let suite =
       Alcotest.test_case "sample stddev" `Slow test_sample_stddev_small;
       Alcotest.test_case "experiment tables render" `Slow
         test_experiment_tables_render;
+      Alcotest.test_case "table3 segments start at entries" `Quick
+        test_table3_segments;
       Alcotest.test_case "image slots disjoint" `Quick
         test_image_slots_disjoint;
       Alcotest.test_case "micro images pinned" `Quick test_micro_images_pinned;

@@ -87,6 +87,49 @@ let prop_ip_fragmentation_sizes =
       run_sim p;
       !got = Some payload)
 
+(* A frame too short for an IP header, and a header with a valid checksum
+   whose version/IHL byte is not 0x45, are counted drops at the receiver:
+   neither raises out of the simulation, and a good datagram still gets
+   through afterwards. *)
+let test_ip_drops_malformed () =
+  let p = pair () in
+  let client = p.T.Stack.client and server = p.T.Stack.server in
+  let send bytes =
+    let msg =
+      Xk.Msg.of_string client.T.Stack.env.Ns.Host_env.simmem
+        (Bytes.to_string bytes)
+    in
+    T.Vnet.push client.T.Stack.vnet ~dst_ip:server.T.Stack.ip_addr msg
+  in
+  send (Bytes.of_string "short");
+  let hdr =
+    T.Ip_hdr.to_bytes
+      (T.Ip_hdr.make ~total_len:T.Ip_hdr.size ~proto:T.Ip_hdr.proto_tcp
+         ~src:client.T.Stack.ip_addr ~dst:server.T.Stack.ip_addr ())
+  in
+  Bytes.set hdr 0 '\x46';
+  Bytes.set hdr 10 '\000';
+  Bytes.set hdr 11 '\000';
+  let csum = T.Checksum.compute hdr 0 T.Ip_hdr.size in
+  Bytes.set hdr 10 (Char.chr (csum lsr 8));
+  Bytes.set hdr 11 (Char.chr (csum land 0xFF));
+  Alcotest.(check bool) "the bad-version header's checksum is valid" true
+    (T.Ip_hdr.valid_checksum hdr);
+  send hdr;
+  run_sim p;
+  Alcotest.(check int) "both frames reached IP" 2
+    (T.Ip.packets_in server.T.Stack.ip);
+  Alcotest.(check int) "both frames dropped" 2
+    (T.Ip.packets_dropped server.T.Stack.ip);
+  let got = ref 0 in
+  T.Udp.bind server.T.Stack.udp ~port:9 (fun ~src_ip:_ ~src_port:_ _ -> incr got);
+  T.Udp.send client.T.Stack.udp ~src_port:4001 ~dst_ip:server.T.Stack.ip_addr
+    ~dst_port:9 (Bytes.of_string "ok");
+  run_sim p;
+  Alcotest.(check int) "a good datagram still delivered" 1 !got;
+  Alcotest.(check int) "no further drops" 2
+    (T.Ip.packets_dropped server.T.Stack.ip)
+
 (* ----- TCP bulk transfer ------------------------------------------------------ *)
 
 let bulk_setup p ~bytes:_ =
@@ -292,33 +335,80 @@ let test_tcp_over_arp () =
   Alcotest.(check int) "echoed" 1 !echoed;
   Alcotest.(check int) "pong received" 1 !pongs
 
-(* ----- trace serialization --------------------------------------------------- *)
+(* ----- trace text export -------------------------------------------------- *)
+
+module Tr = Protolat_machine.Trace
+module I = Protolat_machine.Instr
+
+(* The [Trace.to_string] format ([pc class [R|W addr] [@func]]) read back
+   by a parser written against the format alone: a round trip through it
+   shows the export keeps every event and function tag. *)
+let trace_of_text text =
+  let tags =
+    [ ("alu", I.Alu); ("ld", I.Load); ("st", I.Store); ("bt", I.Br_taken);
+      ("bn", I.Br_not_taken); ("jsr", I.Jsr); ("ret", I.Ret); ("mul", I.Mul);
+      ("nop", I.Nop) ]
+  in
+  let hex s = int_of_string ("0x" ^ s) in
+  let t = Tr.create () in
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ "" ] -> ()
+      | pc :: tag :: rest ->
+        let kind, addr, rest =
+          match rest with
+          | "R" :: a :: rest -> (Tr.kind_read, hex a, rest)
+          | "W" :: a :: rest -> (Tr.kind_write, hex a, rest)
+          | rest -> (Tr.kind_none, 0, rest)
+        in
+        let fid =
+          match rest with
+          | [] -> -1
+          | [ f ] when String.length f > 1 && f.[0] = '@' ->
+            Tr.intern t (String.sub f 1 (String.length f - 1))
+          | _ -> Alcotest.failf "malformed trace line %S" line
+        in
+        Tr.add_packed t ~pc:(hex pc) ~cls:(List.assoc tag tags) ~kind ~addr
+          ~fid
+      | _ -> Alcotest.failf "malformed trace line %S" line)
+    (String.split_on_char '\n' text);
+  t
+
+let func_of t i = if Tr.fid_at t i < 0 then "" else Tr.func_name t (Tr.fid_at t i)
 
 let test_trace_roundtrip () =
-  let module Tr = Protolat_machine.Trace in
-  let module I = Protolat_machine.Instr in
   let t = Tr.create () in
   Tr.add t ~pc:0x1000 ~cls:I.Alu ();
   Tr.add t ~pc:0x1004 ~cls:I.Load ~access:(Tr.Read 0xBEEF) ();
   Tr.add t ~pc:0x1008 ~cls:I.Store ~access:(Tr.Write 0xCAFE) ();
   Tr.add t ~pc:0x100C ~cls:I.Br_taken ();
-  let t' = Tr.of_string (Tr.to_string t) in
+  Tr.add_packed t ~pc:0x1010 ~cls:I.Jsr ~kind:Tr.kind_none ~addr:0
+    ~fid:(Tr.intern t "f");
+  Alcotest.(check string) "text"
+    "1000 alu\n1004 ld R beef\n1008 st W cafe\n100c bt\n1010 jsr @f\n"
+    (Tr.to_string t);
+  let t' = trace_of_text (Tr.to_string t) in
   Alcotest.(check int) "length" (Tr.length t) (Tr.length t');
   for i = 0 to Tr.length t - 1 do
-    Alcotest.(check bool) "event" true (Tr.get t i = Tr.get t' i)
+    Alcotest.(check bool) "event" true (Tr.get t i = Tr.get t' i);
+    Alcotest.(check string) "function" (func_of t i) (func_of t' i)
   done
 
 let test_trace_roundtrip_real () =
-  let module Tr = Protolat_machine.Trace in
   let r =
     P.Engine.run
       (P.Engine.Spec.default ~stack:P.Engine.Tcpip
          ~config:(P.Config.make P.Config.Std))
   in
   let t = r.P.Engine.trace in
-  let t' = Tr.of_string (Tr.to_string t) in
+  let t' = trace_of_text (Tr.to_string t) in
   Alcotest.(check int) "length preserved" (Tr.length t) (Tr.length t');
-  (* the deserialized trace analyzes identically *)
+  for i = 0 to Tr.length t - 1 do
+    if Tr.get t i <> Tr.get t' i || func_of t i <> func_of t' i then
+      Alcotest.failf "event %d differs after the round trip" i
+  done;
+  (* the read-back trace analyzes identically *)
   let p = Protolat_machine.Params.default in
   let a = Protolat_machine.Perf.cold p t in
   let b = Protolat_machine.Perf.cold p t' in
@@ -555,6 +645,8 @@ let suite =
       Alcotest.test_case "ip fragmentation" `Quick
         test_ip_fragmentation_roundtrip;
       QCheck_alcotest.to_alcotest prop_ip_fragmentation_sizes;
+      Alcotest.test_case "ip drops malformed headers" `Quick
+        test_ip_drops_malformed;
       Alcotest.test_case "tcp bulk transfer" `Quick test_bulk_transfer;
       Alcotest.test_case "tcp bulk with loss" `Quick
         test_bulk_transfer_with_loss;

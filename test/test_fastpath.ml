@@ -2,8 +2,8 @@
    emission against the per-instruction reference (whole engine runs with
    the fast path switched off), of the fused memory hierarchy against the
    per-call reference, and of every [Perf] entry point and the incremental
-   layout sweep against plain [Memsys.run] replays — plus the generation
-   tags and hit credit the fast path relies on. *)
+   layout sweep against plain [Memsys.run] replays — plus the tag
+   residency and hit credit the fast path relies on. *)
 
 module P = Protolat
 module M = Protolat_machine
@@ -33,6 +33,18 @@ let icache_2k = { M.Params.default with M.Params.icache_bytes = 2048 }
 
 let dcache_512 = { M.Params.default with M.Params.dcache_bytes = 512 }
 
+(* A CPU model whose clock, every penalty and pairing rate differ from the
+   default, so prices compiled from the wrong parameters show. *)
+let other_cpu =
+  { M.Params.default with
+    M.Params.clock_mhz = 266.0;
+    br_taken_penalty = 5.0;
+    call_penalty = 4.5;
+    ret_penalty = 3.0;
+    mul_cycles = 19.0;
+    load_use_penalty = 1.7;
+    pair_success_pct = 40 }
+
 let geometries =
   [ ("default", M.Params.default);
     ("2KB i-cache", icache_2k);
@@ -46,8 +58,8 @@ let geometries =
    ledger — must be byte-identical with the fast path on and with the
    per-instruction reference path it replaces: over both stacks and every
    version (hence every layout), a third seed, a lossy run that
-   retransmits, a switched 2-host topology, a run recording spans, and a
-   thrashing i-cache geometry. *)
+   retransmits, a switched 2-host topology, a run recording spans, a
+   thrashing i-cache geometry and a CPU model other than the default. *)
 let check_engine_onoff name (spec : P.Engine.Spec.t) =
   let on = with_fastpath true (fun () -> P.Engine.run spec) in
   let off = with_fastpath false (fun () -> P.Engine.run spec) in
@@ -110,7 +122,10 @@ let test_engine_onoff () =
     (Array.length (Obs.Span.messages spanned.P.Engine.spans));
   ignore
     (check_engine_onoff "tcpip/CLO 2KB i-cache"
-       (spec ~seed:5 ~params:icache_2k P.Engine.Tcpip P.Config.Clo))
+       (spec ~seed:5 ~params:icache_2k P.Engine.Tcpip P.Config.Clo));
+  ignore
+    (check_engine_onoff "rpc/PIN other CPU model"
+       (spec ~seed:9 ~params:other_cpu P.Engine.Rpc P.Config.Pin))
 
 (* ----- Perf entry points vs Memsys.run ------------------------------------- *)
 
@@ -174,34 +189,28 @@ let test_perf_entry_points () =
         geometries)
     traces
 
-(* ----- generation tags ----------------------------------------------------- *)
+(* ----- tag residency ------------------------------------------------------ *)
 
+(* The fast path takes a chunk as warm exactly when its set's tag holds its
+   line; that read must track fills, hits, conflicts and invalidation. *)
 let test_cache_generation_tags () =
-  let c = M.Cache.create ~name:"gen" ~size_bytes:1024 ~block_bytes:32 in
+  let c = M.Cache.create ~name:"tags" ~size_bytes:1024 ~block_bytes:32 in
   let line = M.Cache.line_of c 0x4000 in
-  let set = M.Cache.set_of_line c line in
-  let g0 = M.Cache.generation c set in
+  let resident () = c.M.Cache.tags.(M.Cache.set_of_line c line) = line in
+  Alcotest.(check bool) "not resident before any fill" false (resident ());
   ignore (M.Cache.access c 0x4000);
-  let g1 = M.Cache.generation c set in
-  Alcotest.(check bool) "fill bumps the set's generation" true (g1 > g0);
-  Alcotest.(check bool) "line resident after fill" true
-    (M.Cache.resident_line c line);
+  Alcotest.(check bool) "resident after fill" true (resident ());
   ignore (M.Cache.access c 0x4004);
-  Alcotest.(check int) "hit leaves the generation unchanged" g1
-    (M.Cache.generation c set);
-  (* conflicting line in the same set: eviction bumps again *)
+  Alcotest.(check bool) "resident after a hit" true (resident ());
+  (* conflicting line in the same set *)
   ignore (M.Cache.access c (0x4000 + 1024));
-  Alcotest.(check bool) "eviction bumps the generation" true
-    (M.Cache.generation c set > g1);
-  Alcotest.(check bool) "old line no longer resident" false
-    (M.Cache.resident_line c line);
+  Alcotest.(check bool) "not resident after a conflicting fill" false
+    (resident ());
   ignore (M.Cache.access c 0x4000);
-  let g2 = M.Cache.generation c set in
+  Alcotest.(check bool) "resident again after a refill" true (resident ());
   M.Cache.invalidate_all c;
-  Alcotest.(check bool) "invalidate_all bumps occupied sets" true
-    (M.Cache.generation c set > g2);
-  Alcotest.(check bool) "not resident after invalidate" false
-    (M.Cache.resident_line c line)
+  Alcotest.(check bool) "not resident after invalidate_all" false
+    (resident ())
 
 let test_cache_credit_hits () =
   let c = M.Cache.create ~name:"credit" ~size_bytes:1024 ~block_bytes:32 in
@@ -295,8 +304,7 @@ let same_state a b =
   M.Memsys.stats a = M.Memsys.stats b
   && M.Cache.last_victim (M.Memsys.icache a)
      = M.Cache.last_victim (M.Memsys.icache b)
-  && M.Cache.generations (M.Memsys.icache a)
-     = M.Cache.generations (M.Memsys.icache b)
+  && (M.Memsys.icache a).M.Cache.tags = (M.Memsys.icache b).M.Cache.tags
 
 let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
