@@ -834,10 +834,10 @@ let search_cmd =
   let check_arg =
     Cli_common.check_arg
       ~doc:
-        "Re-simulate each cell's best layout through the full path (decode \
-         genome, build image, fresh memory system) and require bit-identical \
-         steady time, plus best-found <= best seeded named layout; exit \
-         non-zero on violation."
+        "Re-simulate each cell's best layout and every named layout through \
+         the full path (build the image, fresh memory system) and require \
+         bit-identical steady times, plus best-found <= best seeded named \
+         layout; exit non-zero on violation."
       ()
   in
   let out_arg = Cli_common.out_arg () in
@@ -870,8 +870,9 @@ let search_cmd =
       | Ok () ->
         if not json then
           print_endline
-            "check: every best genome re-simulates bit-identically and \
-             beats or matches the seeded hand-picked layouts"
+            "check: every best genome and named layout re-simulates \
+             bit-identically, and each best beats or matches the seeded \
+             hand-picked layouts"
       | Error msg ->
         Printf.eprintf "check FAILED: %s\n" msg;
         exit 1

@@ -97,16 +97,32 @@ let copy_genome g =
   { perm = Array.copy g.perm; offs = Array.copy g.offs;
     cold = Array.copy g.cold }
 
+(* Genomes are never mutated once proposed, so the search memo is keyed
+   by the genome itself. *)
+module Memo = Hashtbl.Make (struct
+  type t = genome
+
+  let equal (a : genome) b = a = b
+
+  let hash g =
+    let h = ref 0 in
+    Array.iter (fun x -> h := (!h * 31) + x) g.perm;
+    Array.iter (fun x -> h := (!h * 31) + x) g.offs;
+    Array.iter (fun c -> h := (!h * 31) + Bool.to_int c) g.cold;
+    !h
+end)
+
 (* ----- per-stack context ---------------------------------------------------- *)
 
-(* Everything a candidate's score needs that no candidate changes.  A
-   candidate only moves code, so its steady time is the base trace's
-   instruction cycles, the data side's stall [dside], and the i-cache
-   misses of the candidate's fetch stream (see [icharge]).  The stream is
-   kept as runs of consecutive events of one unit on one line of its hot
-   part: unit bases are block-aligned, so a run stays one line wherever
-   the unit goes.  An event in an outlined cold block is a run of its
-   own, since the chunks of the shared cold region are not line-aligned. *)
+(* Everything a candidate's score needs that no candidate changes, all
+   read from one base run.  A candidate only moves code, so its steady
+   time is the base trace's instruction cycles, the data side's stall
+   [dside], and the i-cache misses of the candidate's fetch stream (see
+   [icharge]).  Every event is kept as (unit, offset), and the stream as
+   runs of consecutive events of one unit on one line of its hot part:
+   unit bases are block-aligned, so a run stays one line wherever the
+   unit goes.  An event in an outlined cold block is a run of its own,
+   since the chunks of the shared cold region are not line-aligned. *)
 type sctx = {
   config : Config.t;
   stack : Engine.stack_kind;
@@ -121,14 +137,21 @@ type sctx = {
   unit_of_func : (string, int) Hashtbl.t;
   size : int array;  (** unit bytes with its cold blocks kept inside *)
   hot : int array;  (** unit bytes with its cold blocks deferred *)
-  run_unit : int array;  (** per run: owning unit *)
-  run_off : int array;
-      (** per run: offset from the unit's base with its cold blocks kept
+  ev_unit : int array;  (** per event: owning unit *)
+  ev_off : int array;
+      (** per event: offset from the unit's base with its cold blocks kept
           inside, so [>= hot] marks a cold-block event *)
+  run_unit : int array;  (** per run: owning unit *)
+  run_off : int array;  (** per run: its first event's offset *)
+  lines : int array;  (** per event: its line in the base image *)
+  owner : string array;
+      (** per line of the base image from [code_base]: the function
+          [Obs.Attrib] names as its owner *)
   room : int;
       (** lines from [code_base] to the first b-cache set holding data
           (0 if the base trace's own code does not fit below it) *)
   dside : float;  (** stall cycles of the data side, the same for all *)
+  instr_cycles : float;  (** perfect-memory cycles, the same for all *)
 }
 
 let apply_cold sctx cold =
@@ -137,6 +160,10 @@ let apply_cold sctx cold =
       if cold.(i) <> sctx.base_cold.(i) then Image.set_separate_cold u cold.(i)
       else u)
     sctx.units
+
+let index_in names name =
+  let rec go i = if names.(i) = name then i else go (i + 1) in
+  go 0
 
 (* [Strategy.at_offsets]'s address for the unit after [cursor]: dense
    ([off < 0]) or at set offset [off] plus whole reference periods *)
@@ -150,8 +177,41 @@ let addr_at cursor off =
     + (off / nsets_ref * icache_ref)
   end
 
+(* The shared cold region as [Image.build] lays it out: from the first
+   block boundary 4 KB past the end of the code, the outlined cold blocks
+   of each deferred unit in placement order.  [cbase.(u)] is the unit's
+   chunk start less its hot bytes, so a cold-block event sits at
+   [cbase.(u) + off].  Returns the region's end. *)
+let place_cold ~size ~hot cbase cold perm code_end =
+  let c = ref ((code_end + 4096 + 31) / 32 * 32) in
+  Array.iter
+    (fun u ->
+      if cold.(u) then begin
+        cbase.(u) <- !c - hot.(u);
+        c := !c + size.(u) - hot.(u)
+      end)
+    perm;
+  !c
+
+(* The unit and cold-chunk bases of an explicit placement, whose units
+   keep the toggles [cold]. *)
+let place names ~size ~hot ubase cbase cold placement =
+  let perm =
+    Array.of_list
+      (List.map
+         (fun (u, a) ->
+           let i = index_in names (Image.unit_name u) in
+           ubase.(i) <- a;
+           i)
+         placement)
+  in
+  let code_end =
+    List.fold_left (fun m (u, a) -> max m (a + Image.size_bytes u)) 0 placement
+  in
+  ignore (place_cold ~size ~hot cbase cold perm code_end)
+
 (* The full path: decode the genome with [Strategy.at_offsets], build its
-   image and retarget the base trace to it. *)
+   image and retarget the base trace to it.  Only [check] takes it. *)
 let retarget_image sctx img =
   Trace.map_pcs
     (Image.pc_map sctx.base.Engine.client_image img)
@@ -165,12 +225,20 @@ let retarget sctx g =
           ~block_bytes
           (Array.to_list (Array.mapi (fun k u -> (units.(u), g.offs.(k))) g.perm))))
 
-(* One warmup replay suffices: the deterministic replay reaches its
-   periodic cache fixpoint after a single pass, so the measurement equals
-   the canonical [Perf.steady] (warmup 3) bit for bit — [check] and the
-   tests re-simulate through that path and fail loudly if a future trace
-   ever breaks the fixpoint. *)
-let reference_us p trace = (Perf.steady ~warmup:1 p trace).Perf.time_us
+(* The first pass of [icharge]: the tag array a warmup replay of [lines]
+   leaves, from empty.  Returns the last miss, which carries over. *)
+let warm_tags tags lines =
+  Array.fill tags 0 (Array.length tags) (-1);
+  let mask = Array.length tags - 1 in
+  let last = ref min_int in
+  for r = 0 to Array.length lines - 1 do
+    let line = Array.unsafe_get lines r in
+    if Array.unsafe_get tags (line land mask) <> line then begin
+      Array.unsafe_set tags (line land mask) line;
+      last := line
+    end
+  done;
+  !last
 
 (* The i-side stall of the measured pass of a warmup-1 replay of the
    fetched [lines], given that each one stays in the b-cache: a miss on
@@ -179,35 +247,29 @@ let reference_us p trace = (Perf.steady ~warmup:1 p trace).Perf.time_us
    over a direct-mapped tag array ([tags], one per i-cache set); only the
    second is charged, and the last miss carries over as in the replay. *)
 let icharge p tags lines =
-  Array.fill tags 0 (Array.length tags) (-1);
   let mask = Array.length tags - 1 in
-  let last = ref min_int and seq = ref 0 and other = ref 0 in
-  for pass = 0 to 1 do
-    for r = 0 to Array.length lines - 1 do
-      let line = Array.unsafe_get lines r in
-      if Array.unsafe_get tags (line land mask) <> line then begin
-        Array.unsafe_set tags (line land mask) line;
-        if pass = 1 then begin
-          if line = !last + 1 then incr seq else incr other
-        end;
-        last := line
-      end
-    done
+  let last = ref (warm_tags tags lines) and seq = ref 0 and other = ref 0 in
+  for r = 0 to Array.length lines - 1 do
+    let line = Array.unsafe_get lines r in
+    if Array.unsafe_get tags (line land mask) <> line then begin
+      Array.unsafe_set tags (line land mask) line;
+      if line = !last + 1 then incr seq else incr other;
+      last := line
+    end
   done;
   (p.Params.b_seq_cycles * !seq) + (p.Params.b_hit_cycles * !other)
 
 let make_sctx stack =
   let config = Config.make Config.Clo in
-  (* the search reads only the client image and the first measured
-     roundtrip's trace, which one round collects *)
-  let base =
-    Engine.run
-      (Engine.Spec.make ~rounds:1 ~stack ~config
-         ~layout:(Config.layout_of config.Config.version) ())
-  in
+  let layout = Config.layout_of config.Config.version in
+  (* the search reads only the client image, the first measured
+     roundtrip's trace and its steady replay, which one round gives *)
+  let base = Engine.run (Engine.Spec.make ~rounds:1 ~stack ~config ~layout ()) in
   let units_l, order = Engine.client_units config stack in
   let units = Array.of_list units_l in
   let nu = Array.length units in
+  let unit_names = Array.map Image.unit_name units in
+  let base_cold = Array.map Image.unit_separate_cold units in
   let with_cold b u =
     if Image.unit_outlined u then Image.set_separate_cold u b else u
   in
@@ -228,70 +290,117 @@ let make_sctx stack =
         (fun f -> Hashtbl.replace unit_of_func f.Layout.Func.name i)
         (Image.unit_funcs u))
     units;
-  (* the unit table: every event as (unit, offset) in the dense canonical
-     image with all cold blocks inside their units, where hot offsets
-     are those of every clone toggle *)
-  let placement =
-    Strategy.at_offsets ~base:code_base ~icache_bytes:icache_ref ~block_bytes
-      (Array.to_list (Array.map (fun u -> (with_cold false u, -1)) units))
+  (* the unit table: invert the placement the base image was built from.
+     Each unit's placed bytes and its cold chunk (empty unless deferred)
+     is a span [(start, stop, unit, start of the unit's offsets)]. *)
+  let ubase = Array.make nu 0 and cbase = Array.make nu 0 in
+  place unit_names ~size ~hot ubase cbase base_cold
+    (Engine.placement layout ~order units_l);
+  let spans =
+    List.concat
+      (List.init nu (fun u ->
+           let placed = if base_cold.(u) then hot.(u) else size.(u) in
+           [ (ubase.(u), ubase.(u) + placed, u, ubase.(u));
+             (cbase.(u) + placed, cbase.(u) + size.(u), u, cbase.(u)) ]))
+    |> List.filter (fun (a, b, _, _) -> a < b)
+    |> List.sort compare |> Array.of_list
   in
-  let bases = Array.of_list (List.map snd placement) in
-  let to_canon = Image.pc_map base.Engine.client_image (Image.build placement) in
+  let span_of pc =
+    (* the last span starting at or below [pc] *)
+    let lo = ref 0 and hi = ref (Array.length spans - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      let a, _, _, _ = spans.(mid) in
+      if a <= pc then lo := mid else hi := mid - 1
+    done;
+    let a, b, _, _ = spans.(!lo) in
+    if pc < a || pc >= b then
+      invalid_arg
+        (Printf.sprintf "Layoutsearch: pc 0x%x outside the base placement" pc);
+    !lo
+  in
   let trace = base.Engine.trace in
   let len = Trace.length trace in
-  let runs = ref [] in
+  let ev_unit = Array.make len 0 and ev_off = Array.make len 0 in
+  let run_unit = Array.make len 0 and run_off = Array.make len 0 in
+  let runs = ref 0 and k = ref 0 in
   for i = 0 to len - 1 do
-    let pc = to_canon (Trace.pc_at trace i) in
-    (* bases increase, so the first unit reaching past the pc owns it *)
-    let rec owner u =
-      if u = nu - 1 || pc < bases.(u) + size.(u) then u else owner (u + 1)
-    in
-    let u = owner 0 in
-    let off = pc - bases.(u) in
-    match !runs with
-    | (u', off') :: _
-      when u' = u && off' / block_bytes = off / block_bytes && off' < hot.(u)
-           && off < hot.(u) -> ()
-    | _ -> runs := (u, off) :: !runs
+    let pc = Trace.pc_at trace i in
+    (let a, b, _, _ = spans.(!k) in
+     if pc < a || pc >= b then k := span_of pc);
+    let _, _, u, origin = spans.(!k) in
+    let off = pc - origin in
+    ev_unit.(i) <- u;
+    ev_off.(i) <- off;
+    let r = !runs - 1 in
+    if
+      not
+        (r >= 0 && run_unit.(r) = u
+        && run_off.(r) / block_bytes = off / block_bytes
+        && run_off.(r) < hot.(u) && off < hot.(u))
+    then begin
+      run_unit.(!runs) <- u;
+      run_off.(!runs) <- off;
+      incr runs
+    end
   done;
-  let runs = Array.of_list (List.rev !runs) in
+  (* each line's owner, as [Obs.Attrib] names an eviction victim: the
+     function of the first slot in address order with a pc on it (a
+     slot's pcs leave no line between its first and last uncovered) *)
+  let img = base.Engine.client_image in
+  let lo = code_base / block_bytes in
+  let owner =
+    Array.make ((Image.end_addr img + block_bytes - 1) / block_bytes - lo) "(unknown)"
+  in
+  let next = ref lo in
+  List.iter
+    (fun (sl : Image.slot) ->
+      let pcs = sl.Image.pcs in
+      let last = pcs.(Array.length pcs - 1) / block_bytes in
+      for l = max !next (pcs.(0) / block_bytes) to last do
+        owner.(l - lo) <- sl.Image.func
+      done;
+      next := max !next (last + 1))
+    (Image.slots img);
   (* the data's b-cache sets, as a distance from the first code line *)
   let p = Params.default in
   let bsets = p.Params.bcache_bytes / block_bytes in
-  let lo = code_base / block_bytes in
   let room = ref bsets in
   for i = 0 to len - 1 do
     if Trace.kind_at trace i <> Trace.kind_none then
       room :=
         min !room (((Trace.addr_at trace i / block_bytes) - lo) land (bsets - 1))
   done;
-  (* the data side's stall: the base replay's less its own i-side *)
+  (* the data side's stall: the base run's own steady replay (same trace,
+     [Params.default], past the fixpoint) less its i-side *)
   let lines = Array.init len (fun i -> Trace.pc_at trace i / block_bytes) in
   let fits = Array.for_all (fun l -> l >= lo && l + 1 - lo < !room) lines in
+  let steady = base.Engine.steady in
   let dside =
-    (Perf.steady ~warmup:1 p trace).Perf.stats.Memsys.stall_cycles
+    steady.Perf.stats.Memsys.stall_cycles
     -. float_of_int
          (icharge p (Array.make (p.Params.icache_bytes / block_bytes) 0) lines)
   in
-  { config; stack; base; units; order; nu;
-    unit_names = Array.map Image.unit_name units;
-    base_cold = Array.map Image.unit_separate_cold units;
-    toggleable; toggles; unit_of_func; size; hot;
-    run_unit = Array.map fst runs; run_off = Array.map snd runs;
-    room = (if fits then !room else 0); dside }
+  { config; stack; base; units; order; nu; unit_names; base_cold;
+    toggleable; toggles; unit_of_func; size; hot; ev_unit; ev_off;
+    run_unit = Array.sub run_unit 0 !runs; run_off = Array.sub run_off 0 !runs;
+    lines; owner; room = (if fits then !room else 0); dside;
+    instr_cycles = steady.Perf.instr_cycles }
 
 (* ----- scorer --------------------------------------------------------------- *)
 
 (* One geometry's scorer, with its own scratch: unit bases, run-head
-   lines and the i-cache tag array. *)
+   lines, the i-cache tag array, and for placements the tag array does
+   not cover, event pcs and a memory hierarchy. *)
 type cctx = {
   s : sctx;
   params : Params.t;
-  instr_cycles : float;
   ubase : int array;
   cbase : int array;  (** cold chunk start less the unit's [hot] *)
   heads : int array;
   tags : int array;
+  pcs : int array;
+  scratch : Memsys.t;
 }
 
 let geometry_params kb =
@@ -304,10 +413,45 @@ let geometry_params kb =
 let make_cctx s kb =
   let params = geometry_params kb in
   { s; params;
-    instr_cycles = Machine.Cpu.perfect_memory_cycles params s.base.Engine.trace;
     ubase = Array.make s.nu 0; cbase = Array.make s.nu 0;
     heads = Array.make (Array.length s.run_unit) 0;
-    tags = Array.make (params.Params.icache_bytes / block_bytes) 0 }
+    tags = Array.make (params.Params.icache_bytes / block_bytes) 0;
+    pcs = Array.make (Array.length s.ev_unit) 0;
+    scratch = Memsys.create params }
+
+(* [Perf.steady ~warmup:1] of the base trace with every unit at [ubase]
+   and every deferred cold chunk at [cbase]: each event's pc follows its
+   unit, and the replay runs on the cell's hierarchy, cleared to the state
+   of a fresh one.  The deterministic replay reaches its periodic cache
+   fixpoint after a single pass, so this equals the canonical
+   [Perf.steady] (warmup 3) bit for bit — [check] and the tests
+   re-simulate through that path and fail loudly if a future trace ever
+   breaks the fixpoint. *)
+let replay_us cc cold =
+  let s = cc.s and m = cc.scratch in
+  let trace = s.base.Engine.trace in
+  for i = 0 to Array.length cc.pcs - 1 do
+    let u = s.ev_unit.(i) and off = s.ev_off.(i) in
+    cc.pcs.(i) <-
+      (if off >= s.hot.(u) && cold.(u) then cc.cbase.(u) else cc.ubase.(u)) + off
+  done;
+  Memsys.clear m;
+  for pass = 0 to 1 do
+    if pass = 1 then Memsys.reset_stats m;
+    for i = 0 to Array.length cc.pcs - 1 do
+      Memsys.access_acc m ~pc:cc.pcs.(i) ~kind:(Trace.kind_at trace i)
+        ~addr:(Trace.addr_at trace i)
+    done
+  done;
+  Params.cycles_to_us cc.params
+    (s.instr_cycles +. (Memsys.stats m).Memsys.stall_cycles)
+
+(* A named placement's score: its units keep the engine's toggles. *)
+let placement_us cc placement =
+  let s = cc.s in
+  place s.unit_names ~size:s.size ~hot:s.hot cc.ubase cc.cbase s.base_cold
+    placement;
+  replay_us cc s.base_cold
 
 (* Decode the unit bases and the shared cold region the way
    [Strategy.at_offsets] and [Image.build] place them.  While the code,
@@ -315,7 +459,7 @@ let make_cctx s kb =
    b-cache sets, no b-cache line is evicted across the two sides, so the
    steady time is [instr_cycles + dside + icharge] exactly: every stall
    term is an integer, so the float sums agree in any order.  Other
-   genomes take the full path. *)
+   genomes are replayed. *)
 let score_genome cc g =
   let s = cc.s in
   let cursor = ref code_base in
@@ -324,16 +468,9 @@ let score_genome cc g =
     cc.ubase.(u) <- addr_at !cursor g.offs.(k);
     cursor := cc.ubase.(u) + if g.cold.(u) then s.hot.(u) else s.size.(u)
   done;
-  let cold = ref ((!cursor + 4096 + 31) / 32 * 32) in
-  for k = 0 to s.nu - 1 do
-    let u = g.perm.(k) in
-    if g.cold.(u) then begin
-      cc.cbase.(u) <- !cold - s.hot.(u);
-      cold := !cold + s.size.(u) - s.hot.(u)
-    end
-  done;
-  if (!cold / block_bytes) + 1 - (code_base / block_bytes) >= s.room then
-    reference_us cc.params (retarget s g)
+  let cold = place_cold ~size:s.size ~hot:s.hot cc.cbase g.cold g.perm !cursor in
+  if (cold / block_bytes) + 1 - (code_base / block_bytes) >= s.room then
+    replay_us cc g.cold
   else begin
     for r = 0 to Array.length cc.heads - 1 do
       let u = s.run_unit.(r) and off = s.run_off.(r) in
@@ -344,12 +481,52 @@ let score_genome cc g =
     done;
     let i_stall = icharge cc.params cc.tags cc.heads in
     Params.cycles_to_us cc.params
-      (cc.instr_cycles +. (s.dside +. float_of_int i_stall))
+      (s.instr_cycles +. (s.dside +. float_of_int i_stall))
   end
+
+(* The base layout's hottest i-cache conflicts at this geometry, as
+   [Obs.Attrib.top_conflicts ~k:16] of [Obs.Attrib.profile] names them.
+   Past the warmup every miss is a replacement miss, so the pairs are
+   [icharge]'s second-pass misses over the base image's lines: the victim
+   is the line the set held, the evictor the event's function. *)
+let conflicts cc =
+  let s = cc.s and tags = cc.tags in
+  let trace = s.base.Engine.trace in
+  let lo = code_base / block_bytes in
+  let name_of line =
+    if line >= lo && line - lo < Array.length s.owner then s.owner.(line - lo)
+    else "(unknown)"
+  in
+  let counts = Hashtbl.create 64 in
+  ignore (warm_tags tags s.lines);
+  let mask = Array.length tags - 1 in
+  for i = 0 to Array.length s.lines - 1 do
+    let line = s.lines.(i) in
+    let victim = tags.(line land mask) in
+    if victim <> line then begin
+      tags.(line land mask) <- line;
+      let fid = Trace.fid_at trace i in
+      let key =
+        (name_of victim, if fid >= 0 then Trace.func_name trace fid else name_of line)
+      in
+      Hashtbl.replace counts key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
+    end
+  done;
+  Hashtbl.fold
+    (fun (victim, evictor) count l -> { Obs.Attrib.victim; evictor; count } :: l)
+    counts []
+  |> Obs.Attrib.hottest ~k:16
 
 let score stack icache_kb genomes =
   let cc = make_cctx (make_sctx stack) icache_kb in
   List.map (score_genome cc) genomes
+
+let guidance stack icache_kb = conflicts (make_cctx (make_sctx stack) icache_kb)
+
+let events stack =
+  let s = make_sctx stack in
+  Array.map2 (fun u off -> (u, off)) s.ev_unit s.ev_off
 
 (* ----- search state --------------------------------------------------------- *)
 
@@ -358,7 +535,7 @@ type state = {
   budget : int;
   pairs : (int * int * int) array;  (* (victim unit, evictor unit, count) *)
   pair_total : int;
-  memo : (string, float) Hashtbl.t;
+  memo : float Memo.t;
   mutable evals : int;
   mutable eval_s : float;
   mutable best : (genome * float) option;
@@ -376,33 +553,32 @@ let note_best st g us =
    consume budget. *)
 let eval_batch st genomes =
   let fresh = ref [] and n_fresh = ref 0 in
-  let seen = Hashtbl.create 16 in
+  let seen = Memo.create 16 in
   List.iter
     (fun g ->
-      let k = genome_key g in
       if
-        (not (Hashtbl.mem st.memo k))
-        && (not (Hashtbl.mem seen k))
+        (not (Memo.mem st.memo g))
+        && (not (Memo.mem seen g))
         && st.evals + !n_fresh < st.budget
       then begin
-        Hashtbl.add seen k ();
+        Memo.add seen g ();
         incr n_fresh;
-        fresh := (k, g) :: !fresh
+        fresh := g :: !fresh
       end)
     genomes;
   let fresh = List.rev !fresh in
   if fresh <> [] then begin
     let t0 = Unix.gettimeofday () in
-    let scores = List.map (fun (_, g) -> score_genome st.cc g) fresh in
+    let scores = List.map (score_genome st.cc) fresh in
     st.eval_s <- st.eval_s +. (Unix.gettimeofday () -. t0);
     List.iter2
-      (fun (k, g) us ->
+      (fun g us ->
         st.evals <- st.evals + 1;
-        Hashtbl.replace st.memo k us;
+        Memo.replace st.memo g us;
         note_best st g us)
       fresh scores
   end;
-  List.map (fun g -> Hashtbl.find_opt st.memo (genome_key g)) genomes
+  List.map (Memo.find_opt st.memo) genomes
 
 (* ----- moves ---------------------------------------------------------------- *)
 
@@ -480,10 +656,6 @@ let propose st rng cur =
 
 (* ----- named layouts and seeds ---------------------------------------------- *)
 
-let unit_index sctx name =
-  let rec go i = if sctx.unit_names.(i) = name then i else go (i + 1) in
-  go 0
-
 let genome_of_placement sctx placement =
   (* replicate the decoder's cursor so each offset can carry the number
      of whole reference periods the placement deliberately skips *)
@@ -499,7 +671,7 @@ let genome_of_placement sctx placement =
   in
   { perm =
       Array.of_list
-        (List.map (fun (u, _) -> unit_index sctx (Image.unit_name u))
+        (List.map (fun (u, _) -> index_in sctx.unit_names (Image.unit_name u))
            placement);
     offs = Array.of_list offs;
     cold = Array.copy sctx.base_cold }
@@ -527,12 +699,8 @@ let stack_seed = function Engine.Tcpip -> 0 | Engine.Rpc -> 1
 let search_cell ~budget ~seeds sctx kb =
   let cc = make_cctx sctx kb in
   (* guidance: the conflict matrix of the base layout at this geometry *)
-  let attrib =
-    Obs.Attrib.profile cc.params sctx.base.Engine.client_image
-      sctx.base.Engine.trace
-  in
   let pairs =
-    Obs.Attrib.top_conflicts ~k:16 attrib
+    conflicts cc
     |> List.filter_map (fun (c : Obs.Attrib.conflict) ->
            match
              ( Hashtbl.find_opt sctx.unit_of_func c.Obs.Attrib.victim,
@@ -545,13 +713,14 @@ let search_cell ~budget ~seeds sctx kb =
   let st =
     { cc; budget; pairs;
       pair_total = Array.fold_left (fun a (_, _, c) -> a + c) 0 pairs;
-      memo = Hashtbl.create 1024; evals = 0; eval_s = 0.0; best = None;
+      memo = Memo.create 1024; evals = 0; eval_s = 0.0; best = None;
       traj = [] }
   in
   (* Named layouts: the four representable ones score through their seed
      genome (one batch), pessimal, whose units sit a b-cache size apart,
-     through the full path.  Seed scores land in the search memo, so
-     best-found can never be worse than the best hand-picked layout. *)
+     through a replay of its placement.  Seed scores land in the search
+     memo, so best-found can never be worse than the best hand-picked
+     layout. *)
   let seed_info =
     List.map
       (fun layout ->
@@ -572,11 +741,13 @@ let search_cell ~budget ~seeds sctx kb =
     List.map
       (fun (layout, g) ->
         match g with
-        | Some g -> (layout, Hashtbl.find st.memo (genome_key g))
+        | Some g -> (layout, Memo.find st.memo g)
         | None ->
-          let img = Engine.layout_for sctx.config sctx.stack ~layout () in
           let t0 = Unix.gettimeofday () in
-          let us = reference_us cc.params (retarget_image sctx img) in
+          let us =
+            placement_us cc
+              (Engine.placement layout ~order:sctx.order (Array.to_list sctx.units))
+          in
           st.eval_s <- st.eval_s +. (Unix.gettimeofday () -. t0);
           st.evals <- st.evals + 1;
           (layout, us))
@@ -587,7 +758,7 @@ let search_cell ~budget ~seeds sctx kb =
   let start, start_us =
     List.fold_left
       (fun acc g ->
-        let us = Hashtbl.find st.memo (genome_key g) in
+        let us = Memo.find st.memo g in
         match acc with
         | Some (_, b) when b <= us -> acc
         | _ -> Some (g, us))
@@ -731,22 +902,31 @@ let check (t : t) =
       s
   in
   let problem = ref None in
+  let fail fmt =
+    Printf.ksprintf (fun m -> if !problem = None then problem := Some m) fmt
+  in
   List.iter
     (fun (c : cell) ->
       if !problem = None then begin
-        let r =
-          Perf.steady (geometry_params c.icache_kb)
-            (retarget (ctx_for c.stack) c.best)
+        let s = ctx_for c.stack and p = geometry_params c.icache_kb in
+        let where =
+          Printf.sprintf "%s %d KB" (Engine.stack_name c.stack) c.icache_kb
         in
-        if r.Perf.time_us <> c.best_us then
-          problem :=
-            Some
-              (Printf.sprintf
-                 "%s %d KB: scorer %.9f us but full simulation of the \
-                  decoded best layout gives %.9f us"
-                 (Engine.stack_name c.stack) c.icache_kb c.best_us
-                 r.Perf.time_us)
-        else if c.seeded <> [] then begin
+        let full what us trace =
+          let want = (Perf.steady p trace).Perf.time_us in
+          if us <> want then
+            fail "%s: scorer %.9f us but full simulation of %s gives %.9f us"
+              where us what want
+        in
+        full "the decoded best layout" c.best_us (retarget s c.best);
+        List.iter
+          (fun (l, us) ->
+            full
+              (Printf.sprintf "the engine's %s image" (Config.layout_name l))
+              us
+              (retarget_image s (Engine.layout_for s.config s.stack ~layout:l ())))
+          c.named;
+        if c.seeded <> [] then begin
           let bn =
             List.fold_left
               (fun acc (l, us) ->
@@ -754,12 +934,8 @@ let check (t : t) =
               infinity c.named
           in
           if c.best_us > bn then
-            problem :=
-              Some
-                (Printf.sprintf
-                   "%s %d KB: best-found %.9f us worse than seeded named \
-                    best %.9f us"
-                   (Engine.stack_name c.stack) c.icache_kb c.best_us bn)
+            fail "%s: best-found %.9f us worse than seeded named best %.9f us"
+              where c.best_us bn
         end
       end)
     t.cells;

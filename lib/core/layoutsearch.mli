@@ -7,18 +7,24 @@
     placement by {!Protolat_layout.Strategy.at_offsets}.
 
     A candidate only moves code, so it is scored on the i-cache alone.
-    One base run per stack gives the client trace; a unit table built
-    once maps its events to (unit, offset) runs, a genome's unit bases
-    follow by cursor arithmetic, and two passes of a direct-mapped tag
-    array count the steady pass's sequential and other i-misses.  The
-    data side's stall is measured once per stack.  While the candidate's
-    code stays inside one b-cache period and off the data's b-cache sets,
-    every i-miss hits the b-cache and the score is bit-identical to
-    {!Protolat_machine.Perf.steady} of the decoded image; other genomes,
-    and the pessimal layout, are scored through that full path.
+    One base run per stack supplies everything a score reads, each in one
+    pass over flat arrays: the client trace with its function tags, the
+    client image, and the steady replay's data-side stall and
+    instruction cycles.  Inverting the placement the base image was built
+    from gives each event's (unit, offset) and the runs of events on one
+    line of one unit; a genome's unit bases follow by cursor arithmetic,
+    and two passes of a direct-mapped tag array count the steady pass's
+    sequential and other i-misses.  While the candidate's code stays
+    inside one b-cache period and off the data's b-cache sets, every
+    i-miss hits the b-cache and the score is bit-identical to
+    {!Protolat_machine.Perf.steady} of the decoded image.  Other genomes,
+    and the pessimal layout, move each event through the unit table and
+    are replayed on one scratch memory hierarchy per cell.  No score
+    builds an image; only {!check} takes the full path.
 
-    Moves are guided by the {!Protolat_obs.Attrib} i-cache conflict
-    matrix ({!Protolat_obs.Attrib.top_conflicts}): swaps, set-offset
+    Moves are guided by the base layout's i-cache conflict pairs at the
+    cell's geometry, the pairs {!Protolat_obs.Attrib.top_conflicts} ranks,
+    counted from the tag array's second pass: swaps, set-offset
     shifts, pull-together and clone toggles target the hottest
     (victim, evictor) pairs rather than mutating blindly.  Two drivers
     run in sequence — greedy hill-climb, then seeded simulated annealing
@@ -104,18 +110,33 @@ val score : Engine.stack_kind -> int -> genome list -> float list
     retargeted trace, bit for bit.
     @raise Invalid_argument as {!run} for the geometry. *)
 
+val guidance : Engine.stack_kind -> int -> Protolat_obs.Attrib.conflict list
+(** [guidance stack icache_kb] is the conflict list the search's moves
+    target, on a fresh base run: [Protolat_obs.Attrib.top_conflicts ~k:16]
+    of the [Protolat_obs.Attrib.profile] of the base image and trace at
+    that i-cache size, counted without a replay.
+    @raise Invalid_argument as {!run} for the geometry. *)
+
+val events : Engine.stack_kind -> (int * int) array
+(** The unit table of a fresh base run: for each event of the base
+    trace, the index of its unit in {!Engine.client_units} order and its
+    offset from that unit's base when the unit keeps its outlined cold
+    blocks inside. *)
+
 val digest : t -> string
 (** Hex digest over every cell's deterministic content (genomes, scores,
     trajectories) — wall-clock fields excluded, so equal searches at
     different [jobs] or machine speeds digest equally. *)
 
 val check : t -> (unit, string) result
-(** Re-score each cell's best genome through the full simulation path —
-    decode with {!Protolat_layout.Strategy.at_offsets}, build the image,
-    retarget the base trace with {!Protolat_layout.Image.pc_map}, and
-    measure with {!Protolat_machine.Perf.steady} on a fresh memory
-    system — and require bit-identical steady time, plus
-    best-found <= best seeded named layout per cell. *)
+(** Re-score each cell through the full simulation path and require
+    bit-identical steady times: the best genome is decoded with
+    {!Protolat_layout.Strategy.at_offsets} and built, each named layout is
+    the engine's own image ({!Engine.layout_for}), the base trace is
+    retargeted with {!Protolat_layout.Image.pc_map}, and
+    {!Protolat_machine.Perf.steady} measures it on a fresh memory system
+    at its default warmup.  Also requires best-found <= best seeded named
+    layout per cell. *)
 
 val table : t -> Protolat_util.Table.t
 (** One row per cell: best named layout vs best found, delta,

@@ -101,33 +101,26 @@ let scale k v =
    computation feeds uses), stores trail, control transfers close the
    block. *)
 let expand v =
-  let n = total v in
-  let out = Array.make n Alu in
-  if n = 0 then out
-  else begin
-    (* Build body = alu+mul+nop and spread memory ops through it. *)
-    let body = Util_local.interleave3 v.alu v.mul v.nop in
-    let body =
-      List.map (function `A -> Alu | `B -> Mul | `C -> Nop) body
-    in
-    let mem =
-      List.init v.load (fun _ -> Load) @ List.init v.store (fun _ -> Store)
-    in
-    let merged = Util_local.spread body mem in
-    let control =
-      List.init v.br_not_taken (fun _ -> Br_not_taken)
-      @ List.init v.jsr (fun _ -> Jsr)
-      @ List.init v.br_taken (fun _ -> Br_taken)
-      @ List.init v.ret (fun _ -> Ret)
-    in
-    (* Spread interior control transfers (all but the final one) through the
-       block, keeping the last transfer at the block end. *)
-    let seq =
-      match List.rev control with
-      | [] -> merged
-      | last :: interior_rev ->
-        Util_local.spread merged (List.rev interior_rev) @ [ last ]
-    in
-    List.iteri (fun i c -> if i < n then out.(i) <- c) seq;
-    out
-  end
+  (* Build body = alu+mul+nop and spread memory ops through it. *)
+  let body =
+    Array.map
+      (function `A -> Alu | `B -> Mul | `C -> Nop)
+      (Util_local.interleave3 v.alu v.mul v.nop)
+  in
+  let merged =
+    Util_local.spread body
+      (Array.append (Array.make v.load Load) (Array.make v.store Store))
+  in
+  let control =
+    Array.concat
+      [ Array.make v.br_not_taken Br_not_taken; Array.make v.jsr Jsr;
+        Array.make v.br_taken Br_taken; Array.make v.ret Ret ]
+  in
+  (* Spread interior control transfers (all but the final one) through the
+     block, keeping the last transfer at the block end. *)
+  let nc = Array.length control in
+  if nc = 0 then merged
+  else
+    Array.append
+      (Util_local.spread merged (Array.sub control 0 (nc - 1)))
+      [| control.(nc - 1) |]

@@ -1,31 +1,21 @@
 let spread base extras =
-  let nb = List.length base and ne = List.length extras in
+  let nb = Array.length base and ne = Array.length extras in
   if ne = 0 then base
   else if nb = 0 then extras
   else begin
-    (* Insert extra i after position floor((i+1) * nb / (ne+1)) of base. *)
-    let positions =
-      Array.init ne (fun i -> (i + 1) * nb / (ne + 1))
-    in
-    let extras = Array.of_list extras in
-    let out = ref [] in
-    let e = ref (ne - 1) in
-    let base_arr = Array.of_list base in
-    for i = nb - 1 downto 0 do
-      while !e >= 0 && positions.(!e) > i do
-        out := extras.(!e) :: !out;
-        decr e
+    (* Extra i goes right before base element (i+1) * nb / (ne+1); that
+       position is below nb, so every extra lands inside the loop. *)
+    let out = Array.make (nb + ne) base.(0) in
+    let e = ref 0 in
+    for i = 0 to nb - 1 do
+      while !e < ne && (!e + 1) * nb / (ne + 1) <= i do
+        out.(i + !e) <- extras.(!e);
+        incr e
       done;
-      out := base_arr.(i) :: !out
+      out.(i + !e) <- base.(i)
     done;
-    while !e >= 0 do
-      out := extras.(!e) :: !out;
-      decr e
-    done;
-    !out
+    out
   end
 
 let interleave3 a b c =
-  let base = List.init a (fun _ -> `A) in
-  let base = spread base (List.init b (fun _ -> `B)) in
-  spread base (List.init c (fun _ -> `C))
+  spread (spread (Array.make a `A) (Array.make b `B)) (Array.make c `C)

@@ -50,11 +50,10 @@ let cross_imisses t =
    matrix.  Equal counts tie-break on (victim, evictor) — the order, and
    anything derived from it (move-generator proposals, search digests), is
    deterministic. *)
-let top_conflicts ?(k = 10) ?(cross_only = false) t =
+let hottest ?(k = 10) ?(cross_only = false) conflicts =
   let eligible =
-    if cross_only then
-      List.filter (fun c -> c.victim <> c.evictor) t.conflicts
-    else t.conflicts
+    if cross_only then List.filter (fun c -> c.victim <> c.evictor) conflicts
+    else conflicts
   in
   let sorted =
     List.sort
@@ -68,6 +67,8 @@ let top_conflicts ?(k = 10) ?(cross_only = false) t =
       eligible
   in
   List.filteri (fun i _ -> i < k) sorted
+
+let top_conflicts ?k ?cross_only t = hottest ?k ?cross_only t.conflicts
 
 (* Mutable per-function accumulator (columns of one [row]). *)
 type acc = {

@@ -63,6 +63,10 @@ val top_conflicts : ?k:int -> ?cross_only:bool -> t -> conflict list
     search: moves target exactly these pairs instead of mutating
     blindly. *)
 
+val hottest : ?k:int -> ?cross_only:bool -> conflict list -> conflict list
+(** {!top_conflicts} of a conflict list given in any order (one entry per
+    (victim, evictor) pair). *)
+
 val profile :
   ?mode:[ `Steady | `Cold ] ->
   ?warmup:int ->

@@ -71,6 +71,7 @@ type t = {
   pcbs : session Xk.Map.t;
   listeners : (int, session -> bytes -> unit) Hashtbl.t;
   mutable iss : int;
+  mutable dropped : int;
   c_retransmits : Obs.Metrics.counter;
   c_fast_retransmits : Obs.Metrics.counter;
   c_persist_probes : Obs.Metrics.counter;
@@ -107,6 +108,7 @@ let create env ip ~opts =
       pcbs = Xk.Map.create ~buckets:64 ();
       listeners = Hashtbl.create 8;
       iss = 0x1000;
+      dropped = 0;
       c_retransmits =
         Obs.Metrics.counter env.Ns.Host_env.metrics
           ~help:"segments resent (timeout + fast)" "tcp.retransmits";
@@ -744,7 +746,7 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
 let session_key ~local_port ~remote_ip ~remote_port =
   Tcb.key ~local_port ~remote_ip ~remote_port
 
-let demux t ~(hdr : Ip_hdr.t) msg =
+let demux_segment t ~(hdr : Ip_hdr.t) msg =
   let m = meter t in
   Meter.fn m s_tcp_demux (fun () ->
       m.Meter.block s_tcp_demux_parse
@@ -806,6 +808,11 @@ let demux t ~(hdr : Ip_hdr.t) msg =
         m.Meter.block s_tcp_demux_dispatch;
         m.Meter.call s_tcp_demux_dispatch_0;
         tcp_input s hdr msg)
+
+(* a datagram too short for a TCP header is a counted drop, as in IP *)
+let demux t ~hdr msg =
+  if Msg.len msg < Tcp_hdr.size then t.dropped <- t.dropped + 1
+  else demux_segment t ~hdr msg
 
 (* ----- public API --------------------------------------------------------- *)
 
@@ -988,6 +995,8 @@ let set_nodelay s v = s.nodelay <- v
 let retransmits t = Obs.Metrics.value t.c_retransmits
 
 let persist_probes t = Obs.Metrics.value t.c_persist_probes
+
+let segments_dropped t = t.dropped
 
 (* wire TCP into IP at creation *)
 let create env ip ~opts =

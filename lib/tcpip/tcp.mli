@@ -85,3 +85,7 @@ val retransmits : t -> int
 
 val persist_probes : t -> int
 (** Zero-window probes sent (the persist timer, RFC 1122). *)
+
+val segments_dropped : t -> int
+(** Datagrams too short for a TCP header, dropped at demux before any
+    parsing. *)

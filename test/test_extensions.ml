@@ -130,6 +130,45 @@ let test_ip_drops_malformed () =
   Alcotest.(check int) "no further drops" 2
     (T.Ip.packets_dropped server.T.Stack.ip)
 
+(* An IP datagram whose TCP payload is shorter than a TCP header (here 7
+   bytes and none) is a counted drop at the receiver's TCP, not an
+   exception out of the simulation, and a connection opened afterwards
+   still exchanges data. *)
+let test_tcp_drops_short_segments () =
+  let p = pair () in
+  let client = p.T.Stack.client and server = p.T.Stack.server in
+  let send n =
+    T.Ip.push client.T.Stack.ip ~dst:server.T.Stack.ip_addr
+      ~proto:T.Ip_hdr.proto_tcp
+      (Xk.Msg.of_string client.T.Stack.env.Ns.Host_env.simmem (String.make n 'x'))
+  in
+  send 7;
+  send 0;
+  run_sim p;
+  Alcotest.(check int) "both datagrams passed IP" 0
+    (T.Ip.packets_dropped server.T.Stack.ip);
+  Alcotest.(check int) "both segments dropped" 2
+    (T.Tcp.segments_dropped server.T.Stack.tcp);
+  let echoed = ref "" in
+  T.Tcp.listen server.T.Stack.tcp ~port:7 ~receive:(fun s data ->
+      echoed := Bytes.to_string data;
+      T.Tcp.send s data);
+  let got = ref "" in
+  let session =
+    T.Tcp.connect client.T.Stack.tcp ~local_port:1024
+      ~remote_ip:server.T.Stack.ip_addr ~remote_port:7
+      ~receive:(fun _ data -> got := Bytes.to_string data)
+  in
+  run_sim ~us:100_000.0 p;
+  Alcotest.(check bool) "established afterwards" true
+    (T.Tcp.state session = T.Tcb.Established);
+  T.Tcp.send session (Bytes.of_string "ping");
+  run_sim p;
+  Alcotest.(check string) "request arrived" "ping" !echoed;
+  Alcotest.(check string) "reply arrived" "ping" !got;
+  Alcotest.(check int) "no further drops" 2
+    (T.Tcp.segments_dropped server.T.Stack.tcp)
+
 (* ----- TCP bulk transfer ------------------------------------------------------ *)
 
 let bulk_setup p ~bytes:_ =
@@ -647,6 +686,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_ip_fragmentation_sizes;
       Alcotest.test_case "ip drops malformed headers" `Quick
         test_ip_drops_malformed;
+      Alcotest.test_case "tcp drops segments shorter than a header" `Quick
+        test_tcp_drops_short_segments;
       Alcotest.test_case "tcp bulk transfer" `Quick test_bulk_transfer;
       Alcotest.test_case "tcp bulk with loss" `Quick
         test_bulk_transfer_with_loss;

@@ -35,6 +35,113 @@ let prop_expand_preserves_counts =
       && count Instr.Br_taken = v.Instr.br_taken
       && count Instr.Br_not_taken = v.Instr.br_not_taken)
 
+(* The list-based expansion [Instr.expand] replaced, kept as its oracle:
+   the same interleaving built with list splices. *)
+let list_spread base extras =
+  let nb = List.length base and ne = List.length extras in
+  if ne = 0 then base
+  else if nb = 0 then extras
+  else begin
+    let positions = Array.init ne (fun i -> (i + 1) * nb / (ne + 1)) in
+    let extras = Array.of_list extras and base_arr = Array.of_list base in
+    let out = ref [] and e = ref (ne - 1) in
+    for i = nb - 1 downto 0 do
+      while !e >= 0 && positions.(!e) > i do
+        out := extras.(!e) :: !out;
+        decr e
+      done;
+      out := base_arr.(i) :: !out
+    done;
+    while !e >= 0 do
+      out := extras.(!e) :: !out;
+      decr e
+    done;
+    !out
+  end
+
+let list_expand (v : Instr.vector) =
+  let n = Instr.total v in
+  let out = Array.make n Instr.Alu in
+  if n = 0 then out
+  else begin
+    let rep k c = List.init k (fun _ -> c) in
+    let body =
+      list_spread
+        (list_spread (rep v.Instr.alu Instr.Alu) (rep v.Instr.mul Instr.Mul))
+        (rep v.Instr.nop Instr.Nop)
+    in
+    let merged =
+      list_spread body (rep v.Instr.load Instr.Load @ rep v.Instr.store Instr.Store)
+    in
+    let control =
+      rep v.Instr.br_not_taken Instr.Br_not_taken
+      @ rep v.Instr.jsr Instr.Jsr
+      @ rep v.Instr.br_taken Instr.Br_taken
+      @ rep v.Instr.ret Instr.Ret
+    in
+    let seq =
+      match List.rev control with
+      | [] -> merged
+      | last :: interior_rev -> list_spread merged (List.rev interior_rev) @ [ last ]
+    in
+    List.iteri (fun i c -> if i < n then out.(i) <- c) seq;
+    out
+  end
+
+let show_vector (v : Instr.vector) =
+  Printf.sprintf "alu %d load %d store %d br+ %d br- %d jsr %d ret %d mul %d nop %d"
+    v.Instr.alu v.Instr.load v.Instr.store v.Instr.br_taken v.Instr.br_not_taken
+    v.Instr.jsr v.Instr.ret v.Instr.mul v.Instr.nop
+
+(* every class count, each zero a third of the time, so zero and
+   single-class vectors come up often *)
+let prop_expand_matches_list_oracle =
+  let count = QCheck.Gen.(frequency [ (1, return 0); (2, int_bound 24) ]) in
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((alu, load, store, br_taken, br_not_taken), (jsr, ret, mul, nop)) ->
+          Instr.vec ~alu ~load ~store ~br_taken ~br_not_taken ~jsr ~ret ~mul ~nop ())
+        (pair (tup5 count count count count count) (tup4 count count count count)))
+  in
+  QCheck.Test.make ~name:"expand equals the list-based oracle" ~count:500
+    (QCheck.make ~print:show_vector gen) (fun v -> Instr.expand v = list_expand v)
+
+let test_expand_oracle_edges () =
+  let one k =
+    [ Instr.vec ~alu:k (); Instr.vec ~load:k (); Instr.vec ~store:k ();
+      Instr.vec ~br_taken:k (); Instr.vec ~br_not_taken:k (); Instr.vec ~jsr:k ();
+      Instr.vec ~ret:k (); Instr.vec ~mul:k (); Instr.vec ~nop:k () ]
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (show_vector v) true (Instr.expand v = list_expand v))
+    (Instr.zero :: List.concat_map one [ 1; 2; 7 ])
+
+(* every block, prologue and epilogue vector of both stacks' cost
+   models, under both option sets *)
+let test_expand_specs () =
+  let module F = Protolat_layout.Func in
+  let module T = Protolat_tcpip in
+  let vectors (f : F.t) =
+    f.F.prologue :: f.F.epilogue
+    :: List.map (fun (it : F.item) -> it.F.block.Protolat_layout.Block.vec) f.F.items
+  in
+  let n = ref 0 in
+  List.iter
+    (fun opts ->
+      List.iter
+        (fun (f : F.t) ->
+          List.iter
+            (fun v ->
+              incr n;
+              if Instr.expand v <> list_expand v then
+                Alcotest.failf "%s: %s" f.F.name (show_vector v))
+            (vectors f))
+        (T.Specs.all opts @ Protolat_rpc.Specs.all opts))
+    [ T.Opts.original; T.Opts.improved ];
+  Alcotest.(check bool) "vectors checked" true (!n > 500)
+
 let test_expand_control_last () =
   let v = Instr.vec ~alu:8 ~ret:1 () in
   let a = Instr.expand v in
@@ -293,6 +400,11 @@ let suite =
     [ Alcotest.test_case "vector totals" `Quick test_vector_total;
       QCheck_alcotest.to_alcotest prop_expand_preserves_counts;
       Alcotest.test_case "expand control last" `Quick test_expand_control_last;
+      QCheck_alcotest.to_alcotest prop_expand_matches_list_oracle;
+      Alcotest.test_case "expand oracle on zero and single-class vectors" `Quick
+        test_expand_oracle_edges;
+      Alcotest.test_case "expand oracle on both stacks' specs" `Quick
+        test_expand_specs;
       Alcotest.test_case "cache hit/miss/repl" `Quick test_cache_hit_miss;
       Alcotest.test_case "cache invalidate" `Quick test_cache_invalidate;
       Alcotest.test_case "cache geometry" `Quick test_cache_bad_geometry;

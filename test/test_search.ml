@@ -268,6 +268,79 @@ let test_named_scores_match_full_path () =
         t.LS.cells)
     [ P.Engine.Tcpip; P.Engine.Rpc ]
 
+let clo_base stack =
+  let config = P.Config.make P.Config.Clo in
+  P.Engine.run
+    (P.Engine.Spec.make ~rounds:1 ~stack ~config
+       ~layout:(P.Config.layout_of P.Config.Clo) ())
+
+(* The search's guidance pairs, counted from the tag array's second pass,
+   against the attribution replay they stand for: on every stack x
+   geometry cell, the 16 hottest (victim, evictor) pairs of
+   [Attrib.profile] over the base image and trace. *)
+let test_guidance_matches_attrib () =
+  let module A = Protolat_obs.Attrib in
+  let module M = Protolat_machine in
+  let show (c : A.conflict) =
+    Printf.sprintf "%s<-%s:%d" c.A.victim c.A.evictor c.A.count
+  in
+  List.iter
+    (fun stack ->
+      let base = clo_base stack in
+      List.iter
+        (fun kb ->
+          let p = { M.Params.default with M.Params.icache_bytes = kb * 1024 } in
+          let want =
+            A.top_conflicts ~k:16
+              (A.profile p base.P.Engine.client_image base.P.Engine.trace)
+          in
+          let name = Printf.sprintf "%s %d KB" (P.Engine.stack_name stack) kb in
+          (* from 16 KB up a stack's code may fit, leaving no pairs *)
+          if kb = 4 then
+            Alcotest.(check bool) (name ^ " has conflicts") true (want <> []);
+          Alcotest.(check (list string)) (name ^ " guidance pairs")
+            (List.map show want)
+            (List.map show (LS.guidance stack kb)))
+        LS.geometries)
+    [ P.Engine.Tcpip; P.Engine.Rpc ]
+
+(* The unit table inverts the base image's placement.  Each event's
+   (unit, offset), placed at the dense canonical bases with every unit's
+   cold blocks inside, must be where [Image.pc_map] moves the event's pc
+   in [Image.build] of that placement. *)
+let test_unit_table_matches_pc_map () =
+  let module L = Protolat_layout in
+  let module T = Protolat_machine.Trace in
+  let config = P.Config.make P.Config.Clo in
+  List.iter
+    (fun stack ->
+      let base = clo_base stack in
+      let inside =
+        List.map
+          (fun u ->
+            if L.Image.unit_outlined u then L.Image.set_separate_cold u false else u)
+          (fst (P.Engine.client_units config stack))
+      in
+      let placement =
+        L.Strategy.at_offsets ~base:0x10000 ~icache_bytes:8192 ~block_bytes:32
+          (List.map (fun u -> (u, -1)) inside)
+      in
+      let bases = Array.of_list (List.map snd placement) in
+      let map = L.Image.pc_map base.P.Engine.client_image (L.Image.build placement) in
+      let trace = base.P.Engine.trace in
+      let table = LS.events stack in
+      let name = P.Engine.stack_name stack in
+      Alcotest.(check int) (name ^ " one entry per event") (T.length trace)
+        (Array.length table);
+      Array.iteri
+        (fun i (u, off) ->
+          let want = map (T.pc_at trace i) in
+          if bases.(u) + off <> want then
+            Alcotest.failf "%s event %d: unit %d offset %d gives 0x%x, pc_map 0x%x"
+              name i u off (bases.(u) + off) want)
+        table)
+    [ P.Engine.Tcpip; P.Engine.Rpc ]
+
 let rejects what f =
   match f () with
   | _ -> Alcotest.failf "%s: accepted" what
@@ -336,4 +409,8 @@ let suite =
         test_small_budget_rejected;
       Alcotest.test_case "bad geometry rejected" `Quick
         test_bad_geometry_rejected;
-      Alcotest.test_case "attrib top conflicts" `Quick test_top_conflicts ] )
+      Alcotest.test_case "attrib top conflicts" `Quick test_top_conflicts;
+      Alcotest.test_case "guidance matches the attribution replay" `Quick
+        test_guidance_matches_attrib;
+      Alcotest.test_case "unit table matches pc_map" `Quick
+        test_unit_table_matches_pc_map ] )
