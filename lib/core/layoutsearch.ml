@@ -313,22 +313,20 @@ let make_sctx stack =
       let a, _, _, _ = spans.(mid) in
       if a <= pc then lo := mid else hi := mid - 1
     done;
-    let a, b, _, _ = spans.(!lo) in
+    let ((a, b, _, _) as span) = spans.(!lo) in
     if pc < a || pc >= b then
       invalid_arg
         (Printf.sprintf "Layoutsearch: pc 0x%x outside the base placement" pc);
-    !lo
+    span
   in
   let trace = base.Engine.trace in
   let len = Trace.length trace in
   let ev_unit = Array.make len 0 and ev_off = Array.make len 0 in
   let run_unit = Array.make len 0 and run_off = Array.make len 0 in
-  let runs = ref 0 and k = ref 0 in
+  let runs = ref 0 in
   for i = 0 to len - 1 do
     let pc = Trace.pc_at trace i in
-    (let a, b, _, _ = spans.(!k) in
-     if pc < a || pc >= b then k := span_of pc);
-    let _, _, u, origin = spans.(!k) in
+    let _, _, u, origin = span_of pc in
     let off = pc - origin in
     ev_unit.(i) <- u;
     ev_off.(i) <- off;
