@@ -355,6 +355,10 @@ type hstate = {
   wq : queue;  (* pending write addresses *)
   mutable collecting : bool;
   mutable traced : bool;
+  mutable n_traced : int;
+      (* traced instructions emitted since the last roundtrip ended, the
+         events a collecting roundtrip appends: the steady-state
+         roundtrip before collection sizes the trace *)
   mutable pending : int;  (* dual-issue pairing state: Instr.code, -1 = none *)
   mutable pair_mod : int;
       (* (attempts * pair_success_pct) mod 100, maintained incrementally:
@@ -395,27 +399,30 @@ let build_smemo ic (slot : Image.slot) =
   let n = Array.length instrs in
   let m_codes = Array.map Instr.code instrs in
   (* chunk = maximal instr range on one i-cache line; pcs increase within a
-     slot, so lines are non-decreasing and each distinct line is one chunk *)
-  let starts = ref [] and lines = ref [] in
-  let nchunks = ref 0 in
+     slot, so lines are non-decreasing and each distinct line is one chunk.
+     One pass counts the chunks, a second fills the table. *)
+  let k = ref 0 and last = ref (-1) in
   for i = 0 to n - 1 do
     let line = Machine.Cache.line_of ic pcs.(i) in
-    match !lines with
-    | l :: _ when l = line -> ()
-    | _ ->
-      starts := i :: !starts;
-      lines := line :: !lines;
-      incr nchunks
+    if line <> !last then begin
+      incr k;
+      last := line
+    end
   done;
-  let k = !nchunks in
-  let m_chunks = Array.make ((3 * k) + 1) n in
-  List.iteri (fun j s -> m_chunks.(3 * (k - 1 - j)) <- s) !starts;
-  List.iteri
-    (fun j l ->
-      let c = k - 1 - j in
-      m_chunks.((3 * c) + 1) <- l;
-      m_chunks.((3 * c) + 2) <- Machine.Cache.set_of_line ic l)
-    !lines;
+  let m_chunks = Array.make ((3 * !k) + 1) n in
+  let c = ref 0 in
+  last := -1;
+  for i = 0 to n - 1 do
+    let line = Machine.Cache.line_of ic pcs.(i) in
+    if line <> !last then begin
+      let b = 3 * !c in
+      m_chunks.(b) <- i;
+      m_chunks.(b + 1) <- line;
+      m_chunks.(b + 2) <- Machine.Cache.set_of_line ic line;
+      incr c;
+      last := line
+    end
+  done;
   { m_slot = slot; m_codes; m_chunks }
 
 (* Fast-path slot emission: the exact computation of [emit_one], chunk by
@@ -455,17 +462,25 @@ let emit_slot_fast h (m : smemo) =
   let codes = m.m_codes in
   let pcs = m.m_slot.Image.pcs in
   let ic = h.icache in
-  let tags = ic.Machine.Cache.tags in
+  let pages = ic.Machine.Cache.pages in
+  let pshift = ic.Machine.Cache.page_shift in
+  let pmask = ic.Machine.Cache.page_mask in
   let mlat = h.mlat in
   let chunks = m.m_chunks in
   let nchunks = (Array.length chunks - 1) / 3 in
+  if h.traced then h.n_traced <- h.n_traced + Array.length codes;
   for c = 0 to nchunks - 1 do
     let b = 3 * c in
     let lo = Array.unsafe_get chunks b in
     let hi = Array.unsafe_get chunks (b + 3) - 1 in
+    (* the set's tag, read from its page; a page no fill has reached
+       holds no line *)
     let warm =
-      Array.unsafe_get tags (Array.unsafe_get chunks (b + 2))
-      = Array.unsafe_get chunks (b + 1)
+      let set = Array.unsafe_get chunks (b + 2) in
+      let page = Array.unsafe_get pages (set lsr pshift) in
+      Array.length page > 0
+      && Array.unsafe_get page (set land pmask)
+         = Array.unsafe_get chunks (b + 1)
     in
     (* [fetch_i]: the single instruction of the chunk that performs a real
        fetch (the miss), or -1 when the line is already resident.  Every
@@ -585,6 +600,7 @@ let emit_slot_slow h (slot : Image.slot) (override : Instr.cls option) =
     if h.collecting && h.traced then Trace.intern h.trace slot.Image.func
     else -1
   in
+  if h.traced then h.n_traced <- h.n_traced + Array.length instrs;
   for i = 0 to Array.length instrs - 1 do
     let cls =
       match override with Some c when i = 0 -> c | _ -> instrs.(i)
@@ -841,6 +857,7 @@ let make_hstate ~params ~image ~sim ~simmem =
     wq = queue_create ();
     collecting = false;
     traced = true;
+    n_traced = 0;
     pending = -1;
     pair_mod = 0;
     depth = 0;
@@ -871,7 +888,12 @@ let drive (type t) (module S : STACK with type test = t) (test : t) ~sim
       if i > warmup then rtts := (now -. !last) :: !rtts;
       Obs.Span.roll span ~at:now ~measured:(i > warmup);
       last := now;
-      (* collect exactly one steady-state roundtrip's trace *)
+      (* collect exactly one steady-state roundtrip's trace, sized by the
+         roundtrip before it: in steady state each one emits the same
+         traced instructions (a faulted run or a first roundtrip may not,
+         and the trace then grows by doubling) *)
+      if i = warmup then Trace.reserve ch.trace ch.n_traced;
+      ch.n_traced <- 0;
       ch.collecting <- i = warmup);
   S.start test;
   ignore (Ns.Sim.run ~until:(Ns.Sim.now sim +. window_us) sim);

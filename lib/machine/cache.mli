@@ -5,19 +5,32 @@
     miss is the first reference to a block. *)
 
 (** The representation is exposed for {!Memsys}, which resolves a hit in
-    place — probe [tags], bump [accesses] and [hits], clear
+    place — probe the tag page, bump [accesses] and [hits], clear
     [last_victim] — instead of paying a call per reference (calls across
     modules are not inlined when a build compiles with [-opaque]), and for
-    the engine's fast path, which reads [tags] to decide whether a chunk
-    of code is resident.  A miss goes through {!fill}.  Everything else
-    should use the functions below. *)
+    the engine's fast path, which reads the tag page to decide whether a
+    chunk of code is resident.  A miss goes through {!fill}.  Everything
+    else should use the functions below.
+
+    The tag array is paged: set [s] is held at
+    [pages.(s lsr page_shift).(s land page_mask)], pages hold at most 512
+    sets (a smaller cache is one page), and a page is the empty array
+    until the first fill of one of its sets materializes it — an empty
+    page means every set on it is empty.  So a cache costs a page
+    directory at {!create} and a page per region its references reach:
+    the 2MB b-cache's 65,536 sets are 128 pages, of which a roundtrip's
+    trace touches a handful.  A probe or a hit allocates nothing. *)
 type t = {
   name : string;
   block_bytes : int;
   block_shift : int;  (** log2 [block_bytes]: [addr lsr block_shift] is the line *)
   sets : int;
   set_mask : int;  (** [sets - 1] *)
-  tags : int array;  (** line cached in each set; [-1] empty *)
+  page_shift : int;  (** log2 of the sets per tag page *)
+  page_mask : int;  (** sets per tag page - 1 *)
+  pages : int array array;
+      (** line cached in each set, by page; [-1] empty, and an empty
+          array for a page no fill has reached *)
   mutable evicted : Bytes.t option array;
       (** paged bitset over lines evicted at least once *)
   mutable accesses : int;
@@ -56,7 +69,11 @@ val probe : t -> int -> bool
 
 val set_of_line : t -> int -> int
 (** Set index holding block (line) address [line]: the line is resident
-    exactly when [tags.(set_of_line t line) = line]. *)
+    exactly when [tag t (set_of_line t line) = line]. *)
+
+val tag : t -> int -> int
+(** [tag t set] is the line [set] holds, [-1] when it is empty: the page
+    table read as a flat tag array. *)
 
 val credit_hits : t -> int -> unit
 (** [credit_hits t n] records [n] hits in one step: exactly the statistics
@@ -66,14 +83,18 @@ val credit_hits : t -> int -> unit
     between can evict it). *)
 
 val invalidate_all : t -> unit
-(** Empty the cache but keep statistics and eviction history. *)
+(** Empty the cache but keep statistics and eviction history.  Visits only
+    the materialized pages. *)
 
 val clear : t -> unit
 (** Restore the exact state of a fresh {!create}: empty sets, eviction
     history forgotten (first-touch misses classify as cold again),
     statistics zeroed.  Unlike {!invalidate_all} this is a true reset, not
     an eviction — it lets a scorer reuse one cache allocation per
-    candidate instead of paying {!create}. *)
+    candidate instead of paying {!create}.  It empties the materialized tag
+    pages and zeroes the eviction bitset's pages in place rather than
+    dropping them, so clearing and re-running a trace the cache has run
+    before allocates nothing. *)
 
 val reset_stats : t -> unit
 

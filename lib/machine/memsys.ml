@@ -144,7 +144,7 @@ let store t addr =
 
 (* ----- the fused path --------------------------------------------------------
    The same model in int cycles, for the engine and the replays: a hit
-   probes the tag array and bumps the counters in place, and only a miss
+   probes the tag page and bumps the counters in place, and only a miss
    leaves the module, through one {!Cache.fill} (or {!Write_buffer.push}).
    No float is returned across a call and no outcome is allocated, so a
    reference allocates nothing.  Every b-cache latency is an int, so int
@@ -156,9 +156,14 @@ let hit (c : Cache.t) =
   c.Cache.hits <- c.Cache.hits + 1;
   c.Cache.last_victim <- -1
 
-(* the masked set index is always within [tags] *)
+(* the cache's tag page read in place (an empty page holds no line); the
+   masked set index is always within the page directory and a
+   materialized page *)
 let resident (c : Cache.t) line =
-  Array.unsafe_get c.Cache.tags (line land c.Cache.set_mask) = line
+  let set = line land c.Cache.set_mask in
+  let page = Array.unsafe_get c.Cache.pages (set lsr c.Cache.page_shift) in
+  Array.length page > 0
+  && Array.unsafe_get page (set land c.Cache.page_mask) = line
 
 (* [baccess ~charge:`Full] in cycles *)
 let bref t addr =
@@ -292,11 +297,12 @@ let invalidate_primary t =
   ignore (Write_buffer.drain t.wb);
   t.last_imiss_block <- min_int
 
-(* Restore the exact state of a fresh [create p]: every component cleared
-   back to its construction state, so a cleared hierarchy simulates any
-   trace bit-identically to a newly created one.  The payoff is avoiding
-   the b-cache's 65536-set tag array allocation that dominates [create] when
-   a scorer runs one short simulation per candidate. *)
+(* Restore the observable state of a fresh [create p]: every component
+   cleared back to its construction state, so a cleared hierarchy
+   simulates any trace bit-identically to a newly created one.  The caches
+   empty their pages in place, so replaying a trace the hierarchy has run
+   before allocates nothing, where a new hierarchy would materialize its
+   tag and eviction-bitset pages again. *)
 let clear t =
   Cache.clear t.ic;
   Cache.clear t.dc;

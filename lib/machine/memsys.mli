@@ -11,6 +11,11 @@
 type t
 
 val create : Params.t -> t
+(** A new hierarchy with every cache empty.  Each cache starts as a
+    directory of empty tag pages ({!Cache.t}) and materializes a page on
+    its first fill, so [create Params.default] allocates a few hundred
+    words, not the b-cache's 65,536-set tag array; a run then pays for
+    the pages its references reach. *)
 
 val params : t -> Params.t
 
@@ -39,9 +44,9 @@ val store : t -> int -> float
 
 (** {2 The fused path}
 
-    The same model in int cycles: a hit probes the tag array and bumps the
-    counters in place, only a miss leaves the module, and no reference
-    allocates.  Latencies are deposited in {!lat_cell} rather than
+    The same model in int cycles: a hit probes the cache's tag page and
+    bumps the counters in place, only a miss leaves the module, and no
+    reference allocates.  Latencies are deposited in {!lat_cell} rather than
     returned, since a float returned across a call is boxed. *)
 
 val access : t -> pc:int -> kind:int -> addr:int -> float
@@ -74,12 +79,14 @@ val invalidate_primary : t -> unit
 (** Empty i-cache, d-cache and write buffer (keep the b-cache warm). *)
 
 val clear : t -> unit
-(** Restore the exact state of a fresh [create (params t)] without
+(** Restore the observable state of a fresh [create (params t)] without
     reallocating: caches emptied with eviction history reset
     ({!Cache.clear}), write buffer reset, all counters and stall
     accumulators zeroed.  A cleared hierarchy simulates any trace
-    bit-identically to a new one — the point is skipping the b-cache's
-    65536-set tag array allocation when scoring many candidates, or
+    bit-identically to a new one.  The caches keep the tag and
+    eviction-bitset pages they have materialized and empty them in place,
+    so a hierarchy cleared and replaying a trace it has run before
+    allocates nothing — the point when scoring many candidates, or
     replaying a run's trace, against a reused hierarchy. *)
 
 val reset_stats : t -> unit

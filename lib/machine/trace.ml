@@ -9,11 +9,12 @@ type event = {
 }
 
 (* Struct-of-arrays storage: one int column per field instead of a vector
-   of boxed event records.  The simulator's hot path appends tens of
-   thousands of events per roundtrip; packing them into flat int arrays
-   means appending allocates nothing (amortized) and replaying is a linear
-   scan with no pointer chasing — the paper's own §2.2 medicine applied to
-   the simulator itself. *)
+   of boxed event records.  The simulator's hot path appends thousands of
+   events per roundtrip; packing them into flat int arrays means appending
+   allocates nothing (amortized) and replaying is a linear scan with no
+   pointer chasing — the paper's own §2.2 medicine applied to the
+   simulator itself.  The columns grow by doubling from 1024 slots, or
+   to exactly the size a caller that knows the count asks [reserve] for. *)
 type t = {
   mutable pcs : int array;
   mutable clss : int array;  (* Instr.code *)
@@ -64,8 +65,7 @@ let n_funcs t = t.n_funcs
 
 let func_name t i = t.funcs.(i)
 
-let grow t needed =
-  let cap = max 1024 (max needed (2 * Array.length t.pcs)) in
+let resize t cap =
   let g fill a =
     let b = Array.make cap fill in
     Array.blit a 0 b 0 t.len;
@@ -77,8 +77,11 @@ let grow t needed =
   t.addrs <- g 0 t.addrs;
   t.fids <- g (-1) t.fids
 
+let reserve t n = if t.len + n > Array.length t.pcs then resize t (t.len + n)
+
 let add_packed t ~pc ~cls ~kind ~addr ~fid =
-  if t.len = Array.length t.pcs then grow t (t.len + 1);
+  if t.len = Array.length t.pcs then
+    resize t (max 1024 (2 * Array.length t.pcs));
   let i = t.len in
   t.pcs.(i) <- pc;
   t.clss.(i) <- Instr.code cls;

@@ -16,11 +16,22 @@ type event = {
 
 type t
 (** Traces are stored struct-of-arrays: flat int columns for pc, class
-    code, access kind and data address.  Appending via {!add_packed} and
-    scanning via the [_at] accessors allocate nothing, which keeps the
-    simulator's per-instruction hot path allocation-free. *)
+    code, access kind, data address and function id.  Appending via
+    {!add_packed} and scanning via the [_at] accessors allocate nothing,
+    which keeps the simulator's per-instruction hot path allocation-free.
+    The columns start empty and grow by doubling from 1,024 events, unless
+    {!reserve} has sized them already. *)
 
 val create : unit -> t
+
+val reserve : t -> int -> unit
+(** [reserve t n] makes room for [n] more events: the next [n] calls to
+    {!add_packed} allocate nothing.  The columns grow to exactly
+    [length t + n] when they are shorter; a caller that knows how many
+    events it will append (the engine sizes a roundtrip's trace from the
+    roundtrip before it) skips the doublings and their copies.  Appending
+    past the reservation falls back to doubling, so a wrong count costs
+    allocation, never events. *)
 
 val length : t -> int
 

@@ -21,6 +21,7 @@ type t = {
   mutable peer_boot : int;
   mutable upper : src:int -> Msg.t -> unit;
   mutable stale_drops : int;
+  mutable short_drops : int;  (* messages shorter than a BID header *)
 }
 
 let meter t = t.env.Ns.Host_env.meter
@@ -37,7 +38,7 @@ let push t ~dst msg =
       m.Meter.call s_bid_push_stamp_0;
       Blast.push t.blast ~dst msg)
 
-let demux t ~src msg =
+let demux_msg t ~src msg =
   let m = meter t in
   Meter.fn m s_bid_demux (fun () ->
       m.Meter.block s_bid_demux_check
@@ -55,6 +56,12 @@ let demux t ~src msg =
         t.upper ~src msg
       end)
 
+(* a message too short for a BID header is a counted drop, before the
+   metered parse *)
+let demux t ~src msg =
+  if Msg.len msg < Hdrs.Bid.size then t.short_drops <- t.short_drops + 1
+  else demux_msg t ~src msg
+
 let create env blast ~boot_id =
   let t =
     { env;
@@ -62,7 +69,8 @@ let create env blast ~boot_id =
       boot_id;
       peer_boot = 0;
       upper = (fun ~src:_ _ -> ());
-      stale_drops = 0 }
+      stale_drops = 0;
+      short_drops = 0 }
   in
   Blast.set_upper blast (fun ~src msg -> demux t ~src msg);
   t
@@ -74,3 +82,5 @@ let boot_id t = t.boot_id
 let peer_boot t = t.peer_boot
 
 let stale_drops t = t.stale_drops
+
+let short_drops t = t.short_drops

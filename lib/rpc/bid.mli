@@ -19,3 +19,6 @@ val peer_boot : t -> int
 (** 0 until the first message from the peer arrives. *)
 
 val stale_drops : t -> int
+
+val short_drops : t -> int
+(** Messages dropped because they were shorter than a BID header. *)

@@ -54,6 +54,7 @@ type t = {
   c_late_fragments : Obs.Metrics.counter;
   c_abandoned : Obs.Metrics.counter;
   cksum : Cksum.counters;
+  mutable short_drops : int;  (** frames shorter than a BLAST header *)
 }
 
 let meter t = t.env.Ns.Host_env.meter
@@ -209,7 +210,7 @@ let rec arm_nack_timer t ~key partial =
              end
            | _ -> partial.nack_timer <- None))
 
-let demux t ~src msg =
+let demux_frame t ~src msg =
   let m = meter t in
   Meter.fn m s_blast_demux (fun () ->
       m.Meter.block s_blast_demux_parse
@@ -310,6 +311,12 @@ let demux t ~src msg =
           end
         end)
 
+(* a frame too short for a BLAST header is a counted drop, as in IP and
+   TCP; it never reaches the metered parse *)
+let demux t ~src msg =
+  if Msg.len msg < Hdrs.Blast.size then t.short_drops <- t.short_drops + 1
+  else demux_frame t ~src msg
+
 let create env netdev ~ethertype ~map_cache_inline ?(frag_size = 1400) () =
   let c = Obs.Metrics.counter env.Ns.Host_env.metrics in
   let t =
@@ -329,7 +336,8 @@ let create env netdev ~ethertype ~map_cache_inline ?(frag_size = 1400) () =
       c_cksum_drops = c "blast.cksum_drops";
       c_late_fragments = c "blast.late_fragments";
       c_abandoned = c "blast.abandoned";
-      cksum = Cksum.counters env.Ns.Host_env.metrics }
+      cksum = Cksum.counters env.Ns.Host_env.metrics;
+      short_drops = 0 }
   in
   Ns.Netdev.register netdev ~ethertype (fun ~src msg -> demux t ~src msg);
   t
@@ -343,6 +351,8 @@ let nacks_sent t = Obs.Metrics.value t.c_nacks
 let retransmissions t = Obs.Metrics.value t.c_retransmissions
 
 let cksum_drops t = Obs.Metrics.value t.c_cksum_drops
+
+let short_drops t = t.short_drops
 
 let late_fragments t = Obs.Metrics.value t.c_late_fragments
 

@@ -33,6 +33,9 @@ val cksum_drops : t -> int
 (** Fragments rejected because the computed checksum (over the header
     with a zeroed cksum field, plus the payload) did not match. *)
 
+val short_drops : t -> int
+(** Frames dropped because they were shorter than a BLAST header. *)
+
 val late_fragments : t -> int
 (** Duplicate fragments of messages already delivered (ignored). *)
 

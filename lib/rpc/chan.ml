@@ -76,6 +76,7 @@ type t = {
   c_req_retransmits : Obs.Metrics.counter;
   c_dup_requests : Obs.Metrics.counter;
   c_call_failures : Obs.Metrics.counter;
+  mutable short_drops : int;  (* messages shorter than a CHAN header *)
 }
 
 let meter t = t.env.Ns.Host_env.meter
@@ -198,7 +199,7 @@ let send_reply t (c : chan_state) seq payload =
       m.Meter.call s_chan_reply_send_0;
       Bid.push t.bid ~dst:t.peer_mac msg)
 
-let demux t ~src:_ msg =
+let demux_msg t msg =
   let m = meter t in
   Meter.fn m s_chan_demux (fun () ->
       m.Meter.block s_chan_demux_parse
@@ -276,6 +277,12 @@ let demux t ~src:_ msg =
                     send_reply t c hdr.Hdrs.Chan.seq r))
         end))
 
+(* a message too short for a CHAN header is a counted drop, before the
+   metered parse *)
+let demux t ~src:_ msg =
+  if Msg.len msg < Hdrs.Chan.size then t.short_drops <- t.short_drops + 1
+  else demux_msg t msg
+
 let create env bid ~peer_mac ?(map_cache_inline = true) () =
   let c = Obs.Metrics.counter env.Ns.Host_env.metrics in
   let t =
@@ -288,7 +295,8 @@ let create env bid ~peer_mac ?(map_cache_inline = true) () =
       outstanding = 0;
       c_req_retransmits = c "chan.req_retransmits";
       c_dup_requests = c "chan.dup_requests";
-      c_call_failures = c "chan.call_failures" }
+      c_call_failures = c "chan.call_failures";
+      short_drops = 0 }
   in
   Bid.set_upper bid (fun ~src msg -> demux t ~src msg);
   t
@@ -302,6 +310,8 @@ let request_retransmits t = Obs.Metrics.value t.c_req_retransmits
 let duplicate_requests t = Obs.Metrics.value t.c_dup_requests
 
 let call_failures t = Obs.Metrics.value t.c_call_failures
+
+let short_drops t = t.short_drops
 
 let map_counters t = Xk.Map.counters t.channels
 

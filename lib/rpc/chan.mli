@@ -32,6 +32,9 @@ val call_failures : t -> int
 (** Calls abandoned after the request-retransmission cap: the waiting
     continuation is dropped and the channel released. *)
 
+val short_drops : t -> int
+(** Messages dropped because they were shorter than a CHAN header. *)
+
 val map_counters : t -> Xk.Map.counters
 (** Operation counters of the channel demux map (resolves, one-entry cache
     hits, key compares, buckets scanned). *)

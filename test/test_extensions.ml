@@ -675,6 +675,52 @@ let test_simultaneous_pings_two_connections () =
   Alcotest.(check int) "two sessions" 2
     (T.Tcp.session_count p.T.Stack.client.T.Stack.tcp)
 
+(* A message shorter than the header its layer parses (a 3-byte frame
+   under BLAST, a 3-byte message under BID, a 5-byte one under CHAN) is a
+   counted drop at that layer, not an exception out of the simulation,
+   and a call on the same pair afterwards still completes. *)
+let test_rpc_drops_short_headers () =
+  let module R = Protolat_rpc in
+  let rp =
+    R.Rstack.pair_of_net (R.Rstack.make_net ~topology:(Ns.Topology.pair ()) ())
+  in
+  let client = rp.R.Rstack.client and server = rp.R.Rstack.server in
+  let msg n =
+    Xk.Msg.of_string client.R.Rstack.env.Ns.Host_env.simmem (String.make n 'x')
+  in
+  let run () =
+    ignore (Ns.Sim.run ~until:(Ns.Sim.now rp.R.Rstack.sim +. 5.0e6) rp.R.Rstack.sim)
+  in
+  let dst = server.R.Rstack.mac in
+  let drops () =
+    ( R.Blast.short_drops server.R.Rstack.blast,
+      R.Bid.short_drops server.R.Rstack.bid,
+      R.Chan.short_drops server.R.Rstack.chan )
+  in
+  let check_drops what want =
+    let b, i, c = drops () in
+    Alcotest.(check (list int)) what want [ b; i; c ]
+  in
+  Ns.Netdev.send client.R.Rstack.netdev ~dst ~ethertype:R.Rstack.ethertype_rpc
+    (msg 3);
+  run ();
+  check_drops "a 3-byte frame dropped by BLAST" [ 1; 0; 0 ];
+  R.Blast.push client.R.Rstack.blast ~dst (msg 3);
+  run ();
+  check_drops "a 3-byte message dropped by BID" [ 1; 1; 0 ];
+  R.Bid.push client.R.Rstack.bid ~dst (msg 5);
+  run ();
+  check_drops "a 5-byte message dropped by CHAN" [ 1; 1; 1 ];
+  R.Mselect.register server.R.Rstack.mselect ~client:7 (fun body ~reply ->
+      reply body);
+  let got = ref "" in
+  R.Mselect.call client.R.Rstack.mselect ~client:7
+    (Xk.Msg.of_string client.R.Rstack.env.Ns.Host_env.simmem "ping")
+    ~reply:(fun d -> got := Bytes.to_string d);
+  run ();
+  Alcotest.(check string) "a later call completes" "ping" !got;
+  check_drops "no further drops" [ 1; 1; 1 ]
+
 let suite =
   ( "extensions",
     [ Alcotest.test_case "udp roundtrip" `Quick test_udp_roundtrip;
@@ -722,6 +768,8 @@ let suite =
       Alcotest.test_case "udp fragmented datagram" `Quick
         test_udp_fragmented_datagram;
       Alcotest.test_case "two connections" `Quick
-        test_simultaneous_pings_two_connections ] )
+        test_simultaneous_pings_two_connections;
+      Alcotest.test_case "rpc demux counts short headers as drops" `Quick
+        test_rpc_drops_short_headers ] )
 
 

@@ -196,7 +196,13 @@ let test_perf_entry_points () =
 let test_cache_generation_tags () =
   let c = M.Cache.create ~name:"tags" ~size_bytes:1024 ~block_bytes:32 in
   let line = M.Cache.line_of c 0x4000 in
-  let resident () = c.M.Cache.tags.(M.Cache.set_of_line c line) = line in
+  (* the engine's read: the set's tag on its page, an empty page holding
+     no line *)
+  let resident () =
+    let set = M.Cache.set_of_line c line in
+    let page = c.M.Cache.pages.(set lsr c.M.Cache.page_shift) in
+    Array.length page > 0 && page.(set land c.M.Cache.page_mask) = line
+  in
   Alcotest.(check bool) "not resident before any fill" false (resident ());
   ignore (M.Cache.access c 0x4000);
   Alcotest.(check bool) "resident after fill" true (resident ());
@@ -300,11 +306,18 @@ let issue_fused m pc op =
   end
   else M.Memsys.access m ~pc ~kind:op.kind ~addr
 
+(* the line every set holds, whichever pages each cache has materialized *)
+let same_tags (a : M.Cache.t) (b : M.Cache.t) =
+  a.M.Cache.sets = b.M.Cache.sets
+  &&
+  let rec go s = s = a.M.Cache.sets || (M.Cache.tag a s = M.Cache.tag b s && go (s + 1)) in
+  go 0
+
 let same_state a b =
   M.Memsys.stats a = M.Memsys.stats b
   && M.Cache.last_victim (M.Memsys.icache a)
      = M.Cache.last_victim (M.Memsys.icache b)
-  && (M.Memsys.icache a).M.Cache.tags = (M.Memsys.icache b).M.Cache.tags
+  && same_tags (M.Memsys.icache a) (M.Memsys.icache b)
 
 let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
