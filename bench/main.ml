@@ -1,7 +1,8 @@
 (* Bechamel microbenchmarks of the core data structures, including the
    §2.2.1 hash-table traversal comparison, which is a genuine wall-clock
-   claim.  The paper's tables and figures are regenerated by
-   [protolat tables] and [protolat figures].
+   claim.  Each row prints nanoseconds and words allocated per run.  The
+   paper's tables and figures are regenerated by [protolat tables] and
+   [protolat figures].
 
    Usage:  dune exec bench/main.exe -- [quick]
 
@@ -61,6 +62,11 @@ let bechamel_tests () =
            incr i;
            ignore (Protolat_machine.Cache.access c (!i * 68 mod 65536))))
   in
+  let memsys_create =
+    let module M = Protolat_machine in
+    Test.make ~name:"memsys_create_default"
+      (Staged.stage (fun () -> ignore (M.Memsys.create M.Params.default)))
+  in
   let image_build =
     Test.make ~name:"image_build_tcpip_bipartite"
       (Staged.stage (fun () ->
@@ -77,18 +83,25 @@ let bechamel_tests () =
                    ~config:(P.Config.make version) ()))))
   in
   Test.make_grouped ~name:"protolat"
-    [ traversal_list; traversal_full; resolve_hit; cksum; cache; image_build;
+    [ traversal_list; traversal_full; resolve_hit; cksum; cache; memsys_create;
+      image_build;
       roundtrips "simulate_roundtrips_std" P.Config.Std;
       roundtrips "simulate_roundtrips_all" P.Config.All ]
 
+(* Wall clock and allocation per run.  Words allocated are minor + major -
+   promoted, each an OLS estimate per run (the count perfbench takes per
+   call), so an engine allocation regression shows here without a
+   perfbench run. *)
 let run_bechamel () =
   let open Bechamel in
   let open Toolkit in
-  banner "Bechamel microbenchmarks (wall clock)";
+  banner "Bechamel microbenchmarks (wall clock, words allocated)";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
-  let instances = Instance.[ monotonic_clock ] in
+  let instances =
+    Instance.[ monotonic_clock; minor_allocated; major_allocated; promoted ]
+  in
   let cfg =
     Benchmark.cfg ~limit:2000
       ~quota:(Time.second (if quick then 0.2 else 0.5))
@@ -97,14 +110,39 @@ let run_bechamel () =
   let raw = Benchmark.all cfg instances (bechamel_tests ()) in
   let results = List.map (fun inst -> Analyze.all ols inst raw) instances in
   let merged = Analyze.merge ols instances results in
-  let tbl = Hashtbl.find merged (Measure.label Instance.monotonic_clock) in
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+  let per_run inst name =
+    match
+      Analyze.OLS.estimates
+        (Hashtbl.find (Hashtbl.find merged (Measure.label inst)) name)
+    with
+    | Some [ est ] -> Some est
+    | _ | (exception Not_found) -> None
+  in
+  let names =
+    Hashtbl.fold
+      (fun k _ acc -> k :: acc)
+      (Hashtbl.find merged (Measure.label Instance.monotonic_clock))
+      []
+  in
   List.iter
-    (fun (name, ols_result) ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ est ] -> Printf.printf "%-48s %12.1f ns/run\n" name est
-      | _ -> Printf.printf "%-48s (no estimate)\n" name)
-    (List.sort compare rows)
+    (fun name ->
+      let ns =
+        match per_run Instance.monotonic_clock name with
+        | Some est -> Printf.sprintf "%12.1f ns/run" est
+        | None -> Printf.sprintf "%19s" "(no estimate)"
+      in
+      let words =
+        match
+          ( per_run Instance.minor_allocated name,
+            per_run Instance.major_allocated name,
+            per_run Instance.promoted name )
+        with
+        | Some mi, Some ma, Some pr ->
+          Printf.sprintf "%12.1f w/run" (mi +. ma -. pr)
+        | _ -> Printf.sprintf "%18s" "(no estimate)"
+      in
+      Printf.printf "%-48s %s %s\n" name ns words)
+    (List.sort compare names)
 
 let () =
   run_bechamel ();

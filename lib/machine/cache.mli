@@ -23,7 +23,8 @@
 type t = {
   name : string;
   block_bytes : int;
-  block_shift : int;  (** log2 [block_bytes]: [addr lsr block_shift] is the line *)
+  block_shift : int;
+      (** log2 [block_bytes]: [addr lsr block_shift] is the line *)
   sets : int;
   set_mask : int;  (** [sets - 1] *)
   page_shift : int;  (** log2 of the sets per tag page *)

@@ -310,7 +310,9 @@ let issue_fused m pc op =
 let same_tags (a : M.Cache.t) (b : M.Cache.t) =
   a.M.Cache.sets = b.M.Cache.sets
   &&
-  let rec go s = s = a.M.Cache.sets || (M.Cache.tag a s = M.Cache.tag b s && go (s + 1)) in
+  let rec go s =
+    s = a.M.Cache.sets || (M.Cache.tag a s = M.Cache.tag b s && go (s + 1))
+  in
   go 0
 
 let same_state a b =

@@ -193,6 +193,212 @@ let prop_cache_deterministic =
       && Cache.hits c + Cache.cold_misses c + Cache.repl_misses c
          = Cache.accesses c)
 
+(* ----- paged tags vs the flat reference ------------------------------------ *)
+
+(* The cache before its tags were paged: one flat tag array over every set
+   and the same eviction bitset.  The paged cache must match it step for
+   step. *)
+module Flat = struct
+  type t = {
+    block_shift : int;
+    set_mask : int;
+    tags : int array;
+    mutable evicted : Bytes.t option array;
+    mutable accesses : int;
+    mutable hits : int;
+    mutable cold : int;
+    mutable repl : int;
+    mutable last_victim : int;
+  }
+
+  let create ~size_bytes ~block_bytes =
+    let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
+    let sets = size_bytes / block_bytes in
+    { block_shift = log2 block_bytes;
+      set_mask = sets - 1;
+      tags = Array.make sets (-1);
+      evicted = Array.make 16 None;
+      accesses = 0;
+      hits = 0;
+      cold = 0;
+      repl = 0;
+      last_victim = -1 }
+
+  let evicted_mem t block =
+    let page = block lsr 12 in
+    page < Array.length t.evicted
+    &&
+    match t.evicted.(page) with
+    | None -> false
+    | Some bits ->
+      let off = block land 4095 in
+      Char.code (Bytes.get bits (off lsr 3)) land (1 lsl (off land 7)) <> 0
+
+  let evicted_add t block =
+    let page = block lsr 12 in
+    if page >= Array.length t.evicted then begin
+      let pages = Array.make (max (page + 1) (2 * Array.length t.evicted)) None in
+      Array.blit t.evicted 0 pages 0 (Array.length t.evicted);
+      t.evicted <- pages
+    end;
+    let bits =
+      match t.evicted.(page) with
+      | Some bits -> bits
+      | None ->
+        let bits = Bytes.make 512 '\000' in
+        t.evicted.(page) <- Some bits;
+        bits
+    in
+    let off = block land 4095 in
+    Bytes.set bits (off lsr 3)
+      (Char.chr
+         (Char.code (Bytes.get bits (off lsr 3)) lor (1 lsl (off land 7))))
+
+  let fill t block =
+    let set = block land t.set_mask in
+    t.accesses <- t.accesses + 1;
+    let victim = t.tags.(set) in
+    t.last_victim <- victim;
+    if victim >= 0 then evicted_add t victim;
+    t.tags.(set) <- block;
+    if evicted_mem t block then begin
+      t.repl <- t.repl + 1;
+      true
+    end
+    else begin
+      t.cold <- t.cold + 1;
+      false
+    end
+
+  let access t addr =
+    let block = addr lsr t.block_shift in
+    if t.tags.(block land t.set_mask) = block then begin
+      t.accesses <- t.accesses + 1;
+      t.hits <- t.hits + 1;
+      t.last_victim <- -1;
+      Cache.Hit
+    end
+    else if fill t block then Cache.Miss_repl
+    else Cache.Miss_cold
+
+  let invalidate_all t =
+    Array.iteri
+      (fun i line ->
+        if line >= 0 then begin
+          evicted_add t line;
+          t.tags.(i) <- -1
+        end)
+      t.tags
+
+  let credit_hits t n =
+    if n > 0 then begin
+      t.accesses <- t.accesses + n;
+      t.hits <- t.hits + n;
+      t.last_victim <- -1
+    end
+
+  let reset_stats t =
+    t.accesses <- 0;
+    t.hits <- 0;
+    t.cold <- 0;
+    t.repl <- 0
+
+  let clear t =
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    t.evicted <- Array.make 16 None;
+    reset_stats t;
+    t.last_victim <- -1
+end
+
+(* One step, decoded from an int so QCheck can shrink streams: mostly
+   lookups (by {!Cache.access}, or probe-then-fill the way {!Memsys}'s
+   fused path does), sometimes a reset.  Sets come from a palette on both
+   sides of page boundaries and at the cache's quarters and ends, so sets
+   that share a page, sets a page apart and conflicting lines all recur;
+   one choice in 17 is a set anywhere.  Lines sit near address 0 or near
+   the data region at 0x1000_0000. *)
+let paged_step (c : Cache.t) (f : Flat.t) x =
+  let sets = c.Cache.sets in
+  let pick = x / 64 in
+  let set =
+    match pick mod 17 with
+    | 16 -> pick / 136 mod sets
+    | i ->
+      [| 0; 1; 2; 511; 512; 513; 1024; 1536; sets / 4; (sets / 4) + 512;
+         sets / 2; (sets / 2) + 1; (sets / 2) + 512; sets - 512; sets - 2;
+         sets - 1 |].(i)
+      land (sets - 1)
+  in
+  let base =
+    if pick / 68 land 1 = 1 then 0x1000_0000 lsr c.Cache.block_shift else 0
+  in
+  let line = base + (pick / 17 mod 4 * sets) + set in
+  let addr =
+    (line lsl c.Cache.block_shift) + (x / 7 land (c.Cache.block_bytes - 1))
+  in
+  match x mod 64 with
+  | 0 ->
+    Cache.clear c;
+    Flat.clear f;
+    true
+  | 1 ->
+    Cache.invalidate_all c;
+    Flat.invalidate_all f;
+    true
+  | 2 ->
+    Cache.reset_stats c;
+    Flat.reset_stats f;
+    true
+  | 3 ->
+    Cache.credit_hits c (pick mod 3);
+    Flat.credit_hits f (pick mod 3);
+    true
+  | k when k < 24 ->
+    (* the fused path's split: a probe, a credited hit or a fill *)
+    let outcome =
+      if Cache.probe c addr then begin
+        Cache.credit_hits c 1;
+        Cache.Hit
+      end
+      else if Cache.fill c line then Cache.Miss_repl
+      else Cache.Miss_cold
+    in
+    outcome = Flat.access f addr
+  | _ -> Cache.access c addr = Flat.access f addr
+
+(* counters, the last victim and the line every set holds *)
+let same_as_flat (c : Cache.t) (f : Flat.t) =
+  Cache.accesses c = f.Flat.accesses
+  && Cache.hits c = f.Flat.hits
+  && Cache.cold_misses c = f.Flat.cold
+  && Cache.repl_misses c = f.Flat.repl
+  && Cache.last_victim c = f.Flat.last_victim
+  &&
+  let rec go s =
+    s = c.Cache.sets || (Cache.tag c s = f.Flat.tags.(s) && go (s + 1))
+  in
+  go 0
+
+let prop_paged_matches_flat (label, size_bytes, count, max_len) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "cache paged tags = flat reference (%s)" label)
+    ~count
+    QCheck.(
+      list_of_size Gen.(int_range 1 max_len) (int_bound ((64 * 136 * 65536) - 1)))
+    (fun xs ->
+      let c = Cache.create ~name:label ~size_bytes ~block_bytes:32 in
+      let f = Flat.create ~size_bytes ~block_bytes:32 in
+      List.for_all (fun x -> paged_step c f x && same_as_flat c f) xs)
+
+(* a cache smaller than a page, exactly one page, several pages, and the
+   2MB b-cache (the last checked in fewer, shorter streams: every step
+   compares all 65,536 sets) *)
+let paged_geometries =
+  [ ("64 sets", 2 * 1024, 100, 300);
+    ("one page", 16 * 1024, 100, 300);
+    ("four pages", 64 * 1024, 100, 300);
+    ("b-cache", Params.default.Params.bcache_bytes, 15, 120) ]
+
 (* ----- write buffer -------------------------------------------------------- *)
 
 let test_wb_merge () =
@@ -252,6 +458,113 @@ let test_memsys_warm_b () =
   ignore (Memsys.ifetch m 0x10000);
   let st = Memsys.stats m in
   Alcotest.(check int) "b-cache warm: no miss" 0 st.Memsys.bcache.Memsys.miss
+
+(* ----- allocation ------------------------------------------------------------ *)
+
+(* Words a call allocates: minor + major - promoted, as perfbench counts
+   a call.  A full major collection at both ends, where perfbench runs a
+   minor one: words allocated in the major heap can reach [major_words]
+   late, when a major cycle ends, and with minor collections alone a
+   [Memsys.clear], which allocates nothing, read 81,426 of them.  The
+   counter reads allocate a few words themselves; [words_of ignore]
+   measures that. *)
+let allocated () =
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+let words_of f =
+  Gc.full_major ();
+  let a0 = allocated () in
+  let r = f () in
+  Gc.full_major ();
+  (r, allocated () -. a0)
+
+let words_overhead () = snd (words_of ignore)
+
+let test_memsys_create_allocation () =
+  (* 66,200 words with a flat b-cache tag array (the b-cache's 65,536
+     sets), 288 with paged tags *)
+  let _, w = words_of (fun () -> Memsys.create p) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Memsys.create allocates %.0f words, under 1,024" w)
+    true (w < 1024.0)
+
+(* code near 0x10000 looping over 12 KB (i-cache conflicts), data near
+   0x1000_0000 cycling over 8 KB and moving 2 MB away and back every 1,280
+   events (d-cache and b-cache conflicts): every cache evicts and
+   refetches, so every cache materializes tag and eviction-bitset pages *)
+let conflict_trace () =
+  let t = Trace.create () in
+  for i = 0 to 3999 do
+    let pc = 0x10000 + (i * 4 mod (12 * 1024)) in
+    let data =
+      0x1000_0000 + (i / 5 mod 256 * 32) + (i / 1280 land 1 * 0x200000)
+    in
+    match i mod 5 with
+    | 0 -> Trace.add t ~pc ~cls:Instr.Load ~access:(Trace.Read data) ()
+    | 1 -> Trace.add t ~pc ~cls:Instr.Store ~access:(Trace.Write data) ()
+    | _ -> Trace.add t ~pc ~cls:Instr.Alu ()
+  done;
+  t
+
+let test_memsys_cleared_rerun_allocation () =
+  (* 12,719 words for this trace (about 2,240 for a TCP/IP roundtrip's trace)
+     when clear dropped the eviction bitset's pages; 47 when it empties
+     them in place, 26 of them the counter reads and 19 the stats record *)
+  let trace = conflict_trace () in
+  let m = Memsys.create p in
+  ignore (Memsys.run m trace);
+  let first = Memsys.stats m in
+  let again, w =
+    words_of (fun () ->
+        Memsys.clear m;
+        ignore (Memsys.run m trace);
+        Memsys.stats m)
+  in
+  Alcotest.(check bool) "the trace evicts from every cache" true
+    (first.Memsys.icache.Memsys.repl > 0
+    && first.Memsys.dwb.Memsys.repl > 0
+    && first.Memsys.bcache.Memsys.repl > 0);
+  Alcotest.(check bool) "a cleared re-run replays as a fresh hierarchy" true
+    (again = first);
+  Alcotest.(check bool)
+    (Printf.sprintf "clear and re-run allocate %.0f words, under 64" w)
+    true (w < 64.0)
+
+(* Without [reserve], 5,000 appends grow the five columns through 1,024,
+   2,048, 4,096 and 8,192 slots: 76,800 words. *)
+let test_trace_reserve_allocation () =
+  let n = 5000 in
+  let append t =
+    for i = 0 to n - 1 do
+      Trace.add_packed t ~pc:(0x10000 + (4 * i))
+        ~cls:(Instr.of_code (i mod Instr.n_classes))
+        ~kind:(i mod 3) ~addr:(if i mod 3 = 0 then 0 else 0x1000_0000 + i)
+        ~fid:(i mod 7 - 1)
+    done
+  in
+  let reserved = Trace.create () in
+  Trace.reserve reserved n;
+  let (), w = words_of (fun () -> append reserved) in
+  Alcotest.(check (float 0.0)) "n appends after reserve n allocate nothing"
+    (words_overhead ()) w;
+  let grown = Trace.create () in
+  append grown;
+  Alcotest.(check int) "same length" (Trace.length grown)
+    (Trace.length reserved);
+  for i = 0 to n - 1 do
+    if
+      Trace.pc_at grown i <> Trace.pc_at reserved i
+      || Trace.cls_at grown i <> Trace.cls_at reserved i
+      || Trace.kind_at grown i <> Trace.kind_at reserved i
+      || Trace.addr_at grown i <> Trace.addr_at reserved i
+      || Trace.fid_at grown i <> Trace.fid_at reserved i
+    then Alcotest.failf "event %d differs from the unreserved trace" i
+  done;
+  (* past the reservation the columns grow as before *)
+  append reserved;
+  Alcotest.(check int) "appends past the reservation" (2 * n)
+    (Trace.length reserved)
 
 (* ----- CPU ------------------------------------------------------------------ *)
 
@@ -421,4 +734,13 @@ let suite =
       Alcotest.test_case "perf cold vs steady" `Quick test_perf_cold_vs_steady;
       QCheck_alcotest.to_alcotest prop_memsys_accounting;
       QCheck_alcotest.to_alcotest prop_steady_never_worse_than_cold;
-      Alcotest.test_case "trace stats" `Quick test_trace_stats ] )
+      Alcotest.test_case "trace stats" `Quick test_trace_stats ]
+    @ List.map
+        (fun g -> QCheck_alcotest.to_alcotest (prop_paged_matches_flat g))
+        paged_geometries
+    @ [ Alcotest.test_case "memsys create allocates under 1,024 words" `Quick
+          test_memsys_create_allocation;
+        Alcotest.test_case "memsys cleared re-run allocates under 64 words"
+          `Quick test_memsys_cleared_rerun_allocation;
+        Alcotest.test_case "trace reserve makes appends allocation-free" `Quick
+          test_trace_reserve_allocation ] )
