@@ -738,7 +738,7 @@ let suite =
     @ List.map
         (fun g -> QCheck_alcotest.to_alcotest (prop_paged_matches_flat g))
         paged_geometries
-    @ [ Alcotest.test_case "memsys create allocates under 1,024 words" `Quick
+    @ [ Alcotest.test_case "memsys create allocates under 1024 words" `Quick
           test_memsys_create_allocation;
         Alcotest.test_case "memsys cleared re-run allocates under 64 words"
           `Quick test_memsys_cleared_rerun_allocation;
