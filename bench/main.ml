@@ -13,6 +13,7 @@
 module P = Protolat
 module Xk = Protolat_xkernel
 module T = Protolat_tcpip
+module Ns = Protolat_netsim
 
 let quick = Array.exists (( = ) "quick") Sys.argv
 
@@ -82,11 +83,29 @@ let bechamel_tests () =
                 (P.Engine.Spec.make ~rounds:4 ~warmup:2 ~stack:P.Engine.Tcpip
                    ~config:(P.Config.make version) ()))))
   in
+  (* the same ping-pong on the null meter: what the protocol code itself
+     costs, connection set-up included, next to the metered rows *)
+  let bare_roundtrips =
+    Test.make ~name:"tcpip_bare_roundtrips"
+      (Staged.stage (fun () ->
+           let p =
+             T.Stack.pair_of_net
+               (T.Stack.make_net ~topology:(Ns.Topology.pair ()) ())
+           in
+           let c, _ = T.Stack.establish p ~rounds:32 in
+           T.Tcptest.start c;
+           while
+             T.Tcptest.rounds_completed c < 32 && Ns.Sim.step p.T.Stack.sim
+           do
+             ()
+           done))
+  in
   Test.make_grouped ~name:"protolat"
     [ traversal_list; traversal_full; resolve_hit; cksum; cache; memsys_create;
       image_build;
       roundtrips "simulate_roundtrips_std" P.Config.Std;
-      roundtrips "simulate_roundtrips_all" P.Config.All ]
+      roundtrips "simulate_roundtrips_all" P.Config.All;
+      bare_roundtrips ]
 
 (* Wall clock and allocation per run.  Words allocated are minor + major -
    promoted, each an OLS estimate per run (the count perfbench takes per

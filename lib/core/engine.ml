@@ -249,7 +249,7 @@ let stack = function
 
 (* ----- per-host engine state ---------------------------------------------- *)
 
-(* Reusable address queue: meter ranges expand into 8-byte-granular
+(* Reusable address queue: a staged meter range expands into 8-byte-granular
    addresses in a per-host int-array cursor instead of fresh list cells on
    every block emission. *)
 type queue = {
@@ -272,16 +272,9 @@ let queue_push_range q base len =
     q.len <- q.len + 1
   done
 
-let rec queue_push_ranges q = function
-  | [] -> ()
-  | (r : Meter.range) :: rest ->
-    queue_push_range q (r.Meter.base + r.Meter.off) r.Meter.len;
-    queue_push_ranges q rest
-
-let queue_fill q ranges =
+let queue_clear q =
   q.len <- 0;
-  q.pos <- 0;
-  queue_push_ranges q ranges
+  q.pos <- 0
 
 (* next queued address, or -1 when drained (addresses are non-negative) *)
 let queue_pop q =
@@ -351,8 +344,10 @@ type hstate = {
   clock : float array;  (* Sim.clock_cell sim: simulated wall clock *)
   sim : Ns.Sim.t;
   trace : Trace.t;
-  rq : queue;  (* pending read addresses for the block being emitted *)
-  wq : queue;  (* pending write addresses *)
+  mutable rq : queue;  (* pending read addresses for the block being emitted *)
+  mutable wq : queue;  (* pending write addresses *)
+  mutable sr : queue;  (* reads staged for the next report ([Meter.read]) *)
+  mutable sw : queue;  (* writes staged for the next report *)
   mutable collecting : bool;
   mutable traced : bool;
   mutable n_traced : int;
@@ -687,41 +682,57 @@ let entry_b h (s : Meter.Site.t) =
     e
   | e -> e
 
-let queue_fill_opt q = function
-  | None ->
-    q.len <- 0;
-    q.pos <- 0
-  | Some ranges -> queue_fill q ranges
+(* no addresses for the code about to be emitted *)
+let queue_none h =
+  queue_clear h.rq;
+  queue_clear h.wq
+
+(* a report that passes nothing on ends the stage *)
+let unstage h =
+  queue_clear h.sr;
+  queue_clear h.sw
+
+(* the staged ranges become the addresses of the code about to be emitted;
+   the emptied queues stage the next report's *)
+let take_stage h =
+  let r = h.rq and w = h.wq in
+  h.rq <- h.sr;
+  h.wq <- h.sw;
+  h.sr <- r;
+  h.sw <- w;
+  unstage h
 
 (* the 24-byte frame a prologue saves and an epilogue restores *)
 let queue_frame q h =
-  q.len <- 0;
-  q.pos <- 0;
+  queue_clear q;
   queue_push_range q (h.stack_base - (h.depth * 96)) 24
 
 (* the meter for one host *)
 let make_meter h =
   { Meter.enter =
       (fun s ->
+        unstage h;
         h.depth <- h.depth + 1;
-        queue_fill_opt h.rq None;
+        queue_clear h.rq;
         queue_frame h.wq h;
         emit h (entry_a h s));
     leave =
       (fun s ->
+        unstage h;
         queue_frame h.rq h;
-        queue_fill_opt h.wq None;
+        queue_clear h.wq;
         emit h (entry_b h s);
         h.depth <- max 0 (h.depth - 1));
+    read = (fun base len -> queue_push_range h.sr base len);
+    write = (fun base len -> queue_push_range h.sw base len);
     block =
-      (fun ?reads ?writes s ->
-        queue_fill_opt h.rq reads;
-        queue_fill_opt h.wq writes;
+      (fun s ->
+        take_stage h;
         emit h (entry_a h s));
     cold =
-      (fun ?reads ?writes ~triggered s ->
+      (fun ~triggered s ->
         match entry_a h s with
-        | Elided -> () (* whole block elided *)
+        | Elided -> unstage h (* whole block elided *)
         | Unresolved -> assert false
         | Emit guard ->
           let outl = guard.m_slot.Image.cold_outlined in
@@ -732,18 +743,17 @@ let make_meter h =
             | false, false -> Instr.Br_taken
             | false, true -> Instr.Br_not_taken
           in
-          queue_fill_opt h.rq None;
-          queue_fill_opt h.wq None;
+          queue_none h;
           emit_slot_slow h guard.m_slot (Some guard_cls);
           if triggered then begin
-            queue_fill_opt h.rq reads;
-            queue_fill_opt h.wq writes;
+            take_stage h;
             emit h (entry_b h s)
-          end);
+          end
+          else unstage h);
     call =
       (fun s ->
-        queue_fill_opt h.rq None;
-        queue_fill_opt h.wq None;
+        unstage h;
+        queue_none h;
         emit h (entry_a h s)) }
 
 (* untraced pseudo-functions: a prologue, one hot body, an epilogue *)
@@ -764,8 +774,7 @@ let u_ctx_switch = untraced "ctx_switch"
 let emit_untraced h u =
   let was = h.traced in
   h.traced <- false;
-  queue_fill_opt h.rq None;
-  queue_fill_opt h.wq None;
+  queue_none h;
   emit h (entry_a h u.u_fn);
   emit h (entry_a h u.u_body);
   emit h (entry_b h u.u_fn);
@@ -855,6 +864,8 @@ let make_hstate ~params ~image ~sim ~simmem =
     trace = Trace.create ();
     rq = queue_create ();
     wq = queue_create ();
+    sr = queue_create ();
+    sw = queue_create ();
     collecting = false;
     traced = true;
     n_traced = 0;

@@ -45,7 +45,7 @@ module Cover = struct
   let meter t =
     { Xk.Meter.null with
       Xk.Meter.cold =
-        (fun ?reads:_ ?writes:_ ~triggered s ->
+        (fun ~triggered s ->
           let i = (s :> int) in
           ensure t i;
           t.reached.(i) <- t.reached.(i) + 1;

@@ -52,3 +52,7 @@ val tx_ring_full_events : t -> int
 val rx_desc_errors : t -> int
 (** Receive interrupts that observed a latched rx-overrun (the "baddesc"
     cold path). *)
+
+val short_drops : t -> int
+(** Received frames shorter than an Ethernet header, dropped before the
+    metered parse (their rx buffers are refreshed like any frame's). *)

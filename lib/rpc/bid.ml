@@ -28,33 +28,35 @@ let meter t = t.env.Ns.Host_env.meter
 
 let push t ~dst msg =
   let m = meter t in
-  Meter.fn m s_bid_push (fun () ->
-      m.Meter.block s_bid_push_stamp
-        ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Hdrs.Bid.size () ];
-      m.Meter.cold ~triggered:(t.peer_boot = 0) s_bid_push_newboot;
-      Msg.push msg
-        (Hdrs.Bid.to_bytes
-           { Hdrs.Bid.my_boot = t.boot_id; your_boot = t.peer_boot });
-      m.Meter.call s_bid_push_stamp_0;
-      Blast.push t.blast ~dst msg)
+  m.Meter.enter s_bid_push;
+  m.Meter.write (Msg.sim_addr msg) Hdrs.Bid.size;
+  m.Meter.block s_bid_push_stamp;
+  m.Meter.cold ~triggered:(t.peer_boot = 0) s_bid_push_newboot;
+  Msg.push msg
+    (Hdrs.Bid.to_bytes
+       { Hdrs.Bid.my_boot = t.boot_id; your_boot = t.peer_boot });
+  m.Meter.call s_bid_push_stamp_0;
+  Blast.push t.blast ~dst msg;
+  m.Meter.leave s_bid_push
 
 let demux_msg t ~src msg =
   let m = meter t in
-  Meter.fn m s_bid_demux (fun () ->
-      m.Meter.block s_bid_demux_check
-        ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Hdrs.Bid.size () ];
-      let hdr = Hdrs.Bid.of_bytes (Msg.pop msg Hdrs.Bid.size) in
-      let known = t.peer_boot <> 0 in
-      let stale = known && hdr.Hdrs.Bid.my_boot < t.peer_boot in
-      let fresh = (not known) || hdr.Hdrs.Bid.my_boot > t.peer_boot in
-      m.Meter.cold ~triggered:(stale || fresh) s_bid_demux_bootmiss;
-      if stale then t.stale_drops <- t.stale_drops + 1
-      else begin
-        if fresh then t.peer_boot <- hdr.Hdrs.Bid.my_boot;
-        m.Meter.block s_bid_demux_deliver;
-        m.Meter.call s_bid_demux_deliver_0;
-        t.upper ~src msg
-      end)
+  m.Meter.enter s_bid_demux;
+  m.Meter.read (Msg.sim_addr msg) Hdrs.Bid.size;
+  m.Meter.block s_bid_demux_check;
+  let hdr = Hdrs.Bid.of_bytes (Msg.pop msg Hdrs.Bid.size) in
+  let known = t.peer_boot <> 0 in
+  let stale = known && hdr.Hdrs.Bid.my_boot < t.peer_boot in
+  let fresh = (not known) || hdr.Hdrs.Bid.my_boot > t.peer_boot in
+  m.Meter.cold ~triggered:(stale || fresh) s_bid_demux_bootmiss;
+  if stale then t.stale_drops <- t.stale_drops + 1
+  else begin
+    if fresh then t.peer_boot <- hdr.Hdrs.Bid.my_boot;
+    m.Meter.block s_bid_demux_deliver;
+    m.Meter.call s_bid_demux_deliver_0;
+    t.upper ~src msg
+  end;
+  m.Meter.leave s_bid_demux
 
 (* a message too short for a BID header is a counted drop, before the
    metered parse *)

@@ -91,52 +91,53 @@ let send_fragment t ~dst ~kind ~msg_id ~frag_ix ~frag_count payload =
 
 let push t ~dst msg =
   let m = meter t in
-  Meter.fn m s_blast_push (fun () ->
-      m.Meter.block s_blast_push_fragchk
-        ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:16 () ];
-      let len = Msg.len msg in
-      let msg_id = t.next_msg_id in
-      t.next_msg_id <- t.next_msg_id + 1;
-      let need_frag = len > t.frag_size in
-      m.Meter.cold ~triggered:need_frag s_blast_push_dofrag;
-      if not need_frag then begin
-        m.Meter.block s_blast_push_hdr
-          ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Hdrs.Blast.size () ];
-        m.Meter.call s_blast_push_hdr_0;
-        let hdr =
-          { Hdrs.Blast.kind = Hdrs.Blast.Data;
-            msg_id;
-            frag_ix = 0;
-            frag_count = 1;
-            frag_len = len }
-        in
-        let initial = header_sum (Hdrs.Blast.to_bytes hdr) in
-        let cksum =
-          Cksum.compute m ~counters:t.cksum ~initial ~sim_base:(Msg.sim_addr msg)
-            (Msg.contents msg) 0 len
-        in
-        Msg.push msg (Hdrs.Blast.to_bytes ~cksum hdr);
-        m.Meter.block s_blast_push_send;
-        m.Meter.call s_blast_push_send_0;
-        Ns.Netdev.send t.netdev ~dst ~ethertype:t.ethertype msg
-      end
-      else begin
-        (* outlined fragmentation path *)
-        Obs.Metrics.inc t.c_fragmented;
-        let data = Msg.contents msg in
-        let count = (len + t.frag_size - 1) / t.frag_size in
-        let frags =
-          Array.init count (fun i ->
-              let off = i * t.frag_size in
-              Bytes.sub data off (min t.frag_size (len - off)))
-        in
-        t.last_sent <- Some (dst, msg_id, frags);
-        Array.iteri
-          (fun i payload ->
-            send_fragment t ~dst ~kind:Hdrs.Blast.Data ~msg_id ~frag_ix:i
-              ~frag_count:count payload)
-          frags
-      end)
+  m.Meter.enter s_blast_push;
+  m.Meter.read (Msg.sim_addr msg) 16;
+  m.Meter.block s_blast_push_fragchk;
+  let len = Msg.len msg in
+  let msg_id = t.next_msg_id in
+  t.next_msg_id <- t.next_msg_id + 1;
+  let need_frag = len > t.frag_size in
+  m.Meter.cold ~triggered:need_frag s_blast_push_dofrag;
+  if not need_frag then begin
+    m.Meter.write (Msg.sim_addr msg) Hdrs.Blast.size;
+    m.Meter.block s_blast_push_hdr;
+    m.Meter.call s_blast_push_hdr_0;
+    let hdr =
+      { Hdrs.Blast.kind = Hdrs.Blast.Data;
+        msg_id;
+        frag_ix = 0;
+        frag_count = 1;
+        frag_len = len }
+    in
+    let initial = header_sum (Hdrs.Blast.to_bytes hdr) in
+    let cksum =
+      Cksum.compute m ~counters:t.cksum ~initial ~sim_base:(Msg.sim_addr msg)
+        (Msg.contents msg) 0 len
+    in
+    Msg.push msg (Hdrs.Blast.to_bytes ~cksum hdr);
+    m.Meter.block s_blast_push_send;
+    m.Meter.call s_blast_push_send_0;
+    Ns.Netdev.send t.netdev ~dst ~ethertype:t.ethertype msg
+  end
+  else begin
+    (* outlined fragmentation path *)
+    Obs.Metrics.inc t.c_fragmented;
+    let data = Msg.contents msg in
+    let count = (len + t.frag_size - 1) / t.frag_size in
+    let frags =
+      Array.init count (fun i ->
+          let off = i * t.frag_size in
+          Bytes.sub data off (min t.frag_size (len - off)))
+    in
+    t.last_sent <- Some (dst, msg_id, frags);
+    Array.iteri
+      (fun i payload ->
+        send_fragment t ~dst ~kind:Hdrs.Blast.Data ~msg_id ~frag_ix:i
+          ~frag_count:count payload)
+      frags
+  end;
+  m.Meter.leave s_blast_push
 
 (* NACK payload: a byte per missing fragment index (bounded, simple). *)
 let send_nack t ~dst ~msg_id missing =
@@ -212,104 +213,106 @@ let rec arm_nack_timer t ~key partial =
 
 let demux_frame t ~src msg =
   let m = meter t in
-  Meter.fn m s_blast_demux (fun () ->
-      m.Meter.block s_blast_demux_parse
-        ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Hdrs.Blast.size () ];
-      let raw = Msg.pop msg Hdrs.Blast.size in
-      let hdr = Hdrs.Blast.of_bytes raw in
-      m.Meter.call s_blast_demux_parse_0;
-      let hdr0 = Bytes.sub raw 0 Hdrs.Blast.size in
-      Bytes.set hdr0 12 '\000';
-      Bytes.set hdr0 13 '\000';
-      let computed =
-        Cksum.compute m ~counters:t.cksum ~initial:(header_sum hdr0)
-          ~sim_base:(Msg.sim_addr msg) (Msg.contents msg) 0 (Msg.len msg)
-      in
-      let bad = computed <> Hdrs.Blast.cksum_of raw in
-      m.Meter.cold ~triggered:bad s_blast_demux_cksum_bad;
-      if bad then begin
-        Obs.Metrics.inc t.c_cksum_drops;
-        Ns.Host_env.trace_instant t.env ~cat:"blast" ~name:"cksum_drop"
-          ~a0:(Msg.len msg)
+  m.Meter.enter s_blast_demux;
+  m.Meter.read (Msg.sim_addr msg) Hdrs.Blast.size;
+  m.Meter.block s_blast_demux_parse;
+  let raw = Msg.pop msg Hdrs.Blast.size in
+  let hdr = Hdrs.Blast.of_bytes raw in
+  m.Meter.call s_blast_demux_parse_0;
+  let hdr0 = Bytes.sub raw 0 Hdrs.Blast.size in
+  Bytes.set hdr0 12 '\000';
+  Bytes.set hdr0 13 '\000';
+  let computed =
+    Cksum.compute m ~counters:t.cksum ~initial:(header_sum hdr0)
+      ~sim_base:(Msg.sim_addr msg) (Msg.contents msg) 0 (Msg.len msg)
+  in
+  let bad = computed <> Hdrs.Blast.cksum_of raw in
+  m.Meter.cold ~triggered:bad s_blast_demux_cksum_bad;
+  if bad then begin
+    Obs.Metrics.inc t.c_cksum_drops;
+    Ns.Host_env.trace_instant t.env ~cat:"blast" ~name:"cksum_drop"
+      ~a0:(Msg.len msg)
+  end
+  else begin
+    match hdr.Hdrs.Blast.kind with
+    | Hdrs.Blast.Nack ->
+      m.Meter.block s_blast_demux_map_cache;
+      m.Meter.cold ~triggered:false s_blast_demux_reass;
+      m.Meter.cold ~triggered:true s_blast_demux_sendnack;
+      handle_nack t ~src hdr (Msg.contents msg)
+    | Hdrs.Blast.Data when hdr.Hdrs.Blast.frag_count = 1 ->
+      (* hot path: single fragment, empty partial-message set test *)
+      m.Meter.block s_blast_demux_map_cache;
+      m.Meter.cold ~triggered:false s_blast_demux_reass;
+      m.Meter.cold ~triggered:false s_blast_demux_sendnack;
+      deliver_up t ~src msg
+    | Hdrs.Blast.Data ->
+      let key = pkey ~src ~msg_id:hdr.Hdrs.Blast.msg_id in
+      if Hashtbl.mem t.completed key then begin
+        (* late duplicate of an already-delivered reassembly *)
+        Obs.Metrics.inc t.c_late_fragments;
+        m.Meter.cold ~triggered:false s_blast_demux_reass;
+        m.Meter.cold ~triggered:false s_blast_demux_sendnack
       end
-      else
-      match hdr.Hdrs.Blast.kind with
-      | Hdrs.Blast.Nack ->
-        m.Meter.block s_blast_demux_map_cache;
-        m.Meter.cold ~triggered:false s_blast_demux_reass;
-        m.Meter.cold ~triggered:true s_blast_demux_sendnack;
-        handle_nack t ~src hdr (Msg.contents msg)
-      | Hdrs.Blast.Data when hdr.Hdrs.Blast.frag_count = 1 ->
-        (* hot path: single fragment, empty partial-message set test *)
-        m.Meter.block s_blast_demux_map_cache;
-        m.Meter.cold ~triggered:false s_blast_demux_reass;
-        m.Meter.cold ~triggered:false s_blast_demux_sendnack;
-        deliver_up t ~src msg
-      | Hdrs.Blast.Data ->
-        let key = pkey ~src ~msg_id:hdr.Hdrs.Blast.msg_id in
-        if Hashtbl.mem t.completed key then begin
-          (* late duplicate of an already-delivered reassembly *)
-          Obs.Metrics.inc t.c_late_fragments;
-          m.Meter.cold ~triggered:false s_blast_demux_reass;
-          m.Meter.cold ~triggered:false s_blast_demux_sendnack
+      else begin
+        let partial =
+          match
+            Xk.Demux.lookup m ~inline:t.inline ~caller:s_blast_demux_map
+              t.partials key
+          with
+          | Some p -> p
+          | None ->
+            let p =
+              { frags = Array.make hdr.Hdrs.Blast.frag_count None;
+                have = 0;
+                from = src;
+                msg_id = hdr.Hdrs.Blast.msg_id;
+                nack_timer = None;
+                nack_tries = 0 }
+            in
+            Xk.Map.bind t.partials key p;
+            arm_nack_timer t ~key p;
+            p
+        in
+        m.Meter.cold ~triggered:true s_blast_demux_reass;
+        let ix = hdr.Hdrs.Blast.frag_ix in
+        if ix < Array.length partial.frags && partial.frags.(ix) = None
+        then begin
+          partial.frags.(ix) <- Some (Msg.contents msg);
+          partial.have <- partial.have + 1
+        end;
+        if partial.have = Array.length partial.frags then begin
+          m.Meter.cold ~triggered:false s_blast_demux_sendnack;
+          ignore (Xk.Map.unbind t.partials key);
+          cancel_nack_timer partial;
+          Hashtbl.replace t.completed key ();
+          let whole =
+            Bytes.concat Bytes.empty
+              (Array.to_list partial.frags
+              |> List.map (function Some b -> b | None -> assert false))
+          in
+          let out = Msg.alloc t.env.Ns.Host_env.simmem ~headroom:64 0 in
+          Msg.set_payload out whole;
+          deliver_up t ~src out
         end
         else begin
-          let partial =
-            match
-              Xk.Demux.lookup m ~inline:t.inline ~caller:s_blast_demux_map
-                t.partials key
-            with
-            | Some p -> p
-            | None ->
-              let p =
-                { frags = Array.make hdr.Hdrs.Blast.frag_count None;
-                  have = 0;
-                  from = src;
-                  msg_id = hdr.Hdrs.Blast.msg_id;
-                  nack_timer = None;
-                  nack_tries = 0 }
-              in
-              Xk.Map.bind t.partials key p;
-              arm_nack_timer t ~key p;
-              p
-          in
-          m.Meter.cold ~triggered:true s_blast_demux_reass;
-          let ix = hdr.Hdrs.Blast.frag_ix in
-          if ix < Array.length partial.frags && partial.frags.(ix) = None
-          then begin
-            partial.frags.(ix) <- Some (Msg.contents msg);
-            partial.have <- partial.have + 1
-          end;
-          if partial.have = Array.length partial.frags then begin
-            m.Meter.cold ~triggered:false s_blast_demux_sendnack;
-            ignore (Xk.Map.unbind t.partials key);
-            cancel_nack_timer partial;
-            Hashtbl.replace t.completed key ();
-            let whole =
-              Bytes.concat Bytes.empty
-                (Array.to_list partial.frags
-                |> List.map (function Some b -> b | None -> assert false))
-            in
-            let out = Msg.alloc t.env.Ns.Host_env.simmem ~headroom:64 0 in
-            Msg.set_payload out whole;
-            deliver_up t ~src out
-          end
-          else begin
-            (* progress restarts the gap timer: a fragment proves the
-               sender is still transmitting, so only a stall (or a hole
-               at the end of the burst) should trigger recovery *)
-            partial.nack_tries <- 0;
-            cancel_nack_timer partial;
-            arm_nack_timer t ~key partial;
-            (* if this was the last fragment index and we still have gaps,
-               request the missing ones *)
-            let last = ix = Array.length partial.frags - 1 in
-            m.Meter.cold ~triggered:last s_blast_demux_sendnack;
-            if last then
-              send_nack t ~dst:src ~msg_id:hdr.Hdrs.Blast.msg_id
-                (missing_of partial)
-          end
-        end)
+          (* progress restarts the gap timer: a fragment proves the
+             sender is still transmitting, so only a stall (or a hole
+             at the end of the burst) should trigger recovery *)
+          partial.nack_tries <- 0;
+          cancel_nack_timer partial;
+          arm_nack_timer t ~key partial;
+          (* if this was the last fragment index and we still have gaps,
+             request the missing ones *)
+          let last = ix = Array.length partial.frags - 1 in
+          m.Meter.cold ~triggered:last s_blast_demux_sendnack;
+          if last then
+            send_nack t ~dst:src ~msg_id:hdr.Hdrs.Blast.msg_id
+              (missing_of partial)
+        end
+      end
+  end;
+  m.Meter.leave s_blast_demux
 
 (* a frame too short for a BLAST header is a counted drop, as in IP and
    TCP; it never reaches the metered parse *)

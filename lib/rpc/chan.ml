@@ -139,143 +139,153 @@ let rec arm_timeout t (c : chan_state) =
 
 let call t ~chan msg ~reply =
   let m = meter t in
-  Meter.fn m s_chan_call (fun () ->
-      let c = get_chan t chan in
-      m.Meter.block s_chan_call_setup
-        ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:16 () ];
-      let busy = c.waiting <> None in
-      m.Meter.cold ~triggered:busy s_chan_call_busy;
-      if busy then failwith "Chan.call: channel busy";
-      c.seq <- c.seq + 1;
-      m.Meter.block s_chan_call_hdr
-        ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Hdrs.Chan.size () ];
-      m.Meter.cold ~triggered:(c.seq land 0xFFFF_FFFF <> c.seq) s_chan_call_seqwrap;
-      let payload = Msg.contents msg in
-      c.rexmt_tries <- 0;
-      c.last_request <- Some payload;
-      Msg.push msg
-        (Hdrs.Chan.to_bytes
-           { Hdrs.Chan.kind = Hdrs.Chan.Request;
-             chan = c.id;
-             seq = c.seq;
-             len = Bytes.length payload });
-      m.Meter.block s_chan_call_send;
-      m.Meter.call s_chan_call_send_0;
-      Meter.fn m s_event_register (fun () ->
-          m.Meter.block s_event_register_insert;
-          m.Meter.cold ~triggered:false s_event_register_expand;
-          arm_timeout t c);
-      m.Meter.call s_chan_call_send_1;
-      Bid.push t.bid ~dst:t.peer_mac msg;
-      (* block the calling thread: store the continuation *)
-      m.Meter.block s_chan_call_block;
-      m.Meter.call s_chan_call_block_0;
-      Meter.fn m s_thread_block (fun () ->
-          m.Meter.block s_thread_block_save;
-          m.Meter.cold ~triggered:false s_thread_block_stack_detach;
-          t.outstanding <- t.outstanding + 1;
-          c.waiting <- Some reply))
+  m.Meter.enter s_chan_call;
+  let c = get_chan t chan in
+  m.Meter.read (Msg.sim_addr msg) 16;
+  m.Meter.block s_chan_call_setup;
+  let busy = c.waiting <> None in
+  m.Meter.cold ~triggered:busy s_chan_call_busy;
+  if busy then failwith "Chan.call: channel busy";
+  c.seq <- c.seq + 1;
+  m.Meter.write (Msg.sim_addr msg) Hdrs.Chan.size;
+  m.Meter.block s_chan_call_hdr;
+  m.Meter.cold ~triggered:(c.seq land 0xFFFF_FFFF <> c.seq) s_chan_call_seqwrap;
+  let payload = Msg.contents msg in
+  c.rexmt_tries <- 0;
+  c.last_request <- Some payload;
+  Msg.push msg
+    (Hdrs.Chan.to_bytes
+       { Hdrs.Chan.kind = Hdrs.Chan.Request;
+         chan = c.id;
+         seq = c.seq;
+         len = Bytes.length payload });
+  m.Meter.block s_chan_call_send;
+  m.Meter.call s_chan_call_send_0;
+  m.Meter.enter s_event_register;
+  m.Meter.block s_event_register_insert;
+  m.Meter.cold ~triggered:false s_event_register_expand;
+  arm_timeout t c;
+  m.Meter.leave s_event_register;
+  m.Meter.call s_chan_call_send_1;
+  Bid.push t.bid ~dst:t.peer_mac msg;
+  (* block the calling thread: store the continuation *)
+  m.Meter.block s_chan_call_block;
+  m.Meter.call s_chan_call_block_0;
+  m.Meter.enter s_thread_block;
+  m.Meter.block s_thread_block_save;
+  m.Meter.cold ~triggered:false s_thread_block_stack_detach;
+  t.outstanding <- t.outstanding + 1;
+  c.waiting <- Some reply;
+  m.Meter.leave s_thread_block;
+  m.Meter.leave s_chan_call
 
 let send_reply t (c : chan_state) seq payload =
-  Meter.fn (meter t) s_chan_reply (fun () ->
-      let m = meter t in
-      m.Meter.block s_chan_reply_build;
-      m.Meter.call s_chan_reply_build_0;
-      let msg = Msg.alloc t.env.Ns.Host_env.simmem ~headroom:64 0 in
-      Meter.fn m s_msg_prepare (fun () ->
-          m.Meter.block s_msg_prepare_body
-            ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:16 () ];
-          m.Meter.cold ~triggered:false s_msg_prepare_grow;
-          Msg.set_payload msg payload);
-      m.Meter.cold ~triggered:false s_chan_reply_nostate;
-      Msg.push msg
-        (Hdrs.Chan.to_bytes
-           { Hdrs.Chan.kind = Hdrs.Chan.Reply;
-             chan = c.id;
-             seq;
-             len = Bytes.length payload });
-      c.last_reply <- Some (seq, payload);
-      m.Meter.block s_chan_reply_send;
-      m.Meter.call s_chan_reply_send_0;
-      Bid.push t.bid ~dst:t.peer_mac msg)
+  let m = meter t in
+  m.Meter.enter s_chan_reply;
+  m.Meter.block s_chan_reply_build;
+  m.Meter.call s_chan_reply_build_0;
+  let msg = Msg.alloc t.env.Ns.Host_env.simmem ~headroom:64 0 in
+  m.Meter.enter s_msg_prepare;
+  m.Meter.write (Msg.sim_addr msg) 16;
+  m.Meter.block s_msg_prepare_body;
+  m.Meter.cold ~triggered:false s_msg_prepare_grow;
+  Msg.set_payload msg payload;
+  m.Meter.leave s_msg_prepare;
+  m.Meter.cold ~triggered:false s_chan_reply_nostate;
+  Msg.push msg
+    (Hdrs.Chan.to_bytes
+       { Hdrs.Chan.kind = Hdrs.Chan.Reply;
+         chan = c.id;
+         seq;
+         len = Bytes.length payload });
+  c.last_reply <- Some (seq, payload);
+  m.Meter.block s_chan_reply_send;
+  m.Meter.call s_chan_reply_send_0;
+  Bid.push t.bid ~dst:t.peer_mac msg;
+  m.Meter.leave s_chan_reply
 
 let demux_msg t msg =
   let m = meter t in
-  Meter.fn m s_chan_demux (fun () ->
-      m.Meter.block s_chan_demux_parse
-        ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Hdrs.Chan.size () ];
-      let hdr = Hdrs.Chan.of_bytes (Msg.pop msg Hdrs.Chan.size) in
-      let c =
-        match
-          Xk.Demux.lookup m ~inline:t.inline ~caller:s_chan_demux_map t.channels
-            (ckey hdr.Hdrs.Chan.chan)
-        with
-        | Some c -> c
-        | None -> get_chan t hdr.Hdrs.Chan.chan
-      in
-      match hdr.Hdrs.Chan.kind with
-      | Hdrs.Chan.Reply ->
-        let old = hdr.Hdrs.Chan.seq < c.seq in
-        m.Meter.cold ~triggered:old s_chan_demux_oldseq;
-        m.Meter.cold ~triggered:false s_chan_demux_dupmsg;
-        if not old then begin
-          m.Meter.block s_chan_demux_reply;
-          m.Meter.call s_chan_demux_reply_0;
-          Meter.fn m s_event_cancel (fun () ->
-              m.Meter.block s_event_cancel_remove;
-              m.Meter.cold ~triggered:false s_event_cancel_notfound;
-              match c.timeout with
-              | Some h ->
-                ignore (Xk.Event.cancel h);
-                c.timeout <- None
-              | None -> ());
-          m.Meter.call s_chan_demux_reply_1;
-          Meter.fn m s_thread_signal (fun () ->
-              m.Meter.block s_thread_signal_wake;
-              m.Meter.cold ~triggered:(c.waiting = None) s_thread_signal_nowaiter;
-              match c.waiting with
-              | None -> ()
-              | Some k ->
-                c.waiting <- None;
-                t.outstanding <- t.outstanding - 1;
-                let data = Msg.contents msg in
-                Xk.Thread.spawn t.env.Ns.Host_env.sched ~name:"chan_resume"
-                  (fun () ->
-                    Meter.fn m s_chan_resume (fun () ->
-                        m.Meter.block s_chan_resume_resume;
-                        m.Meter.cold ~triggered:false s_chan_resume_badstate;
-                        m.Meter.call s_chan_resume_resume_0;
-                        k data)))
-        end
-      | Hdrs.Chan.Request -> (
-        m.Meter.cold ~triggered:false s_chan_demux_oldseq;
-        let dup = hdr.Hdrs.Chan.seq <= c.expected in
-        m.Meter.cold ~triggered:dup s_chan_demux_dupmsg;
-        if dup then begin
-          Obs.Metrics.inc t.c_dup_requests;
-          (* at-most-once: replay the cached reply, but only if it
-             answered this very sequence — an unanswered request must
-             stay unanswered, not inherit an older call's reply *)
-          match c.last_reply with
-          | Some (rseq, r) when rseq = hdr.Hdrs.Chan.seq ->
-            send_reply t c hdr.Hdrs.Chan.seq r
-          | _ -> ()
-        end
-        else begin
-          c.expected <- hdr.Hdrs.Chan.seq;
-          m.Meter.block s_chan_demux_request;
-          m.Meter.call s_chan_demux_request_0;
-          match t.server with
-          | None -> ()
-          | Some dispatch ->
-            (* requests are shepherded by a worker thread (x-kernel style):
-               the dispatch runs as a continuation after a context switch *)
-            let data = Msg.contents msg in
-            Xk.Thread.spawn t.env.Ns.Host_env.sched ~name:"chan_shepherd"
-              (fun () ->
-                dispatch ~chan:hdr.Hdrs.Chan.chan data ~reply:(fun r ->
-                    send_reply t c hdr.Hdrs.Chan.seq r))
-        end))
+  m.Meter.enter s_chan_demux;
+  m.Meter.read (Msg.sim_addr msg) Hdrs.Chan.size;
+  m.Meter.block s_chan_demux_parse;
+  let hdr = Hdrs.Chan.of_bytes (Msg.pop msg Hdrs.Chan.size) in
+  let c =
+    match
+      Xk.Demux.lookup m ~inline:t.inline ~caller:s_chan_demux_map t.channels
+        (ckey hdr.Hdrs.Chan.chan)
+    with
+    | Some c -> c
+    | None -> get_chan t hdr.Hdrs.Chan.chan
+  in
+  begin match hdr.Hdrs.Chan.kind with
+  | Hdrs.Chan.Reply ->
+    let old = hdr.Hdrs.Chan.seq < c.seq in
+    m.Meter.cold ~triggered:old s_chan_demux_oldseq;
+    m.Meter.cold ~triggered:false s_chan_demux_dupmsg;
+    if not old then begin
+      m.Meter.block s_chan_demux_reply;
+      m.Meter.call s_chan_demux_reply_0;
+      m.Meter.enter s_event_cancel;
+      m.Meter.block s_event_cancel_remove;
+      m.Meter.cold ~triggered:false s_event_cancel_notfound;
+      (match c.timeout with
+       | Some h ->
+         ignore (Xk.Event.cancel h);
+         c.timeout <- None
+       | None -> ());
+      m.Meter.leave s_event_cancel;
+      m.Meter.call s_chan_demux_reply_1;
+      m.Meter.enter s_thread_signal;
+      m.Meter.block s_thread_signal_wake;
+      m.Meter.cold ~triggered:(c.waiting = None) s_thread_signal_nowaiter;
+      (match c.waiting with
+       | None -> ()
+       | Some k ->
+         c.waiting <- None;
+         t.outstanding <- t.outstanding - 1;
+         let data = Msg.contents msg in
+         Xk.Thread.spawn t.env.Ns.Host_env.sched ~name:"chan_resume"
+           (fun () ->
+             m.Meter.enter s_chan_resume;
+             m.Meter.block s_chan_resume_resume;
+             m.Meter.cold ~triggered:false s_chan_resume_badstate;
+             m.Meter.call s_chan_resume_resume_0;
+             k data;
+             m.Meter.leave s_chan_resume));
+      m.Meter.leave s_thread_signal
+    end
+  | Hdrs.Chan.Request -> (
+    m.Meter.cold ~triggered:false s_chan_demux_oldseq;
+    let dup = hdr.Hdrs.Chan.seq <= c.expected in
+    m.Meter.cold ~triggered:dup s_chan_demux_dupmsg;
+    if dup then begin
+      Obs.Metrics.inc t.c_dup_requests;
+      (* at-most-once: replay the cached reply, but only if it
+         answered this very sequence — an unanswered request must
+         stay unanswered, not inherit an older call's reply *)
+      match c.last_reply with
+      | Some (rseq, r) when rseq = hdr.Hdrs.Chan.seq ->
+        send_reply t c hdr.Hdrs.Chan.seq r
+      | _ -> ()
+    end
+    else begin
+      c.expected <- hdr.Hdrs.Chan.seq;
+      m.Meter.block s_chan_demux_request;
+      m.Meter.call s_chan_demux_request_0;
+      match t.server with
+      | None -> ()
+      | Some dispatch ->
+        (* requests are shepherded by a worker thread (x-kernel style):
+           the dispatch runs as a continuation after a context switch *)
+        let data = Msg.contents msg in
+        Xk.Thread.spawn t.env.Ns.Host_env.sched ~name:"chan_shepherd"
+          (fun () ->
+            dispatch ~chan:hdr.Hdrs.Chan.chan data ~reply:(fun r ->
+                send_reply t c hdr.Hdrs.Chan.seq r))
+    end)
+  end;
+  m.Meter.leave s_chan_demux
 
 (* a message too short for a CHAN header is a counted drop, before the
    metered parse *)

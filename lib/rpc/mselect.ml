@@ -25,32 +25,34 @@ let create env vchan =
   let t = { env; vchan; handlers = Hashtbl.create 8 } in
   Vchan.set_upper vchan (fun data ~reply ->
       let m = env.Ns.Host_env.meter in
-      Meter.fn m s_mselect_demux (fun () ->
-          m.Meter.block s_mselect_demux_dispatch;
-          if Bytes.length data < Hdrs.Mux.size then
-            m.Meter.cold ~triggered:true s_mselect_demux_badclient
-          else begin
-            let client = Hdrs.Mux.of_bytes data in
-            let body =
-              Bytes.sub data Hdrs.Mux.size (Bytes.length data - Hdrs.Mux.size)
-            in
-            match Hashtbl.find_opt t.handlers client with
-            | None -> m.Meter.cold ~triggered:true s_mselect_demux_badclient
-            | Some h ->
-              m.Meter.cold ~triggered:false s_mselect_demux_badclient;
-              m.Meter.call s_mselect_demux_dispatch_0;
-              h body ~reply
-          end));
+      m.Meter.enter s_mselect_demux;
+      m.Meter.block s_mselect_demux_dispatch;
+      if Bytes.length data < Hdrs.Mux.size then
+        m.Meter.cold ~triggered:true s_mselect_demux_badclient
+      else begin
+        let client = Hdrs.Mux.of_bytes data in
+        let body =
+          Bytes.sub data Hdrs.Mux.size (Bytes.length data - Hdrs.Mux.size)
+        in
+        match Hashtbl.find_opt t.handlers client with
+        | None -> m.Meter.cold ~triggered:true s_mselect_demux_badclient
+        | Some h ->
+          m.Meter.cold ~triggered:false s_mselect_demux_badclient;
+          m.Meter.call s_mselect_demux_dispatch_0;
+          h body ~reply
+      end;
+      m.Meter.leave s_mselect_demux);
   t
 
 let call t ~client msg ~reply =
   let m = meter t in
-  Meter.fn m s_mselect_call (fun () ->
-      m.Meter.block s_mselect_call_select
-        ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Hdrs.Mux.size () ];
-      m.Meter.cold ~triggered:false s_mselect_call_nochan;
-      Msg.push msg (Hdrs.Mux.to_bytes client);
-      m.Meter.call s_mselect_call_select_0;
-      Vchan.call t.vchan msg ~reply)
+  m.Meter.enter s_mselect_call;
+  m.Meter.write (Msg.sim_addr msg) Hdrs.Mux.size;
+  m.Meter.block s_mselect_call_select;
+  m.Meter.cold ~triggered:false s_mselect_call_nochan;
+  Msg.push msg (Hdrs.Mux.to_bytes client);
+  m.Meter.call s_mselect_call_select_0;
+  Vchan.call t.vchan msg ~reply;
+  m.Meter.leave s_mselect_call
 
 let register t ~client h = Hashtbl.replace t.handlers client h

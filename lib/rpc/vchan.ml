@@ -31,32 +31,34 @@ let create env chan ?(channels = 8) () =
   in
   Chan.set_server chan (fun ~chan:_ data ~reply ->
       let m = env.Ns.Host_env.meter in
-      Meter.fn m s_vchan_demux (fun () ->
-          m.Meter.block s_vchan_demux_fwd;
-          m.Meter.call s_vchan_demux_fwd_0;
-          t.upper data ~reply));
+      m.Meter.enter s_vchan_demux;
+      m.Meter.block s_vchan_demux_fwd;
+      m.Meter.call s_vchan_demux_fwd_0;
+      t.upper data ~reply;
+      m.Meter.leave s_vchan_demux);
   t
 
 let call t msg ~reply =
   let m = meter t in
-  Meter.fn m s_vchan_call (fun () ->
-      m.Meter.block s_vchan_call_alloc;
-      let grow = t.free = [] in
-      m.Meter.cold ~triggered:grow s_vchan_call_growpool;
-      let id =
-        match t.free with
-        | id :: rest ->
-          t.free <- rest;
-          id
-        | [] ->
-          let id = t.next in
-          t.next <- t.next + 1;
-          id
-      in
-      m.Meter.call s_vchan_call_alloc_0;
-      Chan.call t.chan ~chan:id msg ~reply:(fun data ->
-          t.free <- id :: t.free;
-          reply data))
+  m.Meter.enter s_vchan_call;
+  m.Meter.block s_vchan_call_alloc;
+  let grow = t.free = [] in
+  m.Meter.cold ~triggered:grow s_vchan_call_growpool;
+  let id =
+    match t.free with
+    | id :: rest ->
+      t.free <- rest;
+      id
+    | [] ->
+      let id = t.next in
+      t.next <- t.next + 1;
+      id
+  in
+  m.Meter.call s_vchan_call_alloc_0;
+  Chan.call t.chan ~chan:id msg ~reply:(fun data ->
+      t.free <- id :: t.free;
+      reply data);
+  m.Meter.leave s_vchan_call
 
 let set_upper t f = t.upper <- f
 

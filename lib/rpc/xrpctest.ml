@@ -37,36 +37,39 @@ let meter t = t.env.Ns.Host_env.meter
 let rec xrpctest_call t =
   let m = meter t in
   Ns.Host_env.mark t.env Protolat_obs.Span.mark_tx_proto;
-  Meter.fn m s_xrpctest_call (fun () ->
-      m.Meter.cold ~triggered:t.first s_xrpctest_call_init;
-      t.first <- false;
-      m.Meter.block s_xrpctest_call_main;
-      m.Meter.call s_xrpctest_call_main_0;
-      let msg = Msg.alloc t.env.Ns.Host_env.simmem ~headroom:64 0 in
-      Meter.fn m s_msg_prepare (fun () ->
-          m.Meter.block s_msg_prepare_body
-            ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:16 () ];
-          m.Meter.cold ~triggered:false s_msg_prepare_grow;
-          Msg.set_payload msg Bytes.empty);
-      m.Meter.call s_xrpctest_call_main_1;
-      Mselect.call t.mselect ~client:t.client_id msg ~reply:(fun _data ->
-          xrpctest_cont t))
+  m.Meter.enter s_xrpctest_call;
+  m.Meter.cold ~triggered:t.first s_xrpctest_call_init;
+  t.first <- false;
+  m.Meter.block s_xrpctest_call_main;
+  m.Meter.call s_xrpctest_call_main_0;
+  let msg = Msg.alloc t.env.Ns.Host_env.simmem ~headroom:64 0 in
+  m.Meter.enter s_msg_prepare;
+  m.Meter.write (Msg.sim_addr msg) 16;
+  m.Meter.block s_msg_prepare_body;
+  m.Meter.cold ~triggered:false s_msg_prepare_grow;
+  Msg.set_payload msg Bytes.empty;
+  m.Meter.leave s_msg_prepare;
+  m.Meter.call s_xrpctest_call_main_1;
+  Mselect.call t.mselect ~client:t.client_id msg ~reply:(fun _data ->
+      xrpctest_cont t);
+  m.Meter.leave s_xrpctest_call
 
 and xrpctest_cont t =
   let m = meter t in
   Ns.Host_env.mark t.env Protolat_obs.Span.mark_app;
-  Meter.fn m s_xrpctest_cont (fun () ->
-      m.Meter.block s_xrpctest_cont_cont;
-      t.remaining <- t.remaining - 1;
-      t.completed <- t.completed + 1;
-      t.on_roundtrip t.completed;
-      let finished = t.remaining <= 0 in
-      m.Meter.cold ~triggered:finished s_xrpctest_cont_done_check;
-      if finished then t.on_complete ()
-      else begin
-        m.Meter.call s_xrpctest_cont_cont_0;
-        xrpctest_call t
-      end)
+  m.Meter.enter s_xrpctest_cont;
+  m.Meter.block s_xrpctest_cont_cont;
+  t.remaining <- t.remaining - 1;
+  t.completed <- t.completed + 1;
+  t.on_roundtrip t.completed;
+  let finished = t.remaining <= 0 in
+  m.Meter.cold ~triggered:finished s_xrpctest_cont_done_check;
+  if finished then t.on_complete ()
+  else begin
+    m.Meter.call s_xrpctest_cont_cont_0;
+    xrpctest_call t
+  end;
+  m.Meter.leave s_xrpctest_cont
 
 let client env mselect ~client_id ~rounds =
   { env;
@@ -92,13 +95,14 @@ let server env mselect ~client_id =
   Mselect.register mselect ~client:client_id (fun _data ~reply ->
       let m = meter t in
       Ns.Host_env.mark t.env Protolat_obs.Span.mark_app;
-      Meter.fn m s_xrpctest_serve (fun () ->
-          t.completed <- t.completed + 1;
-          m.Meter.block s_xrpctest_serve_serve;
-          m.Meter.cold ~triggered:false s_xrpctest_serve_unknownproc;
-          m.Meter.call s_xrpctest_serve_serve_0;
-          Ns.Host_env.mark t.env Protolat_obs.Span.mark_tx_proto;
-          reply Bytes.empty));
+      m.Meter.enter s_xrpctest_serve;
+      t.completed <- t.completed + 1;
+      m.Meter.block s_xrpctest_serve_serve;
+      m.Meter.cold ~triggered:false s_xrpctest_serve_unknownproc;
+      m.Meter.call s_xrpctest_serve_serve_0;
+      Ns.Host_env.mark t.env Protolat_obs.Span.mark_tx_proto;
+      reply Bytes.empty;
+      m.Meter.leave s_xrpctest_serve);
   t
 
 let start t =

@@ -21,31 +21,34 @@ type counters = {
 
 let counters reg = { reg; calls_bytes = None }
 
-(* the null meter discards every event: skip building them *)
+(* the null meter discards every report: skip the per-quad calls *)
 let emit (m : Meter.t) ?(sim_base = 0) off len =
-  if m != Meter.null then
-  let rd o l = [ Meter.range ~base:sim_base ~off:o ~len:l () ] in
-  Meter.fn m s_in_cksum (fun () ->
-      m.Meter.block s_in_cksum_head;
-      let quads = len / 4 in
-      let rest = len - (4 * quads) in
-      if len >= 64 then
-        for i = 0 to (len / 64) - 1 do
-          m.Meter.cold ~triggered:true s_in_cksum_unrolled64
-            ~reads:(rd (off + (64 * i)) 64)
-        done
-      else m.Meter.cold ~triggered:false s_in_cksum_unrolled64;
-      (* quads not already covered by the unrolled iterations *)
-      let covered = if len >= 64 then len / 64 * 16 else 0 in
-      for i = covered to quads - 1 do
-        m.Meter.block s_in_cksum_qloop ~reads:(rd (off + (4 * i)) 4)
-      done;
-      let halves = (rest + 1) / 2 in
-      for i = 0 to halves - 1 do
-        m.Meter.block s_in_cksum_hloop
-          ~reads:(rd (off + (4 * quads) + (2 * i)) 2)
-      done;
-      m.Meter.block s_in_cksum_tail)
+  if m != Meter.null then begin
+    let base = sim_base + off in
+    m.Meter.enter s_in_cksum;
+    m.Meter.block s_in_cksum_head;
+    let quads = len / 4 in
+    let rest = len - (4 * quads) in
+    if len >= 64 then
+      for i = 0 to (len / 64) - 1 do
+        m.Meter.read (base + (64 * i)) 64;
+        m.Meter.cold ~triggered:true s_in_cksum_unrolled64
+      done
+    else m.Meter.cold ~triggered:false s_in_cksum_unrolled64;
+    (* quads not already covered by the unrolled iterations *)
+    let covered = if len >= 64 then len / 64 * 16 else 0 in
+    for i = covered to quads - 1 do
+      m.Meter.read (base + (4 * i)) 4;
+      m.Meter.block s_in_cksum_qloop
+    done;
+    let halves = (rest + 1) / 2 in
+    for i = 0 to halves - 1 do
+      m.Meter.read (base + (4 * quads) + (2 * i)) 2;
+      m.Meter.block s_in_cksum_hloop
+    done;
+    m.Meter.block s_in_cksum_tail;
+    m.Meter.leave s_in_cksum
+  end
 
 let count c len =
   let calls, bytes =

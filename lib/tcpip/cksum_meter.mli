@@ -6,7 +6,7 @@
     counters (and [cksum.verify_fail] for failed verifications), so
     checksum work shows up in the unified metrics dump instead of ad-hoc
     per-module accumulators.  With {!Protolat_xkernel.Meter.null} no
-    trace events are built at all. *)
+    report is made at all. *)
 
 type counters
 (** One owner's checksum counters (an IP, TCP or BLAST instance).  They are

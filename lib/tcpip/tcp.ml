@@ -130,19 +130,23 @@ let now_us t = Ns.Sim.now t.env.Ns.Host_env.sim
 
 let udiv_metered t a b =
   let m = meter t in
-  Meter.fn m s_udiv (fun () ->
-      m.Meter.block s_udiv_head;
-      m.Meter.cold ~triggered:(b = 0) s_udiv_divzero;
-      if b = 0 then 0
-      else begin
-        let rec bits n v = if v = 0 then n else bits (n + 1) (v lsr 1) in
-        let iters = max 1 ((bits 0 a + 3) / 4) in
-        for _ = 1 to iters do
-          m.Meter.block s_udiv_dloop
-        done;
-        m.Meter.block s_udiv_fixup;
-        a / b
-      end)
+  m.Meter.enter s_udiv;
+  m.Meter.block s_udiv_head;
+  m.Meter.cold ~triggered:(b = 0) s_udiv_divzero;
+  let q =
+    if b = 0 then 0
+    else begin
+      let rec bits n v = if v = 0 then n else bits (n + 1) (v lsr 1) in
+      let iters = max 1 ((bits 0 a + 3) / 4) in
+      for _ = 1 to iters do
+        m.Meter.block s_udiv_dloop
+      done;
+      m.Meter.block s_udiv_fixup;
+      a / b
+    end
+  in
+  m.Meter.leave s_udiv;
+  q
 
 (* Advertised-window update threshold: 35% via multiply/divide, or roughly
    a third via shift-and-add (§2.2.2). *)
@@ -152,9 +156,6 @@ let window_update_threshold t maxwin =
   else udiv_metered t (maxwin * 35) 100
 
 (* ----- segment transmission ---------------------------------------------- *)
-
-let tcb_ranges (s : session) =
-  [ Meter.range ~base:s.tcb.Tcb.sim_addr ~len:Tcb.sim_size () ]
 
 let cancel_rexmt s =
   match s.rexmt with
@@ -197,90 +198,95 @@ let rec tcp_output ?(flags = Tcp_hdr.ack_flag) ?(rexmt = false) s msg =
   let t = s.tcp in
   let m = meter t in
   let cb = s.tcb in
-  Meter.fn m s_tcp_output (fun () ->
-      m.Meter.block s_tcp_output_again ~reads:(tcb_ranges s)
-        ~writes:(tcb_ranges s);
-      let len = Msg.len msg in
-      let zero_window =
-        cb.Tcb.snd_wnd = 0 && len > 0 && cb.Tcb.state = Tcb.Established
-      in
-      m.Meter.cold ~triggered:zero_window s_tcp_output_persist;
-      (* decide whether a window update must accompany this segment *)
-      (if t.opts.Opts.avoid_muldiv then
-         m.Meter.block s_tcp_output_winupdate
-       else begin
-         m.Meter.block s_tcp_output_winupdate;
-         m.Meter.call s_tcp_output_winupdate_0
-       end);
-      let threshold = window_update_threshold t (16 * cb.Tcb.mss) in
-      let adv = Seq.sub (Seq.add cb.Tcb.rcv_nxt cb.Tcb.rcv_wnd) cb.Tcb.rcv_adv in
-      let _window_update_needed = adv >= threshold in
-      m.Meter.cold ~triggered:false s_tcp_output_silly;
-      (* build the header and checksum the segment *)
-      m.Meter.block s_tcp_output_build ~reads:(tcb_ranges s)
-        ~writes:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Tcp_hdr.size () ];
-      let seq = if rexmt then cb.Tcb.snd_una else cb.Tcb.snd_nxt in
-      let hdr =
-        Tcp_hdr.make ~flags ~window:cb.Tcb.rcv_wnd ~sport:cb.Tcb.local_port
-          ~dport:cb.Tcb.remote_port ~seq ~ack:cb.Tcb.rcv_nxt ()
-      in
-      let hdr_bytes = Tcp_hdr.to_bytes hdr in
-      let seg = Bytes.create (Tcp_hdr.size + len) in
+  m.Meter.enter s_tcp_output;
+  m.Meter.read cb.Tcb.sim_addr Tcb.sim_size;
+  m.Meter.write cb.Tcb.sim_addr Tcb.sim_size;
+  m.Meter.block s_tcp_output_again;
+  let len = Msg.len msg in
+  let zero_window =
+    cb.Tcb.snd_wnd = 0 && len > 0 && cb.Tcb.state = Tcb.Established
+  in
+  m.Meter.cold ~triggered:zero_window s_tcp_output_persist;
+  (* decide whether a window update must accompany this segment *)
+  (if t.opts.Opts.avoid_muldiv then
+     m.Meter.block s_tcp_output_winupdate
+   else begin
+     m.Meter.block s_tcp_output_winupdate;
+     m.Meter.call s_tcp_output_winupdate_0
+   end);
+  let threshold = window_update_threshold t (16 * cb.Tcb.mss) in
+  let adv = Seq.sub (Seq.add cb.Tcb.rcv_nxt cb.Tcb.rcv_wnd) cb.Tcb.rcv_adv in
+  let _window_update_needed = adv >= threshold in
+  m.Meter.cold ~triggered:false s_tcp_output_silly;
+  (* build the header and checksum the segment *)
+  m.Meter.read cb.Tcb.sim_addr Tcb.sim_size;
+  m.Meter.write (Msg.sim_addr msg) Tcp_hdr.size;
+  m.Meter.block s_tcp_output_build;
+  let seq = if rexmt then cb.Tcb.snd_una else cb.Tcb.snd_nxt in
+  let hdr =
+    Tcp_hdr.make ~flags ~window:cb.Tcb.rcv_wnd ~sport:cb.Tcb.local_port
+      ~dport:cb.Tcb.remote_port ~seq ~ack:cb.Tcb.rcv_nxt ()
+  in
+  let hdr_bytes = Tcp_hdr.to_bytes hdr in
+  let seg = Bytes.create (Tcp_hdr.size + len) in
+  Bytes.blit hdr_bytes 0 seg 0 Tcp_hdr.size;
+  Msg.blit_into msg seg Tcp_hdr.size;
+  let pseudo =
+    Checksum.pseudo_header ~src:cb.Tcb.local_ip ~dst:cb.Tcb.remote_ip
+      ~proto:Ip_hdr.proto_tcp ~len:(Bytes.length seg)
+  in
+  m.Meter.call s_tcp_output_build_0;
+  let csum =
+    Checksum.finish
+      (Cksum_meter.sum m ~counters:t.cksum ~initial:pseudo ~sim_base:(Msg.sim_addr msg) seg 0
+         (Bytes.length seg))
+  in
+  Bytes.set hdr_bytes 16 (Char.chr (csum lsr 8 land 0xFF));
+  Bytes.set hdr_bytes 17 (Char.chr (csum land 0xFF));
+  Msg.push msg hdr_bytes;
+  m.Meter.cold ~triggered:false s_tcp_output_options;
+  (* bookkeeping + hand off *)
+  m.Meter.write cb.Tcb.sim_addr Tcb.sim_size;
+  m.Meter.block s_tcp_output_xmit;
+  m.Meter.cold ~triggered:rexmt s_tcp_output_rexmt_path;
+  let seq_consumed =
+    len
+    + (if Tcp_hdr.has hdr Tcp_hdr.syn then 1 else 0)
+    + if Tcp_hdr.has hdr Tcp_hdr.fin then 1 else 0
+  in
+  if not rexmt then begin
+    cb.Tcb.snd_nxt <- Seq.add cb.Tcb.snd_nxt seq_consumed;
+    if seq_consumed > 0 then begin
       Bytes.blit hdr_bytes 0 seg 0 Tcp_hdr.size;
-      Msg.blit_into msg seg Tcp_hdr.size;
-      let pseudo =
-        Checksum.pseudo_header ~src:cb.Tcb.local_ip ~dst:cb.Tcb.remote_ip
-          ~proto:Ip_hdr.proto_tcp ~len:(Bytes.length seg)
-      in
-      m.Meter.call s_tcp_output_build_0;
-      let csum =
-        Checksum.finish
-          (Cksum_meter.sum m ~counters:t.cksum ~initial:pseudo ~sim_base:(Msg.sim_addr msg) seg 0
-             (Bytes.length seg))
-      in
-      Bytes.set hdr_bytes 16 (Char.chr (csum lsr 8 land 0xFF));
-      Bytes.set hdr_bytes 17 (Char.chr (csum land 0xFF));
-      Msg.push msg hdr_bytes;
-      m.Meter.cold ~triggered:false s_tcp_output_options;
-      (* bookkeeping + hand off *)
-      m.Meter.block s_tcp_output_xmit ~writes:(tcb_ranges s);
-      m.Meter.cold ~triggered:rexmt s_tcp_output_rexmt_path;
-      let seq_consumed =
-        len
-        + (if Tcp_hdr.has hdr Tcp_hdr.syn then 1 else 0)
-        + if Tcp_hdr.has hdr Tcp_hdr.fin then 1 else 0
-      in
-      if not rexmt then begin
-        cb.Tcb.snd_nxt <- Seq.add cb.Tcb.snd_nxt seq_consumed;
-        if seq_consumed > 0 then begin
-          Bytes.blit hdr_bytes 0 seg 0 Tcp_hdr.size;
-          s.retx_q <- s.retx_q @ [ (seq, seg) ]
-        end
-      end;
-      cb.Tcb.rcv_adv <- Seq.add cb.Tcb.rcv_nxt cb.Tcb.rcv_wnd;
-      cb.Tcb.segments_out <- cb.Tcb.segments_out + 1;
-      cb.Tcb.delack_pending <- false;
-      cancel_delack s;
-      s.sent_in_input <- true;
-      (* time the segment for RTT if nothing is being timed *)
-      if seq_consumed > 0 && cb.Tcb.rtt_seq < 0 then begin
-        cb.Tcb.rtt_seq <- seq;
-        cb.Tcb.rtt_start_us <- now_us t
-      end;
-      (* (re)arm the retransmit timer *)
-      m.Meter.call s_tcp_output_xmit_0;
-      Meter.fn m s_event_register (fun () ->
-          m.Meter.block s_event_register_insert;
-          m.Meter.cold ~triggered:false s_event_register_expand;
-          if seq_consumed > 0 then begin
-            ignore (cancel_rexmt s);
-            let delay = float_of_int (rexmt_delay_ticks cb) *. tick_us in
-            s.rexmt <-
-              Some
-                (Ns.Host_env.timeout t.env ~delay (fun () -> retransmit s))
-          end);
-      m.Meter.call s_tcp_output_xmit_1;
-      Ip.push t.ip ~dst:cb.Tcb.remote_ip ~proto:Ip_hdr.proto_tcp msg)
+      s.retx_q <- s.retx_q @ [ (seq, seg) ]
+    end
+  end;
+  cb.Tcb.rcv_adv <- Seq.add cb.Tcb.rcv_nxt cb.Tcb.rcv_wnd;
+  cb.Tcb.segments_out <- cb.Tcb.segments_out + 1;
+  cb.Tcb.delack_pending <- false;
+  cancel_delack s;
+  s.sent_in_input <- true;
+  (* time the segment for RTT if nothing is being timed *)
+  if seq_consumed > 0 && cb.Tcb.rtt_seq < 0 then begin
+    cb.Tcb.rtt_seq <- seq;
+    cb.Tcb.rtt_start_us <- now_us t
+  end;
+  (* (re)arm the retransmit timer *)
+  m.Meter.call s_tcp_output_xmit_0;
+  m.Meter.enter s_event_register;
+  m.Meter.block s_event_register_insert;
+  m.Meter.cold ~triggered:false s_event_register_expand;
+  if seq_consumed > 0 then begin
+    ignore (cancel_rexmt s);
+    let delay = float_of_int (rexmt_delay_ticks cb) *. tick_us in
+    s.rexmt <-
+      Some
+        (Ns.Host_env.timeout t.env ~delay (fun () -> retransmit s))
+  end;
+  m.Meter.leave s_event_register;
+  m.Meter.call s_tcp_output_xmit_1;
+  Ip.push t.ip ~dst:cb.Tcb.remote_ip ~proto:Ip_hdr.proto_tcp msg;
+  m.Meter.leave s_tcp_output
 
 and retransmit ?(fast = false) s =
   let t = s.tcp in
@@ -404,12 +410,13 @@ let deliver s payload =
   (* the layer above TCP: clientStreamDemux *)
   let t = s.tcp in
   let m = meter t in
-  Meter.fn m s_clientstream_demux (fun () ->
-      m.Meter.block s_clientstream_demux_strip;
-      m.Meter.cold ~triggered:false s_clientstream_demux_nosession;
-      m.Meter.block s_clientstream_demux_deliver;
-      m.Meter.call s_clientstream_demux_deliver_0;
-      s.receive s payload)
+  m.Meter.enter s_clientstream_demux;
+  m.Meter.block s_clientstream_demux_strip;
+  m.Meter.cold ~triggered:false s_clientstream_demux_nosession;
+  m.Meter.block s_clientstream_demux_deliver;
+  m.Meter.call s_clientstream_demux_deliver_0;
+  s.receive s payload;
+  m.Meter.leave s_clientstream_demux
 
 let unbind_session s =
   let t = s.tcp in
@@ -540,206 +547,212 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
   let t = s.tcp in
   let m = meter t in
   let cb = s.tcb in
-  Meter.fn m s_tcp_input (fun () ->
-      cb.Tcb.segments_in <- cb.Tcb.segments_in + 1;
-      s.sent_in_input <- false;
-      m.Meter.block s_tcp_input_validate
-        ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Tcp_hdr.size () ];
-      let seg = Msg.contents msg in
-      let pseudo =
-        Checksum.pseudo_header ~src:iphdr.Ip_hdr.src ~dst:iphdr.Ip_hdr.dst
-          ~proto:Ip_hdr.proto_tcp ~len:(Bytes.length seg)
+  m.Meter.enter s_tcp_input;
+  cb.Tcb.segments_in <- cb.Tcb.segments_in + 1;
+  s.sent_in_input <- false;
+  m.Meter.read (Msg.sim_addr msg) Tcp_hdr.size;
+  m.Meter.block s_tcp_input_validate;
+  let seg = Msg.contents msg in
+  let pseudo =
+    Checksum.pseudo_header ~src:iphdr.Ip_hdr.src ~dst:iphdr.Ip_hdr.dst
+      ~proto:Ip_hdr.proto_tcp ~len:(Bytes.length seg)
+  in
+  m.Meter.call s_tcp_input_validate_0;
+  let ok =
+    Cksum_meter.verify m ~counters:t.cksum ~initial:pseudo ~sim_base:(Msg.sim_addr msg) seg 0
+      (Bytes.length seg)
+  in
+  m.Meter.cold ~triggered:(not ok) s_tcp_input_bad_cksum;
+  if ok then begin
+    let hdr = Tcp_hdr.of_bytes (Msg.pop msg Tcp_hdr.size) in
+    let payload = Msg.contents msg in
+    (* header prediction: on a bidirectional connection the segment
+       carries both data and an ack, so the pure-data / pure-ack tests
+       fail and we fall into the general path (§2.3) *)
+    if t.opts.Opts.header_prediction then
+      m.Meter.block s_tcp_input_hdr_pred;
+    let established = cb.Tcb.state = Tcb.Established in
+    m.Meter.cold ~triggered:(not established) s_tcp_input_not_established;
+    if not established then handshake_input s hdr
+    else begin
+      (* --- ack processing --- *)
+      m.Meter.read cb.Tcb.sim_addr Tcb.sim_size;
+      m.Meter.write cb.Tcb.sim_addr Tcb.sim_size;
+      m.Meter.block s_tcp_input_ack_proc;
+      let acked = Seq.sub hdr.Tcp_hdr.ack cb.Tcb.snd_una in
+      let old_ack = Seq.lt hdr.Tcp_hdr.ack cb.Tcb.snd_una in
+      let dup =
+        acked = 0 && Tcp_hdr.has hdr Tcp_hdr.ack_flag
+        && Seq.gt cb.Tcb.snd_nxt cb.Tcb.snd_una
+        && Msg.len msg = 0
       in
-      m.Meter.call s_tcp_input_validate_0;
-      let ok =
-        Cksum_meter.verify m ~counters:t.cksum ~initial:pseudo ~sim_base:(Msg.sim_addr msg) seg 0
-          (Bytes.length seg)
-      in
-      m.Meter.cold ~triggered:(not ok) s_tcp_input_bad_cksum;
-      if ok then begin
-        let hdr = Tcp_hdr.of_bytes (Msg.pop msg Tcp_hdr.size) in
-        let payload = Msg.contents msg in
-        (* header prediction: on a bidirectional connection the segment
-           carries both data and an ack, so the pure-data / pure-ack tests
-           fail and we fall into the general path (§2.3) *)
-        if t.opts.Opts.header_prediction then
-          m.Meter.block s_tcp_input_hdr_pred;
-        let established = cb.Tcb.state = Tcb.Established in
-        m.Meter.cold ~triggered:(not established) s_tcp_input_not_established;
-        if not established then handshake_input s hdr
-        else begin
-          (* --- ack processing --- *)
-          m.Meter.block s_tcp_input_ack_proc ~reads:(tcb_ranges s)
-            ~writes:(tcb_ranges s);
-          let acked = Seq.sub hdr.Tcp_hdr.ack cb.Tcb.snd_una in
-          let old_ack = Seq.lt hdr.Tcp_hdr.ack cb.Tcb.snd_una in
-          let dup =
-            acked = 0 && Tcp_hdr.has hdr Tcp_hdr.ack_flag
-            && Seq.gt cb.Tcb.snd_nxt cb.Tcb.snd_una
-            && Msg.len msg = 0
-          in
-          m.Meter.cold ~triggered:old_ack s_tcp_input_old_ack;
-          m.Meter.cold ~triggered:dup s_tcp_input_dupack;
-          if dup then begin
-            cb.Tcb.dupacks <- cb.Tcb.dupacks + 1;
-            (* fast retransmit: the third duplicate ack signals a hole at
-               snd_una; resend it now instead of waiting out the RTO *)
-            if cb.Tcb.dupacks = 3 && s.retx_q <> [] then begin
-              ignore (cancel_rexmt s);
-              retransmit ~fast:true s
-            end
-          end
-          else cb.Tcb.dupacks <- 0;
-          if acked > 0 then begin
-            cb.Tcb.snd_una <- hdr.Tcp_hdr.ack;
-            cb.Tcb.snd_wnd <- hdr.Tcp_hdr.window;
-            cb.Tcb.rexmt_shift <- 0;
-            ack_retx_q s;
-            if cb.Tcb.snd_wnd > 0 then begin
-              match s.persist with
-              | Some h ->
-                ignore (Xk.Event.cancel h);
-                s.persist <- None
-              | None -> ()
-            end;
-            (* rtt sample if the timed sequence is now acked *)
-            m.Meter.block s_tcp_input_rtt ~writes:(tcb_ranges s);
-            m.Meter.call s_tcp_input_rtt_0;
-            Meter.fn m s_event_cancel (fun () ->
-                m.Meter.block s_event_cancel_remove;
-                m.Meter.cold ~triggered:false s_event_cancel_notfound;
-                ignore (cancel_rexmt s));
-            (* restart (not just cancel) the retransmit timer while data
-               is outstanding: a new ack proves the flow is moving, so the
-               remaining flight gets a fresh, un-backed-off timeout rather
-               than inheriting a stale multi-second backoff *)
-            if Seq.gt cb.Tcb.snd_nxt cb.Tcb.snd_una then
-              s.rexmt <-
-                Some
-                  (Ns.Host_env.timeout t.env
-                     ~delay:(float_of_int (rexmt_delay_ticks cb) *. tick_us)
-                     (fun () -> retransmit s));
-            if cb.Tcb.rtt_seq >= 0 && Seq.gt hdr.Tcp_hdr.ack cb.Tcb.rtt_seq
-            then begin
-              let ticks =
-                int_of_float ((now_us t -. cb.Tcb.rtt_start_us) /. tick_us)
-              in
-              Tcb.update_rtt cb ticks
-            end;
-            (* --- congestion window --- *)
-            let fully_open =
-              cb.Tcb.snd_cwnd >= min cb.Tcb.snd_wnd (16 * cb.Tcb.mss)
-            in
-            try_push s;
-            if t.opts.Opts.avoid_muldiv then begin
-              m.Meter.block s_tcp_input_cwnd;
-              (* common case: window fully open — no arithmetic at all *)
-              if not fully_open then begin
-                if cb.Tcb.snd_cwnd < cb.Tcb.snd_ssthresh then
-                  cb.Tcb.snd_cwnd <- cb.Tcb.snd_cwnd + cb.Tcb.mss
-                else
-                  cb.Tcb.snd_cwnd <-
-                    cb.Tcb.snd_cwnd
-                    + max 1 (cb.Tcb.mss * cb.Tcb.mss / cb.Tcb.snd_cwnd)
-              end
-            end
-            else begin
-              m.Meter.block s_tcp_input_cwnd;
-              m.Meter.call s_tcp_input_cwnd_0;
-              let incr_ =
-                if cb.Tcb.snd_cwnd < cb.Tcb.snd_ssthresh then cb.Tcb.mss
-                else
-                  max 1
-                    (udiv_metered t (cb.Tcb.mss * cb.Tcb.mss) cb.Tcb.snd_cwnd)
-              in
-              if not fully_open then cb.Tcb.snd_cwnd <- cb.Tcb.snd_cwnd + incr_
-            end
-          end
-          else begin
-            (* no new ack: the rtt/cwnd blocks are skipped on this path in
-               BSD as well; only the duplicate-ack bookkeeping ran *)
-            ()
-          end;
-          (* --- data processing --- *)
-          m.Meter.block s_tcp_input_data_proc ~reads:(tcb_ranges s)
-            ~writes:(tcb_ranges s);
-          let len = Bytes.length payload in
-          let in_order = hdr.Tcp_hdr.seq = cb.Tcb.rcv_nxt in
-          m.Meter.cold ~triggered:(len > 0 && not in_order) s_tcp_input_reass;
-          let force_ack = ref false in
-          let deliverable =
-            if len > 0 && in_order then begin
-              cb.Tcb.rcv_nxt <- Seq.add cb.Tcb.rcv_nxt len;
-              cb.Tcb.delack_pending <- true;
-              (* drain any previously queued out-of-order segments that are
-                 now contiguous *)
-              let parts = ref [ payload ] in
-              let rec drain () =
-                match s.ooo with
-                | (seq0, data) :: rest when seq0 = cb.Tcb.rcv_nxt ->
-                  cb.Tcb.rcv_nxt <- Seq.add cb.Tcb.rcv_nxt (Bytes.length data);
-                  parts := data :: !parts;
-                  s.ooo <- rest;
-                  drain ()
-                | (seq0, _) :: rest when Seq.lt seq0 cb.Tcb.rcv_nxt ->
-                  (* stale overlap: already covered *)
-                  s.ooo <- rest;
-                  drain ()
-                | _ -> ()
-              in
-              drain ();
-              Some (Bytes.concat Bytes.empty (List.rev !parts))
-            end
-            else begin
-              if len > 0 && Seq.gt hdr.Tcp_hdr.seq cb.Tcb.rcv_nxt then begin
-                (* queue for reassembly (sorted, ignoring duplicates) *)
-                if not (List.mem_assoc hdr.Tcp_hdr.seq s.ooo) then
-                  s.ooo <-
-                    List.sort
-                      (fun (a, _) (b, _) -> Seq.sub a b)
-                      ((hdr.Tcp_hdr.seq, payload) :: s.ooo);
-                (* ack out-of-order data immediately (not delayed): the
-                   duplicate acks are what lets the sender fast-retransmit
-                   the hole *)
-                force_ack := true
-              end
-              else if len > 0 then
-                (* stale duplicate data: re-ack it, or a retransmitting
-                   sender whose ACK was lost never converges *)
-                cb.Tcb.delack_pending <- true;
-              None
-            end
-          in
-          m.Meter.block s_tcp_input_window_upd ~writes:(tcb_ranges s);
-          let slow_flags =
-            Tcp_hdr.has hdr Tcp_hdr.fin
-            || Tcp_hdr.has hdr Tcp_hdr.rst
-            || Tcp_hdr.has hdr Tcp_hdr.urg
-          in
-          m.Meter.cold ~triggered:slow_flags s_tcp_input_flags_slow;
-          if slow_flags then fin_input s hdr;
-          (* --- deliver upward --- *)
-          m.Meter.block s_tcp_input_deliver;
-          (match deliverable with
-          | Some data ->
-            m.Meter.call s_tcp_input_deliver_0;
-            deliver s data
-          | None -> ());
-          if !force_ack && not s.sent_in_input then
-            tcp_output s (Msg.alloc t.env.Ns.Host_env.simmem 0);
-          (* if the application did not piggyback a reply, schedule a
-             delayed ack *)
-          if cb.Tcb.delack_pending && not s.sent_in_input
-             && s.delack = None then
-            s.delack <-
-              Some
-                (Ns.Host_env.timeout t.env ~delay:2000.0 (fun () ->
-                     s.delack <- None;
-                     if s.tcb.Tcb.delack_pending then
-                       Ns.Host_env.phase t.env "delack" (fun () ->
-                           tcp_output s (Msg.alloc t.env.Ns.Host_env.simmem 0))))
+      m.Meter.cold ~triggered:old_ack s_tcp_input_old_ack;
+      m.Meter.cold ~triggered:dup s_tcp_input_dupack;
+      if dup then begin
+        cb.Tcb.dupacks <- cb.Tcb.dupacks + 1;
+        (* fast retransmit: the third duplicate ack signals a hole at
+           snd_una; resend it now instead of waiting out the RTO *)
+        if cb.Tcb.dupacks = 3 && s.retx_q <> [] then begin
+          ignore (cancel_rexmt s);
+          retransmit ~fast:true s
         end
-      end)
+      end
+      else cb.Tcb.dupacks <- 0;
+      if acked > 0 then begin
+        cb.Tcb.snd_una <- hdr.Tcp_hdr.ack;
+        cb.Tcb.snd_wnd <- hdr.Tcp_hdr.window;
+        cb.Tcb.rexmt_shift <- 0;
+        ack_retx_q s;
+        if cb.Tcb.snd_wnd > 0 then begin
+          match s.persist with
+          | Some h ->
+            ignore (Xk.Event.cancel h);
+            s.persist <- None
+          | None -> ()
+        end;
+        (* rtt sample if the timed sequence is now acked *)
+        m.Meter.write cb.Tcb.sim_addr Tcb.sim_size;
+        m.Meter.block s_tcp_input_rtt;
+        m.Meter.call s_tcp_input_rtt_0;
+        m.Meter.enter s_event_cancel;
+        m.Meter.block s_event_cancel_remove;
+        m.Meter.cold ~triggered:false s_event_cancel_notfound;
+        ignore (cancel_rexmt s);
+        m.Meter.leave s_event_cancel;
+        (* restart (not just cancel) the retransmit timer while data
+           is outstanding: a new ack proves the flow is moving, so the
+           remaining flight gets a fresh, un-backed-off timeout rather
+           than inheriting a stale multi-second backoff *)
+        if Seq.gt cb.Tcb.snd_nxt cb.Tcb.snd_una then
+          s.rexmt <-
+            Some
+              (Ns.Host_env.timeout t.env
+                 ~delay:(float_of_int (rexmt_delay_ticks cb) *. tick_us)
+                 (fun () -> retransmit s));
+        if cb.Tcb.rtt_seq >= 0 && Seq.gt hdr.Tcp_hdr.ack cb.Tcb.rtt_seq
+        then begin
+          let ticks =
+            int_of_float ((now_us t -. cb.Tcb.rtt_start_us) /. tick_us)
+          in
+          Tcb.update_rtt cb ticks
+        end;
+        (* --- congestion window --- *)
+        let fully_open =
+          cb.Tcb.snd_cwnd >= min cb.Tcb.snd_wnd (16 * cb.Tcb.mss)
+        in
+        try_push s;
+        if t.opts.Opts.avoid_muldiv then begin
+          m.Meter.block s_tcp_input_cwnd;
+          (* common case: window fully open — no arithmetic at all *)
+          if not fully_open then begin
+            if cb.Tcb.snd_cwnd < cb.Tcb.snd_ssthresh then
+              cb.Tcb.snd_cwnd <- cb.Tcb.snd_cwnd + cb.Tcb.mss
+            else
+              cb.Tcb.snd_cwnd <-
+                cb.Tcb.snd_cwnd
+                + max 1 (cb.Tcb.mss * cb.Tcb.mss / cb.Tcb.snd_cwnd)
+          end
+        end
+        else begin
+          m.Meter.block s_tcp_input_cwnd;
+          m.Meter.call s_tcp_input_cwnd_0;
+          let incr_ =
+            if cb.Tcb.snd_cwnd < cb.Tcb.snd_ssthresh then cb.Tcb.mss
+            else
+              max 1
+                (udiv_metered t (cb.Tcb.mss * cb.Tcb.mss) cb.Tcb.snd_cwnd)
+          in
+          if not fully_open then cb.Tcb.snd_cwnd <- cb.Tcb.snd_cwnd + incr_
+        end
+      end
+      else begin
+        (* no new ack: the rtt/cwnd blocks are skipped on this path in
+           BSD as well; only the duplicate-ack bookkeeping ran *)
+        ()
+      end;
+      (* --- data processing --- *)
+      m.Meter.read cb.Tcb.sim_addr Tcb.sim_size;
+      m.Meter.write cb.Tcb.sim_addr Tcb.sim_size;
+      m.Meter.block s_tcp_input_data_proc;
+      let len = Bytes.length payload in
+      let in_order = hdr.Tcp_hdr.seq = cb.Tcb.rcv_nxt in
+      m.Meter.cold ~triggered:(len > 0 && not in_order) s_tcp_input_reass;
+      let force_ack = ref false in
+      let deliverable =
+        if len > 0 && in_order then begin
+          cb.Tcb.rcv_nxt <- Seq.add cb.Tcb.rcv_nxt len;
+          cb.Tcb.delack_pending <- true;
+          (* drain any previously queued out-of-order segments that are
+             now contiguous *)
+          let parts = ref [ payload ] in
+          let rec drain () =
+            match s.ooo with
+            | (seq0, data) :: rest when seq0 = cb.Tcb.rcv_nxt ->
+              cb.Tcb.rcv_nxt <- Seq.add cb.Tcb.rcv_nxt (Bytes.length data);
+              parts := data :: !parts;
+              s.ooo <- rest;
+              drain ()
+            | (seq0, _) :: rest when Seq.lt seq0 cb.Tcb.rcv_nxt ->
+              (* stale overlap: already covered *)
+              s.ooo <- rest;
+              drain ()
+            | _ -> ()
+          in
+          drain ();
+          Some (Bytes.concat Bytes.empty (List.rev !parts))
+        end
+        else begin
+          if len > 0 && Seq.gt hdr.Tcp_hdr.seq cb.Tcb.rcv_nxt then begin
+            (* queue for reassembly (sorted, ignoring duplicates) *)
+            if not (List.mem_assoc hdr.Tcp_hdr.seq s.ooo) then
+              s.ooo <-
+                List.sort
+                  (fun (a, _) (b, _) -> Seq.sub a b)
+                  ((hdr.Tcp_hdr.seq, payload) :: s.ooo);
+            (* ack out-of-order data immediately (not delayed): the
+               duplicate acks are what lets the sender fast-retransmit
+               the hole *)
+            force_ack := true
+          end
+          else if len > 0 then
+            (* stale duplicate data: re-ack it, or a retransmitting
+               sender whose ACK was lost never converges *)
+            cb.Tcb.delack_pending <- true;
+          None
+        end
+      in
+      m.Meter.write cb.Tcb.sim_addr Tcb.sim_size;
+      m.Meter.block s_tcp_input_window_upd;
+      let slow_flags =
+        Tcp_hdr.has hdr Tcp_hdr.fin
+        || Tcp_hdr.has hdr Tcp_hdr.rst
+        || Tcp_hdr.has hdr Tcp_hdr.urg
+      in
+      m.Meter.cold ~triggered:slow_flags s_tcp_input_flags_slow;
+      if slow_flags then fin_input s hdr;
+      (* --- deliver upward --- *)
+      m.Meter.block s_tcp_input_deliver;
+      (match deliverable with
+      | Some data ->
+        m.Meter.call s_tcp_input_deliver_0;
+        deliver s data
+      | None -> ());
+      if !force_ack && not s.sent_in_input then
+        tcp_output s (Msg.alloc t.env.Ns.Host_env.simmem 0);
+      (* if the application did not piggyback a reply, schedule a
+         delayed ack *)
+      if cb.Tcb.delack_pending && not s.sent_in_input
+         && s.delack = None then
+        s.delack <-
+          Some
+            (Ns.Host_env.timeout t.env ~delay:2000.0 (fun () ->
+                 s.delack <- None;
+                 if s.tcb.Tcb.delack_pending then
+                   Ns.Host_env.phase t.env "delack" (fun () ->
+                       tcp_output s (Msg.alloc t.env.Ns.Host_env.simmem 0))))
+    end
+  end;
+  m.Meter.leave s_tcp_input
 
 (* ----- demux -------------------------------------------------------------- *)
 
@@ -748,66 +761,68 @@ let session_key ~local_port ~remote_ip ~remote_port =
 
 let demux_segment t ~(hdr : Ip_hdr.t) msg =
   let m = meter t in
-  Meter.fn m s_tcp_demux (fun () ->
-      m.Meter.block s_tcp_demux_parse
-        ~reads:[ Meter.range ~base:(Msg.sim_addr msg) ~len:Tcp_hdr.size () ];
-      let raw = Msg.peek msg 0 Tcp_hdr.size in
-      let thdr = Tcp_hdr.of_bytes raw in
-      let key =
-        session_key ~local_port:thdr.Tcp_hdr.dport ~remote_ip:hdr.Ip_hdr.src
-          ~remote_port:thdr.Tcp_hdr.sport
-      in
-      let found =
-        Xk.Demux.lookup m ~inline:t.opts.Opts.map_cache_inline
-          ~caller:s_tcp_demux_map t.pcbs key
-      in
-      let session =
-        match found with
-        | Some s ->
-          m.Meter.cold ~triggered:false s_tcp_demux_listen_path;
-          Some s
-        | None -> (
-          m.Meter.cold ~triggered:true s_tcp_demux_listen_path;
-          match Hashtbl.find_opt t.listeners thdr.Tcp_hdr.dport with
-          | None -> None
-          (* passive open happens on SYN only: a stale segment from an
-             already-reaped incarnation (late retransmit, wandering FIN)
-             must not instantiate an embryo session — it would sit in
-             Listen forever, since only a SYN can advance it *)
-          | Some _ when not (Tcp_hdr.has thdr Tcp_hdr.syn) -> None
-          | Some receive ->
-            let tcb =
-              Tcb.create t.env.Ns.Host_env.simmem ~local_ip:(Ip.my_ip t.ip)
-                ~local_port:thdr.Tcp_hdr.dport ~remote_ip:hdr.Ip_hdr.src
-                ~remote_port:thdr.Tcp_hdr.sport ~iss:t.iss
-            in
-            t.iss <- t.iss + 64000;
-            tcb.Tcb.state <- Tcb.Listen;
-            tcb.Tcb.snd_nxt <- Seq.add tcb.Tcb.iss 0;
-            let s =
-              { tcp = t;
-                tcb;
-                receive;
-                rexmt = None;
-                delack = None;
-                retx_q = [];
-                sent_in_input = false;
-                sndq = [];
-                ooo = [];
-                nodelay = false;
-                persist = None;
-                timewait = None;
-                fin_wait2_at = 0.0 }
-            in
-            Xk.Map.bind t.pcbs key s;
-            Some s)
-      in
-      match session with
-      | None -> ()
-      | Some s ->
-        m.Meter.block s_tcp_demux_dispatch;
-        m.Meter.call s_tcp_demux_dispatch_0;
-        tcp_input s hdr msg)
+  m.Meter.enter s_tcp_demux;
+  m.Meter.read (Msg.sim_addr msg) Tcp_hdr.size;
+  m.Meter.block s_tcp_demux_parse;
+  let raw = Msg.peek msg 0 Tcp_hdr.size in
+  let thdr = Tcp_hdr.of_bytes raw in
+  let key =
+    session_key ~local_port:thdr.Tcp_hdr.dport ~remote_ip:hdr.Ip_hdr.src
+      ~remote_port:thdr.Tcp_hdr.sport
+  in
+  let found =
+    Xk.Demux.lookup m ~inline:t.opts.Opts.map_cache_inline
+      ~caller:s_tcp_demux_map t.pcbs key
+  in
+  let session =
+    match found with
+    | Some s ->
+      m.Meter.cold ~triggered:false s_tcp_demux_listen_path;
+      Some s
+    | None -> (
+      m.Meter.cold ~triggered:true s_tcp_demux_listen_path;
+      match Hashtbl.find_opt t.listeners thdr.Tcp_hdr.dport with
+      | None -> None
+      (* passive open happens on SYN only: a stale segment from an
+         already-reaped incarnation (late retransmit, wandering FIN)
+         must not instantiate an embryo session — it would sit in
+         Listen forever, since only a SYN can advance it *)
+      | Some _ when not (Tcp_hdr.has thdr Tcp_hdr.syn) -> None
+      | Some receive ->
+        let tcb =
+          Tcb.create t.env.Ns.Host_env.simmem ~local_ip:(Ip.my_ip t.ip)
+            ~local_port:thdr.Tcp_hdr.dport ~remote_ip:hdr.Ip_hdr.src
+            ~remote_port:thdr.Tcp_hdr.sport ~iss:t.iss
+        in
+        t.iss <- t.iss + 64000;
+        tcb.Tcb.state <- Tcb.Listen;
+        tcb.Tcb.snd_nxt <- Seq.add tcb.Tcb.iss 0;
+        let s =
+          { tcp = t;
+            tcb;
+            receive;
+            rexmt = None;
+            delack = None;
+            retx_q = [];
+            sent_in_input = false;
+            sndq = [];
+            ooo = [];
+            nodelay = false;
+            persist = None;
+            timewait = None;
+            fin_wait2_at = 0.0 }
+        in
+        Xk.Map.bind t.pcbs key s;
+        Some s)
+  in
+  begin match session with
+  | None -> ()
+  | Some s ->
+    m.Meter.block s_tcp_demux_dispatch;
+    m.Meter.call s_tcp_demux_dispatch_0;
+    tcp_input s hdr msg
+  end;
+  m.Meter.leave s_tcp_demux
 
 (* a datagram too short for a TCP header is a counted drop, as in IP *)
 let demux t ~hdr msg =
@@ -852,29 +867,31 @@ let listen t ~port ~receive = Hashtbl.replace t.listeners port receive
 let send_msg s msg =
   let t = s.tcp in
   let m = meter t in
-  Meter.fn m s_tcp_send (fun () ->
-      m.Meter.block s_tcp_send_chk ~reads:(tcb_ranges s);
-      let estab = s.tcb.Tcb.state = Tcb.Established in
-      m.Meter.cold ~triggered:(not estab) s_tcp_send_notestab;
-      if not estab then failwith "Tcp.send: not established";
-      m.Meter.call s_tcp_send_chk_0;
-      let cb = s.tcb in
-      let flight = Seq.sub cb.Tcb.snd_nxt cb.Tcb.snd_una in
-      let window = min cb.Tcb.snd_cwnd (max cb.Tcb.snd_wnd 0) in
-      let nagle_ok =
-        s.nodelay || flight = 0 || Msg.len msg >= cb.Tcb.mss
-      in
-      if s.sndq = [] && Msg.len msg <= cb.Tcb.mss
-         && flight + Msg.len msg <= window
-         && nagle_ok
-      then
-        (* fast path: the segment fits the usable window *)
-        tcp_output ~flags:(Tcp_hdr.ack_flag lor Tcp_hdr.psh) s msg
-      else begin
-        (* buffer and let the window pump segment it *)
-        s.sndq <- s.sndq @ [ Msg.contents msg ];
-        try_push s
-      end)
+  m.Meter.enter s_tcp_send;
+  m.Meter.read s.tcb.Tcb.sim_addr Tcb.sim_size;
+  m.Meter.block s_tcp_send_chk;
+  let estab = s.tcb.Tcb.state = Tcb.Established in
+  m.Meter.cold ~triggered:(not estab) s_tcp_send_notestab;
+  if not estab then failwith "Tcp.send: not established";
+  m.Meter.call s_tcp_send_chk_0;
+  let cb = s.tcb in
+  let flight = Seq.sub cb.Tcb.snd_nxt cb.Tcb.snd_una in
+  let window = min cb.Tcb.snd_cwnd (max cb.Tcb.snd_wnd 0) in
+  let nagle_ok =
+    s.nodelay || flight = 0 || Msg.len msg >= cb.Tcb.mss
+  in
+  if s.sndq = [] && Msg.len msg <= cb.Tcb.mss
+     && flight + Msg.len msg <= window
+     && nagle_ok
+  then
+    (* fast path: the segment fits the usable window *)
+    tcp_output ~flags:(Tcp_hdr.ack_flag lor Tcp_hdr.psh) s msg
+  else begin
+    (* buffer and let the window pump segment it *)
+    s.sndq <- s.sndq @ [ Msg.contents msg ];
+    try_push s
+  end;
+  m.Meter.leave s_tcp_send
 
 let send s data =
   let t = s.tcp in

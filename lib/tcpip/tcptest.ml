@@ -42,45 +42,49 @@ let tcptest_send t =
   let m = meter t in
   let env = t.env in
   Ns.Host_env.mark env Protolat_obs.Span.mark_tx_proto;
-  Meter.fn m s_tcptest_send (fun () ->
-      (match t.session with
-      | None -> failwith "Tcptest: no session"
-      | Some s ->
-        m.Meter.cold ~triggered:t.first_send s_tcptest_send_init;
-        t.first_send <- false;
-        m.Meter.block s_tcptest_send_main
-          ~writes:[ Meter.range ~base:(Msg.sim_addr t.msg) ~len:8 () ];
-        m.Meter.call s_tcptest_send_main_0;
-        Meter.fn m s_msg_prepare (fun () ->
-            m.Meter.block s_msg_prepare_body
-              ~writes:[ Meter.range ~base:(Msg.sim_addr t.msg) ~len:16 () ];
-            m.Meter.cold ~triggered:false s_msg_prepare_grow;
-            Msg.set_payload t.msg payload);
-        m.Meter.call s_tcptest_send_main_1;
-        Tcp.send_msg s t.msg))
+  m.Meter.enter s_tcptest_send;
+  (match t.session with
+  | None -> failwith "Tcptest: no session"
+  | Some s ->
+    m.Meter.cold ~triggered:t.first_send s_tcptest_send_init;
+    t.first_send <- false;
+    m.Meter.write (Msg.sim_addr t.msg) 8;
+    m.Meter.block s_tcptest_send_main;
+    m.Meter.call s_tcptest_send_main_0;
+    m.Meter.enter s_msg_prepare;
+    m.Meter.write (Msg.sim_addr t.msg) 16;
+    m.Meter.block s_msg_prepare_body;
+    m.Meter.cold ~triggered:false s_msg_prepare_grow;
+    Msg.set_payload t.msg payload;
+    m.Meter.leave s_msg_prepare;
+    m.Meter.call s_tcptest_send_main_1;
+    Tcp.send_msg s t.msg);
+  m.Meter.leave s_tcptest_send
 
 let tcptest_recv t _data =
   let m = meter t in
   let env = t.env in
   Ns.Host_env.mark env Protolat_obs.Span.mark_app;
-  Meter.fn m s_tcptest_recv (fun () ->
-      m.Meter.block s_tcptest_recv_main;
-      match t.role with
-      | Server ->
-        m.Meter.cold ~triggered:false s_tcptest_recv_done_check;
-        m.Meter.call s_tcptest_recv_main_0;
-        tcptest_send t
-      | Client ->
-        t.remaining <- t.remaining - 1;
-        t.completed <- t.completed + 1;
-        t.on_roundtrip t.completed;
-        let finished = t.remaining <= 0 in
-        m.Meter.cold ~triggered:finished s_tcptest_recv_done_check;
-        if finished then t.on_complete ()
-        else begin
-          m.Meter.call s_tcptest_recv_main_0;
-          tcptest_send t
-        end)
+  m.Meter.enter s_tcptest_recv;
+  m.Meter.block s_tcptest_recv_main;
+  begin match t.role with
+  | Server ->
+    m.Meter.cold ~triggered:false s_tcptest_recv_done_check;
+    m.Meter.call s_tcptest_recv_main_0;
+    tcptest_send t
+  | Client ->
+    t.remaining <- t.remaining - 1;
+    t.completed <- t.completed + 1;
+    t.on_roundtrip t.completed;
+    let finished = t.remaining <= 0 in
+    m.Meter.cold ~triggered:finished s_tcptest_recv_done_check;
+    if finished then t.on_complete ()
+    else begin
+      m.Meter.call s_tcptest_recv_main_0;
+      tcptest_send t
+    end
+  end;
+  m.Meter.leave s_tcptest_recv
 
 let make env tcp role rounds =
   { env;

@@ -26,10 +26,11 @@ let create env netdev ~ethertype =
   in
   Ns.Netdev.register netdev ~ethertype (fun ~src msg ->
       let m = env.Ns.Host_env.meter in
-      Meter.fn m s_vnet_demux (fun () ->
-          m.Meter.block s_vnet_demux_fwd;
-          m.Meter.call s_vnet_demux_fwd_0;
-          t.upper ~src_mac:src msg));
+      m.Meter.enter s_vnet_demux;
+      m.Meter.block s_vnet_demux_fwd;
+      m.Meter.call s_vnet_demux_fwd_0;
+      t.upper ~src_mac:src msg;
+      m.Meter.leave s_vnet_demux);
   t
 
 let add_route t ~ip ~mac = Hashtbl.replace t.routes ip mac
@@ -42,17 +43,19 @@ let set_upper t f = t.upper <- f
 
 let push t ~dst_ip msg =
   let m = t.env.Ns.Host_env.meter in
-  Meter.fn m s_vnet_push (fun () ->
-      m.Meter.block s_vnet_push_fwd;
-      match Hashtbl.find_opt t.routes dst_ip with
-      | Some mac ->
-        m.Meter.call s_vnet_push_fwd_0;
-        Ns.Netdev.send t.netdev ~dst:mac ~ethertype:t.ethertype msg
-      | None -> (
-        match t.resolver with
-        | None -> failwith "Vnet.push: no route"
-        | Some resolve ->
-          m.Meter.call s_vnet_push_fwd_0;
-          resolve dst_ip (fun mac ->
-              Hashtbl.replace t.routes dst_ip mac;
-              Ns.Netdev.send t.netdev ~dst:mac ~ethertype:t.ethertype msg)))
+  m.Meter.enter s_vnet_push;
+  m.Meter.block s_vnet_push_fwd;
+  begin match Hashtbl.find_opt t.routes dst_ip with
+  | Some mac ->
+    m.Meter.call s_vnet_push_fwd_0;
+    Ns.Netdev.send t.netdev ~dst:mac ~ethertype:t.ethertype msg
+  | None -> (
+    match t.resolver with
+    | None -> failwith "Vnet.push: no route"
+    | Some resolve ->
+      m.Meter.call s_vnet_push_fwd_0;
+      resolve dst_ip (fun mac ->
+          Hashtbl.replace t.routes dst_ip mac;
+          Ns.Netdev.send t.netdev ~dst:mac ~ethertype:t.ethertype msg))
+  end;
+  m.Meter.leave s_vnet_push

@@ -24,29 +24,35 @@ let lookup (m : Meter.t) ~inline ~caller map key =
          will probe (the cache was just refilled by resolve_detail, so we
          must not consult it again — probe explicitly) *)
       m.Meter.call caller.stub;
-      Meter.fn m s_map_resolve (fun () ->
-          m.Meter.block s_map_resolve_entry;
-          m.Meter.block s_map_resolve_cache;
-          m.Meter.block s_map_resolve_probe;
-          m.Meter.cold ~triggered:false s_map_resolve_collision;
-          Map.resolve map key)
+      m.Meter.enter s_map_resolve;
+      m.Meter.block s_map_resolve_entry;
+      m.Meter.block s_map_resolve_cache;
+      m.Meter.block s_map_resolve_probe;
+      m.Meter.cold ~triggered:false s_map_resolve_collision;
+      let r = Map.resolve map key in
+      m.Meter.leave s_map_resolve;
+      r
   end
   else begin
     m.Meter.call caller.stub;
-    Meter.fn m s_map_resolve (fun () ->
-        m.Meter.block s_map_resolve_entry;
-        let result = Map.resolve_detail map key in
-        m.Meter.block s_map_resolve_cache;
-        match result with
-        | Some (v, `Cache_hit) ->
-          m.Meter.cold ~triggered:false s_map_resolve_collision;
-          Some v
-        | Some (v, `Probed) ->
-          m.Meter.block s_map_resolve_probe;
-          m.Meter.cold ~triggered:false s_map_resolve_collision;
-          Some v
-        | None ->
-          m.Meter.block s_map_resolve_probe;
-          m.Meter.cold ~triggered:false s_map_resolve_collision;
-          None)
+    m.Meter.enter s_map_resolve;
+    m.Meter.block s_map_resolve_entry;
+    let result = Map.resolve_detail map key in
+    m.Meter.block s_map_resolve_cache;
+    let r =
+      match result with
+      | Some (v, `Cache_hit) ->
+        m.Meter.cold ~triggered:false s_map_resolve_collision;
+        Some v
+      | Some (v, `Probed) ->
+        m.Meter.block s_map_resolve_probe;
+        m.Meter.cold ~triggered:false s_map_resolve_collision;
+        Some v
+      | None ->
+        m.Meter.block s_map_resolve_probe;
+        m.Meter.cold ~triggered:false s_map_resolve_collision;
+        None
+    in
+    m.Meter.leave s_map_resolve;
+    r
   end

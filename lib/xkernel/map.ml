@@ -115,7 +115,9 @@ let resolve_detail t key =
 let resolve t key = Option.map fst (resolve_detail t key)
 
 let traverse t f =
-  (* Walk the non-empty list; unlink buckets found empty (lazy cleanup). *)
+  (* Walk the non-empty list; unlink buckets found empty (lazy cleanup).
+     One visitor per call, not one per bucket. *)
+  let visit (k, v) = f k v in
   let prev = ref (-1) in
   let cur = ref t.head in
   while !cur >= 0 do
@@ -130,17 +132,18 @@ let traverse t f =
       else t.buckets.(!prev).next_nonempty <- next
     end
     else begin
-      List.iter (fun (k, v) -> f k v) b.chain;
+      List.iter visit b.chain;
       prev := !cur
     end;
     cur := next
   done
 
 let traverse_all_buckets t f =
+  let visit (k, v) = f k v in
   Array.iter
     (fun b ->
       t.c_buckets_scanned <- t.c_buckets_scanned + 1;
-      List.iter (fun (k, v) -> f k v) b.chain)
+      List.iter visit b.chain)
     t.buckets
 
 let nonempty_list_length t =

@@ -1,9 +1,3 @@
-type range = {
-  base : int;
-  off : int;
-  len : int;
-}
-
 module Site = struct
   type t = int
 
@@ -147,30 +141,21 @@ end
 type t = {
   enter : Site.t -> unit;
   leave : Site.t -> unit;
-  block : ?reads:range list -> ?writes:range list -> Site.t -> unit;
-  cold :
-    ?reads:range list -> ?writes:range list -> triggered:bool -> Site.t -> unit;
+  read : int -> int -> unit;
+  write : int -> int -> unit;
+  block : Site.t -> unit;
+  cold : triggered:bool -> Site.t -> unit;
   call : Site.t -> unit;
 }
 
 let null =
   { enter = (fun _ -> ());
     leave = (fun _ -> ());
-    block = (fun ?reads:_ ?writes:_ _ -> ());
-    cold = (fun ?reads:_ ?writes:_ ~triggered:_ _ -> ());
+    read = (fun _ _ -> ());
+    write = (fun _ _ -> ());
+    block = (fun _ -> ());
+    cold = (fun ~triggered:_ _ -> ());
     call = (fun _ -> ()) }
-
-let fn m s k =
-  m.enter s;
-  match k () with
-  | r ->
-    m.leave s;
-    r
-  | exception e ->
-    m.leave s;
-    raise e
-
-let range ~base ?(off = 0) ~len () = { base; off; len }
 
 let both a b =
   { enter =
@@ -181,14 +166,22 @@ let both a b =
       (fun s ->
         a.leave s;
         b.leave s);
+    read =
+      (fun base len ->
+        a.read base len;
+        b.read base len);
+    write =
+      (fun base len ->
+        a.write base len;
+        b.write base len);
     block =
-      (fun ?reads ?writes s ->
-        a.block ?reads ?writes s;
-        b.block ?reads ?writes s);
+      (fun s ->
+        a.block s;
+        b.block s);
     cold =
-      (fun ?reads ?writes ~triggered s ->
-        a.cold ?reads ?writes ~triggered s;
-        b.cold ?reads ?writes ~triggered s);
+      (fun ~triggered s ->
+        a.cold ~triggered s;
+        b.cold ~triggered s);
     call =
       (fun s ->
         a.call s;

@@ -5,13 +5,31 @@
     blocks that work corresponds to.  The execution engine's meter turns
     these reports into an instruction/data trace positioned according to the
     current code image; the {!null} meter discards them, so the stacks can
-    run standalone. *)
+    run standalone.
 
-type range = {
-  base : int;  (** simulated address of the object *)
-  off : int;
-  len : int;  (** bytes touched *)
-}
+    A report passes only ints and builds no closure, so protocol code
+    allocates nothing to report, whatever the meter.  The data a block
+    touches is staged before the block is reported: [read base len] and
+    [write base len] each stage one range of [len] bytes at simulated
+    address [base].  Every report ends the stage.  [block], and [cold]
+    when [triggered], pass the staged ranges on to the code they report;
+    every other report ([enter], [leave], [call], an untriggered [cold])
+    discards them.  So
+    {[
+      m.Meter.read (Msg.sim_addr msg) Ip_hdr.size;
+      m.Meter.block s_ip_demux_validate
+    ]}
+    reports IP's validate block reading the header.  A metered function
+    brackets its body:
+    {[
+      m.Meter.enter s_ip_demux;
+      body;
+      m.Meter.leave s_ip_demux
+    ]}
+    (a body that ends in a [match] goes in [begin ... end], so that the
+    [leave] follows every arm).  A body that raises skips its [leave]:
+    nothing resumes a simulation after an exception leaves a metered
+    function. *)
 
 (** Meter sites: every place protocol code reports to a meter, interned
     process-wide to a dense int.
@@ -63,23 +81,22 @@ end
 type t = {
   enter : Site.t -> unit;  (** function entry ({!Site.fn}): emits the prologue *)
   leave : Site.t -> unit;  (** function exit: emits the epilogue + ret *)
-  block : ?reads:range list -> ?writes:range list -> Site.t -> unit;
-      (** [block s] executes the hot block of {!Site.block} site [s] *)
-  cold :
-    ?reads:range list -> ?writes:range list -> triggered:bool -> Site.t -> unit;
+  read : int -> int -> unit;
+      (** [read base len] stages a [len]-byte read at [base] for the next
+          report *)
+  write : int -> int -> unit;  (** [write base len]: likewise, a write *)
+  block : Site.t -> unit;
+      (** [block s] executes the hot block of {!Site.block} site [s], which
+          touches the staged ranges *)
+  cold : triggered:bool -> Site.t -> unit;
       (** [cold ~triggered s] reaches the guard of {!Site.cold} site [s];
-          when [triggered] the cold code itself also executes *)
+          when [triggered] the cold code itself also executes and touches
+          the staged ranges (the guard touches none) *)
   call : Site.t -> unit;  (** [call s]: the {!Site.call} stub [s] *)
 }
 
 val null : t
 
-val fn : t -> Site.t -> (unit -> 'a) -> 'a
-(** [fn m s k]: bracket [k] with [enter]/[leave] of the {!Site.fn} site [s]
-    (the epilogue is emitted even if [k] raises). *)
-
-val range : base:int -> ?off:int -> len:int -> unit -> range
-
-(** Compose: send every report to both meters (used to cross-check traces
-    in tests). *)
+(** Compose: send every report, and every staged range, to both meters
+    (used to cross-check traces in tests). *)
 val both : t -> t -> t

@@ -721,6 +721,62 @@ let test_rpc_drops_short_headers () =
   Alcotest.(check string) "a later call completes" "ping" !got;
   check_drops "no further drops" [ 1; 1; 1 ]
 
+(* A frame shorter than an Ethernet header (5 bytes, then none) is a
+   counted drop in the receiving driver of either stack, not an exception
+   out of the simulation, and a later exchange on the same pair still
+   completes. *)
+let test_eth_drops_short_frames () =
+  let module R = Protolat_rpc in
+  let short lance ~src ~dst =
+    List.iter
+      (fun n ->
+        Ns.Lance.transmit lance
+          { Ns.Ether.dst; src; ethertype = T.Stack.ethertype_ip;
+            payload = Bytes.make n 'x' })
+      [ 5; 0 ]
+  in
+  let p = pair () in
+  let client = p.T.Stack.client and server = p.T.Stack.server in
+  short client.T.Stack.lance ~src:client.T.Stack.mac ~dst:server.T.Stack.mac;
+  run_sim p;
+  Alcotest.(check int) "tcpip: both frames dropped" 2
+    (Ns.Netdev.short_drops server.T.Stack.netdev);
+  T.Tcp.listen server.T.Stack.tcp ~port:7 ~receive:(fun s data ->
+      T.Tcp.send s data);
+  let got = ref "" in
+  let session =
+    T.Tcp.connect client.T.Stack.tcp ~local_port:1024
+      ~remote_ip:server.T.Stack.ip_addr ~remote_port:7
+      ~receive:(fun _ data -> got := Bytes.to_string data)
+  in
+  run_sim ~us:100_000.0 p;
+  T.Tcp.send session (Bytes.of_string "ping");
+  run_sim p;
+  Alcotest.(check string) "tcpip: a later exchange completes" "ping" !got;
+  Alcotest.(check int) "tcpip: no further drops" 2
+    (Ns.Netdev.short_drops server.T.Stack.netdev);
+  let rp =
+    R.Rstack.pair_of_net (R.Rstack.make_net ~topology:(Ns.Topology.pair ()) ())
+  in
+  let client = rp.R.Rstack.client and server = rp.R.Rstack.server in
+  let run () =
+    ignore (Ns.Sim.run ~until:(Ns.Sim.now rp.R.Rstack.sim +. 5.0e6) rp.R.Rstack.sim)
+  in
+  short client.R.Rstack.lance ~src:client.R.Rstack.mac ~dst:server.R.Rstack.mac;
+  run ();
+  Alcotest.(check int) "rpc: both frames dropped" 2
+    (Ns.Netdev.short_drops server.R.Rstack.netdev);
+  R.Mselect.register server.R.Rstack.mselect ~client:7 (fun body ~reply ->
+      reply body);
+  let got = ref "" in
+  R.Mselect.call client.R.Rstack.mselect ~client:7
+    (Xk.Msg.of_string client.R.Rstack.env.Ns.Host_env.simmem "ping")
+    ~reply:(fun d -> got := Bytes.to_string d);
+  run ();
+  Alcotest.(check string) "rpc: a later call completes" "ping" !got;
+  Alcotest.(check int) "rpc: no further drops" 2
+    (Ns.Netdev.short_drops server.R.Rstack.netdev)
+
 let suite =
   ( "extensions",
     [ Alcotest.test_case "udp roundtrip" `Quick test_udp_roundtrip;
@@ -770,6 +826,8 @@ let suite =
       Alcotest.test_case "two connections" `Quick
         test_simultaneous_pings_two_connections;
       Alcotest.test_case "rpc demux counts short headers as drops" `Quick
-        test_rpc_drops_short_headers ] )
+        test_rpc_drops_short_headers;
+      Alcotest.test_case "ethernet drops frames shorter than a header" `Quick
+        test_eth_drops_short_frames ] )
 
 

@@ -221,6 +221,31 @@ let test_rpc_large_payload_via_blast () =
   Alcotest.(check bool) "blast fragmented the reply" true
     (R.Blast.messages_fragmented pair.R.Rstack.server.R.Rstack.blast > 0)
 
+(* Minor-heap words per steady roundtrip of an unmetered pair, 1,000
+   roundtrips after 50 warm-up ones: 1,171.7 with a range list per metered
+   block and a closure per metered function. *)
+let test_bare_roundtrip_allocation () =
+  let pair =
+    R.Rstack.pair_of_net (R.Rstack.make_net ~topology:(Ns.Topology.pair ()) ())
+  in
+  let c, _ = R.Rstack.make_tests pair ~rounds:1050 in
+  let warm = 50 and n = 1000 in
+  let run_to k =
+    while R.Xrpctest.rounds_completed c < k && Ns.Sim.step pair.R.Rstack.sim do
+      ()
+    done
+  in
+  R.Xrpctest.start c;
+  run_to warm;
+  let w0 = Gc.minor_words () in
+  run_to (warm + n);
+  let w = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "every roundtrip completed" (warm + n)
+    (R.Xrpctest.rounds_completed c);
+  Alcotest.(check bool)
+    (Printf.sprintf "an unmetered roundtrip allocates %.1f words, under 850" w)
+    true (w < 850.0)
+
 let suite =
   ( "rpc",
     [ QCheck_alcotest.to_alcotest prop_blast_hdr_roundtrip;
@@ -244,5 +269,7 @@ let suite =
       Alcotest.test_case "rpc payload roundtrip" `Quick
         test_rpc_payload_roundtrip;
       Alcotest.test_case "rpc large payload via blast" `Quick
-        test_rpc_large_payload_via_blast ] )
+        test_rpc_large_payload_via_blast;
+      Alcotest.test_case "unmetered roundtrip allocates under 850 words"
+        `Quick test_bare_roundtrip_allocation ] )
 

@@ -285,6 +285,123 @@ let test_bidirectional_seq_progress () =
     let extra = cb.T.Tcb.segments_out - cb.T.Tcb.segments_in in
     Alcotest.(check bool) "segment balance" true (extra >= 1 && extra <= 3)
 
+(* ----- meter staging ------------------------------------------------------ *)
+
+module Site = Xk.Meter.Site
+
+(* One report as a recording meter sees it: what it is, its site, whether
+   a cold block was triggered, and the ranges staged since the report
+   before it. *)
+type report = {
+  what : string;
+  site : Site.t;
+  triggered : bool;
+  reads : (int * int) list;
+  writes : (int * int) list;
+}
+
+(* A meter whose [read]/[write] collect ranges and whose every report logs
+   itself with the collected ranges, then clears them. *)
+let recorder () =
+  let log = ref [] and reads = ref [] and writes = ref [] in
+  let report what triggered site =
+    log :=
+      { what; site; triggered; reads = List.rev !reads;
+        writes = List.rev !writes }
+      :: !log;
+    reads := [];
+    writes := []
+  in
+  ( { Xk.Meter.enter = report "enter" false;
+      leave = report "leave" false;
+      read = (fun base len -> reads := (base, len) :: !reads);
+      write = (fun base len -> writes := (base, len) :: !writes);
+      block = report "block" false;
+      cold = (fun ~triggered s -> report "cold" triggered s);
+      call = report "call" false },
+    fun () -> List.rev !log )
+
+let cksum_base = 0x4000
+
+(* What [Cksum_meter.sum] of a 200-byte buffer at [cksum_base] reports:
+   three unrolled 64-byte iterations, each a triggered cold block reading
+   its 64 bytes, then the two quads they leave, then the tail. *)
+let expected_cksum_reports =
+  let r ?(triggered = false) ?(reads = []) what site =
+    { what; site; triggered; reads; writes = [] }
+  in
+  let fn = Site.fn "in_cksum" and blk = Site.block "in_cksum" in
+  let unrolled off =
+    r "cold" ~triggered:true ~reads:[ (cksum_base + off, 64) ]
+      (Site.cold "in_cksum" "unrolled64")
+  in
+  let qloop off = r "block" ~reads:[ (cksum_base + off, 4) ] (blk "qloop") in
+  [ r "enter" fn; r "block" (blk "head"); unrolled 0; unrolled 64;
+    unrolled 128; qloop 192; qloop 196; r "block" (blk "tail"); r "leave" fn ]
+
+let cksum_with m =
+  let counters = T.Cksum_meter.counters (Protolat_obs.Metrics.create ()) in
+  ignore
+    (T.Cksum_meter.sum m ~counters ~sim_base:cksum_base (Bytes.make 200 'c') 0
+       200)
+
+let check_reports what want got =
+  let show r =
+    Printf.sprintf "%s %s/%d%s r[%s] w[%s]" r.what (Site.func r.site)
+      (r.site :> int)
+      (if r.triggered then " triggered" else "")
+      (String.concat ";"
+         (List.map (fun (b, l) -> Printf.sprintf "%#x+%d" b l) r.reads))
+      (String.concat ";"
+         (List.map (fun (b, l) -> Printf.sprintf "%#x+%d" b l) r.writes))
+  in
+  Alcotest.(check (list string)) what (List.map show want) (List.map show got)
+
+(* The staging rule: a range is staged by [read]/[write] for the next
+   report, and the checksum's reads reach the blocks that touch them. *)
+let test_meter_staging () =
+  let m, log = recorder () in
+  cksum_with m;
+  check_reports "checksum reports" expected_cksum_reports (log ())
+
+let test_meter_both_staging () =
+  let a, log_a = recorder () and b, log_b = recorder () in
+  cksum_with (Xk.Meter.both a b);
+  check_reports "first meter" expected_cksum_reports (log_a ());
+  check_reports "second meter" expected_cksum_reports (log_b ())
+
+(* ----- unmetered allocation ----------------------------------------------- *)
+
+(* Minor-heap words per steady roundtrip of an unmetered pair: 1,000
+   roundtrips after 50 warm-up ones.  [Gc.minor_words] counts the words
+   allocated so far, young ones included. *)
+let bare_roundtrip_words sim ~start ~completed =
+  let warm = 50 and n = 1000 in
+  let run_to k = while completed () < k && Ns.Sim.step sim do () done in
+  start ();
+  run_to warm;
+  let w0 = Gc.minor_words () in
+  run_to (warm + n);
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every roundtrip completed" (warm + n) (completed ());
+  w /. float_of_int n
+
+(* 1,333.7 words with a range list per metered block and a closure per
+   metered function *)
+let test_bare_roundtrip_allocation () =
+  let p =
+    T.Stack.pair_of_net (T.Stack.make_net ~topology:(Ns.Topology.pair ()) ())
+  in
+  let c, _ = T.Stack.establish p ~rounds:1050 in
+  let w =
+    bare_roundtrip_words p.T.Stack.sim
+      ~start:(fun () -> T.Tcptest.start c)
+      ~completed:(fun () -> T.Tcptest.rounds_completed c)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "an unmetered roundtrip allocates %.1f words, under 800" w)
+    true (w < 800.0)
+
 let suite =
   ( "tcpip",
     [ Alcotest.test_case "checksum rfc" `Quick test_checksum_rfc_example;
@@ -310,4 +427,10 @@ let suite =
       Alcotest.test_case "window update variants" `Quick
         test_window_update_variants_agree;
       Alcotest.test_case "bidirectional seq" `Quick
-        test_bidirectional_seq_progress ] )
+        test_bidirectional_seq_progress;
+      Alcotest.test_case "meter stages ranges for the next report" `Quick
+        test_meter_staging;
+      Alcotest.test_case "meter both stages ranges in each meter" `Quick
+        test_meter_both_staging;
+      Alcotest.test_case "unmetered roundtrip allocates under 800 words"
+        `Quick test_bare_roundtrip_allocation ] )
