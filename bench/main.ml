@@ -100,12 +100,33 @@ let bechamel_tests () =
              ()
            done))
   in
+  (* the event core alone: a fresh two-host simulator, 1,000 timers on a
+     fixed cycle of delays (equal deadlines collide), every fourth
+     cancelled, then the run that passes their positions *)
+  let timer_delays = [| 0.0; 1.0; 2.0; 5.0; 10.0; 20.0; 50.0; 100.0 |] in
+  let timers =
+    Test.make ~name:"timers_two_hosts_1k"
+      (Staged.stage (fun () ->
+           let sim = Ns.Sim.create () in
+           let hosts =
+             Array.init 2 (fun host -> Ns.Host_env.create sim ~host ())
+           in
+           for i = 0 to 999 do
+             let env = hosts.(i land 1) in
+             let h =
+               Ns.Host_env.timeout env ~delay:timer_delays.(i land 7) ignore
+             in
+             if i land 3 = 0 then
+               ignore (Xk.Event.cancel env.Ns.Host_env.events h)
+           done;
+           ignore (Ns.Sim.run sim)))
+  in
   Test.make_grouped ~name:"protolat"
     [ traversal_list; traversal_full; resolve_hit; cksum; cache; memsys_create;
       image_build;
       roundtrips "simulate_roundtrips_std" P.Config.Std;
       roundtrips "simulate_roundtrips_all" P.Config.All;
-      bare_roundtrips ]
+      bare_roundtrips; timers ]
 
 (* Wall clock and allocation per run.  Words allocated are minor + major -
    promoted, each an OLS estimate per run (the count perfbench takes per

@@ -14,12 +14,7 @@ type t = {
   mutable timer_scale : float;
       (* clock-skew model: every timer delay registered through [timeout]
          is stretched by this factor (1.0 = nominal) *)
-  wake : unit -> unit;
-      (* fires the timers due now: built once, scheduled by every
-         [timeout] *)
 }
-
-let advance_events t = ignore (Xk.Event.advance t.events (Sim.now t.sim))
 
 let create sim ?(host = 0) ?(meter = Xk.Meter.null) ?metrics
     ?(simmem_base = 0x1000_0000) () =
@@ -29,26 +24,21 @@ let create sim ?(host = 0) ?(meter = Xk.Meter.null) ?metrics
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
-  let events = Xk.Event.create () in
-  let rec t =
-    { sim;
-      simmem;
-      meter;
-      events;
-      stack_pool;
-      sched;
-      (* default: run the work, then drain any continuations it unblocked
-         (the engine's hook also charges CPU time and interrupt overhead) *)
-      run_phase =
-        (fun _ work ->
-          work ();
-          ignore (Xk.Thread.run sched));
-      metrics;
-      host;
-      timer_scale = 1.0;
-      wake = (fun () -> advance_events t) }
-  in
-  t
+  { sim;
+    simmem;
+    meter;
+    events = Sim.timers sim;
+    stack_pool;
+    sched;
+    (* default: run the work, then drain any continuations it unblocked
+       (the engine's hook also charges CPU time and interrupt overhead) *)
+    run_phase =
+      (fun _ work ->
+        work ();
+        ignore (Xk.Thread.run sched));
+    metrics;
+    host;
+    timer_scale = 1.0 }
 
 let mark t f = f (Sim.spans t.sim) ~host:t.host
 
@@ -72,7 +62,9 @@ let set_timer_scale t s =
 let timer_scale t = t.timer_scale
 
 let timeout t ~delay fn =
-  let at = Sim.now t.sim +. (delay *. t.timer_scale) in
+  let now = (Sim.clock_cell t.sim).(0) in
+  let at = now +. (delay *. t.timer_scale) in
+  if at < now then invalid_arg "Host_env.timeout: time in the past";
   let fn =
     if Obs.Tracer.enabled (Sim.tracer t.sim) then begin
       (* round the delay to whole µs for the event arg: it is a label, and
@@ -84,6 +76,4 @@ let timeout t ~delay fn =
     end
     else fn
   in
-  let h = Xk.Event.register t.events ~at fn in
-  Sim.schedule_at t.sim ~at t.wake;
-  h
+  Xk.Event.register t.events ~at fn

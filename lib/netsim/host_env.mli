@@ -28,9 +28,6 @@ type t = {
           {!Obs.Span.host_server}) *)
   mutable timer_scale : float;
       (** clock-skew model: factor applied to every [timeout] delay *)
-  wake : unit -> unit;
-      (** {!advance_events} on this host: the one wake-up closure every
-          {!timeout} schedules, built once at {!create} *)
 }
 
 val create :
@@ -56,9 +53,6 @@ val retry :
 val phase : t -> string -> (unit -> unit) -> unit
 (** [phase t name work]: run [work] under the engine's phase hook. *)
 
-val advance_events : t -> unit
-(** Fire timer events due at the current simulated time. *)
-
 val set_timer_scale : t -> float -> unit
 (** Set the clock-skew factor applied to subsequent {!timeout} delays
     (1.0 = nominal; 1.25 = this host's timers run 25% slow).  Already
@@ -68,6 +62,9 @@ val set_timer_scale : t -> float -> unit
 val timer_scale : t -> float
 
 val timeout : t -> delay:float -> (unit -> unit) -> Xk.Event.handle
-(** Register a timer event and arrange for the simulation to fire it:
-    protocols use this so their timeouts run without a polling loop.
-    When traced, emits [timer_arm] now and [timer_fire] when it runs. *)
+(** Register a timer event on this host's manager, which the simulator
+    passes as one of its event sources ({!Sim.timers}): protocols use this
+    so their timeouts run without a polling loop.  When traced, emits
+    [timer_arm] now and [timer_fire] when it runs.
+    @raise Invalid_argument if the scaled delay puts the deadline in the
+    past. *)

@@ -1,21 +1,42 @@
 module Heap = Protolat_util.Heap
 module Obs = Protolat_obs
+module Xk = Protolat_xkernel
 
 (* [now] lives in a 1-element float array: a plain mutable float field in
    this mixed record would be boxed, and the engine advances the clock once
-   per modeled instruction — that write must not allocate. *)
+   per modeled instruction — that write must not allocate.  [at] is the
+   same kind of cell: {!earliest} leaves the chosen position's time there.
+
+   Pending positions live in [queue] and in the timer managers in [hosts];
+   all draw their sequence numbers from [counter], so (time, sequence)
+   orders every one of them, and the loop pops whichever comes first. *)
 type t = {
   now : float array;
+  at : float array;
+  counter : Heap.counter;
   queue : (unit -> unit) Heap.t;
+  queue_top : float array;  (* [Heap.top_cell queue] *)
+  mutable hosts : Xk.Event.t array;
   mutable tracer : Obs.Tracer.t;
   mutable spans : Obs.Span.t;
 }
 
 let create () =
+  let counter = Heap.counter () in
+  let queue = Heap.create ~counter () in
   { now = [| 0.0 |];
-    queue = Heap.create ();
+    at = [| 0.0 |];
+    counter;
+    queue;
+    queue_top = Heap.top_cell queue;
+    hosts = [||];
     tracer = Obs.Tracer.null;
     spans = Obs.Span.null }
+
+let timers t =
+  let e = Xk.Event.create ~counter:t.counter () in
+  t.hosts <- Array.append t.hosts [| e |];
+  e
 
 let record t ~events ~spans =
   if events then t.tracer <- Obs.Tracer.create ~clock:t.now ();
@@ -44,16 +65,48 @@ let schedule t ~delay fn =
   if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
   schedule_at t ~at:(t.now.(0) +. delay) fn
 
-(* Pop the earliest event, due at [at], and run it. *)
-let fire t at =
-  let fn = Heap.pop_top t.queue in
+(* sources of a position, besides [i] for [hosts.(i)] *)
+let from_queue = -1
+let nowhere = -2
+
+(* The source of the earliest pending position, [nowhere] when nothing is
+   pending; the position's time is left in [t.at].  A linear scan: a
+   simulator holds one to three hosts. *)
+let earliest t =
+  let src = ref nowhere and at = ref infinity and seq = ref max_int in
+  if not (Heap.is_empty t.queue) then begin
+    src := from_queue;
+    at := t.queue_top.(0);
+    seq := Heap.top_seq t.queue
+  end;
+  let hosts = t.hosts in
+  for i = 0 to Array.length hosts - 1 do
+    let e = Array.unsafe_get hosts i in
+    let s = Xk.Event.head_seq e in
+    if s <> max_int then begin
+      let a = (Xk.Event.head_cell e).(0) in
+      if a < !at || (a = !at && s < !seq) then begin
+        src := i;
+        at := a;
+        seq := s
+      end
+    end
+  done;
+  t.at.(0) <- !at;
+  !src
+
+(* Pass the earliest position, found by [earliest] in [src]. *)
+let dispatch t src =
+  let at = t.at.(0) in
   if at > t.now.(0) then t.now.(0) <- at;
-  fn ()
+  if src = from_queue then (Heap.pop_top t.queue) ()
+  else ignore (Xk.Event.consume t.hosts.(src) t.now)
 
 let step t =
-  if Heap.is_empty t.queue then false
+  let src = earliest t in
+  if src = nowhere then false
   else begin
-    fire t (Heap.top_prio t.queue);
+    dispatch t src;
     true
   end
 
@@ -62,15 +115,12 @@ let run ?until t =
   let count = ref 0 in
   let continue = ref true in
   while !continue do
-    if Heap.is_empty t.queue then continue := false
+    let src = earliest t in
+    (* [not (at > bound)], not [at <= bound]: a NaN time still runs *)
+    if src = nowhere || t.at.(0) > bound then continue := false
     else begin
-      let at = Heap.top_prio t.queue in
-      (* [not (at > bound)], not [at <= bound]: a NaN time still runs *)
-      if at > bound then continue := false
-      else begin
-        fire t at;
-        incr count
-      end
+      dispatch t src;
+      incr count
     end
   done;
   (match until with
@@ -84,6 +134,9 @@ let advance_clock t delta =
 
 let clock_cell t = t.now
 
-let pending t = Heap.size t.queue
+let pending t =
+  Array.fold_left
+    (fun n e -> n + Xk.Event.positions e)
+    (Heap.size t.queue) t.hosts
 
-let next_at t = Heap.min_priority t.queue
+let next_at t = if earliest t = nowhere then None else Some t.at.(0)

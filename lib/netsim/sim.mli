@@ -6,12 +6,25 @@
     holds, under its host code: {!Protolat_obs.Span.host_client} (0),
     {!Protolat_obs.Span.host_server} (1) or {!Protolat_obs.Span.host_wire}
     (2) for links and switches.  The same code is the emitter's tracer
-    thread id and the host of its span marks. *)
+    thread id and the host of its span marks.
+
+    Pending positions, (time, sequence number), live in the simulator's
+    own queue of events and in the timer managers of its hosts
+    ({!timers}).  One sequence counter numbers all of them, so they are
+    totally ordered, and {!run}, {!step}, {!pending} and {!next_at} treat
+    them as one queue: a timer's position is the place a separately
+    scheduled wake-up for it would have had. *)
 
 type t
 
 val create : unit -> t
 (** A simulator at time 0 that records nothing. *)
+
+val timers : t -> Protolat_xkernel.Event.t
+(** A fresh timer manager numbering its positions from this simulator's
+    counter, whose positions the simulator passes as events (see
+    {!Protolat_xkernel.Event.consume}).  One per host.  Each event scans
+    every manager, which suits the one to three hosts a simulator holds. *)
 
 val record : t -> events:bool -> spans:bool -> unit
 (** Switch recording on, once per simulation: [events] gives the run a
@@ -43,17 +56,19 @@ val schedule_at : t -> at:float -> (unit -> unit) -> unit
 (** @raise Invalid_argument if [at] is in the past. *)
 
 val step : t -> bool
-(** Process the next event; [false] when the queue is empty. *)
+(** Process the next event (a queued event or a timer position); [false]
+    when nothing is pending. *)
 
 val run : ?until:float -> t -> int
-(** Process events in time order until the queue is empty (or the next
-    event is after [until]); returns the number processed.  Events at
-    equal times run in scheduling order.
+(** Process events in time order until nothing is pending (or the next
+    event is after [until]); returns the number processed, a timer
+    position counting as one event.  Events at equal times run in
+    scheduling order.
 
-    The loop peeks the queue with {!Protolat_util.Heap.top_prio} and takes
-    the event with {!Protolat_util.Heap.pop_top}, so dispatching an event
-    allocates only the boxed time of the peek: no option, no tuple, no
-    heap entry. *)
+    The loop compares the queue's top and each manager's earliest position
+    in place ({!Protolat_util.Heap.top_cell},
+    {!Protolat_xkernel.Event.head_cell}), so choosing an event allocates
+    nothing: no boxed time, no option, no tuple. *)
 
 val advance_clock : t -> float -> unit
 (** Model computation time: move the clock forward by the given amount
@@ -66,6 +81,7 @@ val clock_cell : t -> float array
     accumulation, never replace the array. *)
 
 val pending : t -> int
+(** Queued events plus every manager's pending positions. *)
 
 val next_at : t -> float option
 (** Time of the earliest pending event, if any.  The sharded fabric uses

@@ -29,7 +29,7 @@ type partial = {
   mutable have : int;
   from : int;
   msg_id : int;
-  mutable nack_timer : Xk.Event.handle option;
+  mutable nack_timer : Xk.Event.handle;
   mutable nack_tries : int;
 }
 
@@ -183,33 +183,29 @@ let missing_of partial =
     partial.frags;
   List.rev !missing
 
-let cancel_nack_timer partial =
-  match partial.nack_timer with
-  | Some h ->
-    ignore (Xk.Event.cancel h);
-    partial.nack_timer <- None
-  | None -> ()
+let cancel_nack_timer t partial =
+  ignore (Xk.Event.cancel t.env.Ns.Host_env.events partial.nack_timer);
+  partial.nack_timer <- Xk.Event.none
 
 let rec arm_nack_timer t ~key partial =
   partial.nack_timer <-
-    Some
-      (Ns.Host_env.timeout t.env ~delay:nack_timeout_us (fun () ->
-           match Xk.Map.resolve t.partials key with
-           | Some p when p == partial ->
-             if partial.nack_tries >= max_nack_tries then begin
-               (* give up: drop the partial so its slot is reclaimed *)
-               ignore (Xk.Map.unbind t.partials key);
-               partial.nack_timer <- None;
-               Obs.Metrics.inc t.c_abandoned
-             end
-             else begin
-               partial.nack_tries <- partial.nack_tries + 1;
-               Ns.Host_env.phase t.env "blast_nack" (fun () ->
-                   send_nack t ~dst:partial.from ~msg_id:partial.msg_id
-                     (missing_of partial));
-               arm_nack_timer t ~key partial
-             end
-           | _ -> partial.nack_timer <- None))
+    Ns.Host_env.timeout t.env ~delay:nack_timeout_us (fun () ->
+        match Xk.Map.resolve t.partials key with
+        | Some p when p == partial ->
+          if partial.nack_tries >= max_nack_tries then begin
+            (* give up: drop the partial so its slot is reclaimed *)
+            ignore (Xk.Map.unbind t.partials key);
+            partial.nack_timer <- Xk.Event.none;
+            Obs.Metrics.inc t.c_abandoned
+          end
+          else begin
+            partial.nack_tries <- partial.nack_tries + 1;
+            Ns.Host_env.phase t.env "blast_nack" (fun () ->
+                send_nack t ~dst:partial.from ~msg_id:partial.msg_id
+                  (missing_of partial));
+            arm_nack_timer t ~key partial
+          end
+        | _ -> partial.nack_timer <- Xk.Event.none)
 
 let demux_frame t ~src msg =
   let m = meter t in
@@ -267,7 +263,7 @@ let demux_frame t ~src msg =
                 have = 0;
                 from = src;
                 msg_id = hdr.Hdrs.Blast.msg_id;
-                nack_timer = None;
+                nack_timer = Xk.Event.none;
                 nack_tries = 0 }
             in
             Xk.Map.bind t.partials key p;
@@ -284,7 +280,7 @@ let demux_frame t ~src msg =
         if partial.have = Array.length partial.frags then begin
           m.Meter.cold ~triggered:false s_blast_demux_sendnack;
           ignore (Xk.Map.unbind t.partials key);
-          cancel_nack_timer partial;
+          cancel_nack_timer t partial;
           Hashtbl.replace t.completed key ();
           let whole =
             Bytes.concat Bytes.empty
@@ -300,7 +296,7 @@ let demux_frame t ~src msg =
              sender is still transmitting, so only a stall (or a hole
              at the end of the burst) should trigger recovery *)
           partial.nack_tries <- 0;
-          cancel_nack_timer partial;
+          cancel_nack_timer t partial;
           arm_nack_timer t ~key partial;
           (* if this was the last fragment index and we still have gaps,
              request the missing ones *)

@@ -56,7 +56,7 @@ type chan_state = {
   mutable seq : int;  (** client: sequence of the outstanding call *)
   mutable expected : int;  (** server: highest sequence processed *)
   mutable waiting : (bytes -> unit) option;
-  mutable timeout : Xk.Event.handle option;
+  mutable timeout : Xk.Event.handle;
   mutable last_request : bytes option;
   mutable last_reply : (int * bytes) option;
       (** (sequence it answered, payload): a replay must only answer a
@@ -88,7 +88,7 @@ let get_chan t id =
   | Some c -> c
   | None ->
     let c =
-      { id; seq = 0; expected = 0; waiting = None; timeout = None;
+      { id; seq = 0; expected = 0; waiting = None; timeout = Xk.Event.none;
         last_request = None; last_reply = None; rexmt_tries = 0 }
     in
     Xk.Map.bind t.channels (ckey id) c;
@@ -113,29 +113,28 @@ let max_rexmt_tries = 10
 
 let rec arm_timeout t (c : chan_state) =
   c.timeout <-
-    Some
-      (Ns.Host_env.timeout t.env ~delay:rexmt_timeout_us (fun () ->
-           match (c.waiting, c.last_request) with
-           | Some _, Some payload ->
-             if c.rexmt_tries >= max_rexmt_tries then begin
-               (* give up: fail the call and release the channel *)
-               Obs.Metrics.inc t.c_call_failures;
-               Ns.Host_env.trace_instant t.env ~cat:"chan"
-                 ~name:"call_failure" ~a0:c.id;
-               c.waiting <- None;
-               c.timeout <- None;
-               c.last_request <- None;
-               c.rexmt_tries <- 0;
-               t.outstanding <- t.outstanding - 1
-             end
-             else
-               Ns.Host_env.phase t.env "chan_rexmt" (fun () ->
-                   c.rexmt_tries <- c.rexmt_tries + 1;
-                   Ns.Host_env.retry t.env t.c_req_retransmits ~cat:"chan"
-                     ~name:"req_retransmit" ~a0:c.rexmt_tries;
-                   send_request t c payload;
-                   arm_timeout t c)
-           | _ -> ()))
+    Ns.Host_env.timeout t.env ~delay:rexmt_timeout_us (fun () ->
+        match (c.waiting, c.last_request) with
+        | Some _, Some payload ->
+          if c.rexmt_tries >= max_rexmt_tries then begin
+            (* give up: fail the call and release the channel *)
+            Obs.Metrics.inc t.c_call_failures;
+            Ns.Host_env.trace_instant t.env ~cat:"chan" ~name:"call_failure"
+              ~a0:c.id;
+            c.waiting <- None;
+            c.timeout <- Xk.Event.none;
+            c.last_request <- None;
+            c.rexmt_tries <- 0;
+            t.outstanding <- t.outstanding - 1
+          end
+          else
+            Ns.Host_env.phase t.env "chan_rexmt" (fun () ->
+                c.rexmt_tries <- c.rexmt_tries + 1;
+                Ns.Host_env.retry t.env t.c_req_retransmits ~cat:"chan"
+                  ~name:"req_retransmit" ~a0:c.rexmt_tries;
+                send_request t c payload;
+                arm_timeout t c)
+        | _ -> ())
 
 let call t ~chan msg ~reply =
   let m = meter t in
@@ -229,11 +228,8 @@ let demux_msg t msg =
       m.Meter.enter s_event_cancel;
       m.Meter.block s_event_cancel_remove;
       m.Meter.cold ~triggered:false s_event_cancel_notfound;
-      (match c.timeout with
-       | Some h ->
-         ignore (Xk.Event.cancel h);
-         c.timeout <- None
-       | None -> ());
+      ignore (Xk.Event.cancel t.env.Ns.Host_env.events c.timeout);
+      c.timeout <- Xk.Event.none;
       m.Meter.leave s_event_cancel;
       m.Meter.call s_chan_demux_reply_1;
       m.Meter.enter s_thread_signal;

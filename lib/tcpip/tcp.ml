@@ -82,8 +82,8 @@ and session = {
   tcp : t;
   tcb : Tcb.t;
   mutable receive : session -> bytes -> unit;
-  mutable rexmt : Xk.Event.handle option;
-  mutable delack : Xk.Event.handle option;
+  mutable rexmt : Xk.Event.handle;
+  mutable delack : Xk.Event.handle;
   mutable retx_q : (int * bytes) list;
       (** unacknowledged segments (seq, wire bytes), oldest first *)
   mutable sent_in_input : bool;  (** did input processing piggyback a send? *)
@@ -91,8 +91,8 @@ and session = {
   mutable ooo : (int * bytes) list;
       (** out-of-order segments awaiting reassembly, sorted by seq *)
   mutable nodelay : bool;  (** disable Nagle (default: Nagle on) *)
-  mutable persist : Xk.Event.handle option;  (** zero-window probe timer *)
-  mutable timewait : Xk.Event.handle option;
+  mutable persist : Xk.Event.handle;  (** zero-window probe timer *)
+  mutable timewait : Xk.Event.handle;
   mutable fin_wait2_at : float;
       (** when the session entered [Fin_wait_2] — the reference point for
           the {!sweep} reaper's finwait2 timeout *)
@@ -157,13 +157,13 @@ let window_update_threshold t maxwin =
 
 (* ----- segment transmission ---------------------------------------------- *)
 
+(* cancel the timer a session field holds; the caller then stores
+   [Xk.Event.none] there *)
+let cancel_timer s h = ignore (Xk.Event.cancel s.tcp.env.Ns.Host_env.events h)
+
 let cancel_rexmt s =
-  match s.rexmt with
-  | None -> false
-  | Some h ->
-    ignore (Xk.Event.cancel h);
-    s.rexmt <- None;
-    true
+  cancel_timer s s.rexmt;
+  s.rexmt <- Xk.Event.none
 
 (* drop fully acknowledged segments from the retransmission queue *)
 let ack_retx_q s =
@@ -176,11 +176,8 @@ let ack_retx_q s =
       s.retx_q
 
 let cancel_delack s =
-  match s.delack with
-  | None -> ()
-  | Some h ->
-    ignore (Xk.Event.cancel h);
-    s.delack <- None
+  cancel_timer s s.delack;
+  s.delack <- Xk.Event.none
 
 (* exponential retransmit backoff: the RTO doubles per consecutive
    retransmission of the same data, capped at 2^max_rexmt_shift, and the
@@ -277,11 +274,9 @@ let rec tcp_output ?(flags = Tcp_hdr.ack_flag) ?(rexmt = false) s msg =
   m.Meter.block s_event_register_insert;
   m.Meter.cold ~triggered:false s_event_register_expand;
   if seq_consumed > 0 then begin
-    ignore (cancel_rexmt s);
+    cancel_rexmt s;
     let delay = float_of_int (rexmt_delay_ticks cb) *. tick_us in
-    s.rexmt <-
-      Some
-        (Ns.Host_env.timeout t.env ~delay (fun () -> retransmit s))
+    s.rexmt <- Ns.Host_env.timeout t.env ~delay (fun () -> retransmit s)
   end;
   m.Meter.leave s_event_register;
   m.Meter.call s_tcp_output_xmit_1;
@@ -294,7 +289,7 @@ and retransmit ?(fast = false) s =
   | [] -> ()
   | (_, seg) :: _ ->
     Ns.Host_env.phase t.env "rexmt" (fun () ->
-        s.rexmt <- None;
+        s.rexmt <- Xk.Event.none;
         if s.tcb.Tcb.rexmt_shift >= max_rexmt_tries then begin
           (* the peer has not answered any backed-off retransmission:
              drop the connection so timers and queues drain *)
@@ -303,11 +298,8 @@ and retransmit ?(fast = false) s =
           s.sndq <- [];
           s.ooo <- [];
           cancel_delack s;
-          (match s.persist with
-          | Some h ->
-            ignore (Xk.Event.cancel h);
-            s.persist <- None
-          | None -> ());
+          cancel_timer s s.persist;
+          s.persist <- Xk.Event.none;
           ignore (Xk.Map.unbind t.pcbs (Tcb.key_of s.tcb))
         end
         else begin
@@ -334,10 +326,9 @@ and retransmit ?(fast = false) s =
           Msg.set_payload msg seg;
           Ip.push t.ip ~dst:s.tcb.Tcb.remote_ip ~proto:Ip_hdr.proto_tcp msg;
           s.rexmt <-
-            Some
-              (Ns.Host_env.timeout t.env
-                 ~delay:(float_of_int (rexmt_delay_ticks s.tcb) *. tick_us)
-                 (fun () -> retransmit s))
+            Ns.Host_env.timeout t.env
+              ~delay:(float_of_int (rexmt_delay_ticks s.tcb) *. tick_us)
+              (fun () -> retransmit s)
         end)
 
 (* Window-limited transmission: drain the send buffer while the usable
@@ -355,12 +346,11 @@ let rec try_push s =
     if room <= 0 then begin
       (* zero usable window with data queued: arm the persist timer so a
          lost window update cannot deadlock the connection (RFC 1122) *)
-      if cb.Tcb.snd_wnd = 0 && s.persist = None then
+      if cb.Tcb.snd_wnd = 0 && s.persist = Xk.Event.none then
         s.persist <-
-          Some
-            (Ns.Host_env.timeout t.env ~delay:5000.0 (fun () ->
-                 s.persist <- None;
-                 persist_probe s))
+          Ns.Host_env.timeout t.env ~delay:5000.0 (fun () ->
+              s.persist <- Xk.Event.none;
+              persist_probe s)
     end
     else if
       (* Nagle: hold a sub-MSS segment while data is in flight *)
@@ -397,12 +387,11 @@ and persist_probe s =
         let msg = Msg.alloc t.env.Ns.Host_env.simmem ~headroom:128 0 in
         Msg.set_payload msg payload;
         tcp_output ~flags:(Tcp_hdr.ack_flag lor Tcp_hdr.psh) s msg;
-        if s.sndq <> [] && s.persist = None then
+        if s.sndq <> [] && s.persist = Xk.Event.none then
           s.persist <-
-            Some
-              (Ns.Host_env.timeout t.env ~delay:5000.0 (fun () ->
-                   s.persist <- None;
-                   persist_probe s)))
+            Ns.Host_env.timeout t.env ~delay:5000.0 (fun () ->
+                s.persist <- Xk.Event.none;
+                persist_probe s))
 
 (* ----- input processing -------------------------------------------------- *)
 
@@ -431,13 +420,12 @@ let time_wait_us = 10_000.0 (* 2 MSL, scaled to simulation time *)
 let enter_time_wait s =
   let t = s.tcp in
   s.tcb.Tcb.state <- Tcb.Time_wait;
-  if s.timewait = None then
+  if s.timewait = Xk.Event.none then
     s.timewait <-
-      Some
-        (Ns.Host_env.timeout t.env ~delay:time_wait_us (fun () ->
-             s.timewait <- None;
-             s.tcb.Tcb.state <- Tcb.Closed;
-             unbind_session s))
+      Ns.Host_env.timeout t.env ~delay:time_wait_us (fun () ->
+          s.timewait <- Xk.Event.none;
+          s.tcb.Tcb.state <- Tcb.Closed;
+          unbind_session s)
 
 (* consume the RTT timing armed on the SYN / SYN-ACK at the transition to
    Established: sampled here if the ack covers it, and always disarmed —
@@ -470,7 +458,7 @@ let handshake_input s (hdr : Tcp_hdr.t) =
     cb.Tcb.state <- Tcb.Established;
     sample_handshake_rtt s hdr;
     ack_retx_q s;
-    ignore (cancel_rexmt s);
+    cancel_rexmt s;
     tcp_output s (empty ())
   | Tcb.Listen when Tcp_hdr.has hdr Tcp_hdr.syn ->
     cb.Tcb.irs <- hdr.Tcp_hdr.seq;
@@ -484,7 +472,7 @@ let handshake_input s (hdr : Tcp_hdr.t) =
     cb.Tcb.state <- Tcb.Established;
     sample_handshake_rtt s hdr;
     ack_retx_q s;
-    ignore (cancel_rexmt s)
+    cancel_rexmt s
   | Tcb.Fin_wait_1 ->
     if Tcp_hdr.has hdr Tcp_hdr.ack_flag then begin
       cb.Tcb.snd_una <- hdr.Tcp_hdr.ack;
@@ -496,7 +484,7 @@ let handshake_input s (hdr : Tcp_hdr.t) =
       enter_time_wait s
     end
     else if acks_our_fin then begin
-      ignore (cancel_rexmt s);
+      cancel_rexmt s;
       cb.Tcb.state <- Tcb.Fin_wait_2;
       s.fin_wait2_at <- Ns.Sim.now s.tcp.env.Ns.Host_env.sim
     end
@@ -513,12 +501,12 @@ let handshake_input s (hdr : Tcp_hdr.t) =
     end
   | Tcb.Closing ->
     if acks_our_fin then begin
-      ignore (cancel_rexmt s);
+      cancel_rexmt s;
       enter_time_wait s
     end
   | Tcb.Last_ack ->
     if acks_our_fin then begin
-      ignore (cancel_rexmt s);
+      cancel_rexmt s;
       cb.Tcb.state <- Tcb.Closed;
       unbind_session s
     end
@@ -593,7 +581,7 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
         (* fast retransmit: the third duplicate ack signals a hole at
            snd_una; resend it now instead of waiting out the RTO *)
         if cb.Tcb.dupacks = 3 && s.retx_q <> [] then begin
-          ignore (cancel_rexmt s);
+          cancel_rexmt s;
           retransmit ~fast:true s
         end
       end
@@ -604,11 +592,8 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
         cb.Tcb.rexmt_shift <- 0;
         ack_retx_q s;
         if cb.Tcb.snd_wnd > 0 then begin
-          match s.persist with
-          | Some h ->
-            ignore (Xk.Event.cancel h);
-            s.persist <- None
-          | None -> ()
+          cancel_timer s s.persist;
+          s.persist <- Xk.Event.none
         end;
         (* rtt sample if the timed sequence is now acked *)
         m.Meter.write cb.Tcb.sim_addr Tcb.sim_size;
@@ -617,7 +602,7 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
         m.Meter.enter s_event_cancel;
         m.Meter.block s_event_cancel_remove;
         m.Meter.cold ~triggered:false s_event_cancel_notfound;
-        ignore (cancel_rexmt s);
+        cancel_rexmt s;
         m.Meter.leave s_event_cancel;
         (* restart (not just cancel) the retransmit timer while data
            is outstanding: a new ack proves the flow is moving, so the
@@ -625,10 +610,9 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
            than inheriting a stale multi-second backoff *)
         if Seq.gt cb.Tcb.snd_nxt cb.Tcb.snd_una then
           s.rexmt <-
-            Some
-              (Ns.Host_env.timeout t.env
-                 ~delay:(float_of_int (rexmt_delay_ticks cb) *. tick_us)
-                 (fun () -> retransmit s));
+            Ns.Host_env.timeout t.env
+              ~delay:(float_of_int (rexmt_delay_ticks cb) *. tick_us)
+              (fun () -> retransmit s);
         if cb.Tcb.rtt_seq >= 0 && Seq.gt hdr.Tcp_hdr.ack cb.Tcb.rtt_seq
         then begin
           let ticks =
@@ -742,14 +726,13 @@ let tcp_input s (iphdr : Ip_hdr.t) msg =
       (* if the application did not piggyback a reply, schedule a
          delayed ack *)
       if cb.Tcb.delack_pending && not s.sent_in_input
-         && s.delack = None then
+         && s.delack = Xk.Event.none then
         s.delack <-
-          Some
-            (Ns.Host_env.timeout t.env ~delay:2000.0 (fun () ->
-                 s.delack <- None;
-                 if s.tcb.Tcb.delack_pending then
-                   Ns.Host_env.phase t.env "delack" (fun () ->
-                       tcp_output s (Msg.alloc t.env.Ns.Host_env.simmem 0))))
+          Ns.Host_env.timeout t.env ~delay:2000.0 (fun () ->
+              s.delack <- Xk.Event.none;
+              if s.tcb.Tcb.delack_pending then
+                Ns.Host_env.phase t.env "delack" (fun () ->
+                    tcp_output s (Msg.alloc t.env.Ns.Host_env.simmem 0)))
     end
   end;
   m.Meter.leave s_tcp_input
@@ -801,15 +784,15 @@ let demux_segment t ~(hdr : Ip_hdr.t) msg =
           { tcp = t;
             tcb;
             receive;
-            rexmt = None;
-            delack = None;
+            rexmt = Xk.Event.none;
+            delack = Xk.Event.none;
             retx_q = [];
             sent_in_input = false;
             sndq = [];
             ooo = [];
             nodelay = false;
-            persist = None;
-            timewait = None;
+            persist = Xk.Event.none;
+            timewait = Xk.Event.none;
             fin_wait2_at = 0.0 }
         in
         Xk.Map.bind t.pcbs key s;
@@ -844,15 +827,15 @@ let connect t ~local_port ~remote_ip ~remote_port ~receive =
     { tcp = t;
       tcb;
       receive;
-      rexmt = None;
-      delack = None;
+      rexmt = Xk.Event.none;
+      delack = Xk.Event.none;
       retx_q = [];
       sent_in_input = false;
       sndq = [];
       ooo = [];
       nodelay = false;
-      persist = None;
-      timewait = None;
+      persist = Xk.Event.none;
+      timewait = Xk.Event.none;
       fin_wait2_at = 0.0 }
   in
   Xk.Map.bind t.pcbs (session_key ~local_port ~remote_ip ~remote_port) s;
@@ -905,18 +888,12 @@ let send s data =
    session objects consistent for any application references that
    survive), move every session to Closed, and empty the map. *)
 let abort_session s =
-  ignore (cancel_rexmt s);
+  cancel_rexmt s;
   cancel_delack s;
-  (match s.persist with
-  | Some h ->
-    ignore (Xk.Event.cancel h);
-    s.persist <- None
-  | None -> ());
-  (match s.timewait with
-  | Some h ->
-    ignore (Xk.Event.cancel h);
-    s.timewait <- None
-  | None -> ());
+  cancel_timer s s.persist;
+  s.persist <- Xk.Event.none;
+  cancel_timer s s.timewait;
+  s.timewait <- Xk.Event.none;
   s.retx_q <- [];
   s.sndq <- [];
   s.ooo <- [];

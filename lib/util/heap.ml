@@ -9,7 +9,13 @@
 
    Sifting reads the moving entry into locals, shifts a hole instead of
    swapping slots, and compares inline: a float passed to a function that is
-   not inlined would be boxed. *)
+   not inlined would be boxed.  For the same reason the top's priority is
+   also kept in the one-cell [head], which a caller in another module reads
+   in place. *)
+type counter = int ref
+
+let counter () = ref 0
+
 type 'a t = {
   mutable prios : float array;
   mutable seqs : int array;
@@ -18,10 +24,11 @@ type 'a t = {
   mutable free : int array;  (* free cells, [free.(0 .. nfree - 1)] *)
   mutable nfree : int;
   mutable len : int;
-  mutable seq : int;
+  seq : counter;
+  head : float array;  (* [prios.(0)], or [infinity] when empty *)
 }
 
-let create () =
+let create ?(counter = ref 0) () =
   { prios = [||];
     seqs = [||];
     cells = [||];
@@ -29,7 +36,8 @@ let create () =
     free = [||];
     nfree = 0;
     len = 0;
-    seq = 0 }
+    seq = counter;
+    head = [| infinity |] }
 
 let is_empty t = t.len = 0
 
@@ -131,13 +139,18 @@ let push t prio value =
   t.vals.(cell) <- value;
   let n = t.len in
   t.prios.(n) <- prio;
-  t.seqs.(n) <- t.seq;
+  t.seqs.(n) <- !(t.seq);
   t.cells.(n) <- cell;
-  t.seq <- t.seq + 1;
+  incr t.seq;
   t.len <- n + 1;
-  sift_up t n
+  sift_up t n;
+  Array.unsafe_set t.head 0 (Array.unsafe_get t.prios 0)
 
 let top_prio t = if t.len = 0 then infinity else t.prios.(0)
+
+let top_cell t = t.head
+
+let top_seq t = if t.len = 0 then max_int else t.seqs.(0)
 
 let top t =
   if t.len = 0 then invalid_arg "Heap.top: empty heap";
@@ -148,7 +161,11 @@ let pop_top t =
   let cell = t.cells.(0) in
   let last = t.len - 1 in
   t.len <- last;
-  if last > 0 then sift_down t last;
+  if last > 0 then begin
+    sift_down t last;
+    Array.unsafe_set t.head 0 (Array.unsafe_get t.prios 0)
+  end
+  else Array.unsafe_set t.head 0 infinity;
   t.free.(t.nfree) <- cell;
   t.nfree <- t.nfree + 1;
   t.vals.(cell)
@@ -167,4 +184,5 @@ let clear t =
     t.free.(t.nfree + k) <- t.cells.(k)
   done;
   t.nfree <- t.nfree + t.len;
-  t.len <- 0
+  t.len <- 0;
+  t.head.(0) <- infinity

@@ -9,13 +9,26 @@
     write barrier.  {!push}, {!top} and {!pop_top} allocate nothing once the
     arrays have grown to the heap's peak size.  {!top_prio} allocates no
     option, but its float result is boxed wherever the call is not inlined
-    (across modules in a build without cross-module optimisation).  The
-    option-returning {!min_priority} and {!pop} remain for callers off the
-    hot path. *)
+    (across modules in a build without cross-module optimisation);
+    {!top_cell} holds the same priority in a one-cell array that a caller
+    reads in place.  The option-returning {!min_priority} and {!pop} remain
+    for callers off the hot path.
+
+    Sequence numbers come from a {!counter}, which heaps may share: entries
+    of two heaps drawing from one counter are totally ordered by
+    (priority, sequence), so a caller can merge the heaps' tops exactly. *)
+
+type counter
+(** A source of insertion sequence numbers. *)
+
+val counter : unit -> counter
+(** A fresh counter, starting at 0. *)
 
 type 'a t
 
-val create : unit -> 'a t
+val create : ?counter:counter -> unit -> 'a t
+(** An empty heap drawing its sequence numbers from [counter] (by default a
+    counter of its own). *)
 
 val is_empty : 'a t -> bool
 
@@ -27,6 +40,14 @@ val top_prio : 'a t -> float
 (** Priority of the entry {!pop_top} would return; [infinity] when the heap
     is empty.  An entry may itself have priority [infinity], so test
     {!is_empty} where the two must be told apart. *)
+
+val top_cell : 'a t -> float array
+(** The heap's one-cell array holding {!top_prio}, kept current by every
+    operation.  Read it; never write it. *)
+
+val top_seq : 'a t -> int
+(** Sequence number of the entry {!pop_top} would return; [max_int] when
+    the heap is empty. *)
 
 val top : 'a t -> 'a
 (** The value {!pop_top} would return, left in place.

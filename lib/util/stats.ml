@@ -74,19 +74,28 @@ module Hist = struct
     mutable maxv : float;
   }
 
+  let bounds_of ~lo ~hi ~per_decade =
+    let decades = log10 (hi /. lo) in
+    let nbuckets = int_of_float (ceil (decades *. float_of_int per_decade)) + 1 in
+    Array.init nbuckets (fun i ->
+        lo *. (10.0 ** (float_of_int (i + 1) /. float_of_int per_decade)))
+
+  (* the default geometry's bounds, computed once and shared (never
+     written): built at module initialisation, not forced lazily, because
+     Dpool's domains create histograms concurrently *)
+  let default_bounds = bounds_of ~lo:0.1 ~hi:1.0e8 ~per_decade:32
+
   let create ?(lo = 0.1) ?(hi = 1.0e8) ?(per_decade = 32) () =
     if not (lo > 0.0 && hi > lo) then invalid_arg "Hist.create: need 0 < lo < hi";
     if per_decade < 1 then invalid_arg "Hist.create: per_decade < 1";
-    let decades = log10 (hi /. lo) in
-    let nbuckets = int_of_float (ceil (decades *. float_of_int per_decade)) + 1 in
     let bounds =
-      Array.init nbuckets (fun i ->
-          lo *. (10.0 ** (float_of_int (i + 1) /. float_of_int per_decade)))
+      if lo = 0.1 && hi = 1.0e8 && per_decade = 32 then default_bounds
+      else bounds_of ~lo ~hi ~per_decade
     in
     { lo;
       per_decade;
       bounds;
-      counts = Array.make nbuckets 0;
+      counts = Array.make (Array.length bounds) 0;
       overflow = 0;
       n = 0;
       sum = 0.0;
@@ -133,17 +142,16 @@ module Hist = struct
 
   let merge a b =
     if not (same_geometry a b) then invalid_arg "Hist.merge: geometry mismatch";
-    let t = create ~lo:a.lo ~per_decade:a.per_decade () in
-    (* [create] recomputes the bucket count from lo/hi defaults; copy the
-       verified-equal geometry instead so merged hists stay mergeable *)
-    let t = { t with bounds = a.bounds; counts = Array.make (Array.length a.counts) 0 } in
-    Array.iteri (fun i c -> t.counts.(i) <- c + b.counts.(i)) a.counts;
-    t.overflow <- a.overflow + b.overflow;
-    t.n <- a.n + b.n;
-    t.sum <- a.sum +. b.sum;
-    t.minv <- Float.min a.minv b.minv;
-    t.maxv <- Float.max a.maxv b.maxv;
-    t
+    (* the verified-equal geometry of [a], bounds shared *)
+    { lo = a.lo;
+      per_decade = a.per_decade;
+      bounds = a.bounds;
+      counts = Array.mapi (fun i c -> c + b.counts.(i)) a.counts;
+      overflow = a.overflow + b.overflow;
+      n = a.n + b.n;
+      sum = a.sum +. b.sum;
+      minv = Float.min a.minv b.minv;
+      maxv = Float.max a.maxv b.maxv }
 
   (* Nearest-rank over cumulative bucket counts: the reported value is the
      upper edge of the bucket holding the rank-th smallest sample, clamped to

@@ -43,7 +43,9 @@ module Hist : sig
   (** Log buckets spanning [[lo, hi]] with [per_decade] buckets per decade
       (defaults 0.1 .. 1e8, 32/decade — ~7.5% relative width, 289 buckets).
       Values [<= lo] land in the first bucket; values [> hi] in an overflow
-      counter (quantiles there report the exact observed max).
+      counter (quantiles there report the exact observed max).  The
+      default geometry's bucket bounds are computed once and shared, so a
+      default [create] allocates only the counts.
       @raise Invalid_argument unless [0 < lo < hi] and [per_decade >= 1]. *)
 
   val add : t -> float -> unit

@@ -17,12 +17,12 @@ let lookup (m : Meter.t) ~inline ~caller map key =
   m.Meter.block caller.cache;
   if inline then begin
     (* inlined cache test: call the general function only on a miss *)
-    match Map.resolve_detail map key with
-    | Some (v, `Cache_hit) -> Some v
-    | Some (_, `Probed) | None ->
+    match Map.resolve map key with
+    | Some _ as r when Map.cache_answered map -> r
+    | Some _ | None ->
       (* the inlined test failed; fall into the general function, which
-         will probe (the cache was just refilled by resolve_detail, so we
-         must not consult it again — probe explicitly) *)
+         will probe (the cache was just refilled by the first resolve, so
+         we must not consult it again — probe explicitly) *)
       m.Meter.call caller.stub;
       m.Meter.enter s_map_resolve;
       m.Meter.block s_map_resolve_entry;
@@ -37,22 +37,13 @@ let lookup (m : Meter.t) ~inline ~caller map key =
     m.Meter.call caller.stub;
     m.Meter.enter s_map_resolve;
     m.Meter.block s_map_resolve_entry;
-    let result = Map.resolve_detail map key in
+    let r = Map.resolve map key in
+    let hit = Map.cache_answered map in
     m.Meter.block s_map_resolve_cache;
-    let r =
-      match result with
-      | Some (v, `Cache_hit) ->
-        m.Meter.cold ~triggered:false s_map_resolve_collision;
-        Some v
-      | Some (v, `Probed) ->
-        m.Meter.block s_map_resolve_probe;
-        m.Meter.cold ~triggered:false s_map_resolve_collision;
-        Some v
-      | None ->
-        m.Meter.block s_map_resolve_probe;
-        m.Meter.cold ~triggered:false s_map_resolve_collision;
-        None
-    in
+    (match r with
+    | Some _ when hit -> ()
+    | Some _ | None -> m.Meter.block s_map_resolve_probe);
+    m.Meter.cold ~triggered:false s_map_resolve_collision;
     m.Meter.leave s_map_resolve;
     r
   end

@@ -1,5 +1,13 @@
+(* A binding keeps the [Some value] a hit returns, so a lookup allocates
+   nothing. *)
+type 'v binding = {
+  key : string;
+  value : 'v;
+  found : 'v option;  (* [Some value] *)
+}
+
 type 'v bucket = {
-  mutable chain : (string * 'v) list;
+  mutable chain : 'v binding list;
   mutable on_list : bool;
   mutable next_nonempty : int;  (* -1 = end of list *)
 }
@@ -15,7 +23,11 @@ type 'v t = {
   buckets : 'v bucket array;
   mask : int;
   mutable head : int;  (* head of the non-empty bucket list, -1 if none *)
-  mutable cache : (string * 'v) option;
+  (* the one-entry cache: the last binding found, as its key and its
+     [found]; [None] when empty *)
+  mutable cache_key : string;
+  mutable cache : 'v option;
+  mutable cached : bool;  (* the last [resolve] was a cache hit *)
   mutable n : int;
   mutable c_resolves : int;
   mutable c_cache_hits : int;
@@ -32,7 +44,9 @@ let create ?(buckets = 256) () =
           { chain = []; on_list = false; next_nonempty = -1 });
     mask = buckets - 1;
     head = -1;
+    cache_key = "";
     cache = None;
+    cached = false;
     n = 0;
     c_resolves = 0;
     c_cache_hits = 0;
@@ -46,11 +60,10 @@ let size t = t.n
 (* FNV-1a over the key bytes. *)
 let hash key =
   let h = ref 0x811C9DC5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0x3FFFFFFF)
-    key;
+  for i = 0 to String.length key - 1 do
+    h := !h lxor Char.code (String.unsafe_get key i);
+    h := !h * 0x01000193 land 0x3FFFFFFF
+  done;
   !h
 
 let index t key = hash key land t.mask
@@ -63,61 +76,73 @@ let push_nonempty t i =
     t.head <- i
   end
 
+let mem key chain = List.exists (fun b -> String.equal b.key key) chain
+
+let rec remove key = function
+  | [] -> []
+  | b :: rest -> if String.equal b.key key then rest else b :: remove key rest
+
 let bind t key v =
   let i = index t key in
   let b = t.buckets.(i) in
-  let existed = List.mem_assoc key b.chain in
-  if existed then b.chain <- (key, v) :: List.remove_assoc key b.chain
+  let binding = { key; value = v; found = Some v } in
+  let existed = mem key b.chain in
+  if existed then b.chain <- binding :: remove key b.chain
   else begin
-    b.chain <- (key, v) :: b.chain;
+    b.chain <- binding :: b.chain;
     t.n <- t.n + 1
   end;
   push_nonempty t i;
-  (match t.cache with
-  | Some (k, _) when String.equal k key -> t.cache <- Some (key, v)
-  | _ -> ())
+  if t.cache != None && String.equal t.cache_key key then
+    t.cache <- binding.found
 
 let unbind t key =
   let i = index t key in
   let b = t.buckets.(i) in
-  if List.mem_assoc key b.chain then begin
-    b.chain <- List.remove_assoc key b.chain;
+  if mem key b.chain then begin
+    b.chain <- remove key b.chain;
     t.n <- t.n - 1;
     (* lazy: the bucket stays on the non-empty list even if now empty *)
-    (match t.cache with
-    | Some (k, _) when String.equal k key -> t.cache <- None
-    | _ -> ());
+    if t.cache != None && String.equal t.cache_key key then t.cache <- None;
     true
   end
   else false
 
-let resolve_detail t key =
+let rec probe t key = function
+  | [] -> None
+  | b :: rest ->
+    t.c_key_compares <- t.c_key_compares + 1;
+    if String.equal b.key key then begin
+      t.cache_key <- b.key;
+      t.cache <- b.found;
+      b.found
+    end
+    else probe t key rest
+
+let resolve t key =
   t.c_resolves <- t.c_resolves + 1;
   match t.cache with
-  | Some (k, v) when (t.c_key_compares <- t.c_key_compares + 1;
-                      String.equal k key) ->
+  | Some _ as found
+    when (t.c_key_compares <- t.c_key_compares + 1;
+          String.equal t.cache_key key) ->
     t.c_cache_hits <- t.c_cache_hits + 1;
-    Some (v, `Cache_hit)
+    t.cached <- true;
+    found
   | _ ->
-    let b = t.buckets.(index t key) in
-    let rec find = function
-      | [] -> None
-      | (k, v) :: rest ->
-        t.c_key_compares <- t.c_key_compares + 1;
-        if String.equal k key then Some v else find rest
-    in
-    (match find b.chain with
-    | Some v ->
-      t.cache <- Some (key, v);
-      Some (v, `Probed)
-    | None -> None)
+    t.cached <- false;
+    probe t key t.buckets.(index t key).chain
 
-let resolve t key = Option.map fst (resolve_detail t key)
+let cache_answered t = t.cached
+
+let resolve_detail t key =
+  match resolve t key with
+  | Some v -> Some (v, if t.cached then `Cache_hit else `Probed)
+  | None -> None
 
 let traverse t f =
   (* Walk the non-empty list; unlink buckets found empty (lazy cleanup).
      One visitor per call, not one per bucket. *)
-  let visit (k, v) = f k v in
+  let visit b = f b.key b.value in
   let prev = ref (-1) in
   let cur = ref t.head in
   while !cur >= 0 do
@@ -139,7 +164,7 @@ let traverse t f =
   done
 
 let traverse_all_buckets t f =
-  let visit (k, v) = f k v in
+  let visit b = f b.key b.value in
   Array.iter
     (fun b ->
       t.c_buckets_scanned <- t.c_buckets_scanned + 1;

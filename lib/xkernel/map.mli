@@ -30,9 +30,15 @@ val unbind : 'v t -> string -> bool
 (** Returns whether a binding was removed. *)
 
 val resolve : 'v t -> string -> 'v option
+(** The binding's value.  A hit returns the [Some] the binding keeps, so
+    a lookup, hit or miss, allocates nothing. *)
+
+val cache_answered : 'v t -> bool
+(** Whether the last {!resolve} was answered by the one-entry cache. *)
 
 val resolve_detail : 'v t -> string -> ('v * [ `Cache_hit | `Probed ]) option
-(** Like [resolve] but reports whether the one-entry cache answered. *)
+(** Like [resolve] but reports whether the one-entry cache answered (and
+    allocates the pair that says so). *)
 
 val traverse : 'v t -> (string -> 'v -> unit) -> unit
 (** Visit every binding via the non-empty-bucket list, cleaning it up

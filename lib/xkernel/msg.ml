@@ -7,14 +7,19 @@ type t = {
   headroom : int;
 }
 
-let alloc sim ?(headroom = 128) payload_len =
-  let data = Bytes.make (headroom + payload_len) '\000' in
-  { data;
+let reserve sim ?(headroom = 128) payload_len =
+  Simmem.alloc sim (headroom + payload_len)
+
+let alloc_at ~addr ?(headroom = 128) payload_len =
+  { data = Bytes.make (headroom + payload_len) '\000';
     head = headroom;
     length = payload_len;
-    addr = Simmem.alloc sim (Bytes.length data);
+    addr;
     refcount = 1;
     headroom }
+
+let alloc sim ?(headroom = 128) payload_len =
+  alloc_at ~addr:(reserve sim ~headroom payload_len) ~headroom payload_len
 
 let of_string sim ?(headroom = 128) s =
   let m = alloc sim ~headroom (String.length s) in

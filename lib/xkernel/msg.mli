@@ -14,6 +14,14 @@ val alloc : Simmem.t -> ?headroom:int -> int -> t
     [payload_len] bytes with [headroom] bytes (default 128) of header
     space, at a fresh simulated address. *)
 
+val reserve : Simmem.t -> ?headroom:int -> int -> int
+(** [reserve sim ~headroom payload_len] takes the simulated address
+    {!alloc} would give a message of that shape, without building it. *)
+
+val alloc_at : addr:int -> ?headroom:int -> int -> t
+(** Build the message {!alloc} would, at an address taken earlier with
+    {!reserve} for the same shape. *)
+
 val of_string : Simmem.t -> ?headroom:int -> string -> t
 
 val len : t -> int

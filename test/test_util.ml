@@ -263,6 +263,30 @@ let test_dpool_exn () =
            (List.init 8 (fun i ->
                 fun () -> if i = 5 then raise Exit else i))))
 
+(* The default geometry's 289 bucket bounds are computed once and shared,
+   so a create allocates its counts and its record; computing the bounds
+   per create read about 590 words.  Counted as minor + major - promoted
+   with a full major collection at both ends: the arrays go straight to
+   the major heap, whose words can reach [major_words] late. *)
+let test_hist_create_allocation () =
+  let allocated () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let words_of f =
+    Gc.full_major ();
+    let a0 = allocated () in
+    let r = f () in
+    Gc.full_major ();
+    (r, allocated () -. a0)
+  in
+  let h, w = words_of (fun () -> Stats.Hist.create ()) in
+  Stats.Hist.add h 1.0;
+  Alcotest.(check int) "usable" 1 (Stats.Hist.count h);
+  Alcotest.(check bool)
+    (Printf.sprintf "Hist.create allocates %.0f words, under 400" w)
+    true (w < 400.0)
+
 let suite =
   ( "util",
     [ Alcotest.test_case "vec basics" `Quick test_vec_basics;
@@ -282,4 +306,6 @@ let suite =
       Alcotest.test_case "table render" `Quick test_table_render;
       Alcotest.test_case "dpool preserves order" `Quick test_dpool_order;
       Alcotest.test_case "dpool propagates errors" `Quick test_dpool_exn;
-      Alcotest.test_case "table cells" `Quick test_table_cells ] )
+      Alcotest.test_case "table cells" `Quick test_table_cells;
+      Alcotest.test_case "hist create allocates under 400 words" `Quick
+        test_hist_create_allocation ] )

@@ -177,8 +177,8 @@ let test_event_cancel () =
   let e = Event.create () in
   let fired = ref false in
   let h = Event.register e ~at:5.0 (fun () -> fired := true) in
-  Alcotest.(check bool) "cancel ok" true (Event.cancel h);
-  Alcotest.(check bool) "cancel twice" false (Event.cancel h);
+  Alcotest.(check bool) "cancel ok" true (Event.cancel e h);
+  Alcotest.(check bool) "cancel twice" false (Event.cancel e h);
   ignore (Event.advance e 10.0);
   Alcotest.(check bool) "not fired" false !fired
 
@@ -201,7 +201,7 @@ let test_event_next_due_fifo () =
   let dead = Event.register e ~at:5.0 (fun () -> log := 0 :: !log) in
   ignore (Event.register e ~at:10.0 (fun () -> log := 1 :: !log));
   ignore (Event.register e ~at:10.0 (fun () -> log := 2 :: !log));
-  ignore (Event.cancel dead);
+  ignore (Event.cancel e dead);
   Alcotest.(check (option (float 1e-9))) "skips cancelled" (Some 10.0)
     (Event.next_due e);
   Alcotest.(check int) "fired two" 2 (Event.advance e 10.0);
@@ -355,6 +355,91 @@ let test_map_traverse_allocation () =
     (Printf.sprintf "a full scan allocates %.0f words, under 64" w_all)
     true (w_all < 64.0)
 
+(* A pool builds each buffer on its first get, at the address create
+   reserved for it: a get/put script gives the same addresses, counts and
+   final allocator cursor as buffers all built at create with [Msg.alloc].
+   'g' gets, 'p' puts the newest buffer held, 'o' the oldest, and 'r'
+   retains the newest before putting it, so its refresh reallocates. *)
+let test_pool_builds_on_first_get () =
+  List.iter
+    (fun shortcircuit ->
+      let lazy_sim = sim () and eager_sim = sim () in
+      let p = Pool.create lazy_sim ~shortcircuit ~buffers:4 ~size:64 () in
+      let eager = ref (List.init 4 (fun _ -> Msg.alloc eager_sim 64)) in
+      let held = ref [] in
+      let put_back (m, e) =
+        ignore (Pool.put p m);
+        ignore (Msg.refresh ~shortcircuit eager_sim e);
+        eager := e :: !eager
+      in
+      String.iteri
+        (fun step op ->
+          let what = Printf.sprintf "step %d (%c)" step op in
+          (match (op, !held) with
+          | 'g', _ ->
+            let m = Pool.get p in
+            let e = List.hd !eager in
+            eager := List.tl !eager;
+            Alcotest.(check int) (what ^ " address") (Msg.sim_addr e)
+              (Msg.sim_addr m);
+            held := (m, e) :: !held
+          | 'p', b :: rest ->
+            held := rest;
+            put_back b
+          | 'o', _ :: _ ->
+            let rev = List.rev !held in
+            held := List.rev (List.tl rev);
+            put_back (List.hd rev)
+          | 'r', ((m, e) as b) :: rest ->
+            Msg.retain m;
+            Msg.retain e;
+            held := rest;
+            put_back b
+          | _ -> Alcotest.fail (what ^ ": bad script"));
+          Alcotest.(check int) (what ^ " available") (List.length !eager)
+            (Pool.available p))
+        "ggpgggopgrggpooggrpp";
+      Alcotest.(check int) "final cursor" (Simmem.cursor eager_sim)
+        (Simmem.cursor lazy_sim))
+    [ true; false ]
+
+(* A demux lookup, hit or miss, allocates nothing but its key: a hit
+   returns the [Some] its binding keeps, the hit kind is a flag and the
+   hash is a loop.  Each lookup read 14.4 words when it built a pair, two
+   options and the hash's closure and ref. *)
+let test_demux_lookup_allocation () =
+  let m = Map.create ~buckets:64 () in
+  let keys = Array.init 32 (fun k -> Printf.sprintf "key%04d" k) in
+  (* every fourth key is unbound: a miss *)
+  Array.iteri (fun i k -> if i mod 4 <> 3 then Map.bind m k i) keys;
+  let caller = Xk.Demux.caller "tcp_demux" in
+  let found = ref 0 in
+  let lookups inline =
+    (* each key twice in a row: a probe or a miss, then a cache hit *)
+    for i = 0 to 999 do
+      match
+        Xk.Demux.lookup Xk.Meter.null ~inline ~caller m keys.(i / 2 mod 32)
+      with
+      | Some _ -> incr found
+      | None -> ()
+    done
+  in
+  List.iter
+    (fun inline ->
+      lookups inline;
+      found := 0;
+      let w0 = Gc.minor_words () in
+      lookups inline;
+      let w = Gc.minor_words () -. w0 in
+      Alcotest.(check int) "hits" 750 !found;
+      Alcotest.(check bool)
+        (Printf.sprintf "1,000 lookups (inline %b) allocate %.0f words, under 64"
+           inline w)
+        true (w < 64.0))
+    [ true; false ];
+  let c = Map.counters m in
+  Alcotest.(check bool) "cache hits counted" true (c.Map.cache_hits > 0)
+
 let suite =
   ( "xkernel",
     [ Alcotest.test_case "simmem alignment" `Quick test_simmem_alignment;
@@ -388,4 +473,8 @@ let suite =
       Alcotest.test_case "meter site registration" `Quick
         test_site_registration;
       Alcotest.test_case "map traverse allocates under 64 words" `Quick
-        test_map_traverse_allocation ] )
+        test_map_traverse_allocation;
+      Alcotest.test_case "pool builds buffers on first get" `Quick
+        test_pool_builds_on_first_get;
+      Alcotest.test_case "demux lookup allocates under 64 words" `Quick
+        test_demux_lookup_allocation ] )
