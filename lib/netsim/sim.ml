@@ -16,7 +16,11 @@ type t = {
   counter : Heap.counter;
   queue : (unit -> unit) Heap.t;
   queue_top : float array;  (* [Heap.top_cell queue] *)
+  queue_seq : int array;  (* [Heap.top_seq_cell queue] *)
   mutable hosts : Xk.Event.t array;
+  (* each host manager's [head_cell] and [head_seq_cell], read in place *)
+  mutable host_at : float array array;
+  mutable host_seq : int array array;
   mutable tracer : Obs.Tracer.t;
   mutable spans : Obs.Span.t;
 }
@@ -29,13 +33,18 @@ let create () =
     counter;
     queue;
     queue_top = Heap.top_cell queue;
+    queue_seq = Heap.top_seq_cell queue;
     hosts = [||];
+    host_at = [||];
+    host_seq = [||];
     tracer = Obs.Tracer.null;
     spans = Obs.Span.null }
 
 let timers t =
   let e = Xk.Event.create ~counter:t.counter () in
   t.hosts <- Array.append t.hosts [| e |];
+  t.host_at <- Array.append t.host_at [| Xk.Event.head_cell e |];
+  t.host_seq <- Array.append t.host_seq [| Xk.Event.head_seq_cell e |];
   e
 
 let record t ~events ~spans =
@@ -74,17 +83,17 @@ let nowhere = -2
    simulator holds one to three hosts. *)
 let earliest t =
   let src = ref nowhere and at = ref infinity and seq = ref max_int in
-  if not (Heap.is_empty t.queue) then begin
+  let qs = t.queue_seq.(0) in
+  if qs <> max_int then begin
     src := from_queue;
     at := t.queue_top.(0);
-    seq := Heap.top_seq t.queue
+    seq := qs
   end;
-  let hosts = t.hosts in
-  for i = 0 to Array.length hosts - 1 do
-    let e = Array.unsafe_get hosts i in
-    let s = Xk.Event.head_seq e in
+  let host_seq = t.host_seq and host_at = t.host_at in
+  for i = 0 to Array.length host_seq - 1 do
+    let s = (Array.unsafe_get host_seq i).(0) in
     if s <> max_int then begin
-      let a = (Xk.Event.head_cell e).(0) in
+      let a = (Array.unsafe_get host_at i).(0) in
       if a < !at || (a = !at && s < !seq) then begin
         src := i;
         at := a;

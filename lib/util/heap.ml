@@ -26,6 +26,7 @@ type 'a t = {
   mutable len : int;
   seq : counter;
   head : float array;  (* [prios.(0)], or [infinity] when empty *)
+  head_seq : int array;  (* [seqs.(0)], or [max_int] when empty *)
 }
 
 let create ?(counter = ref 0) () =
@@ -37,7 +38,8 @@ let create ?(counter = ref 0) () =
     nfree = 0;
     len = 0;
     seq = counter;
-    head = [| infinity |] }
+    head = [| infinity |];
+    head_seq = [| max_int |] }
 
 let is_empty t = t.len = 0
 
@@ -144,13 +146,16 @@ let push t prio value =
   incr t.seq;
   t.len <- n + 1;
   sift_up t n;
-  Array.unsafe_set t.head 0 (Array.unsafe_get t.prios 0)
+  Array.unsafe_set t.head 0 (Array.unsafe_get t.prios 0);
+  Array.unsafe_set t.head_seq 0 (Array.unsafe_get t.seqs 0)
 
 let top_prio t = if t.len = 0 then infinity else t.prios.(0)
 
 let top_cell t = t.head
 
-let top_seq t = if t.len = 0 then max_int else t.seqs.(0)
+let top_seq_cell t = t.head_seq
+
+let top_seq t = t.head_seq.(0)
 
 let top t =
   if t.len = 0 then invalid_arg "Heap.top: empty heap";
@@ -163,9 +168,13 @@ let pop_top t =
   t.len <- last;
   if last > 0 then begin
     sift_down t last;
-    Array.unsafe_set t.head 0 (Array.unsafe_get t.prios 0)
+    Array.unsafe_set t.head 0 (Array.unsafe_get t.prios 0);
+    Array.unsafe_set t.head_seq 0 (Array.unsafe_get t.seqs 0)
   end
-  else Array.unsafe_set t.head 0 infinity;
+  else begin
+    Array.unsafe_set t.head 0 infinity;
+    Array.unsafe_set t.head_seq 0 max_int
+  end;
   t.free.(t.nfree) <- cell;
   t.nfree <- t.nfree + 1;
   t.vals.(cell)
@@ -185,4 +194,5 @@ let clear t =
   done;
   t.nfree <- t.nfree + t.len;
   t.len <- 0;
-  t.head.(0) <- infinity
+  t.head.(0) <- infinity;
+  t.head_seq.(0) <- max_int

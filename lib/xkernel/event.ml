@@ -46,7 +46,7 @@ type t = {
   mutable ring_first : int;
   mutable ring_len : int;
   head : float array;  (* time of the earliest position, [infinity] if none *)
-  mutable head_seq : int;  (* its sequence number, [max_int] if none *)
+  head_seq : int array;  (* its sequence number, [max_int] if none *)
   mutable live : int;
   mutable high_water : int;
 }
@@ -66,7 +66,7 @@ let create ?counter () =
     ring_first = 0;
     ring_len = 0;
     head = [| infinity |];
-    head_seq = max_int;
+    head_seq = [| max_int |];
     live = 0;
     high_water = 0 }
 
@@ -77,16 +77,16 @@ let set_head t =
     let ra = t.ring_at.(t.ring_first) and rs = t.ring_seq.(t.ring_first) in
     if ra < ha || (ra = ha && rs < hs) then begin
       t.head.(0) <- ra;
-      t.head_seq <- rs
+      t.head_seq.(0) <- rs
     end
     else begin
       t.head.(0) <- ha;
-      t.head_seq <- hs
+      t.head_seq.(0) <- hs
     end
   end
   else begin
     t.head.(0) <- ha;
-    t.head_seq <- hs
+    t.head_seq.(0) <- hs
   end
 
 (* Double the slot columns.  Only a manager with no idle slot grows, so the
@@ -184,7 +184,7 @@ let spend_top t =
 let consume t clock =
   let now = clock.(0) in
   let fired =
-    if t.ring_len > 0 && t.ring_seq.(t.ring_first) = t.head_seq then begin
+    if t.ring_len > 0 && t.ring_seq.(t.ring_first) = t.head_seq.(0) then begin
       t.ring_first <- (t.ring_first + 1) land (Array.length t.ring_seq - 1);
       t.ring_len <- t.ring_len - 1;
       set_head t;
@@ -202,7 +202,7 @@ let consume t clock =
 let advance t now =
   let clock = [| now |] in
   let fired = ref 0 in
-  while t.head_seq <> max_int && t.head.(0) <= now do
+  while t.head_seq.(0) <> max_int && t.head.(0) <= now do
     fired := !fired + consume t clock
   done;
   !fired
@@ -237,4 +237,4 @@ let positions t = Heap.size t.heap + t.ring_len
 
 let head_cell t = t.head
 
-let head_seq t = t.head_seq
+let head_seq_cell t = t.head_seq

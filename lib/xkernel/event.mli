@@ -74,6 +74,6 @@ val head_cell : t -> float array
     in another module compares it without boxing a float.  Read it; never
     write it. *)
 
-val head_seq : t -> int
-(** Sequence number of the earliest pending position; [max_int] when none
-    is pending. *)
+val head_seq_cell : t -> int array
+(** One-cell array holding the sequence number of the earliest pending
+    position ([max_int] when none), kept current like {!head_cell}. *)
