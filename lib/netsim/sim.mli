@@ -65,9 +65,10 @@ val run : ?until:float -> t -> int
     position counting as one event.  Events at equal times run in
     scheduling order.
 
-    The loop compares the queue's top and each manager's earliest position
-    in place ({!Protolat_util.Heap.top_cell},
-    {!Protolat_xkernel.Event.head_cell}), so choosing an event allocates
+    The loop reads the queue's top and each manager's earliest position in
+    place from their one-cell arrays ({!Protolat_util.Heap.top_cell} and
+    [top_seq_cell], {!Protolat_xkernel.Event.head_cell} and
+    [head_seq_cell]), so choosing an event calls nothing and allocates
     nothing: no boxed time, no option, no tuple. *)
 
 val advance_clock : t -> float -> unit
