@@ -9,7 +9,17 @@ module Xk = Protolat_xkernel
 
    Pending positions live in [queue] and in the timer managers in [hosts];
    all draw their sequence numbers from [counter], so (time, sequence)
-   orders every one of them, and the loop pops whichever comes first. *)
+   orders every one of them, and the loop pops whichever comes first.
+
+   The hosts' earliest positions are ordered by a winner tree: with [w]
+   the power of two at or above the number of hosts, [tree.(w + i)] is
+   host [i] (or [-1], none, past the last host), and each inner node
+   [tree.(k)] is the earlier of its children [2k] and [2k + 1], so the
+   root [tree.(1)] holds the host with the earliest position.  A manager
+   calls [settle] whenever its earliest position changes, which replays
+   the matches on that host's path only: an incast shard holds up to 128
+   client hosts, and a scan of every host on every event cost more there
+   than the wake-ups it replaces. *)
 type t = {
   now : float array;
   at : float array;
@@ -21,6 +31,7 @@ type t = {
   (* each host manager's [head_cell] and [head_seq_cell], read in place *)
   mutable host_at : float array array;
   mutable host_seq : int array array;
+  mutable tree : int array;
   mutable tracer : Obs.Tracer.t;
   mutable spans : Obs.Span.t;
 }
@@ -37,14 +48,56 @@ let create () =
     hosts = [||];
     host_at = [||];
     host_seq = [||];
+    tree = [| -1; -1 |];
     tracer = Obs.Tracer.null;
     spans = Obs.Span.null }
 
+(* The earlier by position of hosts [i] and [j], where [-1] is none. *)
+let earlier t i j =
+  if i < 0 then j
+  else if j < 0 then i
+  else begin
+    let ai = (Array.unsafe_get t.host_at i).(0)
+    and aj = (Array.unsafe_get t.host_at j).(0) in
+    if
+      aj < ai
+      || aj = ai
+         && (Array.unsafe_get t.host_seq j).(0)
+            < (Array.unsafe_get t.host_seq i).(0)
+    then j
+    else i
+  end
+
+(* Host [i]'s earliest position has changed: replay the matches on its path
+   to the root. *)
+let settle t i =
+  let tree = t.tree in
+  let k = ref ((Array.length tree / 2 + i) / 2) in
+  while !k > 0 do
+    let l = 2 * !k in
+    Array.unsafe_set tree !k
+      (earlier t (Array.unsafe_get tree l) (Array.unsafe_get tree (l + 1)));
+    k := !k / 2
+  done
+
 let timers t =
-  let e = Xk.Event.create ~counter:t.counter () in
+  let i = Array.length t.hosts in
+  let e = Xk.Event.create ~counter:t.counter ~moved:(fun () -> settle t i) () in
   t.hosts <- Array.append t.hosts [| e |];
   t.host_at <- Array.append t.host_at [| Xk.Event.head_cell e |];
   t.host_seq <- Array.append t.host_seq [| Xk.Event.head_seq_cell e |];
+  let w = ref 1 in
+  while !w < i + 1 do
+    w := 2 * !w
+  done;
+  let tree = Array.make (2 * !w) (-1) in
+  for j = 0 to i do
+    tree.(!w + j) <- j
+  done;
+  for k = !w - 1 downto 1 do
+    tree.(k) <- earlier t tree.(2 * k) tree.((2 * k) + 1)
+  done;
+  t.tree <- tree;
   e
 
 let record t ~events ~spans =
@@ -79,30 +132,29 @@ let from_queue = -1
 let nowhere = -2
 
 (* The source of the earliest pending position, [nowhere] when nothing is
-   pending; the position's time is left in [t.at].  A linear scan: a
-   simulator holds one to three hosts. *)
+   pending; the position's time is left in [t.at].  The tree's root is the
+   host with the earliest position, so one comparison with the queue's top
+   decides. *)
 let earliest t =
-  let src = ref nowhere and at = ref infinity and seq = ref max_int in
+  let h = Array.unsafe_get t.tree 1 in
   let qs = t.queue_seq.(0) in
-  if qs <> max_int then begin
-    src := from_queue;
-    at := t.queue_top.(0);
-    seq := qs
-  end;
-  let host_seq = t.host_seq and host_at = t.host_at in
-  for i = 0 to Array.length host_seq - 1 do
-    let s = (Array.unsafe_get host_seq i).(0) in
-    if s <> max_int then begin
-      let a = (Array.unsafe_get host_at i).(0) in
-      if a < !at || (a = !at && s < !seq) then begin
-        src := i;
-        at := a;
-        seq := s
-      end
-    end
-  done;
-  t.at.(0) <- !at;
-  !src
+  if
+    h >= 0
+    &&
+    let hs = (Array.unsafe_get t.host_seq h).(0) in
+    hs <> max_int
+    &&
+    let ha = (Array.unsafe_get t.host_at h).(0) and qa = t.queue_top.(0) in
+    ha < qa || (ha = qa && hs < qs)
+  then begin
+    t.at.(0) <- (Array.unsafe_get t.host_at h).(0);
+    h
+  end
+  else if qs = max_int then nowhere
+  else begin
+    t.at.(0) <- t.queue_top.(0);
+    from_queue
+  end
 
 (* Pass the earliest position, found by [earliest] in [src]. *)
 let dispatch t src =

@@ -23,8 +23,11 @@ val create : unit -> t
 val timers : t -> Protolat_xkernel.Event.t
 (** A fresh timer manager numbering its positions from this simulator's
     counter, whose positions the simulator passes as events (see
-    {!Protolat_xkernel.Event.consume}).  One per host.  Each event scans
-    every manager, which suits the one to three hosts a simulator holds. *)
+    {!Protolat_xkernel.Event.consume}).  One per host.  The simulator
+    keeps its managers' earliest positions in a winner tree that each
+    manager updates when its earliest position changes, so choosing an
+    event costs the same at any number of hosts (an incast shard holds up
+    to 128) and a change costs one match per level. *)
 
 val record : t -> events:bool -> spans:bool -> unit
 (** Switch recording on, once per simulation: [events] gives the run a
@@ -65,7 +68,7 @@ val run : ?until:float -> t -> int
     position counting as one event.  Events at equal times run in
     scheduling order.
 
-    The loop reads the queue's top and each manager's earliest position in
+    The loop reads the queue's top and the earliest manager's position in
     place from their one-cell arrays ({!Protolat_util.Heap.top_cell} and
     [top_seq_cell], {!Protolat_xkernel.Event.head_cell} and
     [head_seq_cell]), so choosing an event calls nothing and allocates

@@ -155,8 +155,6 @@ let top_cell t = t.head
 
 let top_seq_cell t = t.head_seq
 
-let top_seq t = t.head_seq.(0)
-
 let top t =
   if t.len = 0 then invalid_arg "Heap.top: empty heap";
   t.vals.(t.cells.(0))

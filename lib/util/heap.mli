@@ -45,13 +45,10 @@ val top_cell : 'a t -> float array
 (** The heap's one-cell array holding {!top_prio}, kept current by every
     operation.  Read it; never write it. *)
 
-val top_seq : 'a t -> int
-(** Sequence number of the entry {!pop_top} would return; [max_int] when
-    the heap is empty. *)
-
 val top_seq_cell : 'a t -> int array
-(** The heap's one-cell array holding {!top_seq}, kept current like
-    {!top_cell}. *)
+(** The heap's one-cell array holding the sequence number of the entry
+    {!pop_top} would return, [max_int] when the heap is empty, kept current
+    like {!top_cell}. *)
 
 val top : 'a t -> 'a
 (** The value {!pop_top} would return, left in place.

@@ -13,7 +13,11 @@ module Heap = Protolat_util.Heap
    spent positions and are passed in their turn, firing only what has come
    due since.  Positions enter the ring in increasing order: each [consume]
    takes off the heap everything due by its clock, the clock never goes
-   back, and a timer registered later takes a later sequence number. *)
+   back, and a timer registered later takes a later sequence number.
+
+   The earliest position is kept in the one-cell [head] and [head_seq],
+   and [moved] is called whenever it changes, so the simulator can keep
+   its hosts' earliest positions ordered without looking at each. *)
 
 type handle = int
 
@@ -33,6 +37,7 @@ let noop () = ()
 type t = {
   heap : int Heap.t;  (* the slot of every timer not yet taken off it *)
   heap_top : float array;  (* [Heap.top_cell heap] *)
+  heap_seq : int array;  (* [Heap.top_seq_cell heap] *)
   mutable fns : (unit -> unit) array;
   mutable ats : float array;
   mutable states : int array;
@@ -47,14 +52,16 @@ type t = {
   mutable ring_len : int;
   head : float array;  (* time of the earliest position, [infinity] if none *)
   head_seq : int array;  (* its sequence number, [max_int] if none *)
+  moved : unit -> unit;
   mutable live : int;
   mutable high_water : int;
 }
 
-let create ?counter () =
+let create ?counter ?(moved = noop) () =
   let heap = Heap.create ?counter () in
   { heap;
     heap_top = Heap.top_cell heap;
+    heap_seq = Heap.top_seq_cell heap;
     fns = [||];
     ats = [||];
     states = [||];
@@ -67,12 +74,15 @@ let create ?counter () =
     ring_len = 0;
     head = [| infinity |];
     head_seq = [| max_int |];
+    moved;
     live = 0;
     high_water = 0 }
 
-(* The earliest of the heap's top and the ring's first position. *)
+(* The earliest of the heap's top and the ring's first position, told to
+   [moved] if it changed. *)
 let set_head t =
-  let ha = t.heap_top.(0) and hs = Heap.top_seq t.heap in
+  let before = t.head_seq.(0) in
+  let ha = t.heap_top.(0) and hs = t.heap_seq.(0) in
   if t.ring_len > 0 then begin
     let ra = t.ring_at.(t.ring_first) and rs = t.ring_seq.(t.ring_first) in
     if ra < ha || (ra = ha && rs < hs) then begin
@@ -87,7 +97,8 @@ let set_head t =
   else begin
     t.head.(0) <- ha;
     t.head_seq.(0) <- hs
-  end
+  end;
+  if t.head_seq.(0) <> before then t.moved ()
 
 (* Double the slot columns.  Only a manager with no idle slot grows, so the
    new slots [old, cap) become the whole free stack. *)
@@ -178,7 +189,7 @@ let spend_top t =
   end;
   let i = (t.ring_first + t.ring_len) land (Array.length t.ring_seq - 1) in
   t.ring_at.(i) <- t.heap_top.(0);
-  t.ring_seq.(i) <- Heap.top_seq t.heap;
+  t.ring_seq.(i) <- t.heap_seq.(0);
   t.ring_len <- t.ring_len + 1
 
 let consume t clock =

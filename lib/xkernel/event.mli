@@ -26,9 +26,13 @@ val none : handle
 (** A handle no timer has: {!cancel} returns [false] for it.  Protocol
     state holds it where no timer is armed. *)
 
-val create : ?counter:Protolat_util.Heap.counter -> unit -> t
+val create :
+  ?counter:Protolat_util.Heap.counter -> ?moved:(unit -> unit) -> unit -> t
 (** A manager drawing its sequence numbers from [counter] (by default a
-    counter of its own). *)
+    counter of its own).  [moved] (by default nothing) is called whenever
+    the manager's earliest pending position changes, after {!head_cell}
+    and {!head_seq_cell} hold the new one: when {!register} adds an earlier
+    position and when {!consume} passes one, before any callback runs. *)
 
 val register : t -> at:float -> (unit -> unit) -> handle
 (** Schedule a callback at absolute time [at] (microseconds). *)

@@ -354,7 +354,7 @@ module Wakeup_ref = struct
     !count
 end
 
-(* A timer script: timers on host 0 or 1 and plain events, at delays from
+(* A timer script: timers on any host and plain events, at delays from
    a small set so that they collide, whose callbacks run further ops;
    cancels of the k-th timer registered so far (modulo their number), host
    crashes, and clock advances. *)
@@ -383,9 +383,9 @@ let kth tbl k =
   let n = Hashtbl.length tbl in
   if n = 0 then None else Some (Hashtbl.find tbl (k mod n))
 
-let real_timers () =
+let real_timers hosts =
   let s = Sim.create () in
-  let envs = Array.init 2 (fun host -> Ns.Host_env.create s ~host ()) in
+  let envs = Array.init hosts (fun host -> Ns.Host_env.create s ~host ()) in
   let handles = Hashtbl.create 16 in
   { timeout =
       (fun host delay fn ->
@@ -406,10 +406,10 @@ let real_timers () =
     next_at = (fun () -> Sim.next_at s);
     armed = (fun host -> Xk.Event.pending envs.(host).Ns.Host_env.events) }
 
-let reference_timers () =
+let reference_timers hosts =
   let module R = Wakeup_ref in
   let s = R.create () in
-  let hosts = Array.init 2 (fun _ -> R.host s) in
+  let hosts = Array.init hosts (fun _ -> R.host s) in
   let handles = Hashtbl.create 16 in
   { timeout =
       (fun host delay fn ->
@@ -446,19 +446,20 @@ let rec exec impl log op =
     note (Printf.sprintf "crash %d: %d" host (impl.cancel_all host))
   | Advance d -> impl.advance_clock d
 
-(* The fire log, then [run]'s counts, [pending], [next_at] and each host's
-   armed timers, before, part-way (until 2) and after the run. *)
-let run_script impl script =
+(* The fire log, then [run]'s counts, [pending], [next_at] and each of the
+   [hosts] hosts' armed timers, before, part-way (until 2) and after the
+   run. *)
+let run_script hosts impl script =
   let log = ref [] in
   List.iter (exec impl log) script;
   let before = (impl.pending (), impl.next_at ()) in
   let n1 = impl.run ~until:2.0 () in
-  let mid = (impl.pending (), impl.next_at (), impl.armed 0, impl.armed 1) in
+  let mid = (impl.pending (), impl.next_at (), List.init hosts impl.armed) in
   let n2 = impl.run () in
-  let after = (impl.pending (), impl.armed 0, impl.armed 1) in
+  let after = (impl.pending (), List.init hosts impl.armed) in
   (List.rev !log, before, n1, mid, n2, after)
 
-let gen_timer_script =
+let gen_timer_script hosts =
   let open QCheck.Gen in
   let delay = oneofl [ 0.0; 0.0; 1.0; 2.0; 2.0; 3.0 ] in
   let rec ops depth =
@@ -466,10 +467,14 @@ let gen_timer_script =
   and op depth =
     let body = if depth >= 2 then return [] else ops (depth + 1) in
     frequency
-      [ (4, map3 (fun h d b -> Timer (0, h, d, b)) (int_bound 1) delay body);
+      [ (4,
+         map3
+           (fun h d b -> Timer (0, h, d, b))
+           (int_bound (hosts - 1))
+           delay body);
         (3, map2 (fun d b -> Plain (0, d, b)) delay body);
         (2, map (fun k -> Cancel k) (int_bound 15));
-        (1, map (fun h -> Cancel_all h) (int_bound 1));
+        (1, map (fun h -> Cancel_all h) (int_bound (hosts - 1)));
         (1, map (fun d -> Advance d) (oneofl [ 0.5; 1.0 ])) ]
   in
   let number script =
@@ -501,12 +506,20 @@ let rec print_timer_op = function
 
 and print_timer_ops ops = String.concat "; " (List.map print_timer_op ops)
 
-let prop_timers_match_wakeup_reference =
-  QCheck.Test.make ~name:"timers match the wake-up reference" ~count:400
-    (QCheck.make ~print:print_timer_ops gen_timer_script)
+let timers_match_wakeup_reference ~name hosts =
+  QCheck.Test.make ~name ~count:400
+    (QCheck.make ~print:print_timer_ops (gen_timer_script hosts))
     (fun script ->
-      run_script (real_timers ()) script
-      = run_script (reference_timers ()) script)
+      run_script hosts (real_timers hosts) script
+      = run_script hosts (reference_timers hosts) script)
+
+let prop_timers_match_wakeup_reference =
+  timers_match_wakeup_reference ~name:"timers match the wake-up reference" 2
+
+(* Five hosts make a three-level tree of hosts with three empty leaves. *)
+let prop_five_hosts_match_wakeup_reference =
+  timers_match_wakeup_reference
+    ~name:"timers on five hosts match the wake-up reference" 5
 
 (* Registering a timer allocates only the floats boxed at the call (the
    delay and the deadline); cancelling and passing positions allocate
@@ -578,4 +591,5 @@ let suite =
         test_same_instant_timers;
       QCheck_alcotest.to_alcotest prop_timers_match_wakeup_reference;
       Alcotest.test_case "timer registration and firing allocation" `Quick
-        test_timer_allocation ] )
+        test_timer_allocation;
+      QCheck_alcotest.to_alcotest prop_five_hosts_match_wakeup_reference ] )

@@ -67,7 +67,9 @@ let prop_heap_sorted =
    four-value set so ties are common; values are insertion numbers, so the
    model's order is (priority, insertion).  Ops: 0-5 push priority [k],
    6-7 [pop], 8 [pop_top], 9 [clear]; every step also checks [top_prio],
-   [top] and [min_priority] against the model. *)
+   [top] and [min_priority] against the model, and the head cells
+   ([top_cell], [top_seq_cell]; with the heap's own counter, the top's
+   sequence number is its insertion number). *)
 let prop_heap_vs_model =
   QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:300
     QCheck.(list (pair (int_range 0 9) (int_range 0 3)))
@@ -91,11 +93,15 @@ let prop_heap_vs_model =
         | [] ->
           Heap.min_priority h = None
           && Heap.top_prio h = infinity
+          && (Heap.top_cell h).(0) = infinity
+          && (Heap.top_seq_cell h).(0) = max_int
           && (try ignore (Heap.pop_top h); false
               with Invalid_argument _ -> true)
           && Heap.pop h = None
         | (p, v) :: _ ->
           Heap.min_priority h = Some p && Heap.top_prio h = p && Heap.top h = v
+          && (Heap.top_cell h).(0) = p
+          && (Heap.top_seq_cell h).(0) = v
       in
       List.for_all
         (fun (op, k) ->
