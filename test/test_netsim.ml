@@ -506,20 +506,22 @@ let rec print_timer_op = function
 
 and print_timer_ops ops = String.concat "; " (List.map print_timer_op ops)
 
-let timers_match_wakeup_reference ~name hosts =
-  QCheck.Test.make ~name ~count:400
-    (QCheck.make ~print:print_timer_ops (gen_timer_script hosts))
-    (fun script ->
+(* Scripts run on two hosts or on five, which make a three-level tree of
+   hosts in the simulator with three empty leaves. *)
+let prop_timers_match_wakeup_reference =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 2; 5 ] >>= fun hosts ->
+      map (fun script -> (hosts, script)) (gen_timer_script hosts))
+  in
+  let print (hosts, script) =
+    Printf.sprintf "%d hosts: %s" hosts (print_timer_ops script)
+  in
+  QCheck.Test.make ~name:"timers match the wake-up reference" ~count:800
+    (QCheck.make ~print gen)
+    (fun (hosts, script) ->
       run_script hosts (real_timers hosts) script
       = run_script hosts (reference_timers hosts) script)
-
-let prop_timers_match_wakeup_reference =
-  timers_match_wakeup_reference ~name:"timers match the wake-up reference" 2
-
-(* Five hosts make a three-level tree of hosts with three empty leaves. *)
-let prop_five_hosts_match_wakeup_reference =
-  timers_match_wakeup_reference
-    ~name:"timers on five hosts match the wake-up reference" 5
 
 (* Registering a timer allocates only the floats boxed at the call (the
    delay and the deadline); cancelling and passing positions allocate
@@ -591,5 +593,4 @@ let suite =
         test_same_instant_timers;
       QCheck_alcotest.to_alcotest prop_timers_match_wakeup_reference;
       Alcotest.test_case "timer registration and firing allocation" `Quick
-        test_timer_allocation;
-      QCheck_alcotest.to_alcotest prop_five_hosts_match_wakeup_reference ] )
+        test_timer_allocation ] )
