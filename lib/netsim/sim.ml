@@ -61,9 +61,9 @@ let earlier t i j =
     and aj = (Array.unsafe_get t.host_at j).(0) in
     if
       aj < ai
-      || aj = ai
+      || (aj = ai
          && (Array.unsafe_get t.host_seq j).(0)
-            < (Array.unsafe_get t.host_seq i).(0)
+            < (Array.unsafe_get t.host_seq i).(0))
     then j
     else i
   end
